@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import exactla
-from .errors import LiftFailure, NonIntegerFixedDim, NotRationalGroup, SingularMatrix
+from .errors import (
+    CapExceeded,
+    LiftFailure,
+    NonIntegerFixedDim,
+    NotRationalGroup,
+    SingularMatrix,
+)
 from .permgroup import CyclicClass, PermGroup
 
 MAX_CLASSES = 40
@@ -305,7 +311,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     classes = G.conjugacy_classes()
     n = len(classes)
     if n > MAX_CLASSES:
-        raise ValueError(f"{n} conjugacy classes exceeds supported maximum {MAX_CLASSES}")
+        raise CapExceeded(f"{n} conjugacy classes exceeds supported maximum {MAX_CLASSES}")
 
     exponent = 1
     for cl in classes:

@@ -88,6 +88,11 @@ def _resolve_group(args) -> tuple[PermGroup, dict]:
     return G, {"generators": [g.cycle_str() for g in gens]}
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
     """Build a CoverSpec from the JSON schema; raises ParseError on bad input."""
     if not isinstance(doc, dict):
@@ -98,7 +103,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
     if "weyl" in gdoc:
         wdoc = gdoc["weyl"]
         letter, rank = str(wdoc.get("type", "")), wdoc.get("rank")
-        if not isinstance(rank, int):
+        if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')
         W = weyl.weyl_group(*weyl.parse_weyl_label(f"{letter}{rank}"))
         G = W.group
@@ -109,6 +114,8 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
             raise ParseError('"generators" must be a list')
         gens = []
         degree = gdoc.get("degree")
+        if degree is not None and not _is_int(degree):
+            raise ParseError('"degree" must be an integer')
         for t in texts:
             if isinstance(t, str):
                 gens.append(t)
@@ -123,7 +130,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         raise ParseError('group object needs "weyl" or "generators"')
 
     base_genus = doc.get("base_genus")
-    if not isinstance(base_genus, int) or base_genus < 0:
+    if not _is_int(base_genus) or base_genus < 0:
         raise ParseError('"base_genus" must be a nonnegative integer')
 
     counts: dict[int, int] = {}
@@ -136,7 +143,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
             raise ParseError(f"bad ramification entry {entry!r}")
         text = entry["inertia_generator"]
         count = entry.get("count")
-        if not isinstance(count, int) or count < 0:
+        if not _is_int(count) or count < 0:
             raise ParseError(f'"count" must be a nonnegative integer in {entry!r}')
         try:
             perm = Permutation.from_cycles(str(text), degree=G.degree)
@@ -476,12 +483,12 @@ def _cmd_verify(args, out) -> int:
     checks.append(("fixed_dim_invertible", det != 0, f"determinant {det}"))
     checks.append(("fixed_dim_triangular", tri_ok, "lower-triangular in the character basis"))
 
-    dc_ok = True
-    for i, Ki in enumerate(cyclic):
-        for k, Kk in enumerate(cyclic):
-            char_sum = sum(fdm.entries[i][j] * fdm.entries[k][j] for j in range(table.n))
-            if char_sum != G.double_coset_count(Kk, Ki):
-                dc_ok = False
+    dcm = G.double_coset_matrix()
+    dc_ok = all(
+        sum(fdm.entries[i][j] * fdm.entries[k][j] for j in range(table.n)) == dcm[k][i]
+        for i in range(len(cyclic))
+        for k in range(len(cyclic))
+    )
     checks.append(("double_coset_identity", dc_ok, f"all {len(cyclic)}^2 pairs"))
 
     rng = random.Random(args.seed)
@@ -546,6 +553,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
+        if args.cap < 1:
+            raise ParseError(f"--cap must be a positive integer, got {args.cap}")
         if args.command == "dims":
             return _cmd_dims(args, out)
         if args.command == "preset":

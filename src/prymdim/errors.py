@@ -14,11 +14,16 @@ class DegreeMismatch(PrymdimError):
 
 
 class CapExceeded(PrymdimError):
-    """Group closure grew past the configured element cap."""
+    """Group closure grew past the configured element cap, or the group
+    has more conjugacy classes than the character table supports."""
 
 
 class NotASubgroup(PrymdimError):
-    """Element set is not closed under the group operation."""
+    """Element set is not closed under the group operation.
+
+    Also raised when two class profiles give a non-integral double-coset
+    count, which no pair of subgroups does.
+    """
 
 
 class NotRationalGroup(PrymdimError):

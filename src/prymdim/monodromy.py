@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
-from .errors import SamplingExhausted
+from .errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
 from .permgroup import PermGroup
 from .rhprym import CoverSpec, RamificationSpec, genus_quotient
 
@@ -125,15 +124,20 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int]) -> int:
 
     Over a branch point with monodromy g, the fiber of X/H -> Y has one
     point per cycle of g on the cosets, ramified with index the cycle
-    length; Riemann-Hurwitz then gives the genus directly.
+    length; Riemann-Hurwitz then gives the genus directly. Raises
+    OddRamificationDegree or NegativeGenus when the tuple defines no
+    surface.
     """
     G = t.group
     act = G.coset_action(frozenset(subgroup))
     n = len(act.cosets)
     ram = sum(n - act.cycle_count(g) for g in t.branch_elements)
-    g_h = 1 + Fraction(n * (t.base_genus - 1)) + Fraction(ram, 2)
-    assert g_h.denominator == 1 and g_h >= 0, "tuple does not define a surface"
-    return int(g_h)
+    if ram % 2:
+        raise OddRamificationDegree(f"oracle ramification degree {ram} is odd")
+    g_h = 1 + n * (t.base_genus - 1) + ram // 2
+    if g_h < 0:
+        raise NegativeGenus(f"oracle genus {g_h} is negative")
+    return g_h
 
 
 def spec_from_tuple(t: BranchTuple) -> CoverSpec:

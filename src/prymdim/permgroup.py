@@ -4,15 +4,21 @@ Every group is realized concretely: elements are permutations of
 ``{0..n-1}``, the whole group is closed breadth-first from its
 generators, and an element is identified by its index into the table of
 image tuples sorted lexicographically (so index 0 is the identity).
-Conjugacy classes, cyclic-subgroup classes, coset actions and double
-cosets are all computed by direct counting, which keeps every
-downstream quantity exact and reproducible across runs.
+Conjugacy classes, cyclic-subgroup classes and coset actions are computed
+by direct counting. Double cosets are counted from class data alone, by
+Burnside's lemma,
+
+    #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
+
+where pA[c] is the number of elements of A in class c. Every quantity is
+exact and reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -190,13 +196,16 @@ class CosetAction:
     ``cosets`` holds the least element index of each coset, in discovery
     order; ``coset_of[x]`` is the coset index of element ``x``. Actions
     of arbitrary elements are derived on demand via ``element_action``.
+    Orbit counts on cosets are the monodromy oracle's route to quotient
+    genera; the dimension pipeline counts double cosets from class data
+    instead (``PermGroup.double_coset_matrix``), so the two stay
+    independent.
     """
 
     group: "PermGroup"
     subgroup: tuple[int, ...]
     cosets: tuple[int, ...]
     coset_of: tuple[int, ...]
-    generator_action: tuple[tuple[int, ...], ...]
 
     def element_action(self, x: int) -> tuple[int, ...]:
         """The permutation of coset indices induced by element ``x``."""
@@ -223,8 +232,8 @@ class CosetAction:
 class PermGroup:
     """A finite permutation group, fully enumerated from its generators.
 
-    Derived data (conjugacy classes, cyclic classes, coset actions,
-    double-coset counts) is computed lazily and cached; the group itself
+    Derived data (conjugacy classes, cyclic classes, coset actions, the
+    double-coset matrix) is computed lazily and cached; the group itself
     is immutable after construction.
     """
 
@@ -288,7 +297,7 @@ class PermGroup:
         self._cyclic: tuple[CyclicClass, ...] | None = None
         self._cyclic_of_class: dict[int, int] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
-        self._dcc: dict[tuple[int, frozenset[int]], int] = {}
+        self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
         self.cache: dict = {}  # cross-module memo slot (character table etc.)
 
     # -- element arithmetic -------------------------------------------------
@@ -365,7 +374,7 @@ class PermGroup:
             return True
         if len(elems) ** 2 <= 10_000_000:
             return all(self.mul(a, b) in elems for a in elems for b in elems)
-        return True  # too large for the quadratic check; coset fill re-verifies
+        return True  # too large for the quadratic check; only coset_action re-verifies
 
     # -- conjugacy classes --------------------------------------------------
 
@@ -509,41 +518,69 @@ class PermGroup:
                 if coset_of[y] >= 0:
                     raise NotASubgroup("coset overlap: element set is not closed")
                 coset_of[y] = c
-        act = CosetAction(
-            group=self,
-            subgroup=tuple(hs),
-            cosets=tuple(reps),
-            coset_of=tuple(coset_of),
-            generator_action=(),
-        )
-        gen_act = tuple(act.element_action(g) for g in self.generator_indices)
-        act = CosetAction(self, tuple(hs), tuple(reps), tuple(coset_of), gen_act)
-        # homomorphism spot-check on generator pairs
-        for gi, g in enumerate(self.generator_indices):
-            for hj, h in enumerate(self.generator_indices):
-                gh = act.element_action(self.mul(g, h))
-                composed = tuple(gen_act[gi][c] for c in gen_act[hj])
-                assert gh == composed, "coset action is not a homomorphism"
+        act = CosetAction(self, tuple(hs), tuple(reps), tuple(coset_of))
         self._coset_actions[H] = act
         return act
 
-    def double_coset_count(self, a, b) -> int:
-        """#(A\\G/B) for A = <a> cyclic and B a subgroup.
+    def _profile(self, x) -> tuple[Mapping[int, int], int]:
+        """(class profile, order) of a CyclicClass, of the cyclic subgroup
+        generated by an element index, or of a set of element indices;
+        raises NotASubgroup for a set that is not a subgroup."""
+        if isinstance(x, CyclicClass):
+            return x.member_class_profile, x.subgroup_order
+        if isinstance(x, int):
+            K = self.cyclic_subgroup_classes()[self.cyclic_class_of_element(x)]
+            return K.member_class_profile, K.subgroup_order
+        elems = x if isinstance(x, frozenset) else frozenset(x)
+        if not self.is_subgroup(elems):
+            raise NotASubgroup(f"{len(elems)} elements do not form a subgroup")
+        return Counter(self.class_of(y) for y in elems), len(elems)
 
-        Computed as the number of orbits of A on the coset space G/B,
-        i.e. the cycle count of a's induced coset permutation. ``a`` may
-        be a CyclicClass or an element index; ``b`` a CyclicClass or an
-        iterable of element indices.
+    def _burnside_count(self, pa: Mapping[int, int], na: int,
+                        pb: Mapping[int, int], nb: int) -> int:
+        """#(A\\G/B) from the class profiles and orders of A and B.
+
+        Burnside's lemma for A x B acting on G by g -> a g b^-1: the pair
+        (a, b) fixes |C_G(a)| = |G|/|class(a)| elements when a ~ b and
+        none otherwise.
         """
-        gen = a.generator if isinstance(a, CyclicClass) else int(a)
-        elems = b.subgroup_elements if isinstance(b, CyclicClass) else b
-        B = elems if isinstance(elems, frozenset) else frozenset(elems)
-        key = (gen, B)
-        got = self._dcc.get(key)
-        if got is None:
-            got = self.coset_action(B).cycle_count(gen)
-            self._dcc[key] = got
-        return got
+        classes = self.conjugacy_classes()
+        fixed = sum(
+            in_a * pb[c] * (self.order // classes[c].size)
+            for c, in_a in pa.items()
+            if c in pb
+        )
+        count, rem = divmod(fixed, na * nb)
+        if rem:
+            raise NotASubgroup(
+                f"class profiles of orders {na} and {nb} give {fixed}/{na * nb} "
+                "double cosets; they are not the profiles of subgroups"
+            )
+        return count
+
+    def double_coset_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """Entry [k][i] is #(H_k\\G/H_i) over the cyclic classes, in
+        ``cyclic_subgroup_classes`` order; built once per group."""
+        if self._dc_matrix is None:
+            prof = [(K.member_class_profile, K.subgroup_order)
+                    for K in self.cyclic_subgroup_classes()]
+            self._dc_matrix = tuple(
+                tuple(self._burnside_count(*a, *b) for b in prof) for a in prof
+            )
+        return self._dc_matrix
+
+    def double_coset_count(self, a, b) -> int:
+        """#(A\\G/B) for subgroups A and B, by Burnside's class formula
+
+            #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
+
+        which reads only class sizes and the class profiles pA, pB (see
+        the module docstring). Each of ``a`` and ``b`` may be a
+        CyclicClass, an element index (standing for the cyclic subgroup
+        it generates, whose profile is that of its cyclic class) or an
+        iterable of element indices, which must form a subgroup.
+        """
+        return self._burnside_count(*self._profile(a), *self._profile(b))
 
 
 def group_from_generators(

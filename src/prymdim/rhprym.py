@@ -109,12 +109,9 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
     """Genus of the quotient X/H_i for the i-th cyclic class."""
     G = spec.group
     cyclic = G.cyclic_subgroup_classes()
-    H = cyclic[i]
-    index = G.order // H.subgroup_order
-    ram = sum(
-        (index - G.double_coset_count(cyclic[k], H)) * r
-        for k, r in spec.ramification.counts.items()
-    )
+    index = G.order // cyclic[i].subgroup_order
+    dcm = G.double_coset_matrix()
+    ram = sum((index - dcm[k][i]) * r for k, r in spec.ramification.counts.items())
     if ram % 2:
         raise OddRamificationDegree(
             f"quotient H{i + 1} ramification degree {ram} is odd"

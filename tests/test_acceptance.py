@@ -121,11 +121,13 @@ def test_criterion_6_double_coset_identity():
         cyclic = G.cyclic_subgroup_classes()
         n = fdm.n
         for i in range(n):
+            act = G.coset_action(cyclic[i].subgroup_elements)
             for k in range(n):
                 char_route = sum(fdm.entries[i][j] * fdm.entries[k][j] for j in range(n))
-                orbit_route = G.double_coset_count(cyclic[k], cyclic[i])
-                assert char_route == orbit_route, (letter, rank, i, k)
-    _report(6, "character sums == double-coset counts", started)
+                burnside_route = G.double_coset_count(cyclic[k], cyclic[i])
+                orbit_route = act.cycle_count(cyclic[k].generator)
+                assert char_route == burnside_route == orbit_route, (letter, rank, i, k)
+    _report(6, "character sums == class count == orbits on cosets", started)
 
 
 def test_criterion_7_orthogonality_and_triangularity():

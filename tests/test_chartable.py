@@ -138,15 +138,19 @@ def test_fixed_dim_matrix_invariants():
 
 
 def test_double_coset_identity_small():
+    """Character sums, Burnside's class count and orbits on cosets agree."""
     for letter, rank in [("A", 2), ("B", 2), ("G", 2)]:
         G = weyl_group(letter, rank).group
         F = fixed_dim_matrix(G)
         cyclic = G.cyclic_subgroup_classes()
         n = F.n
         for i in range(n):
+            act = G.coset_action(cyclic[i].subgroup_elements)
             for k in range(n):
                 char_route = sum(F.entries[i][j] * F.entries[k][j] for j in range(n))
-                assert char_route == G.double_coset_count(cyclic[k], cyclic[i])
+                burnside_route = G.double_coset_count(cyclic[k], cyclic[i])
+                orbit_route = act.cycle_count(cyclic[k].generator)
+                assert char_route == burnside_route == orbit_route, (letter, rank, i, k)
 
 
 def test_non_integer_fixed_dim_detected(s3):

@@ -105,6 +105,49 @@ def test_dims_unresolvable_inertia(capsys, tmp_path):
     assert "not in the group" in err
 
 
+def _with(path, value):
+    """S3_SPEC with the field at ``path`` set to ``value``."""
+    doc = json.loads(json.dumps(S3_SPEC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"group": {"weyl": {"type": "A", "rank": True}}, "base_genus": 1},
+        _with(("base_genus",), True),
+        _with(("ramification", 0, "count"), True),
+        _with(("group", "degree"), True),
+    ],
+    ids=["rank", "base_genus", "count", "degree"],
+)
+def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
+    f = tmp_path / "bool.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dims", str(f)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_chartable_too_many_classes(capsys):
+    # (Z/2)^6 is abelian: 64 classes, over the character-table limit
+    gens = [f"({2 * i} {2 * i + 1})" for i in range(6)]
+    code, _, err = run(capsys, ["chartable", "--generators", *gens])
+    assert code == 2
+    assert "CapExceeded" in err and "Traceback" not in err
+
+
+def test_cap_zero_is_input_error(capsys):
+    code, _, err = run(capsys, ["chartable", "--generators", "(0 1)", "--cap", "0"])
+    assert code == 1
+    assert "--cap" in err and "Traceback" not in err
+
+
 def test_preset_toda(capsys):
     code, out, _ = run(capsys, ["preset", "toda", "A", "3"])
     assert code == 0

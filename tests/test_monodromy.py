@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from prymdim.errors import SamplingExhausted
+from prymdim.errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
 from prymdim.monodromy import (
     BranchTuple,
     oracle_genus,
@@ -42,6 +42,16 @@ def test_oracle_genus_z2(z2):
     t = sample_tuple(z2, 0, 4, random.Random(2))
     assert oracle_genus(t, [z2.identity_index]) == 1  # double cover of P^1, 4 pts
     assert oracle_genus(t, range(z2.order)) == 0  # X/G = Y
+
+
+def test_oracle_genus_rejects_non_surfaces(z2, s3):
+    # explicit raises, so these hold under python -O as well
+    transposition = next(i for i in range(s3.order) if s3.element_order(i) == 2)
+    odd = BranchTuple(s3, 0, (), (transposition,))
+    with pytest.raises(OddRamificationDegree):
+        oracle_genus(odd, [s3.identity_index])  # ram = 6 - 3 cycles = 3
+    with pytest.raises(NegativeGenus):
+        oracle_genus(BranchTuple(z2, 0, (), ()), [z2.identity_index])  # 1 + 2(0 - 1)
 
 
 def explicit_s3_tuple(s3):

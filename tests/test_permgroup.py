@@ -221,12 +221,21 @@ def test_coset_action_rejects_non_subgroup(s3):
 
 
 def test_coset_action_homomorphism(s4):
-    act = s4.coset_action(s4.subgroup_closure([s4.generator_indices[0]]))
-    for x in range(0, s4.order, 5):
-        for y in range(0, s4.order, 7):
-            via_mul = act.element_action(s4.mul(x, y))
-            ax, ay = act.element_action(x), act.element_action(y)
-            assert via_mul == tuple(ax[c] for c in ay)
+    f4 = weyl_group("F", 4).group
+    cases = [
+        (s4, s4.subgroup_closure([s4.generator_indices[0]])),
+        (f4, f4.cyclic_subgroup_classes()[-1].subgroup_elements),  # order 12
+    ]
+    for G, H in cases:
+        act = G.coset_action(H)
+        step = max(1, G.order // 20)
+        xs = list(range(0, G.order, step)) + G.generator_indices
+        ys = list(range(1, G.order, step + 2)) + G.generator_indices
+        for x in xs:
+            for y in ys:
+                via_mul = act.element_action(G.mul(x, y))
+                ax, ay = act.element_action(x), act.element_action(y)
+                assert via_mul == tuple(ax[c] for c in ay)
 
 
 def test_double_coset_examples(s3):
@@ -235,6 +244,23 @@ def test_double_coset_examples(s3):
     assert s3.double_coset_count(H2, H2) == 2
     assert s3.double_coset_count(cyclic[0], H3) == s3.order // H3.subgroup_order
     assert s3.double_coset_count(H3, range(s3.order)) == 1
+
+
+def test_double_coset_argument_kinds(s4):
+    """An element index stands for the cyclic subgroup it generates; the
+    whole group as a set gives one double coset; a set that is not a
+    subgroup is rejected."""
+    cyclic = s4.cyclic_subgroup_classes()
+    for x in range(s4.order):
+        on_x = s4.coset_action(s4.subgroup_closure([x]))
+        for K in cyclic:
+            on_k = s4.coset_action(K.subgroup_elements)
+            assert s4.double_coset_count(x, K) == on_k.cycle_count(x)
+            assert s4.double_coset_count(K, x) == on_x.cycle_count(K.generator)
+        assert s4.double_coset_count(x, range(s4.order)) == 1
+    involutions = [i for i in range(s4.order) if s4.element_order(i) == 2]
+    with pytest.raises(NotASubgroup):  # two distinct involutions never close up
+        s4.double_coset_count(cyclic[1], [s4.identity_index] + involutions[:2])
 
 
 def double_cosets_by_partition(G, a_elems, b_elems):
@@ -260,8 +286,9 @@ def test_double_coset_symmetry():
 
 
 def test_double_coset_routes_fleet_under_5000():
-    """Orbit counting agrees with the direct partition of G into AxB sets,
-    for every pair of cyclic classes in every fleet group of order <= 5000."""
+    """Burnside's class count, orbit counting on cosets and the direct
+    partition of G into AxB sets agree, for every pair of cyclic classes
+    in every fleet group of order <= 5000."""
     from conftest import WEYL_FLEET
 
     seen: set[int] = set()
@@ -271,13 +298,15 @@ def test_double_coset_routes_fleet_under_5000():
             continue
         seen.add(id(G))
         cyclic = G.cyclic_subgroup_classes()
-        for A in cyclic:
-            for B in cyclic:
-                orbit_route = G.double_coset_count(A, B)
+        for B in cyclic:
+            act = G.coset_action(B.subgroup_elements)
+            for A in cyclic:
+                burnside_route = G.double_coset_count(A, B)
+                orbit_route = act.cycle_count(A.generator)
                 partition_route = double_cosets_by_partition(
                     G, A.subgroup_elements, B.subgroup_elements
                 )
-                assert orbit_route == partition_route, (letter, rank)
+                assert burnside_route == orbit_route == partition_route, (letter, rank)
 
 
 def test_trivial_double_coset_is_index():
