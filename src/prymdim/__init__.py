@@ -32,10 +32,9 @@ from .errors import (
     PrymdimError,
     SamplingExhausted,
     Singular,
-    SingularMatrix,
     UnsupportedType,
 )
-from .exactla import BigRational, RationalMatrix, determinant, solve
+from .exactla import determinant, solve
 from .monodromy import (
     BranchTuple,
     oracle_genus,

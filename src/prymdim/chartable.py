@@ -25,7 +25,7 @@ from .errors import (
     LiftFailure,
     NonIntegerFixedDim,
     NotRationalGroup,
-    SingularMatrix,
+    Singular,
 )
 from .permgroup import CyclicClass, PermGroup
 
@@ -509,11 +509,12 @@ def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> Fixed
     entries = tuple(
         tuple(_average_over(table, j, K) for j in range(table.n)) for K in cyclic
     )
-    assert entries[0] == table.degrees  # trivial subgroup fixes everything
-    assert all(row[table.trivial_index] == 1 for row in entries)
-    det = exactla.determinant(exactla.RationalMatrix.from_rows(entries))
-    if det == 0:
-        raise SingularMatrix("fixed-subspace dimension matrix is singular")
+    if entries[0] != table.degrees:
+        raise AssertionError("trivial subgroup must fix every irrep")
+    if any(row[table.trivial_index] != 1 for row in entries):
+        raise AssertionError("trivial irrep must have a one-dimensional fixed space")
+    if exactla.determinant(entries) == 0:
+        raise Singular("fixed-subspace dimension matrix is singular")
     result = FixedDimMatrix(entries=entries)
     G.cache[_FDM_KEY] = result
     return result

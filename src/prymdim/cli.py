@@ -478,7 +478,7 @@ def _cmd_verify(args, out) -> int:
     table = chartable.character_table(G)
     checks.append(("orthogonality", True, "verified during table construction"))
     fdm = chartable.fixed_dim_matrix(G)
-    det = exactla.determinant(exactla.RationalMatrix.from_rows(fdm.entries))
+    det = exactla.determinant(fdm.entries)
     tri_ok = _triangular_change_of_basis_ok(G, table, fdm)
     checks.append(("fixed_dim_invertible", det != 0, f"determinant {det}"))
     checks.append(("fixed_dim_triangular", tri_ok, "lower-triangular in the character basis"))
@@ -534,12 +534,12 @@ def _triangular_change_of_basis_ok(G, table, fdm) -> bool:
     (one per class), must form a lower-triangular matrix with nonzero
     diagonal once classes are matched to their cyclic classes."""
     n = table.n
-    # coefficients l with sum_c l[c] * chi_j(class c) = fixed_dim_row_i[j]
-    A = exactla.RationalMatrix.from_rows(table.table)
+    # numerators of the l with sum_c l[c] * chi_j(class c) = fixed_dim_row_i[j],
+    # over one nonzero denominator: only their zero pattern matters
     cyclic = G.cyclic_subgroup_classes()
     pos_of_class = {G.class_of(K.generator): k for k, K in enumerate(cyclic)}
     for i in range(n):
-        coeffs = exactla.solve(A, list(fdm.entries[i]))
+        coeffs, _ = exactla.solve(table.table, fdm.entries[i])
         for c, coef in enumerate(coeffs):
             k = pos_of_class[c]
             if k > i and coef != 0:

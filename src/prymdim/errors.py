@@ -43,10 +43,6 @@ class NonIntegerFixedDim(PrymdimError):
     """
 
 
-class SingularMatrix(PrymdimError):
-    """Fixed-subspace dimension matrix is singular."""
-
-
 class NotSquare(PrymdimError):
     """Matrix operation requires a square matrix."""
 

@@ -1,79 +1,39 @@
-"""Exact rational linear algebra.
+"""Exact integer linear algebra.
 
-Rationals are stdlib ``fractions.Fraction`` (arbitrary precision).
-Determinants and solves go through fraction-free Bareiss elimination on
-the integer matrix obtained by clearing denominators, so no rounding
-ever occurs and intermediate entries stay single integers.
+Every matrix the pipeline inverts (fixed-dim matrices, character tables,
+root coordinates) has integer entries, and every right-hand side is an
+integer vector. One fraction-free Bareiss forward pass (Bareiss, Math.
+Comp. 22, 1968) serves both the determinant and the solve: by
+Sylvester's identity each division in it is exact, so every intermediate
+entry is an integer. A solution comes back as integer numerators over
+one common denominator d = +-det, and callers decide integrality with a
+divisibility test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from typing import Sequence
 
 from .errors import NotSquare, Singular
 
-BigRational = Fraction
+
+def _order(rows: Sequence[Sequence[int]]) -> int:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        lengths = sorted({len(row) for row in rows})
+        raise NotSquare(f"matrix with {n} rows of lengths {lengths} is not square")
+    return n
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]  # row-major
+def _forward(m: list[list[int]], n: int) -> int:
+    """Bareiss forward pass on the first n columns of the n rows m, in place.
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "RationalMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(Fraction(x) for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "RationalMatrix":
-        return cls.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def at(self, r: int, c: int) -> Fraction:
-        return self.entries[r * self.cols + c]
-
-    def row(self, r: int) -> tuple[Fraction, ...]:
-        return self.entries[r * self.cols : (r + 1) * self.cols]
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.row(r)) for r in range(self.rows)]
-
-
-def _cleared_int_rows(A: RationalMatrix, b: Sequence[Fraction] | None):
-    """Scale each row by the lcm of its denominators; return int rows + scales."""
-    rows = []
-    scales = []
-    for r in range(A.rows):
-        vals = list(A.row(r))
-        if b is not None:
-            vals.append(Fraction(b[r]))
-        m = lcm(*(v.denominator for v in vals)) if vals else 1
-        rows.append([int(v * m) for v in vals])
-        scales.append(m)
-    return rows, scales
-
-
-def determinant(A: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if A.rows != A.cols:
-        raise NotSquare(f"{A.rows}x{A.cols} matrix has no determinant")
-    n = A.rows
-    if n == 0:
-        return Fraction(1)
-    m, scales = _cleared_int_rows(A, None)
+    Columns past the n-th (a right-hand side) are carried along. Afterwards
+    m is upper triangular in its first n columns and m[n-1][n-1] equals the
+    determinant times the returned sign of the row swaps. Returns 0 instead
+    when the matrix is singular.
+    """
+    width = len(m[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -84,72 +44,51 @@ def determinant(A: RationalMatrix) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
-        pkk = m[k][k]
+                return 0
+        mk = m[k]
+        pkk = mk[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
-            mi, mk = m[i], m[k]
-            for j in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(k + 1, width):
                 mi[j] = (mi[j] * pkk - mik * mk[j]) // prev
             mi[k] = 0
         prev = pkk
-    det = Fraction(sign * m[n - 1][n - 1])
-    for s in scales:
-        det /= s
-    return det
+    return sign if m[n - 1][n - 1] else 0
 
 
-def solve(A: RationalMatrix, b: Sequence) -> list[Fraction]:
-    """Exact solution of A x = b for square nonsingular A.
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix."""
+    n = _order(rows)
+    if n == 0:
+        return 1
+    m = [list(row) for row in rows]
+    return _forward(m, n) * m[n - 1][n - 1]
 
-    The solution is verified by back-multiplication before being
-    returned; failure there would indicate a bug, not bad input.
+
+def solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
+    """Solve A x = b for square nonsingular integer A and integer b.
+
+    Returns (y, d) with x = y / d, the y integers and d = +-det(A) != 0.
+    The answer is checked by A y == d b before it is returned; failure
+    there would indicate a bug, not bad input.
     """
-    if A.rows != A.cols:
-        raise NotSquare(f"cannot solve {A.rows}x{A.cols} system")
-    n = A.rows
-    bf = [Fraction(x) for x in b]
-    if len(bf) != n:
+    n = _order(rows)
+    if len(b) != n:
         raise ValueError("right-hand side length mismatch")
     if n == 0:
-        return []
-    m, _ = _cleared_int_rows(A, bf)  # augmented, row scaling preserves solutions
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise Singular("zero pivot column")
-        pkk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            mi, mk = m[i], m[k]
-            for j in range(k + 1, n + 1):
-                mi[j] = (mi[j] * pkk - mik * mk[j]) // prev
-            mi[k] = 0
-        prev = pkk
-    if m[n - 1][n - 1] == 0:
-        raise Singular("zero final pivot")
-    x: list[Fraction] = [Fraction(0)] * n
+        return [], 1
+    m = [list(row) + [v] for row, v in zip(rows, b)]
+    if not _forward(m, n):
+        raise Singular(f"{n}x{n} matrix is singular")
+    d = m[n - 1][n - 1]
+    y = [0] * n
+    # y = d x is the vector of Cramer numerators, so each division is exact
     for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            s -= m[i][j] * x[j]
-        x[i] = s / m[i][i]
-    for r in range(n):  # exactness check
-        got = sum((A.at(r, c) * x[c] for c in range(n)), Fraction(0))
-        assert got == bf[r], "solve verification failed"
-    return x
-
-
-def mat_vec(A: RationalMatrix, x: Sequence) -> list[Fraction]:
-    xs = [Fraction(v) for v in x]
-    if len(xs) != A.cols:
-        raise ValueError("dimension mismatch")
-    return [
-        sum((A.at(r, c) * xs[c] for c in range(A.cols)), Fraction(0))
-        for r in range(A.rows)
-    ]
+        mi = m[i]
+        s = d * mi[n] - sum(mi[j] * y[j] for j in range(i + 1, n))
+        y[i] = s // mi[i]
+    for row, v in zip(rows, b):
+        if sum(a * yc for a, yc in zip(row, y)) != d * v:
+            raise AssertionError("solve verification failed")
+    return y, d

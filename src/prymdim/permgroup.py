@@ -281,7 +281,8 @@ class PermGroup:
         self._images = imgs
         self._index = {t: i for i, t in enumerate(imgs)}
         self.identity_index = self._index[ident]
-        assert self.identity_index == 0  # identity is lexicographically least
+        if self.identity_index != 0:
+            raise AssertionError("identity must be the lexicographically least element")
         inv = []
         for t in imgs:
             it = [0] * degree

@@ -14,8 +14,9 @@ dimensions also come out of the closed form
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one); both routes are
-computed and compared. All arithmetic is exact; half-integer
-intermediates are carried as Fractions and asserted integral at the end.
+computed and compared. All arithmetic is in integers: the solve returns
+numerators over one common denominator and the closed form is summed
+doubled, so each route's integrality is one divisibility test.
 """
 
 from __future__ import annotations
@@ -123,11 +124,11 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
 
 
 def _solve_from_genera(fdm: FixedDimMatrix, genera: Sequence[int]) -> tuple[int, ...]:
-    A = exactla.RationalMatrix.from_rows(fdm.entries)
-    x = exactla.solve(A, genera)
-    if any(v.denominator != 1 for v in x):
+    y, d = exactla.solve(fdm.entries, genera)
+    if any(v % d for v in y):
+        x = [Fraction(v, d) for v in y]
         raise NonIntegerSolution(f"isotypic dimensions are not integers: {x}")
-    return tuple(int(v) for v in x)
+    return tuple(v // d for v in y)
 
 
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
@@ -146,12 +147,12 @@ def prym_dim_formula(spec: CoverSpec, j: int) -> int:
     if j == table.trivial_index:
         return spec.base_genus
     deg = table.degrees[j]
-    val = Fraction(deg * (spec.base_genus - 1))
-    for k, r in spec.ramification.counts.items():
-        val += Fraction((deg - fdm.entries[k][j]) * r, 2)
-    if val.denominator != 1:
-        raise NonIntegerDimension(f"closed-form dimension {val} is not an integer")
-    return int(val)
+    twice = 2 * deg * (spec.base_genus - 1) + sum(
+        (deg - fdm.entries[k][j]) * r for k, r in spec.ramification.counts.items()
+    )
+    if twice % 2:
+        raise NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
+    return twice // 2
 
 
 def validate(spec: CoverSpec) -> DimensionReport:

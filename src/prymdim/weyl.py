@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from . import exactla
@@ -172,7 +171,8 @@ def _dot(a, b) -> int:
 def _reflect(v, alpha) -> tuple[int, ...]:
     num = 2 * _dot(v, alpha)
     den = _dot(alpha, alpha)
-    assert num % den == 0  # Cartan integrality on the root lattice
+    if num % den:
+        raise AssertionError("Cartan integer of a root pair is not an integer")
     q = num // den
     return tuple(x - q * a for x, a in zip(v, alpha))
 
@@ -205,26 +205,30 @@ def _trace_on_cartan(letter: str, rank: int, roots, simple):
     # G2/F4: solve for the matrix of the action in a basis of simple roots.
     ambient = len(roots[0])
     r = len(simple)
-    basis_cols = [[Fraction(s[row]) for s in simple] for row in range(ambient)]
+    basis_cols = [[s[row] for s in simple] for row in range(ambient)]
     for rows in itertools.combinations(range(ambient), r):
-        square = exactla.RationalMatrix.from_rows([basis_cols[i] for i in rows])
+        square = [basis_cols[i] for i in rows]
         if exactla.determinant(square) != 0:
             break
     else:  # pragma: no cover - simple roots are independent
         raise AssertionError("simple roots are not independent")
-    inv_cols = [exactla.solve(square, [1 if i == j else 0 for i in range(r)]) for j in range(r)]
+    # inverse columns as numerators over one d: every solve runs the same pivots
+    solved = [exactla.solve(square, [int(i == j) for i in range(r)]) for j in range(r)]
+    inv_cols = [y for y, _ in solved]
+    d = solved[0][1]
     index_of = {v: i for i, v in enumerate(roots)}
     simple_idx = [index_of[s] for s in simple]
 
     def trace(images):
-        t = Fraction(0)
+        t = 0
         for col, si in enumerate(simple_idx):
             img = roots[images[si]]
             picked = [img[i] for i in rows]
-            # coordinate of img along simple[col]: row `col` of inverse * picked
+            # d * coordinate of img along simple[col]: row `col` of d * inverse * picked
             t += sum(inv_cols[j][col] * picked[j] for j in range(r))
-        assert t.denominator == 1
-        return int(t)
+        if t % d:
+            raise AssertionError(f"trace {t}/{d} on the Cartan is not an integer")
+        return t // d
 
     return trace
 
@@ -261,8 +265,10 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
         gens = [_root_perm(roots, index_of, a) for a in simple]
         G = PermGroup(gens)
 
-    assert G.order == _ORDER[letter](rank), "group order mismatch"
-    assert G.is_rational_group(), "Weyl groups have rational characters"
+    if G.order != _ORDER[letter](rank):
+        raise AssertionError("group order mismatch")
+    if not G.is_rational_group():
+        raise AssertionError("Weyl groups have rational characters")
 
     lie_dim = _LIE_DIM[letter](rank)
     n_roots = lie_dim - rank
@@ -275,7 +281,8 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     matches = [
         j for j, row in enumerate(table.table) if list(row) == class_traces
     ]
-    assert len(matches) == 1, "reflection representation not found in the table"
+    if len(matches) != 1:
+        raise AssertionError("reflection representation not found in the table")
     reflection_rep = matches[0]
 
     refl_class_idx = [
@@ -286,19 +293,22 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     reflections = tuple(
         sorted(x for ci in refl_class_idx for x in classes[ci].members)
     )
-    assert len(reflections) == n_roots // 2, "reflection count != positive roots"
+    if len(reflections) != n_roots // 2:
+        raise AssertionError("reflection count != positive roots")
 
     cox = G.identity_index
     for g in G.generator_indices:
         cox = G.mul(cox, g)
-    assert G.element_order(cox) == _COXETER_NUMBER[letter](rank), "Coxeter order"
+    if G.element_order(cox) != _COXETER_NUMBER[letter](rank):
+        raise AssertionError("Coxeter order")
 
     cyclic = G.cyclic_subgroup_classes()
     refl_cyclic = [G.cyclic_class_of_element(classes[ci].representative) for ci in refl_class_idx]
     if len(refl_cyclic) == 1:
         long_cls = short_cls = refl_cyclic[0]
     else:
-        assert len(refl_cyclic) == 2, "unexpected number of reflection classes"
+        if len(refl_cyclic) != 2:
+            raise AssertionError("unexpected number of reflection classes")
         a, b = refl_cyclic
         ga = G.elements[cyclic[a].generator].images
         gb = G.elements[cyclic[b].generator].images
@@ -318,7 +328,8 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
             long_cls, short_cls = (a, b) if root_norm(ga) > root_norm(gb) else (b, a)
 
     degrees = _INVARIANT_DEGREES[letter](rank)
-    assert sum(2 * d - 1 for d in degrees) == lie_dim, "invariant degrees"
+    if sum(2 * d - 1 for d in degrees) != lie_dim:
+        raise AssertionError("invariant degrees")
 
     return WeylGroup(
         letter=letter,
@@ -374,7 +385,7 @@ def hitchin_preset(W: WeylGroup, genus: int, split: str = "long") -> CoverSpec:
     """Generic cameral cover for the cotangent integrable system on a base
     of genus >= 2: (dim g - r)(2g - 2) simple reflection branch points."""
     if genus < 2:
-        raise ValueError("base genus must be at least 2")
+        raise OutOfRegime("base genus must be at least 2")
     total = (W.lie_dim - W.rank) * (2 * genus - 2)
     return CoverSpec(W.group, genus, RamificationSpec(_reflection_counts(W, total, split)))
 
@@ -383,9 +394,9 @@ def markman_preset(W: WeylGroup, genus: int, deg_d: int, split: str = "long") ->
     """Twisted variant: the canonical bundle is twisted by an effective
     divisor D, giving (dim g - r)(2g - 2 + deg D) reflection branch points."""
     if deg_d < 0:
-        raise ValueError("deg D must be nonnegative")
+        raise OutOfRegime("deg D must be nonnegative")
     if 2 * genus - 2 + deg_d <= 0:
-        raise ValueError("2g - 2 + deg D must be positive")
+        raise OutOfRegime("2g - 2 + deg D must be positive")
     total = (W.lie_dim - W.rank) * (2 * genus - 2 + deg_d)
     return CoverSpec(W.group, genus, RamificationSpec(_reflection_counts(W, total, split)))
 

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
+import prymdim
 from prymdim.chartable import (
     character_table,
     fixed_dim,
@@ -212,6 +219,37 @@ def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
     )
     with pytest.raises(NonIntegerFixedDim):
         fixed_dim(T, T.trivial_index, bad)
+
+
+def test_fixed_dim_matrix_check_survives_python_O():
+    """The trivial-row check of fixed_dim_matrix still runs when -O strips
+    assert statements: a table whose last degree is off by one is caught."""
+    snippet = textwrap.dedent(
+        """
+        import dataclasses, sys
+        from prymdim.chartable import character_table, fixed_dim_matrix
+        from prymdim.permgroup import group_from_generators, parse_generators
+
+        G = group_from_generators(parse_generators(["(0 1)", "(0 1 2)"]))
+        T = character_table(G)
+        bad = dataclasses.replace(T, degrees=T.degrees[:-1] + (T.degrees[-1] + 1,))
+        print(sys.flags.optimize)
+        try:
+            fixed_dim_matrix(G, bad)
+        except AssertionError:
+            print("AssertionError")
+        """
+    )
+    src = str(Path(prymdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "AssertionError"]
 
 
 def test_tsv_export(s3):

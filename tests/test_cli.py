@@ -188,6 +188,22 @@ def test_preset_unsupported(capsys):
     assert "UnsupportedType" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preset", "hitchin", "A", "2", "--genus", "1"],
+        ["preset", "markman", "A", "2", "--genus", "1", "--degD", "0"],
+        ["preset", "markman", "A", "2", "--genus", "1", "--degD", "-1"],
+    ],
+    ids=["hitchin_genus_1", "markman_degD_0", "markman_degD_negative"],
+)
+def test_preset_out_of_regime(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: OutOfRegime: ") and "Traceback" not in err
+
+
 def test_verify_weyl(capsys):
     code, out, _ = run(capsys, ["verify", "--weyl", "A3", "--specs", "5",
                                 "--tuples", "10"])

@@ -5,34 +5,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prymdim.errors import NotSquare, Singular
-from prymdim.exactla import RationalMatrix, determinant, mat_vec, solve
+from prymdim.exactla import determinant, solve
 
 
 def cofactor_det(rows):
     """Independent oracle: cofactor expansion along the first row."""
     n = len(rows)
     if n == 0:
-        return Fraction(1)
+        return 1
     if n == 1:
-        return Fraction(rows[0][0])
-    total = Fraction(0)
+        return rows[0][0]
+    total = 0
     for c in range(n):
         minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        total += (-1) ** c * Fraction(rows[0][c]) * cofactor_det(minor)
+        total += (-1) ** c * rows[0][c] * cofactor_det(minor)
     return total
 
 
+def mat_vec(rows, x):
+    return [sum(a * v for a, v in zip(row, x)) for row in rows]
+
+
+IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
 def test_determinant_examples():
-    assert determinant(RationalMatrix.from_rows([[1, 1], [1, 0]])) == -1
-    assert determinant(RationalMatrix.identity(3)) == 1
+    assert determinant([[1, 1], [1, 0]]) == -1
+    assert determinant(IDENTITY_3) == 1
     fdm_s3 = [[1, 1, 2], [1, 0, 1], [1, 1, 0]]
-    assert determinant(RationalMatrix.from_rows(fdm_s3)) == 2
-    assert determinant(RationalMatrix.from_rows(fdm_s3)) == cofactor_det(fdm_s3)
+    assert determinant(fdm_s3) == 2
+    assert determinant(fdm_s3) == cofactor_det(fdm_s3)
 
 
 def test_determinant_rejects_non_square():
     with pytest.raises(NotSquare):
-        determinant(RationalMatrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+        determinant([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NotSquare):
+        solve([[1, 2, 3], [4, 5, 6]], [1, 1])
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -42,31 +51,34 @@ small_entries = st.integers(min_value=-6, max_value=6)
     lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
 ))
 def test_determinant_matches_cofactor_oracle(rows):
-    assert determinant(RationalMatrix.from_rows(rows)) == cofactor_det(rows)
+    assert determinant(rows) == cofactor_det(rows)
 
 
 def test_solve_examples():
-    x = solve(RationalMatrix.identity(3), [3, 4, 5])
-    assert x == [3, 4, 5]
+    y, d = solve(IDENTITY_3, [3, 4, 5])
+    assert d == 1 and y == [3, 4, 5]
     # classical double cover bookkeeping: rows (total space, quotient)
     g_x, g = 7, 3
-    x = solve(RationalMatrix.from_rows([[1, 1], [1, 0]]), [g_x, g])
-    assert x == [g, g_x - g]
-    x = solve(RationalMatrix.from_rows([[1, 1, 2], [1, 0, 1], [1, 1, 0]]), [3, 2, 1])
-    assert x == [1, 0, 1]
+    y, d = solve([[1, 1], [1, 0]], [g_x, g])
+    assert abs(d) == 1 and y == [d * g, d * (g_x - g)]
+    y, d = solve([[1, 1, 2], [1, 0, 1], [1, 1, 0]], [3, 2, 1])
+    assert abs(d) == 2 and y == [d * v for v in (1, 0, 1)]
 
 
 def test_solve_singular():
     with pytest.raises(Singular):
-        solve(RationalMatrix.from_rows([[1, 2], [2, 4]]), [1, 1])
+        solve([[1, 2], [2, 4]], [1, 1])
     with pytest.raises(Singular):
-        solve(RationalMatrix.from_rows([[0, 0], [0, 0]]), [0, 0])
+        solve([[0, 0], [0, 0]], [0, 0])
 
 
 def test_solve_fractions():
-    A = RationalMatrix.from_rows([[Fraction(1, 2), 1], [1, Fraction(3, 2)]])
-    x = solve(A, [1, 2])
-    assert mat_vec(A, x) == [1, 2]
+    """An integer system whose solution is not integral."""
+    A, b = [[1, 2], [3, 4]], [1, 0]
+    y, d = solve(A, b)
+    assert abs(d) == abs(determinant(A)) == 2
+    assert mat_vec(A, y) == [d * v for v in b]
+    assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
 
 
 @given(
@@ -79,20 +91,22 @@ def test_solve_fractions():
 )
 def test_solve_roundtrip(data):
     rows, x = data
-    A = RationalMatrix.from_rows(rows)
-    if determinant(A) == 0:
+    b = mat_vec(rows, x)
+    det = cofactor_det(rows)
+    if det == 0:
         with pytest.raises(Singular):
-            solve(A, mat_vec(A, x))
+            solve(rows, b)
         return
-    assert solve(A, mat_vec(A, x)) == [Fraction(v) for v in x]
+    y, d = solve(rows, b)
+    assert abs(d) == abs(det)
+    assert y == [d * v for v in x]
 
 
 def test_zero_determinant_iff_singular():
     for rows in ([[2, 3], [4, 6]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[5]]):
-        A = RationalMatrix.from_rows(rows)
-        is_zero = determinant(A) == 0
+        is_zero = determinant(rows) == 0
         try:
-            solve(A, [1] * A.rows)
+            solve(rows, [1] * len(rows))
             solved = True
         except Singular:
             solved = False

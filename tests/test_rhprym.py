@@ -95,6 +95,21 @@ def test_validate_odd_parity(z2):
     assert any("OddRamificationDegree" in d for d in rep.diagnostics)
 
 
+def test_validate_non_integer_diagnostics():
+    """Both integrality diagnostics keep their exact text: the solve prints
+    the reduced fractions, the closed form prints the half-integer."""
+    G = weyl_group("B", 3).group
+    rep = validate(CoverSpec(G, 1, RamificationSpec({7: 3})))
+    assert rep.dims is None and rep.dims_closed_form is None
+    assert rep.diagnostics == (
+        "NonIntegerSolution: isotypic dimensions are not integers: "
+        "[Fraction(1, 1), Fraction(3, 2), Fraction(3, 2), Fraction(0, 1), "
+        "Fraction(3, 2), Fraction(3, 2), Fraction(9, 2), Fraction(3, 1), "
+        "Fraction(3, 1), Fraction(9, 2)]",
+        "NonIntegerDimension: closed-form dimension 3/2 is not an integer",
+    )
+
+
 def test_validate_trivial_group(trivial):
     rep = validate(CoverSpec(trivial, 0, RamificationSpec({})))
     assert rep.g_total == 0

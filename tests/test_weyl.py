@@ -104,7 +104,7 @@ def test_hitchin_preset_examples():
     a1 = weyl_group("A", 1)
     assert isotypic_dims_solve(hitchin_preset(a1, 2))[a1.reflection_rep] == 3
 
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRegime):
         hitchin_preset(a2, 1)
 
 
