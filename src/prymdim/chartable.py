@@ -73,12 +73,7 @@ class FixedDimMatrix:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in range(2, math.isqrt(n) + 1):
-        if n % q == 0:
-            return False
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -96,17 +91,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _moebius(n: int) -> int:
-    mu, q = 1, 2
-    while q * q <= n:
-        if n % q == 0:
-            n //= q
-            if n % q == 0:
-                return 0
-            mu = -mu
-        q += 1
-    if n > 1:
-        mu = -mu
-    return mu
+    qs = _prime_factors(n)
+    return 0 if any(n % (q * q) == 0 for q in qs) else (-1) ** len(qs)
 
 
 def _dixon_prime(group_order: int, exponent: int) -> int:
@@ -339,10 +325,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     power_data = []
     for cl in classes:
         k = cl.element_order
-        pcs, y = [], G.identity_index
-        for _ in range(k):
-            pcs.append(G.class_of(y))
-            y = G.mul(y, cl.representative)
+        pcs = [G.class_of(y) for y in cl.powers]
         zk = pow(z, exponent // k, p)
         zk_pows = [pow(zk, t, p) for t in range(k)]
         power_data.append((k, pcs, zk_pows))

@@ -102,6 +102,8 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         raise ParseError('cover spec needs a "group" object')
     if "weyl" in gdoc:
         wdoc = gdoc["weyl"]
+        if not isinstance(wdoc, dict):
+            raise ParseError('"weyl" must be an object with "type" and "rank"')
         letter, rank = str(wdoc.get("type", "")), wdoc.get("rank")
         if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')

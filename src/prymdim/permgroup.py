@@ -4,9 +4,12 @@ Every group is realized concretely: elements are permutations of
 ``{0..n-1}``, the whole group is closed breadth-first from its
 generators, and an element is identified by its index into the table of
 image tuples sorted lexicographically (so index 0 is the identity).
-Conjugacy classes, cyclic-subgroup classes and coset actions are computed
-by direct counting. Double cosets are counted from class data alone, by
-Burnside's lemma,
+Conjugacy classes are found by direct counting in one classification
+pass, which also walks the powers rep^t of each class representative
+once and stores them on the class. Element orders, the rationality test,
+the cyclic-subgroup classes and the character table's power data all read
+those stored powers. Coset actions are computed by direct counting.
+Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
 
@@ -100,13 +103,6 @@ class Permutation:
             inv[v] = i
         return Permutation(tuple(inv))
 
-    def order(self) -> int:
-        k, p = 1, self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
-
     def extend(self, degree: int) -> "Permutation":
         """Re-embed into a larger point set, fixing the new points."""
         if degree < len(self.images):
@@ -165,10 +161,21 @@ def parse_generators(texts: Sequence[str], degree: int | None = None) -> list[Pe
 
 @dataclass(frozen=True)
 class ConjugacyClass:
+    """A conjugacy class: its least member is the representative.
+
+    ``powers[t]`` is the element index of representative^t for
+    t = 0 .. ord - 1, so ``powers[0]`` is the identity and the element
+    order is ``len(powers)``.
+    """
+
     representative: int
     members: tuple[int, ...]
     size: int
-    element_order: int
+    powers: tuple[int, ...]
+
+    @property
+    def element_order(self) -> int:
+        return len(self.powers)
 
 
 @dataclass(frozen=True)
@@ -232,9 +239,10 @@ class CosetAction:
 class PermGroup:
     """A finite permutation group, fully enumerated from its generators.
 
-    Derived data (conjugacy classes, cyclic classes, coset actions, the
-    double-coset matrix) is computed lazily and cached; the group itself
-    is immutable after construction.
+    Derived data (the classification pass behind conjugacy classes,
+    rationality and cyclic classes; coset actions; the double-coset
+    matrix) is computed lazily and cached; the group itself is immutable
+    after construction.
     """
 
     def __init__(
@@ -291,12 +299,8 @@ class PermGroup:
             inv.append(self._index[tuple(it)])
         self._inverse = inv
         self.generator_indices = [self._index[g.images] for g in gens]
-        self._orders: dict[int, int] = {}
+        # set by conjugacy_classes() together with _class_of, _rational, _cyclic
         self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._class_of: list[int] | None = None
-        self._rational: bool | None = None
-        self._cyclic: tuple[CyclicClass, ...] | None = None
-        self._cyclic_of_class: dict[int, int] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
         self.cache: dict = {}  # cross-module memo slot (character table etc.)
@@ -321,14 +325,7 @@ class PermGroup:
         return y
 
     def element_order(self, x: int) -> int:
-        k = self._orders.get(x)
-        if k is None:
-            k, y = 1, x
-            while y != self.identity_index:
-                y = self.mul(y, x)
-                k += 1
-            self._orders[x] = k
-        return k
+        return self.conjugacy_classes()[self.class_of(x)].element_order
 
     def index_of(self, p: Permutation) -> int:
         try:
@@ -365,26 +362,37 @@ class PermGroup:
         return frozenset(found)
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:
-        if self.identity_index not in elems:
-            return False
-        if self.order % len(elems):
-            return False
-        if any(self._inverse[x] not in elems for x in elems):
+        """Exact test: close a generating set chosen greedily from ``elems``,
+        giving up as soon as the span leaves ``elems``. Each added generator
+        at least doubles the span, so there are at most log2 |elems| closures."""
+        if self.identity_index not in elems or self.order % len(elems):
             return False
         if len(elems) == self.order:
             return True
-        if len(elems) ** 2 <= 10_000_000:
-            return all(self.mul(a, b) in elems for a in elems for b in elems)
-        return True  # too large for the quadratic check; only coset_action re-verifies
+        gens: list[int] = []
+        span = frozenset([self.identity_index])
+        for x in sorted(elems):
+            if x not in span:
+                gens.append(x)
+                span = self.subgroup_closure(gens)
+                if not span <= elems:
+                    return False
+        return span == elems
 
-    # -- conjugacy classes --------------------------------------------------
+    # -- conjugacy classes, rationality and cyclic-subgroup classes -----------
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        """Conjugacy classes, identity first, then by (element order, size, least member)."""
+        """Conjugacy classes, identity first, then by (element order, size, least member).
+
+        One classification pass: it finds the classes, walks the powers of
+        each representative once, and from those powers derives the
+        rationality flag and, for a rational group, the cyclic classes.
+        """
         if self._classes is None:
             tmp = [-1] * self.order
-            raw: list[list[int]] = []
+            raw: list[tuple[list[int], list[int]]] = []
             gens = self.generator_indices
+            one = self.identity_index
             for x in range(self.order):
                 if tmp[x] >= 0:
                     continue
@@ -400,101 +408,78 @@ class PermGroup:
                             tmp[z] = cid
                             members.append(z)
                             queue.append(z)
-                raw.append(sorted(members))
-            raw.sort(key=lambda m: (self.element_order(m[0]), len(m), m[0]))
+                powers, y = [one], x
+                while y != one:
+                    powers.append(y)
+                    y = self.mul(y, x)
+                raw.append((sorted(members), powers))
+            raw.sort(key=lambda mp: (len(mp[1]), len(mp[0]), mp[0][0]))
             classes = tuple(
                 ConjugacyClass(
-                    representative=m[0],
-                    members=tuple(m),
-                    size=len(m),
-                    element_order=self.element_order(m[0]),
+                    representative=m[0], members=tuple(m), size=len(m), powers=tuple(p)
                 )
-                for m in raw
+                for m, p in raw
             )
             class_of = [-1] * self.order
             for ci, cl in enumerate(classes):
                 for x in cl.members:
                     class_of[x] = ci
-            self._classes = classes
+            # rational: x ~ x^t for every t prime to ord(x)
+            rational = all(
+                class_of[y] == ci
+                for ci, cl in enumerate(classes)
+                for t, y in enumerate(cl.powers)
+                if math.gcd(t, cl.element_order) == 1
+            )
             self._class_of = class_of
+            self._rational = rational
+            self._cyclic = tuple(
+                CyclicClass(
+                    generator=cl.representative,
+                    subgroup_order=cl.element_order,
+                    subgroup_elements=tuple(sorted(cl.powers)),
+                    member_class_profile=dict(Counter(class_of[y] for y in cl.powers)),
+                )
+                for cl in classes
+            ) if rational else ()
+            self._classes = classes
         return self._classes
 
     def class_of(self, x: int) -> int:
         self.conjugacy_classes()
-        assert self._class_of is not None
         return self._class_of[x]
-
-    # -- rationality and cyclic-subgroup classes -----------------------------
 
     def is_rational_group(self) -> bool:
         """Power-map test: every x is conjugate to x^k for all k coprime to ord(x).
 
         Equivalent to all irreducible characters taking rational values.
         """
-        if self._rational is None:
-            ok = True
-            for cl in self.conjugacy_classes():
-                x, k = cl.representative, cl.element_order
-                y = x
-                for t in range(2, k):
-                    y = self.mul(y, x)  # y = x^t
-                    if math.gcd(t, k) == 1 and self.class_of(y) != self.class_of(x):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            self._rational = ok
+        self.conjugacy_classes()
         return self._rational
 
     def cyclic_subgroup_classes(self) -> tuple[CyclicClass, ...]:
-        """One cyclic class per conjugacy class, ordered by subgroup order.
+        """One cyclic class per conjugacy class, in conjugacy-class order.
 
         For rational-character groups the conjugacy classes of cyclic
         subgroups biject with conjugacy classes of elements: the class of
-        x maps to the class of <x>. Ties in subgroup order break by the
-        generator's conjugacy-class index; the trivial subgroup is first.
+        x maps to the class of <x>. Cyclic class k is generated by the
+        representative of conjugacy class k, so the classes are ordered by
+        subgroup order with ties broken by class index, and the trivial
+        subgroup is first.
         """
-        if self._cyclic is None:
-            if not self.is_rational_group():
-                raise NotRationalGroup(
-                    "cyclic classes biject with element classes only for "
-                    "rational-character groups"
-                )
-            classes = self.conjugacy_classes()
-            items = []
-            for ci, cl in enumerate(classes):
-                x = cl.representative
-                powers = [self.identity_index]
-                y = x
-                while y != self.identity_index:
-                    powers.append(y)
-                    y = self.mul(y, x)
-                profile: dict[int, int] = {}
-                for p in powers:
-                    pc = self.class_of(p)
-                    profile[pc] = profile.get(pc, 0) + 1
-                items.append(
-                    (
-                        len(powers),
-                        ci,
-                        CyclicClass(
-                            generator=x,
-                            subgroup_order=len(powers),
-                            subgroup_elements=tuple(sorted(powers)),
-                            member_class_profile=profile,
-                        ),
-                    )
-                )
-            items.sort(key=lambda t: (t[0], t[1]))
-            self._cyclic = tuple(t[2] for t in items)
-            self._cyclic_of_class = {t[1]: k for k, t in enumerate(items)}
+        if self._classes is None:
+            self.conjugacy_classes()
+        if not self._rational:
+            raise NotRationalGroup(
+                "cyclic classes biject with element classes only for "
+                "rational-character groups"
+            )
         return self._cyclic
 
     def cyclic_class_of_element(self, x: int) -> int:
-        """Index of the cyclic class generated by (the class of) x."""
+        """Index of the cyclic class generated by (the class of) x: its class index."""
         self.cyclic_subgroup_classes()
-        assert self._cyclic_of_class is not None
-        return self._cyclic_of_class[self.class_of(x)]
+        return self._class_of[x]
 
     # -- coset actions and double cosets --------------------------------------
 

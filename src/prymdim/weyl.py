@@ -349,7 +349,7 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
 def parse_weyl_label(label: str) -> tuple[str, int]:
     """Parse labels like ``A3`` or ``g2`` into (letter, rank)."""
     s = label.strip().upper()
-    if len(s) < 2 or s[0] not in SUPPORTED or not s[1:].isdigit():
+    if len(s) < 2 or s[0] not in SUPPORTED or not s[1:].isdecimal():
         raise UnsupportedType(f"bad Weyl label {label!r}")
     return s[0], int(s[1:])
 

@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prymdim.cli import main
+from prymdim.permgroup import Permutation
 
 
 def run(capsys, argv):
@@ -132,6 +139,94 @@ def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "doc, exit_code",
+    [
+        ({"group": {"weyl": "A2"}, "base_genus": 1}, 1),
+        # "A²1" passed str.isdigit and then failed int(); a bad label is UnsupportedType
+        ({"group": {"weyl": {"type": "A\u00b2", "rank": 1}}, "base_genus": 1}, 2),
+    ],
+    ids=["weyl_not_object", "superscript_digit"],
+)
+def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
+    f = tmp_path / "weyl.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dims", str(f)])
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- fuzz: random spec documents over small groups -------------------------------
+
+# any JSON value; integers stay in -3..0 and strings below five characters,
+# so no arbitrary value can name a large group, degree or point
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 0) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any(valid):
+    """A field drawn from its valid domain or from arbitrary JSON."""
+    return st.one_of(valid, ANY_JSON)
+
+
+# W(A1-A3) and W(B2) by label; S3, S4, Z2, Z3 and Z4 from generators
+_WEYL = st.sampled_from([("A", 1), ("A", 2), ("A", 3), ("B", 2)]).flatmap(
+    lambda tr: st.fixed_dictionaries(
+        {"type": _or_any(st.just(tr[0])), "rank": _or_any(st.just(tr[1]))}
+    )
+)
+_GENERATORS = st.fixed_dictionaries(
+    {
+        "generators": _or_any(
+            st.lists(
+                _or_any(st.sampled_from(["(0 1)", "(0 1 2)", "(0 1 2 3)"])),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    },
+    optional={"degree": _or_any(st.integers(1, 6))},
+)
+_GROUP = st.fixed_dictionaries({"weyl": _or_any(_WEYL)}) | _GENERATORS
+_INERTIA = st.permutations(range(4)).map(lambda p: Permutation.from_images(p).cycle_str())
+_ENTRY = st.fixed_dictionaries(
+    {"inertia_generator": _or_any(_INERTIA), "count": _or_any(st.integers(0, 6))}
+)
+SPEC_DOCS = _or_any(
+    st.fixed_dictionaries(
+        {
+            "group": _or_any(_GROUP),
+            "base_genus": _or_any(st.integers(0, 3)),
+            "ramification": _or_any(st.lists(_or_any(_ENTRY), max_size=3)),
+        }
+    )
+)
+
+
+def _run_dims(path):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["dims", path, "--format", "json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(SPEC_DOCS)
+def test_dims_fuzz_spec_documents(doc):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = _run_dims(path)
+        assert code in (0, 1, 2), err
+        assert "Traceback" not in err
+        assert _run_dims(path) == (code, out, err)
 
 
 def test_chartable_too_many_classes(capsys):

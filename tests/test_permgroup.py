@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -194,6 +195,62 @@ def test_lemma_one_bijection_on_fleet():
                 for g in range(G.order)
             }
             assert generated == conjugates
+
+
+def powers_by_mul_walk(G, x):
+    """Independent oracle: x^0, x^1, ... up to the identity, by G.mul."""
+    powers, y = [G.identity_index], x
+    while y != G.identity_index:
+        powers.append(y)
+        y = G.mul(y, x)
+    return powers
+
+
+def test_element_order_matches_mul_walk(s4):
+    for G in (s4, weyl_group("B", 3).group, weyl_group("G", 2).group):
+        for x in range(G.order):
+            assert G.element_order(x) == len(powers_by_mul_walk(G, x))
+
+
+def test_cyclic_classes_follow_conjugacy_classes():
+    """Cyclic class k is generated by the representative of conjugacy
+    class k, and its profile counts the classes of that element's powers."""
+    for letter, rank in SMALL_WEYL:
+        G = weyl_group(letter, rank).group
+        classes = G.conjugacy_classes()
+        cyclic = G.cyclic_subgroup_classes()
+        for x in range(G.order):
+            assert G.cyclic_class_of_element(x) == G.class_of(x)
+        for cl, K in zip(classes, cyclic, strict=True):
+            assert K.generator == cl.representative
+            walk = powers_by_mul_walk(G, K.generator)
+            assert K.member_class_profile == Counter(G.class_of(y) for y in walk)
+
+
+def test_non_rational_dihedral_group():
+    d10 = group_from_generators(parse_generators(["(0 1 2 3 4)", "(1 4)(2 3)"]))
+    assert [c.size for c in d10.conjugacy_classes()] == [1, 5, 2, 2]
+    assert not d10.is_rational_group()
+    with pytest.raises(NotRationalGroup):
+        d10.cyclic_subgroup_classes()
+    with pytest.raises(NotRationalGroup):
+        d10.cyclic_class_of_element(1)
+
+
+def test_is_subgroup_exact_on_large_sets():
+    """The stabiliser of point 7 in S8 with {(0 1 2), (0 2 1)} swapped for
+    {(0 1 7), (0 7 1)} has the identity, inverses and an order dividing
+    8!, but is not closed."""
+    s8 = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3 4 5 6 7)"]))
+    stab = frozenset(x for x in range(s8.order) if s8.elements[x].images[7] == 7)
+    idx = lambda text: s8.index_of(Permutation.from_cycles(text, degree=8))
+    fake = (stab - {idx("(0 1 2)"), idx("(0 2 1)")}) | {idx("(0 1 7)"), idx("(0 7 1)")}
+    assert len(stab) == len(fake) == 5040
+    assert not s8.is_subgroup(fake)
+    with pytest.raises(NotASubgroup):
+        s8.double_coset_count(fake, fake)
+    assert s8.is_subgroup(stab)
+    assert s8.double_coset_count(stab, stab) == 2
 
 
 # -- coset actions and double cosets ----------------------------------------------
