@@ -34,6 +34,8 @@ from .errors import (
 )
 
 DEFAULT_CAP = 200_000
+# largest permutation degree the parsers accept; the Weyl fleet needs 48
+MAX_DEGREE = 1000
 
 _CYCLES_RE = re.compile(r"\s*(?:\([^()]*\)\s*)+")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -61,6 +63,7 @@ class Permutation:
     @classmethod
     def from_cycles(cls, text: str, degree: int | None = None) -> "Permutation":
         """Parse cycle notation like ``(0 1)(2 3)``; ``()`` is the identity."""
+        _check_degree(degree, repr(text))
         s = text.strip()
         if s in ("", "()"):
             return cls.identity(degree if degree else 1)
@@ -77,6 +80,7 @@ class Permutation:
                 continue
             if any(p < 0 for p in pts):
                 raise ParseError(f"negative point in {text!r}")
+            _check_degree(max(pts) + 1, repr(text))
             for a, b in zip(pts, pts[1:] + pts[:1]):
                 if a in mapping:
                     raise ParseError(f"point {a} repeated in {text!r}")
@@ -134,15 +138,23 @@ class Permutation:
         return self.cycle_str()
 
 
+def _check_degree(degree: int | None, where: str) -> None:
+    """Reject a degree past MAX_DEGREE before any tuple of that length is built."""
+    if degree is not None and degree > MAX_DEGREE:
+        raise ParseError(f"degree {degree} of {where} is past the degree limit {MAX_DEGREE}")
+
+
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Parse either cycle notation or a one-line image array."""
     s = text.strip()
     if s.startswith("(") or s == "()":
         return Permutation.from_cycles(s, degree)
+    _check_degree(degree, repr(text))
     s = s.strip("[]")
     toks = s.replace(",", " ").split()
     if not toks:
         raise ParseError(f"empty permutation text: {text!r}")
+    _check_degree(len(toks), repr(text))
     try:
         images = [int(t) for t in toks]
     except ValueError as exc:
@@ -154,6 +166,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 
 def parse_generators(texts: Sequence[str], degree: int | None = None) -> list[Permutation]:
     """Parse generator strings and lift them all to one common degree."""
+    _check_degree(degree, "the generators")
     raw = [parse_permutation(t) for t in texts]
     n = max([degree or 1] + [p.degree() for p in raw])
     return [p.extend(n) for p in raw]

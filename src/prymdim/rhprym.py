@@ -37,6 +37,17 @@ from .errors import (
 )
 from .permgroup import PermGroup
 
+# Diagnostics that say the branch data belongs to no cover. The others
+# (MethodDisagreement, DimensionSum, TrivialDimension) are identities that
+# hold for any branch data, so reporting one of them is a fault of the program.
+BRANCH_DATA_DIAGNOSTICS = (
+    "OddRamificationDegree",
+    "NegativeGenus",
+    "NonIntegerSolution",
+    "NonIntegerDimension",
+    "NegativeDimension",
+)
+
 
 @dataclass(frozen=True)
 class RamificationSpec:
@@ -232,9 +243,11 @@ def sample_cover_specs(
     max_count: int = 10,
     max_genus: int = 5,
 ) -> list[CoverSpec]:
-    """Deterministically sample validation-clean cover specs.
+    """Deterministically sample cover specs whose branch data is realizable.
 
-    Half the attempts round all branch counts down to even numbers
+    A spec is rejected only for a diagnostic in ``BRANCH_DATA_DIAGNOSTICS``,
+    so a spec on which the two routes disagree is kept for the caller to
+    catch. Half the attempts round all branch counts down to even numbers
     (always parity-clean for positive base genus), the rest stay raw so
     odd counts that happen to satisfy all parity constraints appear too.
     """
@@ -253,6 +266,7 @@ def sample_cover_specs(
         if rng.random() < 0.5:
             counts = {k: c - (c % 2) for k, c in counts.items() if c >= 2}
         spec = CoverSpec(G, g, RamificationSpec(counts))
-        if not validate(spec).diagnostics:
+        diags = validate(spec).diagnostics
+        if not any(d.split(":", 1)[0] in BRANCH_DATA_DIAGNOSTICS for d in diags):
             out.append(spec)
     return out

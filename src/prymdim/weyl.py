@@ -10,18 +10,24 @@ Each group carries the data the branched-cover presets need: the
 reflection representation (located in the character table by its trace),
 the set of reflections, a Coxeter element, and the long/short reflection
 classes for the non-simply-laced types.
+
+The only per-type table is the invariant degrees d_1..d_r; the rest of
+the metadata follows from them (Humphreys, Reflection Groups and Coxeter
+Groups, 3.9 and 3.18): |W| = prod d_i, the number of reflections is
+sum (d_i - 1), the Coxeter number is max d_i and dim g = sum (2 d_i - 1).
+The first three are checked against the constructed group.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import exactla
-from .chartable import CharacterTable, character_table, fixed_dim_matrix
+from .chartable import CharacterTable, character_table
 from .errors import OutOfRegime, UnsupportedType
-from .permgroup import CyclicClass, PermGroup, Permutation
+from .permgroup import PermGroup, Permutation
 from .rhprym import CoverSpec, RamificationSpec
 
 SUPPORTED = {
@@ -33,33 +39,6 @@ SUPPORTED = {
     "F": (4,),
 }
 
-_COXETER_NUMBER = {
-    "A": lambda n: n + 1,
-    "B": lambda n: 2 * n,
-    "C": lambda n: 2 * n,
-    "D": lambda n: 2 * n - 2,
-    "G": lambda n: 6,
-    "F": lambda n: 12,
-}
-
-_ORDER = {
-    "A": lambda n: _factorial(n + 1),
-    "B": lambda n: 2**n * _factorial(n),
-    "C": lambda n: 2**n * _factorial(n),
-    "D": lambda n: 2 ** (n - 1) * _factorial(n),
-    "G": lambda n: 12,
-    "F": lambda n: 1152,
-}
-
-_LIE_DIM = {
-    "A": lambda n: n * (n + 2),
-    "B": lambda n: n * (2 * n + 1),
-    "C": lambda n: n * (2 * n + 1),
-    "D": lambda n: n * (2 * n - 1),
-    "G": lambda n: 14,
-    "F": lambda n: 52,
-}
-
 _INVARIANT_DEGREES = {
     "A": lambda n: tuple(range(2, n + 2)),
     "B": lambda n: tuple(range(2, 2 * n + 1, 2)),
@@ -68,13 +47,6 @@ _INVARIANT_DEGREES = {
     "G": lambda n: (2, 6),
     "F": lambda n: (2, 6, 8, 12),
 }
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 @dataclass
@@ -184,7 +156,7 @@ def _root_perm(roots, index_of, alpha) -> Permutation:
 # -- reflection-representation traces ------------------------------------------
 
 
-def _trace_on_cartan(letter: str, rank: int, roots, simple):
+def _trace_on_cartan(letter: str, rank: int, roots):
     """Return a function mapping an image tuple to its trace on the Cartan."""
     if letter == "A":
         def trace(images):
@@ -202,33 +174,20 @@ def _trace_on_cartan(letter: str, rank: int, roots, simple):
             return t
         return trace
 
-    # G2/F4: solve for the matrix of the action in a basis of simple roots.
-    ambient = len(roots[0])
-    r = len(simple)
-    basis_cols = [[s[row] for s in simple] for row in range(ambient)]
-    for rows in itertools.combinations(range(ambient), r):
-        square = [basis_cols[i] for i in rows]
-        if exactla.determinant(square) != 0:
-            break
-    else:  # pragma: no cover - simple roots are independent
-        raise AssertionError("simple roots are not independent")
-    # inverse columns as numerators over one d: every solve runs the same pivots
-    solved = [exactla.solve(square, [int(i == j) for i in range(r)]) for j in range(r)]
-    inv_cols = [y for y, _ in solved]
-    d = solved[0][1]
+    # G2/F4: trace(w) = sum_i <w a_i, e_i> / c over roots a_i = c * (projection
+    # of the axis e_i onto the span of the roots)
+    if letter == "G":  # a_i = 3 e_i - (1, 1, 1)
+        c, axes = 3, [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+    else:  # doubled coordinates: a_i = 2 e_i
+        c, axes = 2, [tuple(2 * (i == j) for j in range(4)) for i in range(4)]
     index_of = {v: i for i, v in enumerate(roots)}
-    simple_idx = [index_of[s] for s in simple]
+    axis_idx = [index_of[a] for a in axes]
 
     def trace(images):
-        t = 0
-        for col, si in enumerate(simple_idx):
-            img = roots[images[si]]
-            picked = [img[i] for i in rows]
-            # d * coordinate of img along simple[col]: row `col` of d * inverse * picked
-            t += sum(inv_cols[j][col] * picked[j] for j in range(r))
-        if t % d:
-            raise AssertionError(f"trace {t}/{d} on the Cartan is not an integer")
-        return t // d
+        t = sum(roots[images[k]][i] for i, k in enumerate(axis_idx))
+        if t % c:
+            raise AssertionError(f"trace {t}/{c} on the Cartan is not an integer")
+        return t // c
 
     return trace
 
@@ -249,7 +208,7 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     if letter not in SUPPORTED or rank not in SUPPORTED[letter]:
         raise UnsupportedType(f"unsupported Weyl type {letter}{rank}")
 
-    roots = simple = None
+    roots = None
     if letter == "A":
         gens = [_transposition(rank + 1, i, i + 1) for i in range(rank)]
         G = PermGroup(gens)
@@ -265,15 +224,13 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
         gens = [_root_perm(roots, index_of, a) for a in simple]
         G = PermGroup(gens)
 
-    if G.order != _ORDER[letter](rank):
-        raise AssertionError("group order mismatch")
+    degrees = _INVARIANT_DEGREES[letter](rank)
+    if G.order != math.prod(degrees):
+        raise AssertionError("group order != product of the invariant degrees")
     if not G.is_rational_group():
         raise AssertionError("Weyl groups have rational characters")
 
-    lie_dim = _LIE_DIM[letter](rank)
-    n_roots = lie_dim - rank
-
-    trace = _trace_on_cartan(letter, rank, roots, simple)
+    trace = _trace_on_cartan(letter, rank, roots)
     classes = G.conjugacy_classes()
     class_traces = [trace(G.elements[cl.representative].images) for cl in classes]
 
@@ -293,25 +250,24 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     reflections = tuple(
         sorted(x for ci in refl_class_idx for x in classes[ci].members)
     )
-    if len(reflections) != n_roots // 2:
-        raise AssertionError("reflection count != positive roots")
+    if len(reflections) != sum(d - 1 for d in degrees):
+        raise AssertionError("reflection count != sum of (degree - 1)")
 
     cox = G.identity_index
     for g in G.generator_indices:
         cox = G.mul(cox, g)
-    if G.element_order(cox) != _COXETER_NUMBER[letter](rank):
-        raise AssertionError("Coxeter order")
+    if G.element_order(cox) != max(degrees):
+        raise AssertionError("Coxeter order != largest invariant degree")
 
-    cyclic = G.cyclic_subgroup_classes()
-    refl_cyclic = [G.cyclic_class_of_element(classes[ci].representative) for ci in refl_class_idx]
-    if len(refl_cyclic) == 1:
-        long_cls = short_cls = refl_cyclic[0]
+    # cyclic class k is generated by the representative of conjugacy class k
+    if len(refl_class_idx) == 1:
+        long_cls = short_cls = refl_class_idx[0]
     else:
-        if len(refl_cyclic) != 2:
+        if len(refl_class_idx) != 2:
             raise AssertionError("unexpected number of reflection classes")
-        a, b = refl_cyclic
-        ga = G.elements[cyclic[a].generator].images
-        gb = G.elements[cyclic[b].generator].images
+        a, b = refl_class_idx
+        ga = G.elements[classes[a].representative].images
+        gb = G.elements[classes[b].representative].images
         if letter in ("B", "C"):
             moved_a = sum(1 for i, v in enumerate(ga) if v != i)
             flips = a if moved_a == 2 else b
@@ -327,15 +283,11 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
                 return _dot(roots[idx], roots[idx])
             long_cls, short_cls = (a, b) if root_norm(ga) > root_norm(gb) else (b, a)
 
-    degrees = _INVARIANT_DEGREES[letter](rank)
-    if sum(2 * d - 1 for d in degrees) != lie_dim:
-        raise AssertionError("invariant degrees")
-
     return WeylGroup(
         letter=letter,
         rank=rank,
         group=G,
-        lie_dim=lie_dim,
+        lie_dim=sum(2 * d - 1 for d in degrees),
         reflections=reflections,
         coxeter=cox,
         reflection_rep=reflection_rep,

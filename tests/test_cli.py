@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from prymdim import rhprym
 from prymdim.cli import main
-from prymdim.permgroup import Permutation
+from prymdim.permgroup import MAX_DEGREE, Permutation
 
 
 def run(capsys, argv):
@@ -159,6 +160,45 @@ def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# each case needs degree MAX_DEGREE + 1 and no more, so nothing large is
+# built even where the limit is missing
+_PAST_LIMIT = f"(0 {MAX_DEGREE})"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _with(("group", "degree"), MAX_DEGREE + 1),
+        _with(("group", "generators"), ["(0 1)", _PAST_LIMIT]),
+        _with(("group", "generators"), [list(range(MAX_DEGREE, -1, -1))]),
+        _with(("ramification", 0, "inertia_generator"), _PAST_LIMIT),
+    ],
+    ids=["degree", "generator_label", "image_array", "inertia_label"],
+)
+def test_dims_rejects_degree_past_limit(capsys, tmp_path, doc):
+    f = tmp_path / "big.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dims", str(f), "--format", "json"])
+    assert code == 1
+    assert out == ""
+    assert "degree limit" in err and "Traceback" not in err
+
+
+def test_group_info_rejects_degree_past_limit(capsys):
+    code, out, err = run(capsys, ["group-info", "--generators", _PAST_LIMIT])
+    assert code == 1
+    assert out == ""
+    assert "degree limit" in err and "Traceback" not in err
+
+
+def test_dims_accepts_degree_at_limit(capsys, tmp_path):
+    f = tmp_path / "limit.json"
+    f.write_text(json.dumps(_with(("group", "degree"), MAX_DEGREE)))
+    code, out, _ = run(capsys, ["dims", str(f), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["group"]["degree"] == MAX_DEGREE
+
+
 # -- fuzz: random spec documents over small groups -------------------------------
 
 # any JSON value; integers stay in -3..0 and strings below five characters,
@@ -304,6 +344,21 @@ def test_verify_weyl(capsys):
                                 "--tuples", "10"])
     assert code == 0
     assert "result: PASS" in out
+
+
+def test_verify_two_route_check_can_fail(capsys, monkeypatch):
+    """A closed form that is wrong on genus-3 specs must fail verify: the
+    sampler keeps specs on which the two routes disagree."""
+    real = rhprym.prym_dim_formula
+
+    def broken(spec, j):
+        return real(spec, j) + (spec.base_genus == 3 and j == 1)
+
+    monkeypatch.setattr(rhprym, "prym_dim_formula", broken)
+    code, out, _ = run(capsys, ["verify", "--weyl", "A2", "--format", "json"])
+    checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
+    assert code == 2
+    assert checks["two_route_dimensions"] is False
 
 
 def test_verify_not_rational(capsys):

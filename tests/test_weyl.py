@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from prymdim.chartable import character_table, fixed_dim
@@ -12,10 +14,19 @@ from prymdim.weyl import (
     weyl_group,
 )
 
-from conftest import SMALL_WEYL
+from conftest import SMALL_WEYL, WEYL_FLEET
 
+# classical closed forms per type, an oracle for the metadata that
+# weyl.py derives from the invariant degrees
 _COXETER_ORDER = {"A": lambda n: n + 1, "B": lambda n: 2 * n, "C": lambda n: 2 * n,
                   "D": lambda n: 2 * n - 2, "G": lambda n: 6, "F": lambda n: 12}
+_ORDER = {"A": lambda n: math.factorial(n + 1), "B": lambda n: 2**n * math.factorial(n),
+          "C": lambda n: 2**n * math.factorial(n),
+          "D": lambda n: 2 ** (n - 1) * math.factorial(n), "G": lambda n: 12,
+          "F": lambda n: 1152}
+_LIE_DIM = {"A": lambda n: n * (n + 2), "B": lambda n: n * (2 * n + 1),
+            "C": lambda n: n * (2 * n + 1), "D": lambda n: n * (2 * n - 1),
+            "G": lambda n: 14, "F": lambda n: 52}
 
 
 def test_weyl_examples():
@@ -153,8 +164,17 @@ def test_reflection_split_invariance():
 
 
 def test_weyl_orders_full_fleet_formulae():
-    for letter, rank, want in [
-        ("A", 4, 120), ("B", 3, 48), ("C", 4, 384), ("D", 4, 192),
-        ("D", 5, 1920), ("G", 2, 12),
-    ]:
-        assert weyl_group(letter, rank).group.order == want
+    for letter, rank in WEYL_FLEET:
+        W = weyl_group(letter, rank)
+        G = W.group
+        assert G.order == _ORDER[letter](rank), W.label
+        assert W.lie_dim == _LIE_DIM[letter](rank), W.label
+        assert G.element_order(W.coxeter) == _COXETER_ORDER[letter](rank), W.label
+        assert len(W.reflections) == (W.lie_dim - W.rank) // 2, W.label
+        if letter in ("G", "F"):
+            T = character_table(G)
+            refl_classes = {W.long_reflection_class, W.short_reflection_class}
+            assert T.degrees[W.reflection_rep] == rank
+            assert all(T.table[W.reflection_rep][c] == rank - 2 for c in refl_classes)
+            members = sorted(x for c in refl_classes for x in G.conjugacy_classes()[c].members)
+            assert tuple(members) == W.reflections
