@@ -1,13 +1,16 @@
 """Exact integer character tables of rational-character groups.
 
 The table is computed by the Dixon-Schneider method: class-multiplication
-structure constants are built by direct enumeration, the class matrices
-are simultaneously diagonalized over a prime field GF(p) with
-p = 1 (mod exp(G)) and p > 2*sqrt(|G|), and the modular character values
-are lifted to integers through the eigenvalue-multiplicity power sums.
-For a rational-character group the multiplicities are constant on Galois
-orbits of eigenvalues, so each character value is a Moebius-weighted sum
-of orbit multiplicities; a violation raises LiftFailure.
+structure constants are built by direct enumeration, and the class
+matrices are simultaneously diagonalized over a prime field GF(p), where
+p is the smallest prime with p > 2*sqrt(|G|) that does not divide |G|.
+For a rational-character group every class-matrix eigenvalue is an
+integer, so it lies in GF(p), and distinct central characters stay
+distinct mod p because p does not divide |G|. Every character value is
+an integer with |chi(g)| <= chi(1) < sqrt(|G|) < p/2, so the degree is
+the small square root of its residue and each value c mod p lifts to the
+symmetric residue in (-p/2, p/2). A non-rational group fails to split or
+fails orthogonality and raises LiftFailure.
 
 A table is returned only after exact row and column orthogonality have
 been verified, so everything downstream inherits its correctness.
@@ -90,26 +93,12 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _moebius(n: int) -> int:
-    qs = _prime_factors(n)
-    return 0 if any(n % (q * q) == 0 for q in qs) else (-1) ** len(qs)
-
-
-def _dixon_prime(group_order: int, exponent: int) -> int:
-    """Smallest prime p = 1 (mod exponent) with p > 2*sqrt(|G|)."""
-    p = exponent + 1
-    while p * p <= 4 * group_order or not _is_prime(p):
-        p += exponent
+def _dixon_prime(group_order: int) -> int:
+    """Smallest prime p > 2*sqrt(|G|) that does not divide |G|."""
+    p = math.isqrt(4 * group_order) + 1
+    while group_order % p == 0 or not _is_prime(p):
+        p += 1
     return p
-
-
-def _order_m_element(m: int, p: int) -> int:
-    """Smallest z in GF(p)* of multiplicative order exactly m."""
-    qs = _prime_factors(m)
-    for z in range(1, p):
-        if pow(z, m, p) == 1 and all(pow(z, m // q, p) != 1 for q in qs):
-            return z
-    raise LiftFailure(f"no element of order {m} mod {p}")
 
 
 def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
@@ -299,11 +288,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     if n > MAX_CLASSES:
         raise CapExceeded(f"{n} conjugacy classes exceeds supported maximum {MAX_CLASSES}")
 
-    exponent = 1
-    for cl in classes:
-        exponent = math.lcm(exponent, cl.element_order)
-    p = _dixon_prime(G.order, exponent)
-    z = _order_m_element(exponent, p)
+    p = _dixon_prime(G.order)
 
     reps = [cl.representative for cl in classes]
     sizes = [cl.size for cl in classes]
@@ -322,14 +307,6 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     size_inv = [pow(s, p - 2, p) for s in sizes]
     sqrt_table = {u * u % p: u for u in range(p // 2 + 1)}
 
-    power_data = []
-    for cl in classes:
-        k = cl.element_order
-        pcs = [G.class_of(y) for y in cl.powers]
-        zk = pow(z, exponent // k, p)
-        zk_pows = [pow(zk, t, p) for t in range(k)]
-        power_data.append((k, pcs, zk_pows))
-
     rows = []
     for omega in omegas:
         s = 0
@@ -342,32 +319,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
         if deg is None or deg == 0:
             raise LiftFailure("degree is not a small square root mod p")
         chibar = [omega[r] * deg % p * size_inv[r] % p for r in range(n)]
-        row = []
-        for r in range(n):
-            k, pcs, zk_pows = power_data[r]
-            kinv = pow(k, p - 2, p)
-            mult = []
-            for sdx in range(k):
-                acc = 0
-                for l in range(k):
-                    acc = (acc + chibar[pcs[l]] * zk_pows[(-sdx * l) % k]) % p
-                mult.append(acc * kinv % p)
-            if sum(mult) != deg:
-                raise LiftFailure("eigenvalue multiplicities do not sum to the degree")
-            orbit: dict[int, int] = {}
-            for sdx, m_s in enumerate(mult):
-                d = math.gcd(sdx, k)
-                if d in orbit and orbit[d] != m_s:
-                    raise LiftFailure(
-                        "eigenvalue multiplicities are not Galois-stable "
-                        "(non-rational character)"
-                    )
-                orbit[d] = m_s
-            val = sum(nu * _moebius(k // d) for d, nu in orbit.items())
-            if val % p != chibar[r]:
-                raise LiftFailure("lifted value disagrees with its modular image")
-            row.append(val)
-        rows.append((deg, tuple(row)))
+        rows.append((deg, tuple(c - p if 2 * c > p else c for c in chibar)))
 
     rows.sort(key=lambda t: (t[0], tuple(-v for v in t[1])))
     table = tuple(r for _, r in rows)
@@ -379,7 +331,8 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
 
     result = CharacterTable(
         class_sizes=tuple(sizes),
-        class_orders=tuple(cl.element_order for cl in classes),
+        # an element's order is the lcm of its cycle lengths
+        class_orders=tuple(math.lcm(*map(len, G.elements[r].cycles())) for r in reps),
         table=table,
         degrees=degrees,
         trivial_index=0,

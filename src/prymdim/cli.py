@@ -558,6 +558,10 @@ def main(argv=None) -> int:
     try:
         if args.cap < 1:
             raise ParseError(f"--cap must be a positive integer, got {args.cap}")
+        if args.command == "verify":
+            for flag, value in (("--specs", args.specs), ("--tuples", args.tuples)):
+                if value < 0:
+                    raise ParseError(f"{flag} must be a nonnegative integer, got {value}")
         if args.command == "dims":
             return _cmd_dims(args, out)
         if args.command == "preset":

@@ -6,9 +6,9 @@ generators, and an element is identified by its index into the table of
 image tuples sorted lexicographically (so index 0 is the identity).
 Conjugacy classes are found by direct counting in one classification
 pass, which also walks the powers rep^t of each class representative
-once and stores them on the class. Element orders, the rationality test,
-the cyclic-subgroup classes and the character table's power data all read
-those stored powers. Coset actions are computed by direct counting.
+once and stores them on the class. Element orders, the rationality test
+and the cyclic-subgroup classes read those stored powers. Coset actions
+are computed by direct counting.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -139,8 +139,13 @@ class Permutation:
 
 
 def _check_degree(degree: int | None, where: str) -> None:
-    """Reject a degree past MAX_DEGREE before any tuple of that length is built."""
-    if degree is not None and degree > MAX_DEGREE:
+    """Reject a degree below 1, or past MAX_DEGREE before any tuple of that
+    length is built."""
+    if degree is None:
+        return
+    if degree < 1:
+        raise ParseError(f"degree {degree} of {where} must be at least 1")
+    if degree > MAX_DEGREE:
         raise ParseError(f"degree {degree} of {where} is past the degree limit {MAX_DEGREE}")
 
 

@@ -345,6 +345,8 @@ def hitchin_preset(W: WeylGroup, genus: int, split: str = "long") -> CoverSpec:
 def markman_preset(W: WeylGroup, genus: int, deg_d: int, split: str = "long") -> CoverSpec:
     """Twisted variant: the canonical bundle is twisted by an effective
     divisor D, giving (dim g - r)(2g - 2 + deg D) reflection branch points."""
+    if genus < 0:
+        raise OutOfRegime("base genus must be nonnegative")
     if deg_d < 0:
         raise OutOfRegime("deg D must be nonnegative")
     if 2 * genus - 2 + deg_d <= 0:

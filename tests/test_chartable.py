@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from prymdim.chartable import (
     table_tsv,
 )
 from prymdim.errors import LiftFailure, NotRationalGroup
+from prymdim.permgroup import group_from_generators, parse_generators
 from prymdim.weyl import weyl_group
 
 from conftest import SMALL_WEYL
@@ -67,11 +69,62 @@ def test_not_rational_raises(z3):
         character_table(z3)
 
 
+# non-rational groups: Z4, D10, A4, Z7 x| Z3 and PSL(2,7)
+_NON_RATIONAL_GENERATORS = [
+    ["(0 1 2 3)"],
+    ["(0 1 2 3 4)", "(1 4)(2 3)"],
+    ["(0 1 2)", "(0 1)(2 3)"],
+    ["(0 1 2 3 4 5 6)", "(1 2 4)(3 6 5)"],
+    ["(1 2 3)(4 6 5)", "(0 4 1)(2 5 3)"],
+]
+
+
 def test_lift_failure_reachable(z3, z5):
+    """Without the rationality pre-check a non-rational group must still be
+    refused: its class matrices do not split over GF(p), or the symmetric
+    residues fail orthogonality."""
     with pytest.raises(LiftFailure):
         character_table(z3, check_rationality=False)
     with pytest.raises(LiftFailure):
         character_table(z5, check_rationality=False)
+    for gens in _NON_RATIONAL_GENERATORS:
+        G = group_from_generators(parse_generators(gens))
+        with pytest.raises(LiftFailure):
+            character_table(G, check_rationality=False)
+
+
+def _partitions(n, largest=None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest or n), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def _hook_length_count(shape):
+    """f^shape = n! / prod of hook lengths: the degree of the Specht module."""
+    conj = [sum(1 for r in shape if r > j) for j in range(shape[0])]
+    hooks = math.prod(
+        (shape[i] - j) + (conj[j] - i) - 1
+        for i in range(len(shape))
+        for j in range(shape[i])
+    )
+    return math.factorial(sum(shape)) // hooks
+
+
+def test_degrees_type_a_match_hook_lengths():
+    for n in range(1, 7):
+        T = character_table(weyl_group("A", n).group)
+        assert sorted(T.degrees) == sorted(map(_hook_length_count, _partitions(n + 1)))
+
+
+def test_degrees_f4_match_classical_table():
+    # Carter, Finite Groups of Lie Type, the character table of W(F4)
+    T = character_table(weyl_group("F", 4).group)
+    assert sorted(T.degrees) == (
+        [1] * 4 + [2] * 4 + [4] * 5 + [6] * 2 + [8] * 4 + [9] * 4 + [12, 16]
+    )
 
 
 def test_orthogonality_on_fleet():

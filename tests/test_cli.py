@@ -130,8 +130,10 @@ def _with(path, value):
         _with(("base_genus",), True),
         _with(("ramification", 0, "count"), True),
         _with(("group", "degree"), True),
+        _with(("group", "degree"), 0),
+        _with(("group", "degree"), -3),
     ],
-    ids=["rank", "base_genus", "count", "degree"],
+    ids=["rank", "base_genus", "count", "degree", "degree_zero", "degree_negative"],
 )
 def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
     f = tmp_path / "bool.json"
@@ -283,6 +285,15 @@ def test_cap_zero_is_input_error(capsys):
     assert "--cap" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag", ["--specs", "--tuples"])
+def test_verify_negative_sample_count_is_input_error(capsys, flag):
+    argv = ["verify", "--weyl", "A2", "--specs", "0", "--tuples", "0", flag, "-5"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
 def test_preset_toda(capsys):
     code, out, _ = run(capsys, ["preset", "toda", "A", "3"])
     assert code == 0
@@ -329,8 +340,11 @@ def test_preset_unsupported(capsys):
         ["preset", "hitchin", "A", "2", "--genus", "1"],
         ["preset", "markman", "A", "2", "--genus", "1", "--degD", "0"],
         ["preset", "markman", "A", "2", "--genus", "1", "--degD", "-1"],
+        # 2g - 2 + deg D = 1 > 0, but the genus itself is negative
+        ["preset", "markman", "A", "2", "--genus", "-1", "--degD", "5"],
     ],
-    ids=["hitchin_genus_1", "markman_degD_0", "markman_degD_negative"],
+    ids=["hitchin_genus_1", "markman_degD_0", "markman_degD_negative",
+         "markman_genus_negative"],
 )
 def test_preset_out_of_regime(capsys, argv):
     code, out, err = run(capsys, argv)
