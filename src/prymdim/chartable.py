@@ -331,8 +331,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
 
     result = CharacterTable(
         class_sizes=tuple(sizes),
-        # an element's order is the lcm of its cycle lengths
-        class_orders=tuple(math.lcm(*map(len, G.elements[r].cycles())) for r in reps),
+        class_orders=tuple(cl.element_order for cl in classes),
         table=table,
         degrees=degrees,
         trivial_index=0,

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: dims, preset, verify, chartable, group-info. Reports come
-in three formats (text, json, tsv); json and tsv are byte-stable across
-runs for identical input and seed. Exit codes: 0 clean, 1 input error,
-2 mathematical diagnostics, 3 internal assertion failure.
+Subcommands: dims, preset (toda, hitchin, markman), verify, chartable,
+group-info. Each accepts only the options it reads. Reports come in
+text, json and tsv (verify: text and json); json and tsv are
+byte-stable across runs for identical input and seed. Exit codes: 0
+clean, 1 input error (usage errors included), 2 mathematical
+diagnostics, 3 internal assertion failure.
 """
 
 from __future__ import annotations
@@ -23,63 +25,66 @@ EXIT_INPUT = 1
 EXIT_DIAGNOSTIC = 2
 EXIT_INTERNAL = 3
 
+FORMATS = ("text", "json", "tsv")
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("text", "json", "tsv"), default="text")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.add_argument(
-        "--reflection-split",
-        choices=("long", "short", "even"),
-        default="long",
-        help="where non-simply-laced presets place reflection branch points",
-    )
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ParseError (exit 1); sub-parsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """Each subcommand accepts exactly the options it reads."""
+    ap = _Parser(
         prog="prymdim",
         description="Exact dimensions of generalized Prym varieties of tame Galois covers",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="run the dimension pipeline on a cover-spec file")
-    p.add_argument("specfile", help="JSON cover spec (see README for the schema)")
-    _common_flags(p)
+    for name, help_text in (
+        ("dims", "run the dimension pipeline on a cover-spec file"),
+        ("verify", "run the full invariant suite on a group"),
+        ("chartable", "print the character table of a group"),
+        ("group-info", "print order, classes and cyclic classes"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        if name == "dims":
+            p.add_argument("specfile", help="JSON cover spec (see README for the schema)")
+        else:
+            g = p.add_mutually_exclusive_group(required=True)
+            g.add_argument("--weyl", metavar="LABEL", help="Weyl group label like A3 or G2")
+            g.add_argument("--generators", nargs="+", metavar="PERM",
+                           help="cycle strings or image arrays")
+        p.add_argument("--format", choices=FORMATS[:2] if name == "verify" else FORMATS,
+                       default="text")
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="largest order a group closed from generators may reach")
+        if name == "verify":
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--specs", type=int, default=25,
+                           help="sampled cover specs for the two-route check")
+            p.add_argument("--tuples", type=int, default=50,
+                           help="sampled branch tuples for the oracle check")
 
     p = sub.add_parser("preset", help="run a named integrable-system preset")
-    p.add_argument("kind", choices=("toda", "hitchin", "markman"))
-    p.add_argument("type", help="Weyl type letter A/B/C/D/G/F")
-    p.add_argument("rank", type=int)
-    p.add_argument("--genus", type=int, default=None, help="base genus (hitchin/markman)")
-    p.add_argument("--degD", dest="deg_d", type=int, default=None, help="twist degree (markman)")
-    _common_flags(p)
-
-    p = sub.add_parser("verify", help="run the full invariant suite on a group")
-    _group_source_flags(p)
-    p.add_argument("--specs", type=int, default=25, help="sampled cover specs for the two-route check")
-    p.add_argument("--tuples", type=int, default=50, help="sampled branch tuples for the oracle check")
-    _common_flags(p)
-
-    p = sub.add_parser("chartable", help="print the character table of a group")
-    _group_source_flags(p)
-    _common_flags(p)
-
-    p = sub.add_parser("group-info", help="print order, classes and cyclic classes")
-    _group_source_flags(p)
-    _common_flags(p)
-
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("toda", "hitchin", "markman"):
+        p = kinds.add_parser(kind)
+        p.add_argument("type", help="Weyl type letter A/B/C/D/G/F")
+        p.add_argument("rank", type=int)
+        if kind != "toda":
+            p.add_argument("--genus", type=int, default=2, help="base genus")
+        if kind == "markman":
+            p.add_argument("--degD", dest="deg_d", type=int, default=1, help="twist degree")
+        p.add_argument("--format", choices=FORMATS, default="text")
+        p.add_argument("--reflection-split", choices=("long", "short", "even"), default="long",
+                       help="where non-simply-laced presets place reflection branch points")
     return ap
 
 
-def _group_source_flags(p: argparse.ArgumentParser) -> None:
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--weyl", metavar="LABEL", help="Weyl group label like A3 or G2")
-    g.add_argument("--generators", nargs="+", metavar="PERM", help="cycle strings or image arrays")
-
-
 def _resolve_group(args) -> tuple[PermGroup, dict]:
-    if getattr(args, "weyl", None):
+    if args.weyl:
         letter, rank = weyl.parse_weyl_label(args.weyl)
         W = weyl.weyl_group(letter, rank)
         return W.group, {"weyl": {"type": letter, "rank": rank}}
@@ -320,16 +325,13 @@ def _cmd_preset(args, out) -> int:
         expected = W.rank
         params = {}
     elif args.kind == "hitchin":
-        genus = 2 if args.genus is None else args.genus
-        spec = weyl.hitchin_preset(W, genus, split)
-        expected = W.lie_dim * (genus - 1)
-        params = {"genus": genus}
+        spec = weyl.hitchin_preset(W, args.genus, split)
+        expected = weyl.expected_base_dim(W, args.genus)
+        params = {"genus": args.genus}
     else:
-        genus = 2 if args.genus is None else args.genus
-        deg_d = 1 if args.deg_d is None else args.deg_d
-        spec = weyl.markman_preset(W, genus, deg_d, split)
-        expected = W.lie_dim * (genus - 1) + (W.lie_dim - W.rank) // 2 * deg_d
-        params = {"genus": genus, "deg_d": deg_d}
+        spec = weyl.markman_preset(W, args.genus, args.deg_d, split)
+        expected = weyl.expected_base_dim(W, args.genus, args.deg_d)
+        params = {"genus": args.genus, "deg_d": args.deg_d}
 
     echo = {
         "preset": args.kind,
@@ -553,10 +555,10 @@ def _triangular_change_of_basis_ok(table, fdm) -> bool:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     out = sys.stdout
     try:
-        if args.cap < 1:
+        args = build_parser().parse_args(argv)
+        if "cap" in args and args.cap < 1:
             raise ParseError(f"--cap must be a positive integer, got {args.cap}")
         if args.command == "verify":
             for flag, value in (("--specs", args.specs), ("--tuples", args.tuples)):

@@ -5,9 +5,9 @@ Every group is realized concretely: elements are permutations of
 generators, and an element is identified by its index into the table of
 image tuples sorted lexicographically (so index 0 is the identity).
 Conjugacy classes are found by direct counting in one classification
-pass, which also walks the powers rep^t of each class representative
-once and stores them on the class. Element orders, the rationality test
-and the cyclic-subgroup classes read those stored powers. Coset actions
+pass; element orders come from each representative's cycle type, and
+the rationality test and the cyclic-subgroup classes share one walk of
+the powers rep^t per class, so no power list is stored. Coset actions
 are computed by direct counting.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
@@ -179,21 +179,13 @@ def parse_generators(texts: Sequence[str], degree: int | None = None) -> list[Pe
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class: its least member is the representative.
-
-    ``powers[t]`` is the element index of representative^t for
-    t = 0 .. ord - 1, so ``powers[0]`` is the identity and the element
-    order is ``len(powers)``.
-    """
+    """A conjugacy class: its least member is the representative, and
+    ``element_order`` is the lcm of the representative's cycle lengths."""
 
     representative: int
     members: tuple[int, ...]
     size: int
-    powers: tuple[int, ...]
-
-    @property
-    def element_order(self) -> int:
-        return len(self.powers)
+    element_order: int
 
 
 @dataclass(frozen=True)
@@ -402,13 +394,14 @@ class PermGroup:
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Conjugacy classes, identity first, then by (element order, size, least member).
 
-        One classification pass: it finds the classes, walks the powers of
-        each representative once, and from those powers derives the
-        rationality flag and, for a rational group, the cyclic classes.
+        One classification pass: it finds the classes, reads each element
+        order off the representative's cycle type, and walks the powers of
+        each representative once for the rationality flag (stopping at the
+        first failing class) and, for a rational group, the cyclic classes.
         """
         if self._classes is None:
             tmp = [-1] * self.order
-            raw: list[tuple[list[int], list[int]]] = []
+            raw: list[tuple[int, int, int, list[int]]] = []
             gens = self.generator_indices
             one = self.identity_index
             for x in range(self.order):
@@ -426,39 +419,40 @@ class PermGroup:
                             tmp[z] = cid
                             members.append(z)
                             queue.append(z)
-                powers, y = [one], x
-                while y != one:
-                    powers.append(y)
-                    y = self.mul(y, x)
-                raw.append((sorted(members), powers))
-            raw.sort(key=lambda mp: (len(mp[1]), len(mp[0]), mp[0][0]))
+                members.sort()
+                # x is the least member: every smaller index is already classified
+                order = math.lcm(*map(len, self.elements[x].cycles()))
+                raw.append((order, len(members), x, members))
+            raw.sort()
             classes = tuple(
-                ConjugacyClass(
-                    representative=m[0], members=tuple(m), size=len(m), powers=tuple(p)
-                )
-                for m, p in raw
+                ConjugacyClass(representative=x, members=tuple(m), size=n, element_order=o)
+                for o, n, x, m in raw
             )
             class_of = [-1] * self.order
             for ci, cl in enumerate(classes):
                 for x in cl.members:
                     class_of[x] = ci
             # rational: x ~ x^t for every t prime to ord(x)
-            rational = all(
-                class_of[y] == ci
-                for ci, cl in enumerate(classes)
-                for t, y in enumerate(cl.powers)
-                if math.gcd(t, cl.element_order) == 1
-            )
+            walks: list[list[int]] = []
+            for ci, cl in enumerate(classes):
+                powers, y = [one], cl.representative
+                while y != one:
+                    powers.append(y)
+                    y = self.mul(y, cl.representative)
+                if any(class_of[y] != ci for t, y in enumerate(powers)
+                       if math.gcd(t, cl.element_order) == 1):
+                    break
+                walks.append(powers)
             self._class_of = class_of
-            self._rational = rational
+            self._rational = rational = len(walks) == len(classes)
             self._cyclic = tuple(
                 CyclicClass(
                     generator=cl.representative,
                     subgroup_order=cl.element_order,
-                    subgroup_elements=tuple(sorted(cl.powers)),
-                    member_class_profile=dict(Counter(class_of[y] for y in cl.powers)),
+                    subgroup_elements=tuple(sorted(powers)),
+                    member_class_profile=dict(Counter(class_of[y] for y in powers)),
                 )
-                for cl in classes
+                for cl, powers in zip(classes, walks)
             ) if rational else ()
             self._classes = classes
         return self._classes

@@ -285,6 +285,53 @@ def test_cap_zero_is_input_error(capsys):
     assert "--cap" in err and "Traceback" not in err
 
 
+# (argv, the argument stderr must name); SPEC stands for a valid spec file, so
+# only the parser can reject these
+_REJECTED_ARGVS = [
+    # flags that the subcommand does not read
+    (["dims", "SPEC", "--seed", "3"], "--seed"),
+    (["dims", "SPEC", "--reflection-split", "short"], "--reflection-split"),
+    (["preset", "toda", "A", "2", "--seed", "3"], "--seed"),
+    (["preset", "toda", "A", "2", "--cap", "10"], "--cap"),
+    (["preset", "toda", "A", "2", "--genus", "5"], "--genus"),
+    (["preset", "toda", "A", "2", "--degD", "9"], "--degD"),
+    (["preset", "toda", "A", "2", "--genus", "5", "--degD", "9"], "--degD"),
+    (["preset", "hitchin", "A", "2", "--seed", "3"], "--seed"),
+    (["preset", "hitchin", "A", "2", "--cap", "10"], "--cap"),
+    (["preset", "hitchin", "A", "2", "--genus", "2", "--degD", "3"], "--degD"),
+    (["preset", "markman", "A", "2", "--seed", "3"], "--seed"),
+    (["preset", "markman", "A", "2", "--cap", "10"], "--cap"),
+    (["verify", "--weyl", "A2", "--reflection-split", "short"], "--reflection-split"),
+    (["verify", "--weyl", "A2", "--format", "tsv"], "--format"),
+    (["chartable", "--weyl", "A2", "--seed", "3"], "--seed"),
+    (["chartable", "--weyl", "A2", "--reflection-split", "short"], "--reflection-split"),
+    (["group-info", "--weyl", "A2", "--seed", "3"], "--seed"),
+    (["group-info", "--weyl", "A2", "--reflection-split", "short"], "--reflection-split"),
+    # usage errors
+    (["dims"], "specfile"),
+    (["preset", "hitchin", "A", "x"], "rank"),
+    (["chartable", "--weyl", "A2", "--generators", "(0 1)"], "--generators"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _REJECTED_ARGVS, ids=[" ".join(a) for a, _ in _REJECTED_ARGVS]
+)
+def test_rejected_argv_is_input_error(capsys, s3_file, argv, named):
+    argv = [s3_file if a == "SPEC" else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["preset", "markman", "--help"])
+    assert exc.value.code == 0
+    assert "--degD" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("flag", ["--specs", "--tuples"])
 def test_verify_negative_sample_count_is_input_error(capsys, flag):
     argv = ["verify", "--weyl", "A2", "--specs", "0", "--tuples", "0", flag, "-5"]

@@ -207,7 +207,8 @@ def powers_by_mul_walk(G, x):
 
 
 def test_element_order_matches_mul_walk(s4):
-    for G in (s4, weyl_group("B", 3).group, weyl_group("G", 2).group):
+    z12 = group_from_generators(parse_generators(["(0 1 2 3)(4 5 6)"]))
+    for G in (s4, weyl_group("B", 3).group, weyl_group("G", 2).group, z12):
         for x in range(G.order):
             assert G.element_order(x) == len(powers_by_mul_walk(G, x))
 
@@ -235,6 +236,30 @@ def test_non_rational_dihedral_group():
         d10.cyclic_subgroup_classes()
     with pytest.raises(NotRationalGroup):
         d10.cyclic_class_of_element(1)
+
+
+def test_classification_cost_is_linear_on_cyclic_group(monkeypatch):
+    """Z_2520 has 2520 classes of orders up to 2520. Element orders come
+    from cycle types and the power walk stops at the first class that fails
+    the rationality test, so the classification makes O(|G|) products
+    rather than one per power of every representative (2,371,089)."""
+    G = group_from_generators(parse_generators(
+        ["(0 1 2 3 4 5 6 7)(8 9 10 11 12 13 14 15 16)(17 18 19 20 21)(22 23 24 25 26 27 28)"]
+    ))
+    assert G.order == 2520
+    calls = 0
+    mul = G.mul
+
+    def counted(i, j):
+        nonlocal calls
+        calls += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(G, "mul", counted)
+    assert len(G.conjugacy_classes()) == G.order
+    assert not G.is_rational_group()
+    assert calls <= 3 * G.order
+    assert [c.element_order for c in G.conjugacy_classes()[:4]] == [1, 2, 3, 3]
 
 
 def test_is_subgroup_exact_on_large_sets():
