@@ -34,7 +34,7 @@ from .errors import (
     Singular,
     UnsupportedType,
 )
-from .exactla import determinant, solve
+from .exactla import Inverse, determinant, inverse, solve
 from .monodromy import (
     BranchTuple,
     oracle_genus,

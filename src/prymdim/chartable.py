@@ -63,9 +63,14 @@ class CharacterTable:
 
 @dataclass(frozen=True)
 class FixedDimMatrix:
-    """entries[i][j] = dimension of the H_i-invariant subspace of irrep j."""
+    """entries[i][j] = dimension of the H_i-invariant subspace of irrep j.
+
+    inverse holds the adjugate and determinant of entries, computed once
+    per group so that each spec's solve is one matrix-vector product.
+    """
 
     entries: tuple[tuple[int, ...], ...]
+    inverse: exactla.Inverse
 
     @property
     def n(self) -> int:
@@ -430,8 +435,8 @@ def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
 def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> FixedDimMatrix:
     """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps.
 
-    Invertibility is certified by an exact determinant; a zero
-    determinant would contradict the rational-character assumption.
+    The matrix is inverted exactly here, once per group; a singular
+    matrix would contradict the rational-character assumption.
     """
     cached = G.cache.get(_FDM_KEY)
     if cached is not None:
@@ -448,9 +453,11 @@ def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> Fixed
         raise AssertionError("trivial subgroup must fix every irrep")
     if any(row[table.trivial_index] != 1 for row in entries):
         raise AssertionError("trivial irrep must have a one-dimensional fixed space")
-    if exactla.determinant(entries) == 0:
-        raise Singular("fixed-subspace dimension matrix is singular")
-    result = FixedDimMatrix(entries=entries)
+    try:
+        inverse = exactla.inverse(entries)
+    except Singular:
+        raise Singular("fixed-subspace dimension matrix is singular") from None
+    result = FixedDimMatrix(entries=entries, inverse=inverse)
     G.cache[_FDM_KEY] = result
     return result
 

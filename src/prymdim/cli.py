@@ -17,7 +17,13 @@ import sys
 import time
 
 from . import chartable, exactla, monodromy, rhprym, weyl
-from .errors import NotRationalGroup, ParseError, PrymdimError, SamplingExhausted
+from .errors import (
+    CapExceeded,
+    NotRationalGroup,
+    ParseError,
+    PrymdimError,
+    SamplingExhausted,
+)
 from .permgroup import DEFAULT_CAP, PermGroup, Permutation, group_from_generators, parse_generators
 
 EXIT_OK = 0
@@ -59,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS[:2] if name == "verify" else FORMATS,
                        default="text")
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,
-                       help="largest order a group closed from generators may reach")
+                       help="largest group order accepted, for Weyl labels and generators")
         if name == "verify":
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--specs", type=int, default=25,
@@ -83,10 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _weyl_group(letter: str, rank: int, cap: int) -> weyl.WeylGroup:
+    """A supported Weyl group, refused before it is built when |W| > cap."""
+    if weyl.weyl_order(letter, rank) > cap:
+        raise CapExceeded(f"group order exceeds cap {cap}")
+    return weyl.weyl_group(letter, rank)
+
+
 def _resolve_group(args) -> tuple[PermGroup, dict]:
     if args.weyl:
         letter, rank = weyl.parse_weyl_label(args.weyl)
-        W = weyl.weyl_group(letter, rank)
+        W = _weyl_group(letter, rank, args.cap)
         return W.group, {"weyl": {"type": letter, "rank": rank}}
     gens = parse_generators(args.generators)
     G = group_from_generators(gens, cap=args.cap)
@@ -112,7 +125,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         letter, rank = str(wdoc.get("type", "")), wdoc.get("rank")
         if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')
-        W = weyl.weyl_group(*weyl.parse_weyl_label(f"{letter}{rank}"))
+        W = _weyl_group(*weyl.parse_weyl_label(f"{letter}{rank}"), cap)
         G = W.group
         echo_group: dict = {"weyl": {"type": W.letter, "rank": W.rank}}
     elif "generators" in gdoc:
@@ -482,7 +495,7 @@ def _cmd_verify(args, out) -> int:
     table = chartable.character_table(G)
     checks.append(("orthogonality", True, "verified during table construction"))
     fdm = chartable.fixed_dim_matrix(G)
-    det = exactla.determinant(fdm.entries)
+    det = fdm.inverse.det
     tri_ok = _triangular_change_of_basis_ok(table, fdm)
     checks.append(("fixed_dim_invertible", det != 0, f"determinant {det}"))
     checks.append(("fixed_dim_triangular", tri_ok, "lower-triangular in the character basis"))
@@ -544,8 +557,9 @@ def _triangular_change_of_basis_ok(table, fdm) -> bool:
     n = table.n
     # numerators of the l with sum_c l[c] * chi_j(class c) = fixed_dim_row_i[j],
     # over one nonzero denominator: only their zero pattern matters
+    inv = exactla.inverse(table.table)
     for i in range(n):
-        coeffs, _ = exactla.solve(table.table, fdm.entries[i])
+        coeffs, _ = exactla.solve(inv, fdm.entries[i])
         for c, coef in enumerate(coeffs):
             if c > i and coef != 0:
                 return False

@@ -1,17 +1,21 @@
 """Exact integer linear algebra.
 
-Every matrix the pipeline inverts (fixed-dim matrices, character tables,
-root coordinates) has integer entries, and every right-hand side is an
-integer vector. One fraction-free Bareiss forward pass (Bareiss, Math.
-Comp. 22, 1968) serves both the determinant and the solve: by
+Every matrix the package inverts (the fixed-dim matrix, and in verify
+the character table) has integer entries, and every right-hand side is
+an integer vector. One fraction-free Bareiss forward pass (Bareiss, Math.
+Comp. 22, 1968) serves both the determinant and the inverse: by
 Sylvester's identity each division in it is exact, so every intermediate
-entry is an integer. A solution comes back as integer numerators over
-one common denominator d = +-det, and callers decide integrality with a
-divisibility test.
+entry is an integer. A matrix is inverted once, into its adjugate and
+determinant (A adj(A) = det(A) I), and each solve is then one integer
+matrix-vector product y = adj(A) b over the common denominator
+d = det(A), checked by A y = d b before it is returned. Callers decide
+integrality with a divisibility test.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSquare, Singular
@@ -66,29 +70,60 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return _forward(m, n) * m[n - 1][n - 1]
 
 
-def solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> tuple[list[int], int]:
+@dataclass(frozen=True)
+class Inverse:
+    """A square integer matrix with its adjugate: rows * adjugate = det * I."""
+
+    rows: tuple[tuple[int, ...], ...]
+    adjugate: tuple[tuple[int, ...], ...]
+    det: int
+
+
+def inverse(rows: Sequence[Sequence[int]]) -> Inverse:
+    """Adjugate and determinant of a square nonsingular integer matrix.
+
+    One Bareiss pass over [A | I], then back substitution of each identity
+    column. Raises NotSquare or Singular.
+    """
+    n = _order(rows)
+    a = tuple(tuple(row) for row in rows)
+    if n == 0:
+        return Inverse(rows=a, adjugate=(), det=1)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    sign = _forward(m, n)
+    if not sign:
+        raise Singular(f"{n}x{n} matrix is singular")
+    det = sign * m[n - 1][n - 1]
+    # column c of adj(A) = det(A) A^-1 is the vector of Cramer numerators
+    # of A x = e_c, so each division is exact
+    cols = []
+    for c in range(n, 2 * n):
+        y = [0] * n
+        for i in range(n - 1, -1, -1):
+            mi = m[i]
+            s = det * mi[c] - sum(mi[j] * y[j] for j in range(i + 1, n))
+            y[i] = s // mi[i]
+        cols.append(y)
+    adjugate = tuple(zip(*cols))
+    return Inverse(rows=a, adjugate=adjugate, det=det)
+
+
+def solve(
+    a: Inverse | Sequence[Sequence[int]], b: Sequence[int]
+) -> tuple[list[int], int]:
     """Solve A x = b for square nonsingular integer A and integer b.
 
-    Returns (y, d) with x = y / d, the y integers and d = +-det(A) != 0.
+    A is given as an Inverse, or as plain rows that are inverted first.
+    Returns (y, d) with x = y / d, y = adj(A) b and d = det(A) != 0.
     The answer is checked by A y == d b before it is returned; failure
     there would indicate a bug, not bad input.
     """
-    n = _order(rows)
-    if len(b) != n:
+    inv = a if isinstance(a, Inverse) else inverse(a)
+    if len(b) != len(inv.rows):
         raise ValueError("right-hand side length mismatch")
-    if n == 0:
-        return [], 1
-    m = [list(row) + [v] for row, v in zip(rows, b)]
-    if not _forward(m, n):
-        raise Singular(f"{n}x{n} matrix is singular")
-    d = m[n - 1][n - 1]
-    y = [0] * n
-    # y = d x is the vector of Cramer numerators, so each division is exact
-    for i in range(n - 1, -1, -1):
-        mi = m[i]
-        s = d * mi[n] - sum(mi[j] * y[j] for j in range(i + 1, n))
-        y[i] = s // mi[i]
-    for row, v in zip(rows, b):
-        if sum(a * yc for a, yc in zip(row, y)) != d * v:
+    d = inv.det
+    y = [sum(map(mul, row, b)) for row in inv.adjugate]
+    for row, v in zip(inv.rows, b):
+        if sum(map(mul, row, y)) != d * v:
             raise AssertionError("solve verification failed")
     return y, d

@@ -14,9 +14,11 @@ dimensions also come out of the closed form
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one); both routes are
-computed and compared. All arithmetic is in integers: the solve returns
-numerators over one common denominator and the closed form is summed
-doubled, so each route's integrality is one divisibility test.
+computed and compared. All arithmetic is in integers. The fixed-dim
+matrix is inverted once per group, into its adjugate and determinant, so
+each spec's solve is one integer matrix-vector product checked by
+A y = det b: numerators over one common denominator. The closed form is
+summed doubled, so each route's integrality is one divisibility test.
 """
 
 from __future__ import annotations
@@ -135,7 +137,7 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
 
 
 def _solve_from_genera(fdm: FixedDimMatrix, genera: Sequence[int]) -> tuple[int, ...]:
-    y, d = exactla.solve(fdm.entries, genera)
+    y, d = exactla.solve(fdm.inverse, genera)
     if any(v % d for v in y):
         x = [Fraction(v, d) for v in y]
         raise NonIntegerSolution(f"isotypic dimensions are not integers: {x}")

@@ -201,12 +201,22 @@ def _signed_perm_group(rank: int) -> PermGroup:
     return PermGroup(_signed_gens(rank))
 
 
-@lru_cache(maxsize=None)
-def weyl_group(letter: str, rank: int) -> WeylGroup:
-    """Construct a supported Weyl group with verified invariants."""
+def _supported(letter: str, rank: int) -> str:
     letter = letter.upper()
     if letter not in SUPPORTED or rank not in SUPPORTED[letter]:
         raise UnsupportedType(f"unsupported Weyl type {letter}{rank}")
+    return letter
+
+
+def weyl_order(letter: str, rank: int) -> int:
+    """|W| = prod d_i of a supported type, known before the group is built."""
+    return math.prod(_INVARIANT_DEGREES[_supported(letter, rank)](rank))
+
+
+@lru_cache(maxsize=None)
+def weyl_group(letter: str, rank: int) -> WeylGroup:
+    """Construct a supported Weyl group with verified invariants."""
+    letter = _supported(letter, rank)
 
     roots = None
     if letter == "A":

@@ -12,7 +12,7 @@ import pytest
 
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.errors import SamplingExhausted
-from prymdim.exactla import determinant, solve
+from prymdim.exactla import determinant, inverse, solve
 from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import group_from_generators, parse_generators
 from prymdim.rhprym import (
@@ -148,13 +148,15 @@ def test_criterion_7_orthogonality_and_triangularity():
 
         fdm = fixed_dim_matrix(G)
         assert determinant(fdm.entries) != 0
+        assert fdm.inverse.det == determinant(fdm.entries)
 
         # change of basis against the character rows is lower triangular;
         # the numerators over one nonzero d have the same zero pattern
         cyclic = G.cyclic_subgroup_classes()
         pos_of_class = {G.class_of(K.generator): k for k, K in enumerate(cyclic)}
+        table_inverse = inverse(T.table)
         for i in range(n):
-            coeffs, _ = solve(T.table, fdm.entries[i])
+            coeffs, _ = solve(table_inverse, fdm.entries[i])
             for c, coef in enumerate(coeffs):
                 k = pos_of_class[c]
                 if k > i:

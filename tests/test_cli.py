@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from prymdim import rhprym
+from prymdim import rhprym, weyl
 from prymdim.cli import main
 from prymdim.permgroup import MAX_DEGREE, Permutation
 
@@ -283,6 +283,36 @@ def test_cap_zero_is_input_error(capsys):
     code, _, err = run(capsys, ["chartable", "--generators", "(0 1)", "--cap", "0"])
     assert code == 1
     assert "--cap" in err and "Traceback" not in err
+
+
+def _unbuilt(*_):
+    raise AssertionError("a Weyl group over the cap was built")
+
+
+@pytest.mark.parametrize("command", ["group-info", "chartable", "verify"])
+def test_cap_bounds_weyl_label(capsys, monkeypatch, command):
+    # |W(B3)| = 2 * 4 * 6 = 48 is known from the label, so nothing is built
+    monkeypatch.setattr(weyl, "weyl_group", _unbuilt)
+    code, out, err = run(capsys, [command, "--weyl", "B3", "--cap", "2", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: CapExceeded: group order exceeds cap 2\n"
+
+
+def test_cap_bounds_weyl_spec(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(weyl, "weyl_group", _unbuilt)
+    f = tmp_path / "b3.json"
+    f.write_text(json.dumps({"group": {"weyl": {"type": "B", "rank": 3}}, "base_genus": 2}))
+    code, out, err = run(capsys, ["dims", str(f), "--cap", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: CapExceeded: group order exceeds cap 2\n"
+
+
+def test_cap_equal_to_weyl_order_passes(capsys):
+    code, out, _ = run(capsys, ["group-info", "--weyl", "B3", "--cap", "48", "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["group"]["order"] == 48
 
 
 # (argv, the argument stderr must name); SPEC stands for a valid spec file, so

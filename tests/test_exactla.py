@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prymdim.errors import NotSquare, Singular
-from prymdim.exactla import determinant, solve
+from prymdim.exactla import determinant, inverse, solve
 
 
 def cofactor_det(rows):
@@ -66,19 +66,21 @@ def test_solve_examples():
 
 
 def test_solve_singular():
-    with pytest.raises(Singular):
-        solve([[1, 2], [2, 4]], [1, 1])
-    with pytest.raises(Singular):
-        solve([[0, 0], [0, 0]], [0, 0])
+    for rows, b in (([[1, 2], [2, 4]], [1, 1]), ([[0, 0], [0, 0]], [0, 0])):
+        with pytest.raises(Singular):
+            solve(rows, b)
+        with pytest.raises(Singular):
+            solve(inverse(rows), b)
 
 
 def test_solve_fractions():
     """An integer system whose solution is not integral."""
     A, b = [[1, 2], [3, 4]], [1, 0]
-    y, d = solve(A, b)
-    assert abs(d) == abs(determinant(A)) == 2
-    assert mat_vec(A, y) == [d * v for v in b]
-    assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
+    for a in (A, inverse(A)):
+        y, d = solve(a, b)
+        assert abs(d) == abs(determinant(A)) == 2
+        assert mat_vec(A, y) == [d * v for v in b]
+        assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
 
 
 @given(
@@ -96,10 +98,13 @@ def test_solve_roundtrip(data):
     if det == 0:
         with pytest.raises(Singular):
             solve(rows, b)
+        with pytest.raises(Singular):
+            inverse(rows)
         return
-    y, d = solve(rows, b)
-    assert abs(d) == abs(det)
-    assert y == [d * v for v in x]
+    for a in (rows, inverse(rows)):
+        y, d = solve(a, b)
+        assert abs(d) == abs(det)
+        assert y == [d * v for v in x]
 
 
 def test_zero_determinant_iff_singular():
@@ -111,3 +116,35 @@ def test_zero_determinant_iff_singular():
         except Singular:
             solved = False
         assert solved == (not is_zero)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_inverse_matches_cofactor_oracle(rows):
+    """A adj(A) == det(A) I with det(A) from cofactor expansion; Singular iff det(A) = 0."""
+    n = len(rows)
+    det = cofactor_det(rows)
+    if det == 0:
+        with pytest.raises(Singular):
+            inverse(rows)
+        return
+    inv = inverse(rows)
+    assert inv.det == det
+    assert inv.rows == tuple(tuple(r) for r in rows)
+    product = [mat_vec(rows, col) for col in zip(*inv.adjugate)]
+    assert product == [[det * (i == j) for i in range(n)] for j in range(n)]
+
+
+def test_inverse_examples():
+    assert inverse([]).det == 1 and inverse([]).adjugate == ()
+    assert solve(inverse([]), []) == ([], 1)
+    inv = inverse([[1, 1], [1, 0]])
+    assert inv.det == -1 and inv.adjugate == ((0, -1), (-1, 1))
+    for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]]):
+        with pytest.raises(Singular):
+            inverse(rows)
+    with pytest.raises(NotSquare):
+        inverse([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(NotSquare):
+        inverse([[1, 2], [3]])

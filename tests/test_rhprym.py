@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from prymdim import exactla
 from prymdim.errors import (
     NegativeGenus,
     NotRationalGroup,
@@ -161,3 +162,27 @@ def test_monotonic_in_branch_points(s4):
                 CoverSpec(s4, spec.base_genus, RamificationSpec(counts))
             )
             assert all(b >= a for a, b in zip(base, bumped))
+
+
+def test_warm_validate_makes_no_elimination(monkeypatch):
+    """The fixed-dim matrix is inverted once per group: once it is built,
+    each spec's solve is a checked matrix-vector product, not a Bareiss pass."""
+    G = weyl_group("F", 4).group
+    specs = sample_cover_specs(G, 51, random.Random(9))
+    validate(specs[0])
+    calls = {"_forward": 0, "solve": 0}
+
+    def counted(name):
+        inner = getattr(exactla, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(exactla, name, wrapper)
+
+    counted("_forward")
+    counted("solve")
+    for spec in specs[1:]:
+        validate(spec)
+    assert calls == {"_forward": 0, "solve": 50}
