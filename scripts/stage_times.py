@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Time each cold stage of the dimension pipeline on five Weyl groups.
+
+For W(D5), W(F4), W(B5), W(A6) and W(A7) it prints, as one JSON object,
+the best of three wall-clock seconds for: the group closure, the
+classification pass (conjugacy classes, rationality, cyclic classes),
+the character table, the fixed-dimension matrix with its inverse, the
+double-coset matrix, and one `rhprym.validate` on a warm hitchin genus-2
+spec. Every repetition rebuilds the group from its generators, so each
+stage starts cold. The object also records the git revision and the
+Python version.
+
+Usage: PYTHONPATH=src python3 scripts/stage_times.py > BENCH_stages.json
+"""
+
+import json
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from prymdim.chartable import character_table, fixed_dim_matrix
+from prymdim.permgroup import PermGroup
+from prymdim.rhprym import validate
+from prymdim.weyl import hitchin_preset, weyl_group
+
+GROUPS = [("D", 5), ("F", 4), ("B", 5), ("A", 6), ("A", 7)]
+REPEATS = 3
+
+
+def _git_revision() -> str:
+    try:
+        done = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return done.stdout.strip()
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
+
+
+def _stages(W) -> dict[str, float]:
+    gens = W.group.generators
+    best: dict[str, float] = {}
+    for _ in range(REPEATS):
+        t = {}
+        t["closure"], G = _timed(lambda: PermGroup(gens))
+        t["classes"], _ = _timed(G.conjugacy_classes)
+        t["table"], table = _timed(lambda: character_table(G))
+        t["fixed_dim_matrix"], _ = _timed(lambda: fixed_dim_matrix(G, table))
+        t["double_coset_matrix"], _ = _timed(G.double_coset_matrix)
+        for k, v in t.items():
+            best[k] = min(v, best.get(k, v))
+    spec = hitchin_preset(W, 2)
+    validate(spec)  # fill the per-group caches the spec reads
+    best["warm_validate"] = min(_timed(lambda: validate(spec))[0] for _ in range(REPEATS))
+    return {k: round(v, 6) for k, v in best.items()}
+
+
+def main() -> int:
+    report = {
+        "git": _git_revision(),
+        "python": platform.python_version(),
+        "repeats": REPEATS,
+        "unit": "s, best of repeats",
+        "groups": {},
+    }
+    for letter, rank in GROUPS:
+        W = weyl_group(letter, rank)
+        report["groups"][W.label] = {
+            "order": W.group.order,
+            "class_count": len(W.group.conjugacy_classes()),
+            **_stages(W),
+        }
+    json.dump(report, sys.stdout, indent=2)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

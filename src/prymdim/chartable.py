@@ -1,8 +1,8 @@
 """Exact integer character tables of rational-character groups.
 
-The table is computed by the Dixon-Schneider method: class-multiplication
-structure constants are built by direct enumeration, and the class
-matrices are simultaneously diagonalized over a prime field GF(p), where
+The table is computed by the Dixon-Schneider method: only the class
+matrices the split uses are built, each from its own class's members,
+and they are simultaneously diagonalized over a prime field GF(p), where
 p is the smallest prime with p > 2*sqrt(|G|) that does not divide |G|.
 For a rational-character group every class-matrix eigenvalue is an
 integer, so it lies in GF(p), and distinct central characters stay
@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import mul
+from typing import Iterable, Iterator, Sequence
 
 from . import exactla
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     NotRationalGroup,
     Singular,
 )
-from .permgroup import CyclicClass, PermGroup
+from .permgroup import ConjugacyClass, CyclicClass, PermGroup
 
 MAX_CLASSES = 40
 
@@ -215,30 +216,38 @@ def _column_reduce(cols: list[list[int]], p: int) -> tuple[list[int], list[list[
     return [pivots[i] for i in order], [basis[i] for i in order]
 
 
-def _central_characters(mats: list[list[list[int]]], p: int) -> list[list[int]]:
-    """Common eigenvectors of the class matrices, normalized at the identity class."""
-    n = len(mats)
+def _class_matrices(
+    G: PermGroup, classes: Sequence[ConjugacyClass]
+) -> Iterator[list[list[int]]]:
+    """Yield M_r[s][t] = #{x in C_r : x^-1 rep_t in C_s} for r = 1, 2, ..., n - 1."""
+    reps = [cl.representative for cl in classes]
+    for cl in classes[1:]:
+        M = [[0] * len(reps) for _ in reps]
+        for x in cl.members:
+            xi = G.inv(x)
+            for t, rep in enumerate(reps):
+                M[G.class_of(G.mul(xi, rep))][t] += 1
+        yield M
+
+
+def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list[list[int]]:
+    """Common eigenvectors of the class matrices M_1, M_2, ... drawn from ``mats``
+    until the split is complete, normalized at the identity class."""
     spaces: list[tuple[list[int], list[list[int]]]] = [
         (list(range(n)), [[1 if r == i else 0 for r in range(n)] for i in range(n)])
     ]
-    for M in mats[1:]:  # mats[0] is the identity class matrix
-        if all(len(b) == 1 for _, b in spaces):
-            break
+    for M in mats:
         nxt: list[tuple[list[int], list[list[int]]]] = []
         for pivots, basis in spaces:
             d = len(basis)
             if d == 1:
                 nxt.append((pivots, basis))
                 continue
-            W = []
-            for bv in basis:
-                W.append([sum(M[s][t] * bv[t] for t in range(n)) % p for s in range(n)])
-            A = [[W[j][pivots[i]] % p for j in range(d)] for i in range(d)]
-            for j in range(d):  # invariance check
-                recon = [
-                    sum(A[i][j] * basis[i][r] for i in range(d)) % p for r in range(n)
-                ]
-                if recon != W[j]:
+            W = [[sum(map(mul, row, bv)) % p for row in M] for bv in basis]
+            A = [[W[j][pr] for j in range(d)] for pr in pivots]
+            cols = list(zip(*basis))
+            for Wj, a in zip(W, zip(*A)):  # invariance check: a is column j of A
+                if [sum(map(mul, a, col)) % p for col in cols] != Wj:
                     raise LiftFailure("class-matrix eigenspace is not invariant")
             roots = _poly_roots_mod(_charpoly_mod(A, p), p)
             if len(roots) <= 1:
@@ -250,16 +259,15 @@ def _central_characters(mats: list[list[list[int]]], p: int) -> list[list[int]]:
                 kbasis = _kernel_mod(B, p)
                 if not kbasis:
                     continue
-                newcols = [
-                    [sum(c[i] * basis[i][r] for i in range(d)) % p for r in range(n)]
-                    for c in kbasis
-                ]
+                newcols = [[sum(map(mul, c, col)) % p for col in cols] for c in kbasis]
                 piv2, bas2 = _column_reduce(newcols, p)
                 total += len(bas2)
                 nxt.append((piv2, bas2))
             if total != d:
                 raise LiftFailure("eigenspace dimensions do not add up")
         spaces = nxt
+        if all(len(b) == 1 for _, b in spaces):
+            break
     if any(len(b) != 1 for _, b in spaces) or len(spaces) != n:
         raise LiftFailure("class matrices did not split into one-dimensional spaces")
     omegas = []
@@ -295,20 +303,10 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
 
     p = _dixon_prime(G.order)
 
-    reps = [cl.representative for cl in classes]
     sizes = [cl.size for cl in classes]
-    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for x in range(G.order):
-        r = G.class_of(x)
-        xi = G.inv(x)
-        Mr = mats[r]
-        for t in range(n):
-            s = G.class_of(G.mul(xi, reps[t]))
-            Mr[s][t] += 1
+    omegas = _central_characters(n, _class_matrices(G, classes), p)
 
-    omegas = _central_characters(mats, p)
-
-    inv_class = [G.class_of(G.inv(rep)) for rep in reps]
+    inv_class = [G.class_of(G.inv(cl.representative)) for cl in classes]
     size_inv = [pow(s, p - 2, p) for s in sizes]
     sqrt_table = {u * u % p: u for u in range(p // 2 + 1)}
 

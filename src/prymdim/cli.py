@@ -308,7 +308,7 @@ def _cmd_dims(args, out) -> int:
     try:
         with open(args.specfile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
         print(f"error: cannot read {args.specfile}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:

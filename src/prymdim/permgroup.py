@@ -325,8 +325,10 @@ class PermGroup:
         return self._inverse[i]
 
     def conjugate(self, x: int, g: int) -> int:
-        """Index of g x g^-1."""
-        return self.mul(self.mul(g, x), self._inverse[g])
+        """Index of g x g^-1, which sends point i to g[x[g^-1[i]]]."""
+        gi, xi = self._images[g], self._images[x]
+        ginv = self._images[self._inverse[g]]
+        return self._index[tuple(map(gi.__getitem__, map(xi.__getitem__, ginv)))]
 
     def power(self, x: int, k: int) -> int:
         y = self.identity_index

@@ -15,7 +15,7 @@ from prymdim.chartable import (
     table_tsv,
 )
 from prymdim.errors import LiftFailure, NotRationalGroup
-from prymdim.permgroup import group_from_generators, parse_generators
+from prymdim.permgroup import PermGroup, group_from_generators, parse_generators
 from prymdim.weyl import weyl_group
 
 from conftest import SMALL_WEYL
@@ -164,6 +164,54 @@ def test_natural_permutation_character_decomposes():
             mults.append(s // G.order)
         for i in range(T.n):
             assert sum(mults[j] * T.table[j][i] for j in range(T.n)) == nat[i]
+
+
+def _full_class_matrices(G):
+    """M_r[s][t] = #{x in C_r : x^-1 rep_t in C_s} for every r, by enumerating G."""
+    classes = G.conjugacy_classes()
+    n = len(classes)
+    mats = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for x in range(G.order):
+        Mr = mats[G.class_of(x)]
+        for t, cl in enumerate(classes):
+            Mr[G.class_of(G.mul(G.inv(x), cl.representative))][t] += 1
+    return mats
+
+
+@pytest.mark.parametrize("label", ["S4", "B3", "G2", "D4"])
+def test_table_satisfies_every_class_matrix(label, s4):
+    """The table is built from the few class matrices the split needs; every
+    other one must hold too. With K_r the class sum, K_r K_s = sum_t M_r[s][t]
+    K_t, which chi turns into sum_t M_r[s][t] |C_t| chi(t) chi(1) =
+    |C_r| chi(r) |C_s| chi(s)."""
+    G = s4 if label == "S4" else weyl_group(label[0], int(label[1:])).group
+    T = character_table(G)
+    mats = _full_class_matrices(G)
+    sizes = T.class_sizes
+    for chi in T.table:
+        weighted = [c * v for c, v in zip(sizes, chi)]
+        for r, Mr in enumerate(mats):
+            for s, row in enumerate(Mr):
+                lhs = sum(m * w for m, w in zip(row, weighted)) * chi[0]
+                assert lhs == weighted[r] * weighted[s], (label, chi, r, s)
+
+
+def test_table_builds_only_the_class_matrices_it_uses(monkeypatch):
+    """W(B5) splits after its first six non-identity classes (51 of 3840
+    elements), so the table costs far fewer products than one per element."""
+    G = PermGroup(weyl_group("B", 5).group.generators)
+    G.conjugacy_classes()
+    calls = 0
+    mul = G.mul
+
+    def counting_mul(i, j):
+        nonlocal calls
+        calls += 1
+        return mul(i, j)
+
+    monkeypatch.setattr(G, "mul", counting_mul)
+    character_table(G)
+    assert 0 < calls < G.order
 
 
 def test_fixed_dim_examples(s3):

@@ -89,12 +89,23 @@ def test_dims_diagnostics_exit_code(capsys, tmp_path):
     assert "OddRamificationDegree" in out
 
 
-def test_dims_malformed_json(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"{not json", "line 1 column"),
+        (b"\xff\xfe{}", "cannot read"),
+        (b"[" * 100_000, "cannot read"),
+    ],
+    ids=["syntax", "not_utf8", "nested_past_recursion_limit"],
+)
+def test_dims_malformed_json(capsys, tmp_path, content, message):
     f = tmp_path / "bad.json"
-    f.write_text("{not json")
-    code, _, err = run(capsys, ["dims", str(f)])
+    f.write_bytes(content)
+    code, out, err = run(capsys, ["dims", str(f)])
     assert code == 1
-    assert "line 1" in err and "column" in err
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
 
 
 def test_dims_unresolvable_inertia(capsys, tmp_path):

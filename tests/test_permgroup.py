@@ -99,13 +99,14 @@ def test_closure_is_a_group(gens):
 
 
 def brute_force_classes(G):
-    """Independent oracle: conjugate by every group element."""
+    """Independent oracle: conjugate by every group element, through
+    ``mul`` rather than ``conjugate``, which the classification pass uses."""
     seen = set()
     classes = []
     for x in range(G.order):
         if x in seen:
             continue
-        cls = {G.conjugate(x, g) for g in range(G.order)}
+        cls = {G.mul(G.mul(g, x), G.inv(g)) for g in range(G.order)}
         seen |= cls
         classes.append(frozenset(cls))
     return set(classes)
