@@ -5,22 +5,29 @@ For W(D5), W(F4), W(B5), W(A6) and W(A7) it prints, as one JSON object,
 the best of three wall-clock seconds for: the group closure, the
 classification pass (conjugacy classes, rationality, cyclic classes),
 the character table, the fixed-dimension matrix with its inverse, the
-double-coset matrix, and one `rhprym.validate` on a warm hitchin genus-2
-spec. Every repetition rebuilds the group from its generators, so each
-stage starts cold. The object also records the git revision and the
-Python version.
+double-coset matrix, the monodromy oracle (`monodromy.sample_tuple` of a
+genus-1 tuple with two branch points, then `verify_tuple`, which builds
+the coset action of every cyclic subgroup), and one `rhprym.validate` on
+a warm hitchin genus-2 spec. Every repetition rebuilds the group from
+`W.group.generators`, so each stage starts cold. Those are the
+generators `weyl_group` closed the group from: the pair {Coxeter
+element, s_(r-2)} where it generates W (all types here but F4), else
+the simple reflections. The object also records the git revision and
+the Python version.
 
 Usage: PYTHONPATH=src python3 scripts/stage_times.py > BENCH_stages.json
 """
 
 import json
 import platform
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 from prymdim.chartable import character_table, fixed_dim_matrix
+from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import PermGroup
 from prymdim.rhprym import validate
 from prymdim.weyl import hitchin_preset, weyl_group
@@ -59,6 +66,9 @@ def _stages(W) -> dict[str, float]:
         t["table"], table = _timed(lambda: character_table(G))
         t["fixed_dim_matrix"], _ = _timed(lambda: fixed_dim_matrix(G, table))
         t["double_coset_matrix"], _ = _timed(G.double_coset_matrix)
+        t["oracle"], ver = _timed(lambda: verify_tuple(sample_tuple(G, 1, 2, random.Random(0))))
+        if not ver.ok:
+            raise RuntimeError(f"{W.label}: oracle and formula genera differ at {ver.mismatches}")
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)

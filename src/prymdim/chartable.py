@@ -35,9 +35,6 @@ from .permgroup import ConjugacyClass, CyclicClass, PermGroup
 
 MAX_CLASSES = 40
 
-_TABLE_KEY = "character_table"
-_FDM_KEY = "fixed_dim_matrix"
-
 
 @dataclass(frozen=True)
 class CharacterTable:
@@ -221,12 +218,13 @@ def _class_matrices(
 ) -> Iterator[list[list[int]]]:
     """Yield M_r[s][t] = #{x in C_r : x^-1 rep_t in C_s} for r = 1, 2, ..., n - 1."""
     reps = [cl.representative for cl in classes]
+    class_of = G.class_indices()
     for cl in classes[1:]:
         M = [[0] * len(reps) for _ in reps]
         for x in cl.members:
             xi = G.inv(x)
             for t, rep in enumerate(reps):
-                M[G.class_of(G.mul(xi, rep))][t] += 1
+                M[class_of[G.mul(xi, rep)]][t] += 1
         yield M
 
 
@@ -291,9 +289,8 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     the power-map pre-check so that the lift-failure path is reachable;
     non-rational input then raises LiftFailure instead.
     """
-    cached = G.cache.get(_TABLE_KEY)
-    if cached is not None:
-        return cached
+    if G.table is not None:
+        return G.table
     if check_rationality and not G.is_rational_group():
         raise NotRationalGroup("character table requires a rational-character group")
     classes = G.conjugacy_classes()
@@ -306,7 +303,8 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     sizes = [cl.size for cl in classes]
     omegas = _central_characters(n, _class_matrices(G, classes), p)
 
-    inv_class = [G.class_of(G.inv(cl.representative)) for cl in classes]
+    class_of = G.class_indices()
+    inv_class = [class_of[G.inv(cl.representative)] for cl in classes]
     size_inv = [pow(s, p - 2, p) for s in sizes]
     sqrt_table = {u * u % p: u for u in range(p // 2 + 1)}
 
@@ -339,7 +337,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
         degrees=degrees,
         trivial_index=0,
     )
-    G.cache[_TABLE_KEY] = result
+    G.table = result
     return result
 
 
@@ -436,9 +434,8 @@ def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> Fixed
     The matrix is inverted exactly here, once per group; a singular
     matrix would contradict the rational-character assumption.
     """
-    cached = G.cache.get(_FDM_KEY)
-    if cached is not None:
-        return cached
+    if G.fixed_dims is not None:
+        return G.fixed_dims
     if table is None:
         table = character_table(G)
     cyclic = G.cyclic_subgroup_classes()
@@ -456,7 +453,7 @@ def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> Fixed
     except Singular:
         raise Singular("fixed-subspace dimension matrix is singular") from None
     result = FixedDimMatrix(entries=entries, inverse=inverse)
-    G.cache[_FDM_KEY] = result
+    G.fixed_dims = result
     return result
 
 

@@ -3,7 +3,19 @@
 Every group is realized concretely: elements are permutations of
 ``{0..n-1}``, the whole group is closed breadth-first from its
 generators, and an element is identified by its index into the table of
-image tuples sorted lexicographically (so index 0 is the identity).
+image sequences sorted lexicographically (so index 0 is the identity).
+
+For degree n <= 256 each element's images are stored as ``bytes``, and
+every composition is one ``bytes.translate`` call: with ``a`` padded
+once to a 256-byte table, ``b.translate(a + tail)`` is a*b (b applied
+first). Inverses are ``bytes.maketrans(t, identity)[:n]``. Sorted
+``bytes`` of equal length are in the same order as the tuples of their
+values, so element indices do not depend on the store. Above degree 256
+the images stay tuples of ints, composed by ``map``; only the kernel
+returned by ``_kernel`` tells the two stores apart. ``PermGroup.elements``
+is a view that builds a ``Permutation`` only for the index it is asked
+for, so no per-element object is kept.
+
 Conjugacy classes are found by direct counting in one classification
 pass; element orders come from each representative's cycle type, and
 the rationality test and the cyclic-subgroup classes share one walk of
@@ -22,8 +34,9 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     CapExceeded,
@@ -33,9 +46,14 @@ from .errors import (
     ParseError,
 )
 
+if TYPE_CHECKING:
+    from .chartable import CharacterTable, FixedDimMatrix
+
 DEFAULT_CAP = 200_000
 # largest permutation degree the parsers accept; the Weyl fleet needs 48
 MAX_DEGREE = 1000
+# largest degree whose images fit in bytes and compose by bytes.translate
+BYTE_DEGREE = 256
 
 _CYCLES_RE = re.compile(r"\s*(?:\([^()]*\)\s*)+")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -226,9 +244,7 @@ class CosetAction:
 
     def element_action(self, x: int) -> tuple[int, ...]:
         """The permutation of coset indices induced by element ``x``."""
-        G = self.group
-        cof = self.coset_of
-        return tuple(cof[G.mul(x, r)] for r in self.cosets)
+        return tuple(map(self.coset_of.__getitem__, self.group.products(x, self.cosets)))
 
     def cycle_count(self, x: int) -> int:
         """Number of orbits of the cyclic group <x> on the cosets."""
@@ -244,6 +260,53 @@ class CosetAction:
                 seen[j] = True
                 j = act[j]
         return n
+
+
+class _Kernel(NamedTuple):
+    """Composition of the stored image sequences of one degree.
+
+    ``key`` turns a sequence of images into the stored form;
+    ``compose(b, pad(a))`` is the stored form of a*b (b applied first), so
+    an element padded once composes with many; ``invert`` gives the
+    stored form of the inverse.
+    """
+
+    key: Callable
+    pad: Callable
+    compose: Callable
+    invert: Callable
+
+
+def _kernel(degree: int) -> _Kernel:
+    """``bytes`` and ``bytes.translate`` up to BYTE_DEGREE, tuples above it."""
+    if degree <= BYTE_DEGREE:
+        tail = bytes(range(degree, BYTE_DEGREE))
+        ident = bytes(range(degree))
+        return _Kernel(
+            key=bytes,
+            pad=lambda a: a + tail,
+            compose=bytes.translate,
+            invert=lambda t: bytes.maketrans(t, ident)[:degree],
+        )
+    return _Kernel(
+        key=tuple,
+        pad=lambda a: a,
+        compose=lambda b, a: tuple(map(a.__getitem__, b)),
+        invert=lambda t: tuple(sorted(range(degree), key=t.__getitem__)),
+    )
+
+
+class _ElementView(Sequence):
+    """The elements of a group in index order, each Permutation built when read."""
+
+    def __init__(self, images: Sequence[bytes | tuple[int, ...]]):
+        self._images = images
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, i: int) -> Permutation:
+        return Permutation(tuple(self._images[i]))
 
 
 class PermGroup:
@@ -274,16 +337,16 @@ class PermGroup:
                     f"generator degree {g.degree()} != group degree {degree}"
                 )
 
-        ident = tuple(range(degree))
+        self._kernel = key, pad, compose, invert = _kernel(degree)
+        ident = key(range(degree))
         seen = {ident}
         frontier = [ident]
-        gimgs = [g.images for g in gens]
+        gpads = [pad(key(g.images)) for g in gens]
         while frontier:
             nxt = []
             for a in frontier:
-                get = a.__getitem__
-                for g in gimgs:
-                    c = tuple(map(get, g))
+                for gp in gpads:
+                    c = compose(a, gp)
                     if c not in seen:
                         if len(seen) >= cap:
                             raise CapExceeded(f"group order exceeds cap {cap}")
@@ -294,41 +357,38 @@ class PermGroup:
         imgs = sorted(seen)
         self.degree = degree
         self.generators = gens
-        self.elements = [Permutation(t) for t in imgs]
+        self.elements: Sequence[Permutation] = _ElementView(imgs)
         self.order = len(imgs)
         self._images = imgs
-        self._index = {t: i for i, t in enumerate(imgs)}
-        self.identity_index = self._index[ident]
+        self._index = index = {t: i for i, t in enumerate(imgs)}
+        self.identity_index = index[ident]
         if self.identity_index != 0:
             raise AssertionError("identity must be the lexicographically least element")
-        inv = []
-        for t in imgs:
-            it = [0] * degree
-            for i, v in enumerate(t):
-                it[v] = i
-            inv.append(self._index[tuple(it)])
-        self._inverse = inv
-        self.generator_indices = [self._index[g.images] for g in gens]
+        self._inverse = [index[invert(t)] for t in imgs]
+        self.generator_indices = [index[key(g.images)] for g in gens]
         # set by conjugacy_classes() together with _class_of, _rational, _cyclic
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
-        self.cache: dict = {}  # cross-module memo slot (character table etc.)
+        # filled by chartable.character_table and chartable.fixed_dim_matrix
+        self.table: CharacterTable | None = None
+        self.fixed_dims: FixedDimMatrix | None = None
 
     # -- element arithmetic -------------------------------------------------
 
     def mul(self, i: int, j: int) -> int:
         """Index of element i composed with element j (j applied first)."""
-        return self._index[tuple(map(self._images[i].__getitem__, self._images[j]))]
+        k = self._kernel
+        return self._index[k.compose(self._images[j], k.pad(self._images[i]))]
+
+    def products(self, x: int, ys: Iterable[int]) -> list[int]:
+        """Indices of x*y for each y in ``ys``, padding x once."""
+        index, images, compose = self._index, self._images, self._kernel.compose
+        xp = self._kernel.pad(images[x])
+        return [index[compose(images[y], xp)] for y in ys]
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
-
-    def conjugate(self, x: int, g: int) -> int:
-        """Index of g x g^-1, which sends point i to g[x[g^-1[i]]]."""
-        gi, xi = self._images[g], self._images[x]
-        ginv = self._images[self._inverse[g]]
-        return self._index[tuple(map(gi.__getitem__, map(xi.__getitem__, ginv)))]
 
     def power(self, x: int, k: int) -> int:
         y = self.identity_index
@@ -337,16 +397,15 @@ class PermGroup:
         return y
 
     def element_order(self, x: int) -> int:
-        return self.conjugacy_classes()[self.class_of(x)].element_order
+        return self._classified()[self._class_of[x]].element_order
 
     def index_of(self, p: Permutation) -> int:
-        try:
-            return self._index[p.images]
-        except KeyError:
-            raise KeyError(f"{p.cycle_str()} is not an element of this group") from None
+        if p in self:
+            return self._index[self._kernel.key(p.images)]
+        raise KeyError(f"{p.cycle_str()} is not an element of this group")
 
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._index
+        return len(p.images) == self.degree and self._kernel.key(p.images) in self._index
 
     def __len__(self) -> int:
         return self.order
@@ -365,8 +424,7 @@ class PermGroup:
         while frontier:
             nxt = []
             for a in frontier:
-                for s in seeds:
-                    c = self.mul(a, s)
+                for c in self.products(a, seeds):
                     if c not in found:
                         found.add(c)
                         nxt.append(c)
@@ -404,7 +462,10 @@ class PermGroup:
         if self._classes is None:
             tmp = [-1] * self.order
             raw: list[tuple[int, int, int, list[int]]] = []
-            gens = self.generator_indices
+            index, images = self._index, self._images
+            _, pad, compose, _ = self._kernel
+            # g y g^-1 sends point i to g[y[g^-1[i]]]: compose(compose(g^-1, pad(y)), pad(g))
+            conj = [(images[self._inverse[g]], pad(images[g])) for g in self.generator_indices]
             one = self.identity_index
             for x in range(self.order):
                 if tmp[x] >= 0:
@@ -414,9 +475,9 @@ class PermGroup:
                 members = [x]
                 queue = [x]
                 while queue:
-                    y = queue.pop()
-                    for g in gens:
-                        z = self.conjugate(y, g)
+                    y = pad(images[queue.pop()])
+                    for ginv, gp in conj:
+                        z = index[compose(compose(ginv, y), gp)]
                         if tmp[z] < 0:
                             tmp[z] = cid
                             members.append(z)
@@ -445,7 +506,7 @@ class PermGroup:
                        if math.gcd(t, cl.element_order) == 1):
                     break
                 walks.append(powers)
-            self._class_of = class_of
+            self._class_of = tuple(class_of)
             self._rational = rational = len(walks) == len(classes)
             self._cyclic = tuple(
                 CyclicClass(
@@ -460,15 +521,25 @@ class PermGroup:
         return self._classes
 
     def class_of(self, x: int) -> int:
-        self.conjugacy_classes()
-        return self._class_of[x]
+        return self.class_indices()[x]
+
+    def class_indices(self) -> tuple[int, ...]:
+        """Conjugacy-class index of every element, by element index; read it
+        once where a loop looks up many classes."""
+        self._classified()
+        return self._class_of
+
+    def _classified(self) -> tuple[ConjugacyClass, ...]:
+        """The classes, classifying on first use only, so that calls of
+        conjugacy_classes count classification passes, not lookups."""
+        return self._classes if self._classes is not None else self.conjugacy_classes()
 
     def is_rational_group(self) -> bool:
         """Power-map test: every x is conjugate to x^k for all k coprime to ord(x).
 
         Equivalent to all irreducible characters taking rational values.
         """
-        self.conjugacy_classes()
+        self._classified()
         return self._rational
 
     def cyclic_subgroup_classes(self) -> tuple[CyclicClass, ...]:
@@ -481,8 +552,7 @@ class PermGroup:
         subgroup order with ties broken by class index, and the trivial
         subgroup is first.
         """
-        if self._classes is None:
-            self.conjugacy_classes()
+        self._classified()
         if not self._rational:
             raise NotRationalGroup(
                 "cyclic classes biject with element classes only for "
@@ -513,8 +583,7 @@ class PermGroup:
                 continue
             c = len(reps)
             reps.append(x)
-            for h in hs:
-                y = self.mul(x, h)
+            for y in self.products(x, hs):
                 if coset_of[y] >= 0:
                     raise NotASubgroup("coset overlap: element set is not closed")
                 coset_of[y] = c
@@ -534,7 +603,7 @@ class PermGroup:
         elems = x if isinstance(x, frozenset) else frozenset(x)
         if not self.is_subgroup(elems):
             raise NotASubgroup(f"{len(elems)} elements do not form a subgroup")
-        return Counter(self.class_of(y) for y in elems), len(elems)
+        return Counter(map(self.class_indices().__getitem__, elems)), len(elems)
 
     def _burnside_count(self, pa: Mapping[int, int], na: int,
                         pb: Mapping[int, int], nb: int) -> int:
@@ -544,7 +613,7 @@ class PermGroup:
         (a, b) fixes |C_G(a)| = |G|/|class(a)| elements when a ~ b and
         none otherwise.
         """
-        classes = self.conjugacy_classes()
+        classes = self._classified()
         fixed = sum(
             in_a * pb[c] * (self.order // classes[c].size)
             for c, in_a in pa.items()

@@ -4,7 +4,10 @@ Realizations: A_n permutes n+1 points; B_n/C_n are signed permutations
 of n coordinates encoded on 2n points (point i is +e_{i+1}, point n+i is
 -e_{i+1}); D_n is the even-sign subgroup on the same points; G_2 and F_4
 permute their 12 and 48 roots (F_4 roots doubled to keep coordinates
-integral).
+integral). Each group is closed from two generators, the Coxeter element
+and the simple reflection s_{r-2}, where they generate it (every
+supported type but D4 and F4), else from the simple reflections; the
+classes and every element index do not depend on that choice.
 
 Each group carries the data the branched-cover presets need: the
 reflection representation (located in the character table by its trace),
@@ -22,8 +25,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .chartable import CharacterTable, character_table
 from .errors import OutOfRegime, UnsupportedType
@@ -195,10 +199,30 @@ def _trace_on_cartan(letter: str, rank: int, roots):
 # -- construction ---------------------------------------------------------------
 
 
+def _coxeter_element(simple: list[Permutation]) -> Permutation:
+    """s_0 s_1 ... s_{r-1}, the product of the simple reflections."""
+    return reduce(operator.mul, simple)
+
+
+def _closure(simple: list[Permutation], order: int) -> PermGroup:
+    """W closed from {Coxeter element, s_{r-2}} when that pair generates it
+    (from the Coxeter element alone in rank 1), else from the simple
+    reflections.
+
+    Closure and classification cost one composition per element and
+    generator, so two generators beat r of them. The pair lies in W, so
+    it generates W exactly when its closure has order |W| = prod d_i; it
+    does for A1-A7, B2-B5 = C2-C5, D5 and G2, not for D4 or F4.
+    """
+    cox = _coxeter_element(simple)
+    G = PermGroup([cox] if len(simple) == 1 else [cox, simple[-2]])
+    return G if G.order == order else PermGroup(simple)
+
+
 @lru_cache(maxsize=None)
 def _signed_perm_group(rank: int) -> PermGroup:
     # shared by B and C of equal rank: identical generators, same group
-    return PermGroup(_signed_gens(rank))
+    return _closure(_signed_gens(rank), weyl_order("B", rank))
 
 
 def _supported(letter: str, rank: int) -> str:
@@ -213,27 +237,36 @@ def weyl_order(letter: str, rank: int) -> int:
     return math.prod(_INVARIANT_DEGREES[_supported(letter, rank)](rank))
 
 
+def _simple_reflections(letter: str, rank: int) -> tuple[list[Permutation], list | None]:
+    """The simple reflections of a supported type, with the sorted root
+    list they permute for G and F (None for A, B, C and D)."""
+    if letter == "A":
+        return [_transposition(rank + 1, i, i + 1) for i in range(rank)], None
+    if letter in ("B", "C"):
+        return _signed_gens(rank), None
+    if letter == "D":
+        return _even_signed_gens(rank), None
+    roots, simple_roots = _g2_roots() if letter == "G" else _f4_roots()
+    index_of = {v: i for i, v in enumerate(roots)}
+    return [_root_perm(roots, index_of, a) for a in simple_roots], roots
+
+
 @lru_cache(maxsize=None)
 def weyl_group(letter: str, rank: int) -> WeylGroup:
     """Construct a supported Weyl group with verified invariants."""
     letter = _supported(letter, rank)
-
-    roots = None
-    if letter == "A":
-        gens = [_transposition(rank + 1, i, i + 1) for i in range(rank)]
-        G = PermGroup(gens)
-    elif letter in ("B", "C"):
+    simple, roots = _simple_reflections(letter, rank)
+    if letter in ("B", "C"):
         G = _signed_perm_group(rank)
-        gens = G.generators
-    elif letter == "D":
-        gens = _even_signed_gens(rank)
-        G = PermGroup(gens)
     else:
-        roots, simple = _g2_roots() if letter == "G" else _f4_roots()
-        index_of = {v: i for i, v in enumerate(roots)}
-        gens = [_root_perm(roots, index_of, a) for a in simple]
-        G = PermGroup(gens)
+        G = _closure(simple, weyl_order(letter, rank))
+    return _weyl_data(letter, rank, G, simple, roots)
 
+
+def _weyl_data(letter: str, rank: int, G: PermGroup, simple: list[Permutation],
+               roots: list | None) -> WeylGroup:
+    """Check G, generated by any set, against the invariant degrees and
+    locate the preset metadata in it; ``simple`` gives the Coxeter element."""
     degrees = _INVARIANT_DEGREES[letter](rank)
     if G.order != math.prod(degrees):
         raise AssertionError("group order != product of the invariant degrees")
@@ -263,9 +296,7 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     if len(reflections) != sum(d - 1 for d in degrees):
         raise AssertionError("reflection count != sum of (degree - 1)")
 
-    cox = G.identity_index
-    for g in G.generator_indices:
-        cox = G.mul(cox, g)
+    cox = G.index_of(_coxeter_element(simple))
     if G.element_order(cox) != max(degrees):
         raise AssertionError("Coxeter order != largest invariant degree")
 

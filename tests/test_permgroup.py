@@ -398,3 +398,77 @@ def test_trivial_double_coset_is_index():
         cyclic = G.cyclic_subgroup_classes()
         for H in cyclic:
             assert G.double_coset_count(cyclic[0], H) == G.order // H.subgroup_order
+
+
+# -- the element store ------------------------------------------------------------
+
+
+_BOUNDARY_GROUPS = {
+    "S4": ["(0 1)", "(0 1 2 3)"],
+    "B3": ["(0 1)(3 4)", "(1 2)(4 5)", "(2 5)"],
+    "Q8": ["(0 1 2 3)(4 5 6 7)", "(0 4 2 6)(1 7 3 5)"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(_BOUNDARY_GROUPS))
+def test_byte_and_tuple_stores_agree(label):
+    """The same group at its own degree (bytes) and re-embedded at degree
+    300 (tuples) has the same class data and table, and its arithmetic
+    agrees under the element-index map."""
+    from prymdim.chartable import character_table
+
+    small = group_from_generators(parse_generators(_BOUNDARY_GROUPS[label]))
+    large = group_from_generators(parse_generators(_BOUNDARY_GROUPS[label], degree=300))
+    assert small.degree <= 256 < large.degree == 300
+    assert small.order == large.order
+    to_large = [large.index_of(p.extend(300)) for p in small.elements]
+    assert sorted(to_large) == list(range(large.order))
+    for x in range(small.order):
+        assert to_large[small.inv(x)] == large.inv(to_large[x])
+        assert small.element_order(x) == large.element_order(to_large[x])
+        for y in range(small.order):
+            assert to_large[small.mul(x, y)] == large.mul(to_large[x], to_large[y])
+    for a, b in zip(small.conjugacy_classes(), large.conjugacy_classes(), strict=True):
+        assert (a.size, a.element_order) == (b.size, b.element_order)
+        assert sorted(to_large[x] for x in a.members) == list(b.members)
+    assert [K.member_class_profile for K in small.cyclic_subgroup_classes()] == [
+        K.member_class_profile for K in large.cyclic_subgroup_classes()
+    ]
+    assert character_table(small) == character_table(large)
+
+
+@pytest.mark.parametrize("degree", [256, 257])
+def test_cycle_at_the_byte_boundary(degree):
+    """A full cycle of degree 256 (the largest byte store, with no padding)
+    and of degree 257 (the smallest tuple store) builds and classifies."""
+    G = group_from_generators(parse_generators([f"({' '.join(map(str, range(degree)))})"]))
+    assert type(G._images[0]) is (bytes if degree == 256 else tuple)
+    assert G.order == len(G.conjugacy_classes()) == degree
+    gen = G.generator_indices[0]
+    assert G.element_order(gen) == degree
+    assert G.mul(gen, G.inv(gen)) == G.identity_index
+    assert G.power(gen, degree - 1) == G.inv(gen)
+    assert G.is_rational_group() is False
+
+
+def test_elements_view(s4):
+    """G.elements is a read-only view: len, indexing and iteration build
+    Permutations whose images are tuples of ints, in element-index order."""
+    elems = s4.elements
+    assert len(elems) == s4.order == 24
+    assert all(type(p.images) is tuple and type(p.images[0]) is int for p in elems)
+    assert [s4.index_of(p) for p in elems] == list(range(24))
+    assert elems[5] == list(elems)[5] and elems[-1] == list(elems)[23]
+    assert elems[0] in elems and Permutation.identity(4) in s4
+
+
+def test_permutation_of_another_degree_is_not_an_element(s4):
+    for p in (Permutation.identity(3), Permutation.identity(5),
+              Permutation.from_cycles("(0 299)", degree=300)):
+        assert p not in s4
+        with pytest.raises(KeyError):
+            s4.index_of(p)
+    wide = group_from_generators(parse_generators(["(0 1)"], degree=300))
+    assert Permutation.from_cycles("(0 1)") not in wide
+    with pytest.raises(KeyError):
+        wide.index_of(Permutation.from_cycles("(0 1)"))

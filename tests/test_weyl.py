@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 
 from prymdim.chartable import character_table, fixed_dim
 from prymdim.errors import OutOfRegime, UnsupportedType
+from prymdim.permgroup import PermGroup
 from prymdim.rhprym import isotypic_dims_solve, validate
+from prymdim import weyl
 from prymdim.weyl import (
     expected_base_dim,
     hitchin_preset,
@@ -178,3 +181,20 @@ def test_weyl_orders_full_fleet_formulae():
             assert all(T.table[W.reflection_rep][c] == rank - 2 for c in refl_classes)
             members = sorted(x for c in refl_classes for x in G.conjugacy_classes()[c].members)
             assert tuple(members) == W.reflections
+
+
+@pytest.mark.parametrize("letter, rank", WEYL_FLEET, ids=lambda v: str(v))
+def test_short_generating_set_gives_the_simple_reflection_group(letter, rank):
+    """Classes and metadata do not depend on the generators: the group
+    weyl_group closes from {Coxeter element, s_(r-2)} (or from the simple
+    reflections, where that pair does not generate) equals the group of
+    the simple reflections class by class, and its metadata is the same."""
+    W = weyl_group(letter, rank)
+    simple, roots = weyl._simple_reflections(letter, rank)
+    assert len(W.group.generators) == (4 if W.label in ("D4", "F4") else min(rank, 2))
+    ref = PermGroup(simple)
+    assert ref.order == W.group.order
+    for a, b in zip(ref.conjugacy_classes(), W.group.conjugacy_classes(), strict=True):
+        assert a == b, W.label
+    assert dataclasses.replace(weyl._weyl_data(letter, rank, ref, simple, roots),
+                               group=W.group) == W
