@@ -15,7 +15,11 @@ element, s_(r-2)} where it generates W (all types here but F4), else
 the simple reflections. The object also records the git revision and
 the Python version.
 
-Usage: PYTHONPATH=src python3 scripts/stage_times.py > BENCH_stages.json
+Usage (write elsewhere first: redirecting into the tracked file would
+record the revision as dirty):
+
+    PYTHONPATH=src python3 scripts/stage_times.py > stages.json
+    mv stages.json BENCH_stages.json
 """
 
 import json
