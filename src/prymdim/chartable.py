@@ -12,6 +12,10 @@ the small square root of its residue and each value c mod p lifts to the
 symmetric residue in (-p/2, p/2). A non-rational group fails to split or
 fails orthogonality and raises LiftFailure.
 
+One GF(p) row reduction, ``_rref``, serves the whole split: it gives
+each eigenvalue's kernel and the reduced basis of each new eigenspace.
+The characteristic polynomials come from a Hessenberg reduction.
+
 A table is returned only after exact row and column orthogonality have
 been verified, so everything downstream inherits its correctness.
 """
@@ -156,61 +160,42 @@ def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
     return roots
 
 
-def _kernel_mod(A: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the null space of A over GF(p), as column vectors."""
-    n = len(A)
-    M = [row[:] for row in A]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if M[i][c] % p), None)
+def _rref(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
+    """Reduced row echelon form over GF(p): (pivot columns, nonzero rows).
+
+    Each returned row has a 1 in its pivot column and every other row a 0
+    there; rows are sorted by pivot column.
+    """
+    M = [[v % p for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(M[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
         inv = pow(M[r][c], p - 2, p)
-        M[r] = [v * inv % p for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] % p:
-                f = M[i][c]
-                M[i] = [(vi - f * vr) % p for vi, vr in zip(M[i], M[r])]
-        pivots.append((r, c))
-        r += 1
-    pivot_cols = {c for _, c in pivots}
+        Mr = M[r] = [v * inv % p for v in M[r]]
+        for i, Mi in enumerate(M):
+            f = Mi[c]
+            if f and i != r:
+                M[i] = [(a - f * b) % p for a, b in zip(Mi, Mr)]
+        pivots.append(c)
+    return pivots, M[: len(pivots)]
+
+
+def _kernel_mod(A: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the null space of A over GF(p), one vector per free column."""
+    n = len(A[0])
+    pivots, R = _rref(A, p)
     basis = []
-    for c in range(n):
-        if c in pivot_cols:
-            continue
+    for c in sorted(set(range(n)) - set(pivots)):
         v = [0] * n
         v[c] = 1
-        for rr, cc in pivots:
-            v[cc] = (-M[rr][c]) % p
+        for pc, row in zip(pivots, R):
+            v[pc] = -row[c] % p
         basis.append(v)
     return basis
-
-
-def _column_reduce(cols: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
-    """Reduce columns to a basis with unit pivot rows; returns (pivots, basis)."""
-    pivots: list[int] = []
-    basis: list[list[int]] = []
-    for col in cols:
-        v = col[:]
-        for pr, bv in zip(pivots, basis):
-            f = v[pr]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, bv)]
-        pr = next((i for i, a in enumerate(v) if a % p), None)
-        if pr is None:
-            continue
-        inv = pow(v[pr], p - 2, p)
-        v = [a * inv % p for a in v]
-        for i, bv in enumerate(basis):
-            f = bv[pr]
-            if f:
-                basis[i] = [(a - f * b) % p for a, b in zip(bv, v)]
-        pivots.append(pr)
-        basis.append(v)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [pivots[i] for i in order], [basis[i] for i in order]
 
 
 def _class_matrices(
@@ -258,7 +243,7 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
                 if not kbasis:
                     continue
                 newcols = [[sum(map(mul, c, col)) % p for col in cols] for c in kbasis]
-                piv2, bas2 = _column_reduce(newcols, p)
+                piv2, bas2 = _rref(newcols, p)
                 total += len(bas2)
                 nxt.append((piv2, bas2))
             if total != d:
@@ -292,7 +277,7 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
     if G.table is not None:
         return G.table
     if check_rationality and not G.is_rational_group():
-        raise NotRationalGroup("character table requires a rational-character group")
+        raise NotRationalGroup("character table needs rational characters")
     classes = G.conjugacy_classes()
     n = len(classes)
     if n > MAX_CLASSES:
@@ -457,10 +442,9 @@ def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> Fixed
     return result
 
 
-def table_tsv(G: PermGroup, table: CharacterTable | None = None) -> str:
+def table_tsv(G: PermGroup) -> str:
     """Character table as TSV: class representatives and sizes head the columns."""
-    if table is None:
-        table = character_table(G)
+    table = character_table(G)
     classes = G.conjugacy_classes()
     lines = [
         "class\t" + "\t".join(G.elements[c.representative].cycle_str() for c in classes),

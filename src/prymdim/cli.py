@@ -391,10 +391,6 @@ def _cmd_preset(args, out) -> int:
 
 def _cmd_chartable(args, out) -> int:
     G, echo = _resolve_group(args)
-    if not G.is_rational_group():
-        print("error: NotRationalGroup: character table needs rational characters",
-              file=sys.stderr)
-        return EXIT_DIAGNOSTIC
     if args.format == "tsv":
         out.write(chartable.table_tsv(G))
         return EXIT_OK

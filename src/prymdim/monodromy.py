@@ -90,20 +90,10 @@ def sample_tuple(
         handles = tuple(
             (rng.randrange(order), rng.randrange(order)) for _ in range(base_genus)
         )
-        acc = G.identity_index
-        for a, b in handles:
-            acc = G.mul(acc, G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b))))
-        branch: list[int] = []
-        ok = True
-        for _ in range(branch_count - 1):
-            if order == 1:
-                ok = False
-                break
-            g = rng.randrange(1, order)  # non-identity
-            branch.append(g)
-            acc = G.mul(acc, g)
-        if not ok:
-            break
+        if order == 1 and branch_count > 1:
+            break  # no non-identity element to draw
+        branch = [rng.randrange(1, order) for _ in range(branch_count - 1)]
+        acc = BranchTuple(G, base_genus, handles, tuple(branch)).relation_product()
         if branch_count:
             last = G.inv(acc)
             if last == G.identity_index:

@@ -238,7 +238,6 @@ class CosetAction:
     """
 
     group: "PermGroup"
-    subgroup: tuple[int, ...]
     cosets: tuple[int, ...]
     coset_of: tuple[int, ...]
 
@@ -389,12 +388,6 @@ class PermGroup:
 
     def inv(self, i: int) -> int:
         return self._inverse[i]
-
-    def power(self, x: int, k: int) -> int:
-        y = self.identity_index
-        for _ in range(k % self.element_order(x)):
-            y = self.mul(y, x)
-        return y
 
     def element_order(self, x: int) -> int:
         return self._classified()[self._class_of[x]].element_order
@@ -575,7 +568,6 @@ class PermGroup:
             return cached
         if not self.is_subgroup(H):
             raise NotASubgroup(f"{len(H)} elements do not form a subgroup")
-        hs = sorted(H)
         coset_of = [-1] * self.order
         reps: list[int] = []
         for x in range(self.order):
@@ -583,11 +575,9 @@ class PermGroup:
                 continue
             c = len(reps)
             reps.append(x)
-            for y in self.products(x, hs):
-                if coset_of[y] >= 0:
-                    raise NotASubgroup("coset overlap: element set is not closed")
+            for y in self.products(x, H):
                 coset_of[y] = c
-        act = CosetAction(self, tuple(hs), tuple(reps), tuple(coset_of))
+        act = CosetAction(self, tuple(reps), tuple(coset_of))
         self._coset_actions[H] = act
         return act
 

@@ -50,6 +50,10 @@ BRANCH_DATA_DIAGNOSTICS = (
     "NegativeDimension",
 )
 
+# sample_cover_specs draws base genera and per-class branch counts up to these.
+SAMPLE_MAX_GENUS = 5
+SAMPLE_MAX_COUNT = 10
+
 
 @dataclass(frozen=True)
 class RamificationSpec:
@@ -238,13 +242,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
     )
 
 
-def sample_cover_specs(
-    G: PermGroup,
-    count: int,
-    rng: random.Random,
-    max_count: int = 10,
-    max_genus: int = 5,
-) -> list[CoverSpec]:
+def sample_cover_specs(G: PermGroup, count: int, rng: random.Random) -> list[CoverSpec]:
     """Deterministically sample cover specs whose branch data is realizable.
 
     A spec is rejected only for a diagnostic in ``BRANCH_DATA_DIAGNOSTICS``,
@@ -257,12 +255,12 @@ def sample_cover_specs(
     nontrivial = range(1, len(cyclic))
     out: list[CoverSpec] = []
     while len(out) < count:
-        g = rng.randint(0, max_genus)
+        g = rng.randint(0, SAMPLE_MAX_GENUS)
         counts = {}
         for k in nontrivial:
             if rng.random() < 0.5:
                 continue
-            c = rng.randint(0, max_count)
+            c = rng.randint(0, SAMPLE_MAX_COUNT)
             if c:
                 counts[k] = c
         if rng.random() < 0.5:

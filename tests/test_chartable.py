@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -6,9 +7,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import prymdim
 from prymdim.chartable import (
+    _kernel_mod,
+    _rref,
     character_table,
     fixed_dim,
     fixed_dim_matrix,
@@ -212,6 +217,56 @@ def test_table_builds_only_the_class_matrices_it_uses(monkeypatch):
     monkeypatch.setattr(G, "mul", counting_mul)
     character_table(G)
     assert 0 < calls < G.order
+
+
+@st.composite
+def _matrices_mod_p(draw):
+    """(rows, p): up to 4x4 integers over GF(p), p in {2, 3, 5, 7}; entries
+    range past [0, p) so reduction of the input is exercised too."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.integers(-p, 2 * p)
+    return [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)], p
+
+
+def _row_space(rows, p):
+    """Every GF(p) combination of the rows, enumerated."""
+    n = len(rows[0])
+    return {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+        for coeffs in itertools.product(range(p), repeat=len(rows))
+    }
+
+
+@given(_matrices_mod_p())
+def test_rref_is_reduced(case):
+    rows, p = case
+    pivots, R = _rref(rows, p)
+    assert len(pivots) == len(R)
+    assert pivots == sorted(set(pivots))
+    for i, (c, row) in enumerate(zip(pivots, R)):
+        assert all(0 <= v < p for v in row)
+        assert row[c] == 1 and not any(row[:c])
+        assert all(R[k][c] == 0 for k in range(len(R)) if k != i)
+
+
+@given(_matrices_mod_p())
+def test_rref_spans_the_row_space(case):
+    rows, p = case
+    _, R = _rref(rows, p)
+    zero = [[0] * len(rows[0])]
+    assert _row_space(R or zero, p) == _row_space(rows, p)
+
+
+@given(_matrices_mod_p())
+def test_kernel_mod_is_the_null_space(case):
+    rows, p = case
+    n = len(rows[0])
+    kernel = _kernel_mod(rows, p)
+    assert len(kernel) == n - len(_rref(rows, p)[0])
+    assert not kernel or len(_rref(kernel, p)[0]) == len(kernel)  # independent
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
 
 
 def test_fixed_dim_examples(s3):

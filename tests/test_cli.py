@@ -479,10 +479,13 @@ def test_chartable_tsv(capsys):
     assert lines[-1] == "chi3\t2\t0\t-1"
 
 
-def test_chartable_irrational_group(capsys):
-    code, _, err = run(capsys, ["chartable", "--generators", "(0 1 2 3 4)"])
+@pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
+def test_chartable_irrational_group(capsys, fmt):
+    code, out, err = run(capsys, ["chartable", "--generators", "(0 1 2 3 4)",
+                                  "--format", fmt])
     assert code == 2
-    assert "NotRationalGroup" in err
+    assert out == ""
+    assert err == "error: NotRationalGroup: character table needs rational characters\n"
 
 
 def test_group_info(capsys):
