@@ -67,8 +67,8 @@ def _stages(W) -> dict[str, float]:
         t = {}
         t["closure"], G = _timed(lambda: PermGroup(gens))
         t["classes"], _ = _timed(G.conjugacy_classes)
-        t["table"], table = _timed(lambda: character_table(G))
-        t["fixed_dim_matrix"], _ = _timed(lambda: fixed_dim_matrix(G, table))
+        t["table"], _ = _timed(lambda: character_table(G))
+        t["fixed_dim_matrix"], _ = _timed(lambda: fixed_dim_matrix(G))
         t["double_coset_matrix"], _ = _timed(G.double_coset_matrix)
         t["oracle"], ver = _timed(lambda: verify_tuple(sample_tuple(G, 1, 2, random.Random(0))))
         if not ver.ok:

@@ -413,16 +413,16 @@ def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
     return val
 
 
-def fixed_dim_matrix(G: PermGroup, table: CharacterTable | None = None) -> FixedDimMatrix:
-    """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps.
+def fixed_dim_matrix(G: PermGroup) -> FixedDimMatrix:
+    """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps,
+    read off ``character_table(G)``.
 
     The matrix is inverted exactly here, once per group; a singular
     matrix would contradict the rational-character assumption.
     """
     if G.fixed_dims is not None:
         return G.fixed_dims
-    if table is None:
-        table = character_table(G)
+    table = character_table(G)
     cyclic = G.cyclic_subgroup_classes()
     for K in cyclic:
         _check_cyclic_profile(table, K)

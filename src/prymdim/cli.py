@@ -15,8 +15,9 @@ import json
 import random
 import sys
 import time
+from operator import mul
 
-from . import chartable, exactla, monodromy, rhprym, weyl
+from . import chartable, monodromy, rhprym, weyl
 from .errors import (
     CapExceeded,
     NotRationalGroup,
@@ -89,21 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _weyl_group(letter: str, rank: int, cap: int) -> weyl.WeylGroup:
-    """A supported Weyl group, refused before it is built when |W| > cap."""
-    if weyl.weyl_order(letter, rank) > cap:
-        raise CapExceeded(f"group order exceeds cap {cap}")
-    return weyl.weyl_group(letter, rank)
-
-
-def _resolve_group(args) -> tuple[PermGroup, dict]:
-    if args.weyl:
-        letter, rank = weyl.parse_weyl_label(args.weyl)
-        W = _weyl_group(letter, rank, args.cap)
-        return W.group, {"weyl": {"type": letter, "rank": rank}}
-    gens = parse_generators(args.generators)
-    G = group_from_generators(gens, cap=args.cap)
-    return G, {"generators": [g.cycle_str() for g in gens]}
+def _build_group(cap: int, label: str | None = None, generators=None,
+                 degree: int | None = None) -> tuple[PermGroup, dict]:
+    """The group of a Weyl label or of generator strings, with its input
+    echo. A Weyl group is refused before it is built when |W| > cap."""
+    if label is not None:
+        letter, rank = weyl.parse_weyl_label(label)
+        if weyl.weyl_order(letter, rank) > cap:
+            raise CapExceeded(f"group order exceeds cap {cap}")
+        W = weyl.weyl_group(letter, rank)
+        return W.group, {"weyl": {"type": W.letter, "rank": W.rank}}
+    perms = parse_generators(generators, degree=degree)
+    G = group_from_generators(perms, cap=cap)
+    return G, {"generators": [p.cycle_str() for p in perms]}
 
 
 def _is_int(x) -> bool:
@@ -125,9 +124,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         letter, rank = str(wdoc.get("type", "")), wdoc.get("rank")
         if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')
-        W = _weyl_group(*weyl.parse_weyl_label(f"{letter}{rank}"), cap)
-        G = W.group
-        echo_group: dict = {"weyl": {"type": W.letter, "rank": W.rank}}
+        G, echo_group = _build_group(cap, label=f"{letter}{rank}")
     elif "generators" in gdoc:
         texts = gdoc["generators"]
         if not isinstance(texts, list):
@@ -143,9 +140,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
                 gens.append(" ".join(str(x) for x in t))
             else:
                 raise ParseError(f"bad generator entry {t!r}")
-        perms = parse_generators(gens, degree=degree)
-        G = group_from_generators(perms, cap=cap)
-        echo_group = {"generators": [p.cycle_str() for p in perms]}
+        G, echo_group = _build_group(cap, generators=gens, degree=degree)
     else:
         raise ParseError('group object needs "weyl" or "generators"')
 
@@ -192,18 +187,21 @@ def _group_block(G: PermGroup) -> dict:
     }
 
 
+def _class_rows(G: PermGroup) -> list[dict]:
+    return [
+        {
+            "representative": G.elements[c.representative].cycle_str(),
+            "size": c.size,
+            "element_order": c.element_order,
+        }
+        for c in G.conjugacy_classes()
+    ]
+
+
 def _table_block(G: PermGroup) -> dict:
     table = chartable.character_table(G)
-    classes = G.conjugacy_classes()
     return {
-        "classes": [
-            {
-                "representative": G.elements[c.representative].cycle_str(),
-                "size": c.size,
-                "element_order": c.element_order,
-            }
-            for c in classes
-        ],
+        "classes": _class_rows(G),
         "rows": [
             {"label": f"chi{j + 1}", "degree": table.degrees[j], "values": list(row)}
             for j, row in enumerate(table.table)
@@ -390,7 +388,7 @@ def _cmd_preset(args, out) -> int:
 
 
 def _cmd_chartable(args, out) -> int:
-    G, echo = _resolve_group(args)
+    G, echo = _build_group(args.cap, args.weyl, args.generators)
     if args.format == "tsv":
         out.write(chartable.table_tsv(G))
         return EXIT_OK
@@ -406,21 +404,12 @@ def _cmd_chartable(args, out) -> int:
 
 
 def _cmd_group_info(args, out) -> int:
-    G, echo = _resolve_group(args)
-    classes = G.conjugacy_classes()
+    G, echo = _build_group(args.cap, args.weyl, args.generators)
     doc = {
         "input": echo,
         "group": _group_block(G),
         "rational_characters": G.is_rational_group(),
-        "classes": [
-            {
-                "label": f"C{i + 1}",
-                "representative": G.elements[c.representative].cycle_str(),
-                "size": c.size,
-                "element_order": c.element_order,
-            }
-            for i, c in enumerate(classes)
-        ],
+        "classes": [{"label": f"C{i + 1}", **row} for i, row in enumerate(_class_rows(G))],
     }
     if doc["rational_characters"]:
         doc["cyclic_classes"] = _cyclic_block(G)
@@ -430,7 +419,7 @@ def _cmd_group_info(args, out) -> int:
             f"order: {G.order}",
             f"degree: {G.degree}",
             f"rational characters: {doc['rational_characters']}",
-            f"conjugacy classes ({len(classes)}):",
+            f"conjugacy classes ({len(doc['classes'])}):",
         ]
         for c in doc["classes"]:
             lines.append(
@@ -458,7 +447,7 @@ def _cmd_group_info(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    G, echo = _resolve_group(args)
+    G, echo = _build_group(args.cap, args.weyl, args.generators)
     checks: list[tuple[str, bool, str]] = []
 
     if not G.is_rational_group():
@@ -549,14 +538,17 @@ def _triangular_change_of_basis_ok(table, fdm) -> bool:
     """The fixed-dim rows, written in the basis of character-table rows
     (one per class), must form a lower-triangular matrix with nonzero
     diagonal; cyclic class c is generated by the representative of
-    conjugacy class c, so row and column indices match directly."""
-    n = table.n
-    # numerators of the l with sum_c l[c] * chi_j(class c) = fixed_dim_row_i[j],
-    # over one nonzero denominator: only their zero pattern matters
-    inv = exactla.inverse(table.table)
-    for i in range(n):
-        coeffs, _ = exactla.solve(inv, fdm.entries[i])
-        for c, coef in enumerate(coeffs):
+    conjugacy class c, so row and column indices match directly.
+
+    The coefficients l with sum_c l[c] * chi_j(class c) = row_i[j] are,
+    by column orthogonality (verified when the table was built),
+    l[c] = |C_c| / |G| * sum_j chi_j(class c) * row_i[j]; the sum has
+    the zero pattern of l[c].
+    """
+    columns = list(zip(*table.table))
+    for i, row in enumerate(fdm.entries):
+        for c in range(i, table.n):
+            coef = sum(map(mul, columns[c], row))
             if c > i and coef != 0:
                 return False
             if c == i and coef == 0:
@@ -595,6 +587,13 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ValueError as exc:
+        # Python converts an integer to or from decimal only up to
+        # sys.get_int_max_str_digits() digits; any other ValueError is a fault
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: integer too long: {str(exc).split(';')[0]}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

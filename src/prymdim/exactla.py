@@ -1,9 +1,9 @@
 """Exact integer linear algebra.
 
-Every matrix the package inverts (the fixed-dim matrix, and in verify
-the character table) has integer entries, and every right-hand side is
-an integer vector. One fraction-free Bareiss forward pass (Bareiss, Math.
-Comp. 22, 1968) serves both the determinant and the inverse: by
+The one matrix the package inverts, the fixed-dim matrix, has integer
+entries, and every right-hand side is an integer vector. One
+fraction-free Bareiss forward pass (Bareiss, Math. Comp. 22, 1968)
+serves both the determinant and the inverse: by
 Sylvester's identity each division in it is exact, so every intermediate
 entry is an integer. A matrix is inverted once, into its adjugate and
 determinant (A adj(A) = det(A) I), and each solve is then one integer
@@ -108,17 +108,13 @@ def inverse(rows: Sequence[Sequence[int]]) -> Inverse:
     return Inverse(rows=a, adjugate=adjugate, det=det)
 
 
-def solve(
-    a: Inverse | Sequence[Sequence[int]], b: Sequence[int]
-) -> tuple[list[int], int]:
-    """Solve A x = b for square nonsingular integer A and integer b.
+def solve(inv: Inverse, b: Sequence[int]) -> tuple[list[int], int]:
+    """Solve A x = b for the matrix A of an Inverse and an integer vector b.
 
-    A is given as an Inverse, or as plain rows that are inverted first.
     Returns (y, d) with x = y / d, y = adj(A) b and d = det(A) != 0.
     The answer is checked by A y == d b before it is returned; failure
     there would indicate a bug, not bad input.
     """
-    inv = a if isinstance(a, Inverse) else inverse(a)
     if len(b) != len(inv.rows):
         raise ValueError("right-hand side length mismatch")
     d = inv.det

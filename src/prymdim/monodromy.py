@@ -18,6 +18,9 @@ from .errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
 from .permgroup import PermGroup
 from .rhprym import CoverSpec, RamificationSpec, genus_quotient
 
+# rejection draws per sample_tuple call before it raises SamplingExhausted
+SAMPLE_ATTEMPTS = 500
+
 
 @dataclass(frozen=True)
 class BranchTuple:
@@ -73,20 +76,16 @@ class BranchTuple:
 
 
 def sample_tuple(
-    G: PermGroup,
-    base_genus: int,
-    branch_count: int,
-    rng: random.Random,
-    attempts: int = 500,
+    G: PermGroup, base_genus: int, branch_count: int, rng: random.Random
 ) -> BranchTuple:
-    """Rejection-sample a valid branch tuple.
+    """Rejection-sample a valid branch tuple in at most SAMPLE_ATTEMPTS draws.
 
     Handles and all but the last branch element are uniform; the last
     branch element is forced by the relation and the draw is rejected if
     it is the identity or the tuple fails to generate the group.
     """
     order = G.order
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         handles = tuple(
             (rng.randrange(order), rng.randrange(order)) for _ in range(base_genus)
         )
@@ -105,7 +104,7 @@ def sample_tuple(
         if t.is_valid():
             return t
     raise SamplingExhausted(
-        f"no valid tuple for g={base_genus}, b={branch_count} in {attempts} attempts"
+        f"no valid tuple for g={base_genus}, b={branch_count} in {SAMPLE_ATTEMPTS} attempts"
     )
 
 

@@ -188,9 +188,12 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
 
 
 def parse_generators(texts: Sequence[str], degree: int | None = None) -> list[Permutation]:
-    """Parse generator strings and lift them all to one common degree."""
+    """Parse generator strings and lift them all to one common degree; with
+    no strings, a declared degree gives the identity on that many points."""
     _check_degree(degree, "the generators")
     raw = [parse_permutation(t) for t in texts]
+    if not raw and degree is not None:
+        return [Permutation.identity(degree)]
     n = max([degree or 1] + [p.degree() for p in raw])
     return [p.extend(n) for p in raw]
 
@@ -317,15 +320,10 @@ class PermGroup:
     after construction.
     """
 
-    def __init__(
-        self,
-        generators: Sequence[Permutation],
-        degree: int | None = None,
-        cap: int = DEFAULT_CAP,
-    ):
+    def __init__(self, generators: Sequence[Permutation], cap: int = DEFAULT_CAP):
+        """The degree is that of the generators, or 1 when there are none."""
         gens = list(generators)
-        if degree is None:
-            degree = gens[0].degree() if gens else 1
+        degree = gens[0].degree() if gens else 1
         if degree < 1:
             raise ValueError("degree must be positive")
         if cap < 1:
@@ -642,10 +640,6 @@ class PermGroup:
         return self._burnside_count(*self._profile(a), *self._profile(b))
 
 
-def group_from_generators(
-    gens: Sequence[Permutation],
-    cap: int = DEFAULT_CAP,
-    degree: int | None = None,
-) -> PermGroup:
+def group_from_generators(gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
     """Breadth-first closure of the generators into a PermGroup."""
-    return PermGroup(gens, degree=degree, cap=cap)
+    return PermGroup(gens, cap=cap)

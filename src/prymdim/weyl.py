@@ -204,7 +204,8 @@ def _coxeter_element(simple: list[Permutation]) -> Permutation:
     return reduce(operator.mul, simple)
 
 
-def _closure(simple: list[Permutation], order: int) -> PermGroup:
+@lru_cache(maxsize=None)
+def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
     """W closed from {Coxeter element, s_{r-2}} when that pair generates it
     (from the Coxeter element alone in rank 1), else from the simple
     reflections.
@@ -213,16 +214,13 @@ def _closure(simple: list[Permutation], order: int) -> PermGroup:
     generator, so two generators beat r of them. The pair lies in W, so
     it generates W exactly when its closure has order |W| = prod d_i; it
     does for A1-A7, B2-B5 = C2-C5, D5 and G2, not for D4 or F4.
+
+    Cached on the simple reflections, so B_n and C_n, which have the same
+    ones, share one group.
     """
     cox = _coxeter_element(simple)
     G = PermGroup([cox] if len(simple) == 1 else [cox, simple[-2]])
     return G if G.order == order else PermGroup(simple)
-
-
-@lru_cache(maxsize=None)
-def _signed_perm_group(rank: int) -> PermGroup:
-    # shared by B and C of equal rank: identical generators, same group
-    return _closure(_signed_gens(rank), weyl_order("B", rank))
 
 
 def _supported(letter: str, rank: int) -> str:
@@ -256,10 +254,7 @@ def weyl_group(letter: str, rank: int) -> WeylGroup:
     """Construct a supported Weyl group with verified invariants."""
     letter = _supported(letter, rank)
     simple, roots = _simple_reflections(letter, rank)
-    if letter in ("B", "C"):
-        G = _signed_perm_group(rank)
-    else:
-        G = _closure(simple, weyl_order(letter, rank))
+    G = _closure(tuple(simple), weyl_order(letter, rank))
     return _weyl_data(letter, rank, G, simple, roots)
 
 

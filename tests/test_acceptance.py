@@ -5,12 +5,14 @@ Character tables and double-coset tables are cached per group, so later
 criteria reuse what earlier ones built.
 """
 
+import dataclasses
 import random
 import time
 
 import pytest
 
 from prymdim.chartable import character_table, fixed_dim_matrix
+from prymdim.cli import _triangular_change_of_basis_ok
 from prymdim.errors import SamplingExhausted
 from prymdim.exactla import determinant, inverse, solve
 from prymdim.monodromy import sample_tuple, verify_tuple
@@ -149,21 +151,45 @@ def test_criterion_7_orthogonality_and_triangularity():
         fdm = fixed_dim_matrix(G)
         assert determinant(fdm.entries) != 0
         assert fdm.inverse.det == determinant(fdm.entries)
-
-        # change of basis against the character rows is lower triangular;
-        # the numerators over one nonzero d have the same zero pattern
-        cyclic = G.cyclic_subgroup_classes()
-        pos_of_class = {G.class_of(K.generator): k for k, K in enumerate(cyclic)}
-        table_inverse = inverse(T.table)
-        for i in range(n):
-            coeffs, _ = solve(table_inverse, fdm.entries[i])
-            for c, coef in enumerate(coeffs):
-                k = pos_of_class[c]
-                if k > i:
-                    assert coef == 0, (letter, rank, i, c)
-                if k == i:
-                    assert coef != 0, (letter, rank, i)
+        assert _triangularity_failure(G, T, fdm.entries) is None, (letter, rank)
     _report(7, "orthogonality + invertible triangular structure", started)
+
+
+def _triangularity_failure(G, T, rows):
+    """Reference check, by the table's exact inverse: the first (row, class)
+    at which the rows, written in the basis of character-table rows, are
+    not lower triangular with nonzero diagonal, or None."""
+    cyclic = G.cyclic_subgroup_classes()
+    pos_of_class = {G.class_of(K.generator): k for k, K in enumerate(cyclic)}
+    table_inverse = inverse(T.table)
+    for i, row in enumerate(rows):
+        # numerators over one nonzero d: the zero pattern of the coefficients
+        coeffs, _ = solve(table_inverse, row)
+        for c, coef in enumerate(coeffs):
+            k = pos_of_class[c]
+            if (k > i and coef != 0) or (k == i and coef == 0):
+                return i, c
+    return None
+
+
+def test_verify_triangularity_matches_inverse_reference():
+    """verify reads triangularity off column orthogonality; it agrees with
+    the exact-inverse reference on every Weyl group, S6, D8 and Z2^3, and
+    both reject the fixed-dim matrix with its first two rows swapped."""
+    groups = [weyl_group(letter, rank).group for letter, rank in WEYL_FLEET] + [
+        group_from_generators(parse_generators(gens))
+        for gens in (["(0 1)", "(0 1 2 3 4 5)"], ["(0 1 2 3)", "(0 2)"],
+                     ["(0 1)", "(2 3)", "(4 5)"])
+    ]
+    for G in groups:
+        T, fdm = character_table(G), fixed_dim_matrix(G)
+        assert _triangular_change_of_basis_ok(T, fdm) is True
+        assert _triangularity_failure(G, T, fdm.entries) is None
+        rows = list(fdm.entries)
+        rows[0], rows[1] = rows[1], rows[0]
+        swapped = dataclasses.replace(fdm, entries=tuple(rows))
+        assert _triangular_change_of_basis_ok(T, swapped) is False
+        assert _triangularity_failure(G, T, swapped.entries) is not None
 
 
 def test_criterion_8_monodromy_oracle():

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prymdim import rhprym, weyl
-from prymdim.cli import main
+from prymdim.cli import FORMATS, main
 from prymdim.permgroup import MAX_DEGREE, Permutation
 
 
@@ -210,6 +211,57 @@ def test_dims_accepts_degree_at_limit(capsys, tmp_path):
     code, out, _ = run(capsys, ["dims", str(f), "--format", "json"])
     assert code == 0
     assert json.loads(out)["group"]["degree"] == MAX_DEGREE
+
+
+def test_dims_declared_degree_without_generators(capsys, tmp_path):
+    f = tmp_path / "trivial.json"
+    f.write_text(json.dumps({"group": {"generators": [], "degree": 5}, "base_genus": 0}))
+    code, out, _ = run(capsys, ["dims", str(f), "--format", "json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["group"]["degree"], doc["group"]["order"]) == (5, 1)
+
+
+# -- integers past Python's limit on decimal conversion ---------------------------
+
+_DIGIT_LIMIT = sys.get_int_max_str_digits()
+
+
+def _long_spec(tmp_path, group, digits):
+    """A spec file whose base genus is written with ``digits`` ones."""
+    f = tmp_path / "long.json"
+    f.write_text('{"group": %s, "base_genus": %s}' % (json.dumps(group), "1" * digits))
+    return str(f)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # json.load cannot read the base genus
+        lambda tmp: ["dims", _long_spec(tmp, {"generators": ["(0 1)"]}, _DIGIT_LIMIT + 100)],
+        # the base genus reads, but the report's genera and dimensions do not print
+        lambda tmp: ["dims", _long_spec(tmp, {"weyl": {"type": "A", "rank": 4}},
+                                        _DIGIT_LIMIT - 1)],
+        lambda tmp: ["preset", "hitchin", "A", "4", "--genus", "1" * (_DIGIT_LIMIT - 1)],
+    ],
+    ids=["dims_read", "dims_report", "preset_report"],
+)
+def test_integer_past_digit_limit_is_input_error(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, argv(tmp_path) + ["--format", fmt])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
+def test_other_value_error_is_not_an_input_error(capsys, monkeypatch, s3_file):
+    def fail(spec):
+        raise ValueError("not a digit limit")
+
+    monkeypatch.setattr(rhprym, "validate", fail)
+    with pytest.raises(ValueError, match="not a digit limit"):
+        main(["dims", s3_file])
 
 
 # -- fuzz: random spec documents over small groups -------------------------------
@@ -420,6 +472,13 @@ def test_preset_unsupported(capsys):
     code, _, err = run(capsys, ["preset", "toda", "E", "6"])
     assert code == 2
     assert "UnsupportedType" in err
+
+
+def test_empty_weyl_label_is_unsupported(capsys):
+    code, out, err = run(capsys, ["group-info", "--weyl", ""])
+    assert code == 2
+    assert out == ""
+    assert err == "error: UnsupportedType: bad Weyl label ''\n"
 
 
 @pytest.mark.parametrize(

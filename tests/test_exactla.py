@@ -41,7 +41,7 @@ def test_determinant_rejects_non_square():
     with pytest.raises(NotSquare):
         determinant([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(NotSquare):
-        solve([[1, 2, 3], [4, 5, 6]], [1, 1])
+        solve(inverse([[1, 2, 3], [4, 5, 6]]), [1, 1])
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
@@ -55,20 +55,18 @@ def test_determinant_matches_cofactor_oracle(rows):
 
 
 def test_solve_examples():
-    y, d = solve(IDENTITY_3, [3, 4, 5])
+    y, d = solve(inverse(IDENTITY_3), [3, 4, 5])
     assert d == 1 and y == [3, 4, 5]
     # classical double cover bookkeeping: rows (total space, quotient)
     g_x, g = 7, 3
-    y, d = solve([[1, 1], [1, 0]], [g_x, g])
+    y, d = solve(inverse([[1, 1], [1, 0]]), [g_x, g])
     assert abs(d) == 1 and y == [d * g, d * (g_x - g)]
-    y, d = solve([[1, 1, 2], [1, 0, 1], [1, 1, 0]], [3, 2, 1])
+    y, d = solve(inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]]), [3, 2, 1])
     assert abs(d) == 2 and y == [d * v for v in (1, 0, 1)]
 
 
 def test_solve_singular():
     for rows, b in (([[1, 2], [2, 4]], [1, 1]), ([[0, 0], [0, 0]], [0, 0])):
-        with pytest.raises(Singular):
-            solve(rows, b)
         with pytest.raises(Singular):
             solve(inverse(rows), b)
 
@@ -76,11 +74,10 @@ def test_solve_singular():
 def test_solve_fractions():
     """An integer system whose solution is not integral."""
     A, b = [[1, 2], [3, 4]], [1, 0]
-    for a in (A, inverse(A)):
-        y, d = solve(a, b)
-        assert abs(d) == abs(determinant(A)) == 2
-        assert mat_vec(A, y) == [d * v for v in b]
-        assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
+    y, d = solve(inverse(A), b)
+    assert abs(d) == abs(determinant(A)) == 2
+    assert mat_vec(A, y) == [d * v for v in b]
+    assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
 
 
 @given(
@@ -97,21 +94,18 @@ def test_solve_roundtrip(data):
     det = cofactor_det(rows)
     if det == 0:
         with pytest.raises(Singular):
-            solve(rows, b)
-        with pytest.raises(Singular):
             inverse(rows)
         return
-    for a in (rows, inverse(rows)):
-        y, d = solve(a, b)
-        assert abs(d) == abs(det)
-        assert y == [d * v for v in x]
+    y, d = solve(inverse(rows), b)
+    assert abs(d) == abs(det)
+    assert y == [d * v for v in x]
 
 
 def test_zero_determinant_iff_singular():
     for rows in ([[2, 3], [4, 6]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[5]]):
         is_zero = determinant(rows) == 0
         try:
-            solve(rows, [1] * len(rows))
+            solve(inverse(rows), [1] * len(rows))
             solved = True
         except Singular:
             solved = False

@@ -5,6 +5,7 @@ import pytest
 
 from prymdim.errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
 from prymdim.monodromy import (
+    SAMPLE_ATTEMPTS,
     BranchTuple,
     oracle_genus,
     sample_tuple,
@@ -23,12 +24,9 @@ def test_sample_z2_forced(z2):
 
 
 def test_sample_exhaustion(z2, trivial, s3):
-    with pytest.raises(SamplingExhausted):
-        sample_tuple(z2, 0, 1, random.Random(0), attempts=40)
-    with pytest.raises(SamplingExhausted):
-        sample_tuple(trivial, 0, 2, random.Random(0), attempts=40)
-    with pytest.raises(SamplingExhausted):
-        sample_tuple(s3, 0, 1, random.Random(0), attempts=40)
+    for G, b in ((z2, 1), (trivial, 2), (s3, 1)):
+        with pytest.raises(SamplingExhausted, match=f"in {SAMPLE_ATTEMPTS} attempts"):
+            sample_tuple(G, 0, b, random.Random(0))
 
 
 def test_trivial_group_empty_tuple(trivial):
@@ -101,7 +99,7 @@ def test_unbranched_tuple(z2, s3):
     assert spec_from_tuple(t).ramification.counts == {}
     assert verify_tuple(t).ok
     with pytest.raises(SamplingExhausted):
-        sample_tuple(s3, 1, 0, random.Random(4), attempts=60)
+        sample_tuple(s3, 1, 0, random.Random(4))
 
 
 def test_tuple_json_roundtrip(s4):

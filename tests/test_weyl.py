@@ -78,6 +78,7 @@ def test_long_short_labels():
     c2 = weyl_group("C", 2)
     assert b2.long_reflection_class != b2.short_reflection_class
     # same abstract group, swapped root-length labels
+    assert all(weyl_group("B", r).group is weyl_group("C", r).group for r in range(2, 6))
     assert b2.long_reflection_class == c2.short_reflection_class
     assert b2.short_reflection_class == c2.long_reflection_class
     a3 = weyl_group("A", 3)
