@@ -9,7 +9,6 @@ intermediate quotient genera, and a combinatorial monodromy oracle.
 
 from .chartable import (
     CharacterTable,
-    FixedDimMatrix,
     character_table,
     fixed_dim,
     fixed_dim_matrix,

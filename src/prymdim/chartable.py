@@ -16,8 +16,11 @@ One GF(p) row reduction, ``_rref``, serves the whole split: it gives
 each eigenvalue's kernel and the reduced basis of each new eigenspace.
 The characteristic polynomials come from a Hessenberg reduction.
 
-A table is returned only after exact row and column orthogonality have
-been verified, so everything downstream inherits its correctness.
+A table is returned only after exact row orthogonality has been
+verified; for a square table that implies column orthogonality, so
+everything downstream inherits its correctness. Row 0 is always the
+trivial character. ``fixed_dim_matrix`` returns the invariant-dimension
+matrix as the ``exactla.Inverse`` that ``exactla.solve`` takes.
 """
 
 from __future__ import annotations
@@ -44,39 +47,19 @@ MAX_CLASSES = 40
 class CharacterTable:
     """Integer-valued irreducible characters, rows = irreps, columns = classes.
 
-    Rows are ordered trivial character first, then by degree ascending
-    with a deterministic tie-break; columns follow the group's conjugacy
-    class order (identity first).
+    Rows are ordered trivial character first (row 0), then by degree
+    ascending with a deterministic tie-break; columns follow the group's
+    conjugacy class order (identity first).
     """
 
     class_sizes: tuple[int, ...]
     class_orders: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
-    trivial_index: int
 
     @property
     def n(self) -> int:
         return len(self.table)
-
-    def value(self, irrep: int, class_index: int) -> int:
-        return self.table[irrep][class_index]
-
-
-@dataclass(frozen=True)
-class FixedDimMatrix:
-    """entries[i][j] = dimension of the H_i-invariant subspace of irrep j.
-
-    inverse holds the adjugate and determinant of entries, computed once
-    per group so that each spec's solve is one matrix-vector product.
-    """
-
-    entries: tuple[tuple[int, ...], ...]
-    inverse: exactla.Inverse
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
 
 
 # -- GF(p) helpers ------------------------------------------------------------
@@ -320,27 +303,26 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
         class_orders=tuple(cl.element_order for cl in classes),
         table=table,
         degrees=degrees,
-        trivial_index=0,
     )
     G.table = result
     return result
 
 
 def _verify_orthogonality(order: int, sizes: Sequence[int], table) -> None:
+    """Raise LiftFailure unless sum_i |C_i| chi_j(C_i) chi_j2(C_i) = |G| [j = j2].
+
+    With T the square table and D = diag(|C_i|), the rows say
+    T D T^t = |G| I, so T is invertible with T^-1 = D T^t / |G| and
+    T^t T = |G| D^-1: column orthogonality follows, and its identity-class
+    entry is sum_j deg_j^2 = |G| (Serre, Linear Representations of Finite
+    Groups, 2.5).
+    """
     n = len(table)
-    if sum(d * d for d in (row[0] for row in table)) != order:
-        raise LiftFailure("sum of squared degrees does not equal the group order")
     for j in range(n):
         for j2 in range(j, n):
             s = sum(sizes[i] * table[j][i] * table[j2][i] for i in range(n))
             if s != (order if j == j2 else 0):
                 raise LiftFailure("row orthogonality failed")
-    for i in range(n):
-        for i2 in range(i, n):
-            s = sum(table[j][i] * table[j][i2] for j in range(n))
-            want = order // sizes[i] if i == i2 else 0
-            if s != want:
-                raise LiftFailure("column orthogonality failed")
 
 
 def _totient(n: int) -> int:
@@ -401,7 +383,7 @@ def fixed_dim(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
 def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
     """fixed_dim for a profile that _check_cyclic_profile has accepted."""
     total = sum(
-        count * table.value(irrep, ci) for ci, count in K.member_class_profile.items()
+        count * table.table[irrep][ci] for ci, count in K.member_class_profile.items()
     )
     if total % K.subgroup_order:
         raise NonIntegerFixedDim(
@@ -413,12 +395,14 @@ def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
     return val
 
 
-def fixed_dim_matrix(G: PermGroup) -> FixedDimMatrix:
+def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
     """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps,
-    read off ``character_table(G)``.
+    read off ``character_table(G)``: ``rows[i][j]`` = dim of the
+    H_i-invariant subspace of irrep j.
 
-    The matrix is inverted exactly here, once per group; a singular
-    matrix would contradict the rational-character assumption.
+    The matrix is inverted exactly here, once per group, so each spec's
+    ``exactla.solve`` is one matrix-vector product; a singular matrix
+    would contradict the rational-character assumption.
     """
     if G.fixed_dims is not None:
         return G.fixed_dims
@@ -426,18 +410,17 @@ def fixed_dim_matrix(G: PermGroup) -> FixedDimMatrix:
     cyclic = G.cyclic_subgroup_classes()
     for K in cyclic:
         _check_cyclic_profile(table, K)
-    entries = tuple(
+    rows = tuple(
         tuple(_average_over(table, j, K) for j in range(table.n)) for K in cyclic
     )
-    if entries[0] != table.degrees:
+    if rows[0] != table.degrees:
         raise AssertionError("trivial subgroup must fix every irrep")
-    if any(row[table.trivial_index] != 1 for row in entries):
+    if any(row[0] != 1 for row in rows):
         raise AssertionError("trivial irrep must have a one-dimensional fixed space")
     try:
-        inverse = exactla.inverse(entries)
+        result = exactla.inverse(rows)
     except Singular:
         raise Singular("fixed-subspace dimension matrix is singular") from None
-    result = FixedDimMatrix(entries=entries, inverse=inverse)
     G.fixed_dims = result
     return result
 

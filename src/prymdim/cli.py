@@ -121,9 +121,11 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         wdoc = gdoc["weyl"]
         if not isinstance(wdoc, dict):
             raise ParseError('"weyl" must be an object with "type" and "rank"')
-        letter, rank = str(wdoc.get("type", "")), wdoc.get("rank")
+        letter, rank = wdoc.get("type"), wdoc.get("rank")
         if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')
+        if not isinstance(letter, str):
+            raise ParseError('weyl group needs a string "type"')
         G, echo_group = _build_group(cap, label=f"{letter}{rank}")
     elif "generators" in gdoc:
         texts = gdoc["generators"]
@@ -136,7 +138,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         for t in texts:
             if isinstance(t, str):
                 gens.append(t)
-            elif isinstance(t, list):
+            elif isinstance(t, list) and all(map(_is_int, t)):
                 gens.append(" ".join(str(x) for x in t))
             else:
                 raise ParseError(f"bad generator entry {t!r}")
@@ -234,7 +236,7 @@ def _dims_report(spec: rhprym.CoverSpec, echo: dict) -> dict:
         "input": echo,
         "group": _group_block(G),
         "character_table": _table_block(G),
-        "fixed_dim_matrix": [list(r) for r in fdm.entries],
+        "fixed_dim_matrix": [list(r) for r in fdm.rows],
         "genera": {"total": report.g_total, "quotients": genera},
         "dimensions": None
         if dims is None
@@ -480,14 +482,14 @@ def _cmd_verify(args, out) -> int:
     table = chartable.character_table(G)
     checks.append(("orthogonality", True, "verified during table construction"))
     fdm = chartable.fixed_dim_matrix(G)
-    det = fdm.inverse.det
+    det = fdm.det
     tri_ok = _triangular_change_of_basis_ok(table, fdm)
     checks.append(("fixed_dim_invertible", det != 0, f"determinant {det}"))
     checks.append(("fixed_dim_triangular", tri_ok, "lower-triangular in the character basis"))
 
     dcm = G.double_coset_matrix()
     dc_ok = all(
-        sum(fdm.entries[i][j] * fdm.entries[k][j] for j in range(table.n)) == dcm[k][i]
+        sum(fdm.rows[i][j] * fdm.rows[k][j] for j in range(table.n)) == dcm[k][i]
         for i in range(len(cyclic))
         for k in range(len(cyclic))
     )
@@ -541,12 +543,12 @@ def _triangular_change_of_basis_ok(table, fdm) -> bool:
     conjugacy class c, so row and column indices match directly.
 
     The coefficients l with sum_c l[c] * chi_j(class c) = row_i[j] are,
-    by column orthogonality (verified when the table was built),
-    l[c] = |C_c| / |G| * sum_j chi_j(class c) * row_i[j]; the sum has
-    the zero pattern of l[c].
+    by column orthogonality, l[c] = |C_c| / |G| * sum_j chi_j(class c) *
+    row_i[j]; the sum has the zero pattern of l[c]. Column orthogonality
+    follows from the row orthogonality checked when the table is built.
     """
     columns = list(zip(*table.table))
-    for i, row in enumerate(fdm.entries):
+    for i, row in enumerate(fdm.rows):
         for c in range(i, table.n):
             coef = sum(map(mul, columns[c], row))
             if c > i and coef != 0:

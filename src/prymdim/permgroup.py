@@ -47,7 +47,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
-    from .chartable import CharacterTable, FixedDimMatrix
+    from .chartable import CharacterTable
+    from .exactla import Inverse
 
 DEFAULT_CAP = 200_000
 # largest permutation degree the parsers accept; the Weyl fleet needs 48
@@ -369,7 +370,7 @@ class PermGroup:
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
         # filled by chartable.character_table and chartable.fixed_dim_matrix
         self.table: CharacterTable | None = None
-        self.fixed_dims: FixedDimMatrix | None = None
+        self.fixed_dims: Inverse | None = None
 
     # -- element arithmetic -------------------------------------------------
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exactla
-from .chartable import FixedDimMatrix, character_table, fixed_dim_matrix
+from .chartable import character_table, fixed_dim_matrix
 from .errors import (
     NegativeGenus,
     NonIntegerDimension,
@@ -62,10 +62,12 @@ class RamificationSpec:
     counts: Mapping[int, int]
 
     def __post_init__(self):
-        clean = {int(k): int(v) for k, v in self.counts.items() if int(v) != 0}
-        if any(v < 0 for v in clean.values()):
-            raise ValueError("branch-point counts must be nonnegative")
-        object.__setattr__(self, "counts", clean)
+        for k, v in self.counts.items():
+            if type(k) is not int or type(v) is not int:
+                raise ValueError(f"ramification key {k!r} and count {v!r} must both be int")
+            if v < 0:
+                raise ValueError("branch-point counts must be nonnegative")
+        object.__setattr__(self, "counts", {k: v for k, v in self.counts.items() if v})
 
     def count(self, k: int) -> int:
         return self.counts.get(k, 0)
@@ -80,8 +82,8 @@ class CoverSpec:
     ramification: RamificationSpec
 
     def __post_init__(self):
-        if self.base_genus < 0:
-            raise ValueError("base genus must be nonnegative")
+        if type(self.base_genus) is not int or self.base_genus < 0:
+            raise ValueError(f"base genus {self.base_genus!r} is not a nonnegative int")
         if not self.group.is_rational_group():
             raise NotRationalGroup("cover group must have rational characters")
         n = len(self.group.cyclic_subgroup_classes())
@@ -140,8 +142,8 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
     return g_h
 
 
-def _solve_from_genera(fdm: FixedDimMatrix, genera: Sequence[int]) -> tuple[int, ...]:
-    y, d = exactla.solve(fdm.inverse, genera)
+def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
+    y, d = exactla.solve(fdm, genera)
     if any(v % d for v in y):
         x = [Fraction(v, d) for v in y]
         raise NonIntegerSolution(f"isotypic dimensions are not integers: {x}")
@@ -152,20 +154,21 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     """Isotypic dimensions from the linear system over all quotient genera."""
     G = spec.group
     fdm = fixed_dim_matrix(G)
-    genera = [genus_quotient(spec, i) for i in range(fdm.n)]
+    genera = [genus_quotient(spec, i) for i in range(len(fdm.rows))]
     return _solve_from_genera(fdm, genera)
 
 
 def prym_dim_formula(spec: CoverSpec, j: int) -> int:
-    """Closed-form dimension of the j-th isotypic piece (= g for trivial j)."""
+    """Closed-form dimension of the j-th isotypic piece (= g for the trivial
+    irrep, j = 0)."""
     G = spec.group
     table = character_table(G)
     fdm = fixed_dim_matrix(G)
-    if j == table.trivial_index:
+    if j == 0:
         return spec.base_genus
     deg = table.degrees[j]
     twice = 2 * deg * (spec.base_genus - 1) + sum(
-        (deg - fdm.entries[k][j]) * r for k, r in spec.ramification.counts.items()
+        (deg - fdm.rows[k][j]) * r for k, r in spec.ramification.counts.items()
     )
     if twice % 2:
         raise NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
@@ -182,7 +185,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
     G = spec.group
     table = character_table(G)
     fdm = fixed_dim_matrix(G)
-    n = fdm.n
+    n = len(fdm.rows)
     diags: list[str] = []
 
     g_total: int | None = None
@@ -220,10 +223,10 @@ def validate(spec: CoverSpec) -> DimensionReport:
     if final is not None:
         if any(v < 0 for v in final):
             diags.append(f"NegativeDimension: {final}")
-        if final[table.trivial_index] != spec.base_genus:
+        if final[0] != spec.base_genus:
             diags.append(
                 "TrivialDimension: trivial isotypic dimension "
-                f"{final[table.trivial_index]} != base genus {spec.base_genus}"
+                f"{final[0]} != base genus {spec.base_genus}"
             )
         if g_total is not None:
             weighted = sum(d * v for d, v in zip(table.degrees, final))

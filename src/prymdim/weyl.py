@@ -29,7 +29,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .chartable import CharacterTable, character_table
+from .chartable import character_table
 from .errors import OutOfRegime, UnsupportedType
 from .permgroup import PermGroup, Permutation
 from .rhprym import CoverSpec, RamificationSpec
@@ -72,10 +72,6 @@ class WeylGroup:
     @property
     def label(self) -> str:
         return f"{self.letter}{self.rank}"
-
-    @property
-    def table(self) -> CharacterTable:
-        return character_table(self.group)
 
 
 # -- generators per type -------------------------------------------------------

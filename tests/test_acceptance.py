@@ -121,11 +121,11 @@ def test_criterion_6_double_coset_identity():
         G = weyl_group(letter, rank).group
         fdm = fixed_dim_matrix(G)
         cyclic = G.cyclic_subgroup_classes()
-        n = fdm.n
+        n = len(fdm.rows)
         for i in range(n):
             act = G.coset_action(cyclic[i].subgroup_elements)
             for k in range(n):
-                char_route = sum(fdm.entries[i][j] * fdm.entries[k][j] for j in range(n))
+                char_route = sum(fdm.rows[i][j] * fdm.rows[k][j] for j in range(n))
                 burnside_route = G.double_coset_count(cyclic[k], cyclic[i])
                 orbit_route = act.cycle_count(cyclic[k].generator)
                 assert char_route == burnside_route == orbit_route, (letter, rank, i, k)
@@ -149,9 +149,9 @@ def test_criterion_7_orthogonality_and_triangularity():
                 assert s == (G.order // sizes[i] if i == i2 else 0)
 
         fdm = fixed_dim_matrix(G)
-        assert determinant(fdm.entries) != 0
-        assert fdm.inverse.det == determinant(fdm.entries)
-        assert _triangularity_failure(G, T, fdm.entries) is None, (letter, rank)
+        assert determinant(fdm.rows) != 0
+        assert fdm.det == determinant(fdm.rows)
+        assert _triangularity_failure(G, T, fdm.rows) is None, (letter, rank)
     _report(7, "orthogonality + invertible triangular structure", started)
 
 
@@ -184,12 +184,12 @@ def test_verify_triangularity_matches_inverse_reference():
     for G in groups:
         T, fdm = character_table(G), fixed_dim_matrix(G)
         assert _triangular_change_of_basis_ok(T, fdm) is True
-        assert _triangularity_failure(G, T, fdm.entries) is None
-        rows = list(fdm.entries)
+        assert _triangularity_failure(G, T, fdm.rows) is None
+        rows = list(fdm.rows)
         rows[0], rows[1] = rows[1], rows[0]
-        swapped = dataclasses.replace(fdm, entries=tuple(rows))
+        swapped = dataclasses.replace(fdm, rows=tuple(rows))
         assert _triangular_change_of_basis_ok(T, swapped) is False
-        assert _triangularity_failure(G, T, swapped.entries) is not None
+        assert _triangularity_failure(G, T, swapped.rows) is not None
 
 
 def test_criterion_8_monodromy_oracle():

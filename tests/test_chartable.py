@@ -14,6 +14,7 @@ import prymdim
 from prymdim.chartable import (
     _kernel_mod,
     _rref,
+    _verify_orthogonality,
     character_table,
     fixed_dim,
     fixed_dim_matrix,
@@ -30,7 +31,7 @@ def test_table_s3(s3):
     T = character_table(s3)
     assert T.table == ((1, 1, 1), (1, -1, 1), (2, 0, -1))
     assert T.degrees == (1, 1, 2)
-    assert T.trivial_index == 0
+    assert T.table[0] == (1, 1, 1)
 
 
 def test_table_z2_and_trivial(z2, trivial):
@@ -147,6 +148,37 @@ def test_orthogonality_on_fleet():
             for i2 in range(n):
                 s = sum(T.table[j][i] * T.table[j][i2] for j in range(n))
                 assert s == (G.order // sizes[i] if i == i2 else 0)
+
+
+def _corrupted(T, how):
+    """T's table with one corruption that breaks row orthogonality. A
+    negated row is not one: it keeps both orthogonality relations."""
+    rows = [list(r) for r in T.table]
+    if how == "entry_off_by_one":
+        rows[-1][1] += 1
+    elif how == "row_doubled":
+        rows[-1] = [2 * v for v in rows[-1]]
+    elif how == "row_repeated":
+        rows[-1] = rows[-2][:]
+    else:  # two columns of different class sizes swapped
+        a, b = next((a, b) for a, b in itertools.combinations(range(1, T.n), 2)
+                    if T.class_sizes[a] != T.class_sizes[b])
+        for r in rows:
+            r[a], r[b] = r[b], r[a]
+    return rows
+
+
+@pytest.mark.parametrize(
+    "how", ["entry_off_by_one", "row_doubled", "row_repeated", "columns_swapped"]
+)
+@pytest.mark.parametrize("label", ["S4", "B3"])
+def test_verify_orthogonality_rejects_bad_tables(label, how, s4):
+    """The row check is the only check on a lifted table."""
+    G = s4 if label == "S4" else weyl_group("B", 3).group
+    T = character_table(G)
+    _verify_orthogonality(G.order, T.class_sizes, T.table)
+    with pytest.raises(LiftFailure, match="row orthogonality"):
+        _verify_orthogonality(G.order, T.class_sizes, _corrupted(T, how))
 
 
 def test_natural_permutation_character_decomposes():
@@ -276,13 +308,13 @@ def test_fixed_dim_examples(s3):
     assert fixed_dim(T, 2, H2) == 1  # standard rep, reflection subgroup
     assert fixed_dim(T, 1, H3) == 1  # sign rep, rotation subgroup
     for K in cyclic:
-        assert fixed_dim(T, T.trivial_index, K) == 1
+        assert fixed_dim(T, 0, K) == 1
 
 
 def test_fixed_dim_matrix_examples(z2, s3, trivial):
-    assert fixed_dim_matrix(s3).entries == ((1, 1, 2), (1, 0, 1), (1, 1, 0))
-    assert fixed_dim_matrix(z2).entries == ((1, 1), (1, 0))
-    assert fixed_dim_matrix(trivial).entries == ((1,),)
+    assert fixed_dim_matrix(s3).rows == ((1, 1, 2), (1, 0, 1), (1, 1, 0))
+    assert fixed_dim_matrix(z2).rows == ((1, 1), (1, 0))
+    assert fixed_dim_matrix(trivial).rows == ((1,),)
 
 
 def test_fixed_dim_matrix_invariants():
@@ -291,12 +323,12 @@ def test_fixed_dim_matrix_invariants():
         T = character_table(G)
         F = fixed_dim_matrix(G)
         cyclic = G.cyclic_subgroup_classes()
-        assert F.entries[0] == T.degrees
-        assert all(row[T.trivial_index] == 1 for row in F.entries)
+        assert F.rows[0] == T.degrees
+        assert all(row[0] == 1 for row in F.rows)
         for i, K in enumerate(cyclic):
-            assert all(F.entries[i][j] <= T.degrees[j] for j in range(T.n))
+            assert all(F.rows[i][j] <= T.degrees[j] for j in range(T.n))
             # sum_j dim rho_j^H * dim rho_j = [G : H]
-            s = sum(F.entries[i][j] * T.degrees[j] for j in range(T.n))
+            s = sum(F.rows[i][j] * T.degrees[j] for j in range(T.n))
             assert s == G.order // K.subgroup_order
 
 
@@ -306,11 +338,11 @@ def test_double_coset_identity_small():
         G = weyl_group(letter, rank).group
         F = fixed_dim_matrix(G)
         cyclic = G.cyclic_subgroup_classes()
-        n = F.n
+        n = len(F.rows)
         for i in range(n):
             act = G.coset_action(cyclic[i].subgroup_elements)
             for k in range(n):
-                char_route = sum(F.entries[i][j] * F.entries[k][j] for j in range(n))
+                char_route = sum(F.rows[i][j] * F.rows[k][j] for j in range(n))
                 burnside_route = G.double_coset_count(cyclic[k], cyclic[i])
                 orbit_route = act.cycle_count(cyclic[k].generator)
                 assert char_route == burnside_route == orbit_route, (letter, rank, i, k)
@@ -374,7 +406,7 @@ def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
         member_class_profile={0: 1, 1: -1, 2: 2},
     )
     with pytest.raises(NonIntegerFixedDim):
-        fixed_dim(T, T.trivial_index, bad)
+        fixed_dim(T, 0, bad)
 
 
 def test_fixed_dim_matrix_check_survives_python_O():

@@ -144,8 +144,14 @@ def _with(path, value):
         _with(("group", "degree"), True),
         _with(("group", "degree"), 0),
         _with(("group", "degree"), -3),
+        # an image array holds JSON integers only
+        {"group": {"generators": [[[1, 0]]]}, "base_genus": 1},
+        {"group": {"generators": [["1", "0"]]}, "base_genus": 1},
+        {"group": {"generators": [["(0 1)"]]}, "base_genus": 1},
+        {"group": {"generators": [[True, False]]}, "base_genus": 1},
     ],
-    ids=["rank", "base_genus", "count", "degree", "degree_zero", "degree_negative"],
+    ids=["rank", "base_genus", "count", "degree", "degree_zero", "degree_negative",
+         "image_nested_list", "image_strings", "image_cycle_string", "image_bools"],
 )
 def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
     f = tmp_path / "bool.json"
@@ -154,6 +160,7 @@ def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -162,8 +169,12 @@ def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
         ({"group": {"weyl": "A2"}, "base_genus": 1}, 1),
         # "A²1" passed str.isdigit and then failed int(); a bad label is UnsupportedType
         ({"group": {"weyl": {"type": "A\u00b2", "rank": 1}}, "base_genus": 1}, 2),
+        # "type" must be a string
+        ({"group": {"weyl": {"type": 1, "rank": 2}}, "base_genus": 1}, 1),
+        ({"group": {"weyl": {"type": ["A"], "rank": 2}}, "base_genus": 1}, 1),
+        ({"group": {"weyl": {"rank": 2}}, "base_genus": 1}, 1),
     ],
-    ids=["weyl_not_object", "superscript_digit"],
+    ids=["weyl_not_object", "superscript_digit", "type_int", "type_list", "type_missing"],
 )
 def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     f = tmp_path / "weyl.json"
@@ -172,6 +183,7 @@ def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     assert code == exit_code
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 # each case needs degree MAX_DEGREE + 1 and no more, so nothing large is

@@ -127,6 +127,13 @@ def test_spec_rejects_bad_input(z3, s3):
         CoverSpec(s3, -1, RamificationSpec({}))
     with pytest.raises(ValueError):
         RamificationSpec({1: -2})
+    # non-integers are refused, not truncated or parsed
+    for counts in ({1: 4.9, 2: 1}, {"1": "4"}, {1: "4"}, {1.0: 2}, {True: 2}, {1: True}):
+        with pytest.raises(ValueError):
+            RamificationSpec(counts)
+    for genus in (1.5, 1.0, "1", True):
+        with pytest.raises(ValueError):
+            CoverSpec(s3, genus, RamificationSpec({}))
 
 
 def test_two_routes_agree_on_sampled_specs():
@@ -147,7 +154,7 @@ def test_dimension_sum_and_trivial_dim():
         T = character_table(G)
         for spec in sample_cover_specs(G, 15, random.Random(5)):
             dims = isotypic_dims_solve(spec)
-            assert dims[T.trivial_index] == spec.base_genus
+            assert dims[0] == spec.base_genus
             assert sum(d * v for d, v in zip(T.degrees, dims)) == genus_total(spec)
 
 
