@@ -5,10 +5,10 @@ For W(D5), W(F4), W(B5), W(A6) and W(A7) it prints, as one JSON object,
 the best of three wall-clock seconds for: the group closure, the
 classification pass (conjugacy classes, rationality, cyclic classes),
 the character table, the fixed-dimension matrix with its inverse, the
-double-coset matrix, the monodromy oracle (`monodromy.sample_tuple` of a
-genus-1 tuple with two branch points, then `verify_tuple`, which builds
-the coset action of every cyclic subgroup), and one `rhprym.validate` on
-a warm hitchin genus-2 spec. Every repetition rebuilds the group from
+double-coset matrix, the coset action of every cyclic subgroup, the
+monodromy oracle on those built actions (`monodromy.sample_tuple` of a
+genus-1 tuple with two branch points, then `verify_tuple`), and one
+`rhprym.validate` on a warm hitchin genus-2 spec. Every repetition rebuilds the group from
 `W.group.generators`, so each stage starts cold. Those are the
 generators `weyl_group` closed the group from: the pair {Coxeter
 element, s_(r-2)} where it generates W (all types here but F4), else
@@ -70,6 +70,9 @@ def _stages(W) -> dict[str, float]:
         t["table"], _ = _timed(lambda: character_table(G))
         t["fixed_dim_matrix"], _ = _timed(lambda: fixed_dim_matrix(G))
         t["double_coset_matrix"], _ = _timed(G.double_coset_matrix)
+        t["coset_actions"], _ = _timed(
+            lambda: [G.coset_action(K.subgroup_elements) for K in G.cyclic_subgroup_classes()]
+        )
         t["oracle"], ver = _timed(lambda: verify_tuple(sample_tuple(G, 1, 2, random.Random(0))))
         if not ver.ok:
             raise RuntimeError(f"{W.label}: oracle and formula genera differ at {ver.mismatches}")

@@ -5,13 +5,16 @@ elements (a_1, b_1, .., a_g, b_g; g_1, .., g_b) satisfying the surface
 relation prod [a_i, b_i] * prod g_i = e and generating the whole group.
 The genus of the cover, and of every intermediate quotient, is then pure
 orbit counting on coset spaces - no character theory involved - which
-makes it an independent check of the Riemann-Hurwitz pipeline.
+makes it an independent check of the Riemann-Hurwitz pipeline. Each
+distinct branch element's left-multiplication row is built once per
+tuple and read by the orbit count on every quotient.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
@@ -30,6 +33,13 @@ class BranchTuple:
     base_genus: int
     handles: tuple[tuple[int, int], ...]
     branch_elements: tuple[int, ...]
+
+    @cached_property
+    def rows(self) -> dict[int, list[int]]:
+        """Left-multiplication row of each distinct branch element g:
+        ``rows[g][y]`` is the index of g*y."""
+        G = self.group
+        return {g: G.products(g, range(G.order)) for g in set(self.branch_elements)}
 
     def relation_product(self) -> int:
         G = self.group
@@ -67,9 +77,12 @@ class BranchTuple:
         def idx(text):
             return G.index_of(Permutation.from_cycles(text, G.degree))
 
+        genus = doc["base_genus"]
+        if type(genus) is not int or genus < 0:
+            raise ValueError(f"base genus {genus!r} is not a nonnegative int")
         return cls(
             group=G,
-            base_genus=int(doc["base_genus"]),
+            base_genus=genus,
             handles=tuple((idx(a), idx(b)) for a, b in doc["handles"]),
             branch_elements=tuple(idx(g) for g in doc["branch_elements"]),
         )
@@ -120,7 +133,7 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int]) -> int:
     G = t.group
     act = G.coset_action(frozenset(subgroup))
     n = len(act.cosets)
-    ram = sum(n - act.cycle_count(g) for g in t.branch_elements)
+    ram = sum(n - act.cycle_count(t.rows[g]) for g in t.branch_elements)
     if ram % 2:
         raise OddRamificationDegree(f"oracle ramification degree {ram} is odd")
     g_h = 1 + n * (t.base_genus - 1) + ram // 2

@@ -19,8 +19,12 @@ for, so no per-element object is kept.
 Conjugacy classes are found by direct counting in one classification
 pass; element orders come from each representative's cycle type, and
 the rationality test and the cyclic-subgroup classes share one walk of
-the powers rep^t per class, so no power list is stored. Coset actions
-are computed by direct counting.
+the powers rep^t per class, so no power list is stored. A coset action
+stores only the coset of each element; an element g acts on it through
+its left-multiplication row (row[y] is the index of g*y), so counting
+the orbits of <g> on G/H is list indexing with no composition, and one
+row serves every subgroup H. A subgroup is closed from its generators by
+the same breadth-first loop as the group itself.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -233,35 +237,32 @@ class CosetAction:
     """Left action of a group on the cosets of a subgroup.
 
     ``cosets`` holds the least element index of each coset, in discovery
-    order; ``coset_of[x]`` is the coset index of element ``x``. Actions
-    of arbitrary elements are derived on demand via ``element_action``.
-    Orbit counts on cosets are the monodromy oracle's route to quotient
-    genera; the dimension pipeline counts double cosets from class data
-    instead (``PermGroup.double_coset_matrix``), so the two stay
-    independent.
+    order; ``coset_of[x]`` is the coset index of element ``x``. An element
+    g acts through its left-multiplication row, ``row[y]`` the index of
+    g*y (``PermGroup.products(g, range(order))``): it sends coset j to
+    ``coset_of[row[cosets[j]]]``. Orbit counts on cosets are the monodromy
+    oracle's route to quotient genera; the dimension pipeline counts
+    double cosets from class data instead (``PermGroup.double_coset_matrix``),
+    so the two stay independent.
     """
 
-    group: "PermGroup"
     cosets: tuple[int, ...]
     coset_of: tuple[int, ...]
 
-    def element_action(self, x: int) -> tuple[int, ...]:
-        """The permutation of coset indices induced by element ``x``."""
-        return tuple(map(self.coset_of.__getitem__, self.group.products(x, self.cosets)))
-
-    def cycle_count(self, x: int) -> int:
-        """Number of orbits of the cyclic group <x> on the cosets."""
-        act = self.element_action(x)
-        seen = [False] * len(act)
+    def cycle_count(self, row: Sequence[int]) -> int:
+        """Number of orbits of <g> on the cosets, given g's left-multiplication
+        row (``row[y]`` is the index of g*y)."""
+        cosets, coset_of = self.cosets, self.coset_of
+        seen = [False] * len(cosets)
         n = 0
-        for c in range(len(act)):
+        for c in range(len(cosets)):
             if seen[c]:
                 continue
             n += 1
             j = c
             while not seen[j]:
                 seen[j] = True
-                j = act[j]
+                j = coset_of[row[cosets[j]]]
         return n
 
 
@@ -409,16 +410,25 @@ class PermGroup:
     # -- subgroups ----------------------------------------------------------
 
     def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given element indices."""
-        seeds = sorted(set(seeds) | {self.identity_index})
-        found = set(seeds)
-        frontier = list(seeds)
+        """Subgroup generated by the given element indices: the breadth-first
+        closure of the identity under left multiplication by the seeds, padded
+        once each; it stops as soon as it holds the whole group."""
+        index, images = self._index, self._images
+        _, pad, compose, _ = self._kernel
+        one, order = self.identity_index, self.order
+        spads = [pad(images[s]) for s in set(seeds) if s != one]
+        found = {one}
+        frontier = [one]
         while frontier:
             nxt = []
             for a in frontier:
-                for c in self.products(a, seeds):
+                im = images[a]
+                for sp in spads:
+                    c = index[compose(im, sp)]
                     if c not in found:
                         found.add(c)
+                        if len(found) == order:
+                            return frozenset(found)
                         nxt.append(c)
             frontier = nxt
         return frozenset(found)
@@ -567,6 +577,9 @@ class PermGroup:
             return cached
         if not self.is_subgroup(H):
             raise NotASubgroup(f"{len(H)} elements do not form a subgroup")
+        index, images = self._index, self._images
+        _, pad, compose, _ = self._kernel
+        h_images = [images[h] for h in H]
         coset_of = [-1] * self.order
         reps: list[int] = []
         for x in range(self.order):
@@ -574,9 +587,10 @@ class PermGroup:
                 continue
             c = len(reps)
             reps.append(x)
-            for y in self.products(x, H):
-                coset_of[y] = c
-        act = CosetAction(self, tuple(reps), tuple(coset_of))
+            xp = pad(images[x])
+            for h in h_images:
+                coset_of[index[compose(h, xp)]] = c
+        act = CosetAction(tuple(reps), tuple(coset_of))
         self._coset_actions[H] = act
         return act
 

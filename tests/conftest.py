@@ -25,6 +25,11 @@ WEYL_FLEET = (
 SMALL_WEYL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 2)]
 
 
+def left_row(G, x):
+    """Left-multiplication row of element x: entry y is the index of x*y."""
+    return G.products(x, range(G.order))
+
+
 @pytest.fixture(scope="session")
 def trivial():
     return group_from_generators([])

@@ -27,7 +27,7 @@ from prymdim.rhprym import (
 )
 from prymdim.weyl import expected_base_dim, hitchin_preset, markman_preset, toda_preset, weyl_group
 
-from conftest import WEYL_FLEET
+from conftest import WEYL_FLEET, left_row
 
 
 def _report(n, name, started):
@@ -122,12 +122,13 @@ def test_criterion_6_double_coset_identity():
         fdm = fixed_dim_matrix(G)
         cyclic = G.cyclic_subgroup_classes()
         n = len(fdm.rows)
+        rows = [left_row(G, K.generator) for K in cyclic]
         for i in range(n):
             act = G.coset_action(cyclic[i].subgroup_elements)
             for k in range(n):
                 char_route = sum(fdm.rows[i][j] * fdm.rows[k][j] for j in range(n))
                 burnside_route = G.double_coset_count(cyclic[k], cyclic[i])
-                orbit_route = act.cycle_count(cyclic[k].generator)
+                orbit_route = act.cycle_count(rows[k])
                 assert char_route == burnside_route == orbit_route, (letter, rank, i, k)
     _report(6, "character sums == class count == orbits on cosets", started)
 

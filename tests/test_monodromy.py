@@ -15,6 +15,8 @@ from prymdim.monodromy import (
 from prymdim.rhprym import genus_total, validate
 from prymdim.weyl import weyl_group
 
+from conftest import left_row
+
 
 def test_sample_z2_forced(z2):
     t = sample_tuple(z2, 0, 4, random.Random(1))
@@ -108,6 +110,34 @@ def test_tuple_json_roundtrip(s4):
     assert BranchTuple.from_json(s4, doc) == t
 
 
+@pytest.mark.parametrize("genus", [1.9, "1", True, -1])
+def test_tuple_from_json_rejects_bad_base_genus(s4, genus):
+    doc = sample_tuple(s4, 1, 3, random.Random(8)).to_json()
+    doc["base_genus"] = genus
+    with pytest.raises(ValueError, match="base genus"):
+        BranchTuple.from_json(s4, doc)
+
+
+def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
+    """verify_tuple builds one full left-multiplication row per distinct
+    branch element and reuses it for every quotient and every later call."""
+    for G, t in ((z2, sample_tuple(z2, 0, 4, random.Random(1))),
+                 (s4, sample_tuple(s4, 1, 3, random.Random(8)))):
+        products = G.products
+        full: list[int] = []
+
+        def counting(x, ys):
+            if len(ys) == G.order:
+                full.append(x)
+            return products(x, ys)
+
+        monkeypatch.setattr(G, "products", counting)
+        assert verify_tuple(t).ok
+        assert verify_tuple(t).ok
+        assert sorted(full) == sorted(set(t.branch_elements))
+        monkeypatch.undo()
+
+
 def test_orbit_count_equals_double_coset(s4):
     rng = random.Random(21)
     cyclic = s4.cyclic_subgroup_classes()
@@ -115,9 +145,10 @@ def test_orbit_count_equals_double_coset(s4):
         g = rng.choice((0, 1))
         t = sample_tuple(s4, g, rng.randint(3 if g == 0 else 2, 5), rng)
         for x in t.branch_elements:
+            row = left_row(s4, x)
             for K in cyclic:
                 act = s4.coset_action(K.subgroup_elements)
-                assert act.cycle_count(x) == s4.double_coset_count(x, K)
+                assert act.cycle_count(row) == s4.double_coset_count(x, K)
 
 
 def test_euler_parity(s3, s4):
@@ -127,10 +158,11 @@ def test_euler_parity(s3, s4):
         for _ in range(25):
             g = rng.choice((0, 1))
             t = sample_tuple(G, g, rng.randint(3 if g == 0 else 2, 6), rng)
+            rows = [left_row(G, x) for x in t.branch_elements]
             for K in cyclic:
                 act = G.coset_action(K.subgroup_elements)
                 n = len(act.cosets)
-                ram = sum(n - act.cycle_count(x) for x in t.branch_elements)
+                ram = sum(n - act.cycle_count(row) for row in rows)
                 assert (n * (2 - 2 * t.base_genus) - ram) % 2 == 0
 
 

@@ -20,7 +20,7 @@ from prymdim.permgroup import (
 )
 from prymdim.weyl import weyl_group
 
-from conftest import SMALL_WEYL
+from conftest import SMALL_WEYL, left_row
 
 
 # -- parsing / printing ---------------------------------------------------------
@@ -285,6 +285,25 @@ def test_is_subgroup_exact_on_large_sets():
 # -- coset actions and double cosets ----------------------------------------------
 
 
+def coset_permutation(G, act, x):
+    """The permutation of coset indices induced by x, one representative
+    at a time with G.mul."""
+    return tuple(act.coset_of[G.mul(x, r)] for r in act.cosets)
+
+
+def cycle_count_of(perm):
+    """Number of cycles of a permutation given as a tuple of images."""
+    seen: set[int] = set()
+    n = 0
+    for c in range(len(perm)):
+        if c not in seen:
+            n += 1
+            while c not in seen:
+                seen.add(c)
+                c = perm[c]
+    return n
+
+
 def test_coset_action_examples(s3):
     triv = s3.coset_action([s3.identity_index])
     assert len(triv.cosets) == 6  # regular action
@@ -293,9 +312,11 @@ def test_coset_action_examples(s3):
     )
     act = s3.coset_action(s3.subgroup_closure([three_cycle]))
     assert len(act.cosets) == 2
-    assert act.element_action(three_cycle) == (0, 1)  # 3-cycles act trivially
+    assert coset_permutation(s3, act, three_cycle) == (0, 1)  # 3-cycles act trivially
+    assert act.cycle_count(left_row(s3, three_cycle)) == 2
     transposition = next(i for i in range(s3.order) if s3.element_order(i) == 2)
-    assert act.element_action(transposition) == (1, 0)  # transpositions swap
+    assert coset_permutation(s3, act, transposition) == (1, 0)  # transpositions swap
+    assert act.cycle_count(left_row(s3, transposition)) == 1
     whole = s3.coset_action(range(s3.order))
     assert len(whole.cosets) == 1
 
@@ -319,9 +340,59 @@ def test_coset_action_homomorphism(s4):
         ys = list(range(1, G.order, step + 2)) + G.generator_indices
         for x in xs:
             for y in ys:
-                via_mul = act.element_action(G.mul(x, y))
-                ax, ay = act.element_action(x), act.element_action(y)
+                via_mul = coset_permutation(G, act, G.mul(x, y))
+                ax, ay = coset_permutation(G, act, x), coset_permutation(G, act, y)
                 assert via_mul == tuple(ax[c] for c in ay)
+
+
+def cyclic_by_mul(G, x):
+    """The cyclic subgroup <x>, from the powers of x by G.mul."""
+    powers = {G.identity_index}
+    y = x
+    while y not in powers:
+        powers.add(y)
+        y = G.mul(y, x)
+    return frozenset(powers)
+
+
+def test_cycle_count_row_matches_mul(s4):
+    """The orbit count read off an element's left-multiplication row equals
+    the cycle count of the coset permutation built with G.mul, for every
+    element and every cyclic subgroup of S4 and W(B3)."""
+    for G in (s4, weyl_group("B", 3).group):
+        rows = [left_row(G, x) for x in range(G.order)]
+        for H in {cyclic_by_mul(G, x) for x in range(G.order)}:
+            act = G.coset_action(H)
+            for x in range(G.order):
+                assert act.cycle_count(rows[x]) == cycle_count_of(coset_permutation(G, act, x))
+
+
+def closure_by_mul(G, seeds):
+    """Plain breadth-first closure of the identity and the seeds under G.mul."""
+    found = {G.identity_index, *seeds}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in seeds:
+                c = G.mul(a, s)
+                if c not in found:
+                    found.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(found)
+
+
+def test_subgroup_closure_matches_mul_bfs(s4):
+    """The early-stopping closure equals a plain G.mul closure for every
+    pair of S4 elements, generating pairs and others alike."""
+    generating = 0
+    for x in range(s4.order):
+        for y in range(s4.order):
+            span = s4.subgroup_closure([x, y])
+            assert span == closure_by_mul(s4, [x, y]), (x, y)
+            generating += len(span) == s4.order
+    assert 0 < generating < s4.order ** 2
 
 
 def test_double_coset_examples(s3):
@@ -337,12 +408,13 @@ def test_double_coset_argument_kinds(s4):
     whole group as a set gives one double coset; a set that is not a
     subgroup is rejected."""
     cyclic = s4.cyclic_subgroup_classes()
+    rows = [left_row(s4, x) for x in range(s4.order)]
     for x in range(s4.order):
         on_x = s4.coset_action(s4.subgroup_closure([x]))
         for K in cyclic:
             on_k = s4.coset_action(K.subgroup_elements)
-            assert s4.double_coset_count(x, K) == on_k.cycle_count(x)
-            assert s4.double_coset_count(K, x) == on_x.cycle_count(K.generator)
+            assert s4.double_coset_count(x, K) == on_k.cycle_count(rows[x])
+            assert s4.double_coset_count(K, x) == on_x.cycle_count(rows[K.generator])
         assert s4.double_coset_count(x, range(s4.order)) == 1
     involutions = [i for i in range(s4.order) if s4.element_order(i) == 2]
     with pytest.raises(NotASubgroup):  # two distinct involutions never close up
@@ -385,11 +457,12 @@ def test_double_coset_routes_fleet_under_5000():
             continue
         seen.add(id(G))
         cyclic = G.cyclic_subgroup_classes()
+        rows = [left_row(G, A.generator) for A in cyclic]
         for B in cyclic:
             act = G.coset_action(B.subgroup_elements)
-            for A in cyclic:
+            for A, row in zip(cyclic, rows):
                 burnside_route = G.double_coset_count(A, B)
-                orbit_route = act.cycle_count(A.generator)
+                orbit_route = act.cycle_count(row)
                 partition_route = double_cosets_by_partition(
                     G, A.subgroup_elements, B.subgroup_elements
                 )
