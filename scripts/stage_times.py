@@ -8,12 +8,12 @@ the character table, the fixed-dimension matrix with its inverse, the
 double-coset matrix, the coset action of every cyclic subgroup, the
 monodromy oracle on those built actions (`monodromy.sample_tuple` of a
 genus-1 tuple with two branch points, then `verify_tuple`), and one
-`rhprym.validate` on a warm hitchin genus-2 spec. Every repetition rebuilds the group from
-`W.group.generators`, so each stage starts cold. Those are the
-generators `weyl_group` closed the group from: the pair {Coxeter
-element, s_(r-2)} where it generates W (all types here but F4), else
-the simple reflections. The object also records the git revision and
-the Python version.
+`rhprym.validate` on a warm hitchin genus-2 spec. Every repetition
+rebuilds the group from `W.group.generators`, so each stage starts
+cold. Those are the generators `weyl_group` closed the group from: the
+pair {Coxeter element, s_(r-2)} where it generates W (all types here
+but F4), else the simple reflections. The object also records the git
+revision and the Python version.
 
 Usage (write elsewhere first: redirecting into the tracked file would
 record the revision as dirty):
