@@ -60,7 +60,6 @@ from .rhprym import (
     genus_total,
     isotypic_dims_solve,
     prym_dim_formula,
-    ramification_degree_total,
     sample_cover_specs,
     validate,
 )

@@ -9,8 +9,9 @@ integer, so it lies in GF(p), and distinct central characters stay
 distinct mod p because p does not divide |G|. Every character value is
 an integer with |chi(g)| <= chi(1) < sqrt(|G|) < p/2, so the degree is
 the small square root of its residue and each value c mod p lifts to the
-symmetric residue in (-p/2, p/2). A non-rational group fails to split or
-fails orthogonality and raises LiftFailure.
+symmetric residue in (-p/2, p/2). ``character_table`` refuses a
+non-rational group up front with NotRationalGroup; the split alone would
+fail to split or fail orthogonality on it and raise LiftFailure.
 
 One GF(p) row reduction, ``_rref``, serves the whole split: it gives
 each eigenvalue's kernel and the reduced basis of each new eigenspace.
@@ -250,17 +251,23 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
 # -- the table ----------------------------------------------------------------
 
 
-def character_table(G: PermGroup, *, check_rationality: bool = True) -> CharacterTable:
+def character_table(G: PermGroup) -> CharacterTable:
     """Exact character table of a rational-character group.
 
-    The result is cached on the group. ``check_rationality=False`` skips
-    the power-map pre-check so that the lift-failure path is reachable;
-    non-rational input then raises LiftFailure instead.
+    The result is cached on the group. A group that fails the power-map
+    rationality test raises NotRationalGroup before any class matrix is
+    built.
     """
-    if G.table is not None:
-        return G.table
-    if check_rationality and not G.is_rational_group():
-        raise NotRationalGroup("character table needs rational characters")
+    if G.table is None:
+        if not G.is_rational_group():
+            raise NotRationalGroup("character table needs rational characters")
+        G.table = _dixon_schneider(G)
+    return G.table
+
+
+def _dixon_schneider(G: PermGroup) -> CharacterTable:
+    """The table by the Dixon-Schneider split, with no rationality
+    pre-check: a non-rational group raises LiftFailure."""
     classes = G.conjugacy_classes()
     n = len(classes)
     if n > MAX_CLASSES:
@@ -298,14 +305,12 @@ def character_table(G: PermGroup, *, check_rationality: bool = True) -> Characte
         raise LiftFailure("trivial character missing from the lifted table")
     _verify_orthogonality(G.order, sizes, table)
 
-    result = CharacterTable(
+    return CharacterTable(
         class_sizes=tuple(sizes),
         class_orders=tuple(cl.element_order for cl in classes),
         table=table,
         degrees=degrees,
     )
-    G.table = result
-    return result
 
 
 def _verify_orthogonality(order: int, sizes: Sequence[int], table) -> None:

@@ -448,18 +448,11 @@ def _cmd_group_info(args, out) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, out) -> int:
-    G, echo = _build_group(args.cap, args.weyl, args.generators)
-    checks: list[tuple[str, bool, str]] = []
-
+def _verify_checks(G: PermGroup, args) -> list[tuple[str, bool, str]]:
+    """(name, ok, detail) per invariant; a non-rational group stops at the first."""
     if not G.is_rational_group():
-        msg = "NotRationalGroup: power-map test failed"
-        doc = {"input": echo, "group": _group_block(G), "checks": [
-            {"name": "rationality", "ok": False, "detail": msg}], "ok": False}
-        _emit(doc, args.format, lambda: f"rationality: FAIL ({msg})\nresult: FAIL\n", out)
-        return EXIT_DIAGNOSTIC
-
-    checks.append(("rationality", True, "power-map test passed"))
+        return [("rationality", False, "NotRationalGroup: power-map test failed")]
+    checks = [("rationality", True, "power-map test passed")]
 
     classes = G.conjugacy_classes()
     cyclic = G.cyclic_subgroup_classes()
@@ -518,7 +511,12 @@ def _cmd_verify(args, out) -> int:
     checks.append(
         ("monodromy_oracle", mism == 0, f"{produced} tuples, {mism} mismatches")
     )
+    return checks
 
+
+def _cmd_verify(args, out) -> int:
+    G, echo = _build_group(args.cap, args.weyl, args.generators)
+    checks = _verify_checks(G, args)
     ok = all(c[1] for c in checks)
     doc = {
         "input": echo,

@@ -2,12 +2,13 @@
 
 Branch data is a count R_k of branch points per nontrivial cyclic class
 (conjugacy class of cyclic inertia subgroups). Riemann-Hurwitz gives the
-genus of the total space and of every intermediate quotient curve,
+genus of every quotient curve X/H_i,
 
-    g_X = 1 + |G|(g-1) + deg(R)/2,
-    g_H = 1 + [G:H](g-1) + sum_k ([G:H] - #(H_k\\G/H)) R_k / 2,
+    g_i = 1 + [G:H_i](g-1) + sum_k ([G:H_i] - #(H_k\\G/H_i)) R_k / 2,
 
-and the quotient genera determine the isotypic dimensions dim V_j
+and one function computes it: the total space is X/H_0 for the trivial
+class H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into
+deg(R)/2. The quotient genera determine the isotypic dimensions dim V_j
 through the invertible fixed-subspace dimension matrix. The same
 dimensions also come out of the closed form
 
@@ -18,7 +19,8 @@ computed and compared. All arithmetic is in integers. The fixed-dim
 matrix is inverted once per group, into its adjugate and determinant, so
 each spec's solve is one integer matrix-vector product checked by
 A y = det b: numerators over one common denominator. The closed form is
-summed doubled, so each route's integrality is one divisibility test.
+summed doubled for every irrep in one pass, so each route's integrality
+is one divisibility test per entry.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import exactla
-from .chartable import character_table, fixed_dim_matrix
+from .chartable import CharacterTable, character_table, fixed_dim_matrix
 from .errors import (
     NegativeGenus,
     NonIntegerDimension,
@@ -104,42 +106,30 @@ class DimensionReport:
     diagnostics: tuple[str, ...]
 
 
-def ramification_degree_total(spec: CoverSpec) -> int:
-    """deg(R) = sum_k (|G| - |G|/|H_k|) R_k on the total space."""
-    G = spec.group
-    cyclic = G.cyclic_subgroup_classes()
-    return sum(
-        (G.order - G.order // cyclic[k].subgroup_order) * r
-        for k, r in spec.ramification.counts.items()
-    )
-
-
-def genus_total(spec: CoverSpec) -> int:
-    """Genus of the total space X."""
-    deg_r = ramification_degree_total(spec)
-    if deg_r % 2:
-        raise OddRamificationDegree(f"total ramification degree {deg_r} is odd")
-    g_x = 1 + spec.group.order * (spec.base_genus - 1) + deg_r // 2
-    if g_x < 0:
-        raise NegativeGenus(f"total-space genus {g_x} is negative")
-    return g_x
-
-
-def genus_quotient(spec: CoverSpec, i: int) -> int:
-    """Genus of the quotient X/H_i for the i-th cyclic class."""
+def _riemann_hurwitz(spec: CoverSpec, i: int, ram_name: str, genus_name: str) -> int:
+    """Genus of X/H_i; the names head the parity and sign diagnostics."""
     G = spec.group
     cyclic = G.cyclic_subgroup_classes()
     index = G.order // cyclic[i].subgroup_order
     dcm = G.double_coset_matrix()
     ram = sum((index - dcm[k][i]) * r for k, r in spec.ramification.counts.items())
     if ram % 2:
-        raise OddRamificationDegree(
-            f"quotient H{i + 1} ramification degree {ram} is odd"
-        )
+        raise OddRamificationDegree(f"{ram_name} ramification degree {ram} is odd")
     g_h = 1 + index * (spec.base_genus - 1) + ram // 2
     if g_h < 0:
-        raise NegativeGenus(f"quotient H{i + 1} genus {g_h} is negative")
+        raise NegativeGenus(f"{genus_name} genus {g_h} is negative")
     return g_h
+
+
+def genus_total(spec: CoverSpec) -> int:
+    """Genus of the total space X = X/H_0, H_0 the trivial subgroup."""
+    return _riemann_hurwitz(spec, 0, "total", "total-space")
+
+
+def genus_quotient(spec: CoverSpec, i: int) -> int:
+    """Genus of the quotient X/H_i for the i-th cyclic class."""
+    name = f"quotient H{i + 1}"
+    return _riemann_hurwitz(spec, i, name, name)
 
 
 def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
@@ -158,21 +148,29 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     return _solve_from_genera(fdm, genera)
 
 
+def _closed_form_doubled(
+    spec: CoverSpec, table: CharacterTable, fdm: exactla.Inverse
+) -> list[int]:
+    """2 dim V_j by the closed form, for every irrep j at once."""
+    g = spec.base_genus
+    counts = spec.ramification.counts.items()
+    return [2 * g] + [
+        2 * deg * (g - 1) + sum((deg - fdm.rows[k][j]) * r for k, r in counts)
+        for j, deg in enumerate(table.degrees[1:], 1)
+    ]
+
+
+def _halve(twice: int) -> int:
+    if twice % 2:
+        raise NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
+    return twice // 2
+
+
 def prym_dim_formula(spec: CoverSpec, j: int) -> int:
     """Closed-form dimension of the j-th isotypic piece (= g for the trivial
     irrep, j = 0)."""
     G = spec.group
-    table = character_table(G)
-    fdm = fixed_dim_matrix(G)
-    if j == 0:
-        return spec.base_genus
-    deg = table.degrees[j]
-    twice = 2 * deg * (spec.base_genus - 1) + sum(
-        (deg - fdm.rows[k][j]) * r for k, r in spec.ramification.counts.items()
-    )
-    if twice % 2:
-        raise NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
-    return twice // 2
+    return _halve(_closed_form_doubled(spec, character_table(G), fixed_dim_matrix(G))[j])
 
 
 def validate(spec: CoverSpec) -> DimensionReport:
@@ -185,35 +183,23 @@ def validate(spec: CoverSpec) -> DimensionReport:
     G = spec.group
     table = character_table(G)
     fdm = fixed_dim_matrix(G)
-    n = len(fdm.rows)
     diags: list[str] = []
 
-    g_total: int | None = None
-    try:
-        g_total = genus_total(spec)
-    except (OddRamificationDegree, NegativeGenus) as exc:
-        diags.append(f"{type(exc).__name__}: {exc}")
-
-    genera: list[int | None] = []
-    for i in range(n):
+    def attempt(fn, *args):
         try:
-            genera.append(genus_quotient(spec, i))
-        except (OddRamificationDegree, NegativeGenus) as exc:
-            genera.append(None)
+            return fn(*args)
+        except (
+            OddRamificationDegree, NegativeGenus, NonIntegerSolution, NonIntegerDimension
+        ) as exc:
             diags.append(f"{type(exc).__name__}: {exc}")
+            return None
 
+    g_total = attempt(genus_total, spec)
+    genera = [attempt(genus_quotient, spec, i) for i in range(len(fdm.rows))]
     dims: tuple[int, ...] | None = None
-    if g_total is not None and all(g is not None for g in genera):
-        try:
-            dims = _solve_from_genera(fdm, [g for g in genera if g is not None])
-        except NonIntegerSolution as exc:
-            diags.append(f"NonIntegerSolution: {exc}")
-
-    closed: tuple[int, ...] | None = None
-    try:
-        closed = tuple(prym_dim_formula(spec, j) for j in range(n))
-    except NonIntegerDimension as exc:
-        diags.append(f"NonIntegerDimension: {exc}")
+    if g_total is not None and None not in genera:
+        dims = attempt(_solve_from_genera, fdm, genera)
+    closed = attempt(tuple, map(_halve, _closed_form_doubled(spec, table, fdm)))
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:

@@ -342,19 +342,17 @@ def parse_weyl_label(label: str) -> tuple[str, int]:
 
 
 def _reflection_counts(W: WeylGroup, total: int, split: str) -> dict[int, int]:
-    if total == 0:
-        return {}
-    if W.long_reflection_class == W.short_reflection_class or split == "long":
-        return {W.long_reflection_class: total}
+    """Place ``total`` reflection branch points; zero counts are dropped by
+    RamificationSpec."""
+    if split not in ("long", "short", "even"):
+        raise ValueError(f"unknown reflection split {split!r}")
+    long_k, short_k = W.long_reflection_class, W.short_reflection_class
+    if long_k == short_k or split == "long":
+        return {long_k: total}
     if split == "short":
-        return {W.short_reflection_class: total}
-    if split == "even":
-        hi = (total + 1) // 2
-        counts = {W.long_reflection_class: hi}
-        if total - hi:
-            counts[W.short_reflection_class] = total - hi
-        return counts
-    raise ValueError(f"unknown reflection split {split!r}")
+        return {short_k: total}
+    hi = (total + 1) // 2
+    return {long_k: hi, short_k: total - hi}
 
 
 def toda_preset(W: WeylGroup, split: str = "long") -> CoverSpec:
@@ -394,7 +392,10 @@ def expected_base_dim(W: WeylGroup, genus: int, deg_d: int = 0) -> int:
     Untwisted: sum_i h^0(K^{d_i}) = sum_i (2 d_i - 1)(g - 1) for g >= 2.
     Twisted by deg D > 0: sum_i h^0((K(D))^{d_i}) - r deg D, valid while
     every line-bundle degree d_i (2g - 2 + deg D) exceeds 2g - 2.
+    deg D < 0 is refused with OutOfRegime, as in ``markman_preset``.
     """
+    if deg_d < 0:
+        raise OutOfRegime("deg D must be nonnegative")
     r = W.rank
     ds = W.invariant_degrees
     if deg_d == 0:

@@ -35,3 +35,21 @@ def test_traced_name_resolves(name, modname, clsname, attr):
     else:
         target = vars(getattr(module, clsname))[attr]
     assert callable(target), name
+
+
+# Names that bench/tests/check_bench.py asserts are wrapped where they are
+# used, with the module that defines each. The tracer rebinds a function in
+# every module that holds the defining module's object under its name.
+_USED_BINDINGS = (
+    ("prymdim.rhprym", "character_table", "prymdim.chartable"),
+    ("prymdim.rhprym", "validate", "prymdim.rhprym"),
+    ("prymdim.monodromy", "genus_quotient", "prymdim.rhprym"),
+)
+
+
+@pytest.mark.parametrize("modname, attr, owner", _USED_BINDINGS,
+                         ids=[f"{m}.{a}" for m, a, _ in _USED_BINDINGS])
+def test_bench_asserted_binding_resolves(modname, attr, owner):
+    target = getattr(importlib.import_module(modname), attr)
+    assert callable(target)
+    assert target is getattr(importlib.import_module(owner), attr)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import prymdim
 from prymdim.chartable import (
+    _dixon_schneider,
     _kernel_mod,
     _rref,
     _verify_orthogonality,
@@ -90,13 +91,13 @@ def test_lift_failure_reachable(z3, z5):
     refused: its class matrices do not split over GF(p), or the symmetric
     residues fail orthogonality."""
     with pytest.raises(LiftFailure):
-        character_table(z3, check_rationality=False)
+        _dixon_schneider(z3)
     with pytest.raises(LiftFailure):
-        character_table(z5, check_rationality=False)
+        _dixon_schneider(z5)
     for gens in _NON_RATIONAL_GENERATORS:
         G = group_from_generators(parse_generators(gens))
         with pytest.raises(LiftFailure):
-            character_table(G, check_rationality=False)
+            _dixon_schneider(G)
 
 
 def _partitions(n, largest=None):

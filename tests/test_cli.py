@@ -522,12 +522,15 @@ def test_verify_weyl(capsys):
 def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     """A closed form that is wrong on genus-3 specs must fail verify: the
     sampler keeps specs on which the two routes disagree."""
-    real = rhprym.prym_dim_formula
+    real = rhprym._closed_form_doubled
 
-    def broken(spec, j):
-        return real(spec, j) + (spec.base_genus == 3 and j == 1)
+    def broken(spec, table, fdm):
+        twice = real(spec, table, fdm)
+        if spec.base_genus == 3:
+            twice[1] += 2
+        return twice
 
-    monkeypatch.setattr(rhprym, "prym_dim_formula", broken)
+    monkeypatch.setattr(rhprym, "_closed_form_doubled", broken)
     code, out, _ = run(capsys, ["verify", "--weyl", "A2", "--format", "json"])
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert code == 2

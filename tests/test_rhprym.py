@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from prymdim import exactla
+from prymdim import exactla, rhprym
 from prymdim.errors import (
     NegativeGenus,
     NotRationalGroup,
@@ -15,7 +15,6 @@ from prymdim.rhprym import (
     genus_total,
     isotypic_dims_solve,
     prym_dim_formula,
-    ramification_degree_total,
     sample_cover_specs,
     validate,
 )
@@ -33,15 +32,11 @@ def s3_spec(s3, g=0, r2=4, r3=1):
     return CoverSpec(s3, g, RamificationSpec(counts))
 
 
-def test_ramification_degree_examples(z2, s3):
-    assert ramification_degree_total(CoverSpec(z2, 0, RamificationSpec({1: 4}))) == 4
-    assert ramification_degree_total(s3_spec(s3)) == 16
-    assert ramification_degree_total(CoverSpec(s3, 2, RamificationSpec({}))) == 0
-
-
 def test_genus_total_examples(z2, s3, trivial):
     assert genus_total(CoverSpec(z2, 1, RamificationSpec({1: 4}))) == 3
-    assert genus_total(s3_spec(s3)) == 3
+    assert genus_total(CoverSpec(z2, 0, RamificationSpec({1: 4}))) == 1  # deg R = 4
+    assert genus_total(s3_spec(s3)) == 3  # deg R = 16
+    assert genus_total(CoverSpec(s3, 2, RamificationSpec({}))) == 7  # deg R = 0
     for g in range(4):
         assert genus_total(CoverSpec(trivial, g, RamificationSpec({}))) == g
 
@@ -92,8 +87,26 @@ def test_validate_clean(s3):
 
 
 def test_validate_odd_parity(z2):
+    """The total space is the quotient by the trivial class, so its
+    parity failure repeats H1's under its own text."""
     rep = validate(CoverSpec(z2, 1, RamificationSpec({1: 3})))
-    assert any("OddRamificationDegree" in d for d in rep.diagnostics)
+    assert rep.diagnostics == (
+        "OddRamificationDegree: total ramification degree 3 is odd",
+        "OddRamificationDegree: quotient H1 ramification degree 3 is odd",
+        "NonIntegerDimension: closed-form dimension 3/2 is not an integer",
+    )
+
+
+def test_validate_negative_genus(s3):
+    rep = validate(CoverSpec(s3, 0, RamificationSpec({})))
+    assert rep.dims_closed_form == (0, -1, -2)
+    assert rep.diagnostics == (
+        "NegativeGenus: total-space genus -5 is negative",
+        "NegativeGenus: quotient H1 genus -5 is negative",
+        "NegativeGenus: quotient H2 genus -2 is negative",
+        "NegativeGenus: quotient H3 genus -1 is negative",
+        "NegativeDimension: (0, -1, -2)",
+    )
 
 
 def test_validate_non_integer_diagnostics():
@@ -193,3 +206,27 @@ def test_warm_validate_makes_no_elimination(monkeypatch):
     for spec in specs[1:]:
         validate(spec)
     assert calls == {"_forward": 0, "solve": 50}
+
+
+def test_warm_validate_looks_up_each_table_once(monkeypatch):
+    """validate reads the character table and the fixed-dim inverse once
+    per spec and takes the closed form for every irrep from them."""
+    G = weyl_group("F", 4).group
+    specs = sample_cover_specs(G, 11, random.Random(9))
+    validate(specs[0])
+    calls = {"character_table": 0, "fixed_dim_matrix": 0}
+
+    def counted(name):
+        inner = getattr(rhprym, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(rhprym, name, wrapper)
+
+    counted("character_table")
+    counted("fixed_dim_matrix")
+    for spec in specs[1:]:
+        validate(spec)
+    assert calls == {"character_table": 10, "fixed_dim_matrix": 10}

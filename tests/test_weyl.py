@@ -150,6 +150,28 @@ def test_expected_base_dim():
                 assert expected_base_dim(W, g, d) == want
 
 
+def test_negative_twist_refused_by_both_counts():
+    """deg D < 0 is out of regime for the preset and for the independent
+    Riemann-Roch count alike."""
+    W = weyl_group("A", 3)
+    with pytest.raises(OutOfRegime):
+        markman_preset(W, 3, -1)
+    with pytest.raises(OutOfRegime):
+        expected_base_dim(W, 3, -1)
+
+
+@pytest.mark.parametrize("label", [("A", 3), ("D", 4), ("B", 3), ("G", 2)])
+def test_unknown_reflection_split_refused(label):
+    """An unknown split is refused on simply-laced types too, not only
+    where there are two reflection classes to choose between."""
+    W = weyl_group(*label)
+    for make in (lambda: toda_preset(W, "bogus"),
+                 lambda: hitchin_preset(W, 2, "bogus"),
+                 lambda: markman_preset(W, 1, 2, "bogus")):
+        with pytest.raises(ValueError, match="unknown reflection split 'bogus'"):
+            make()
+
+
 def test_reflection_split_invariance():
     """Moving reflection branch points between long and short classes does
     not change the Cartan-representation dimension. Other isotypic pieces
