@@ -32,6 +32,21 @@ def s3_spec(s3, g=0, r2=4, r3=1):
     return CoverSpec(s3, g, RamificationSpec(counts))
 
 
+def test_ramification_degree_examples(z2, s3):
+    """The total ramification degree read back from Riemann-Hurwitz,
+    2 g_X - 2 = |G| (2 g - 2) + deg R, and from the odd-degree text."""
+
+    def degree(spec):
+        g_x = genus_total(spec)
+        return 2 * g_x - 2 - spec.group.order * (2 * spec.base_genus - 2)
+
+    assert degree(CoverSpec(z2, 0, RamificationSpec({1: 4}))) == 4
+    assert degree(s3_spec(s3)) == 16
+    assert degree(CoverSpec(s3, 2, RamificationSpec({}))) == 0
+    with pytest.raises(OddRamificationDegree, match="total ramification degree 3 is odd"):
+        genus_total(CoverSpec(z2, 0, RamificationSpec({1: 3})))
+
+
 def test_genus_total_examples(z2, s3, trivial):
     assert genus_total(CoverSpec(z2, 1, RamificationSpec({1: 4}))) == 3
     assert genus_total(CoverSpec(z2, 0, RamificationSpec({1: 4}))) == 1  # deg R = 4
