@@ -7,13 +7,15 @@ classification pass (conjugacy classes, rationality, cyclic classes),
 the character table, the fixed-dimension matrix with its inverse, the
 double-coset matrix, the coset action of every cyclic subgroup, the
 monodromy oracle on those built actions (`monodromy.sample_tuple` of a
-genus-1 tuple with two branch points, then `verify_tuple`), and one
-`rhprym.validate` on a warm hitchin genus-2 spec. Every repetition
+genus-1 tuple with two branch points, then `verify_tuple`), and, on a
+warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
+(`genus_quotient`) and the closed form for every irrep
+(`prym_dim_formula`). Every repetition
 rebuilds the group from `W.group.generators`, so each stage starts
 cold. Those are the generators `weyl_group` closed the group from: the
 pair {Coxeter element, s_(r-2)} where it generates W (all types here
 but F4), else the simple reflections. The object also records the git
-revision and the Python version.
+revision, the Python version and the machine (architecture and CPU count).
 
 Usage (write elsewhere first: redirecting into the tracked file would
 record the revision as dirty):
@@ -23,6 +25,7 @@ record the revision as dirty):
 """
 
 import json
+import os
 import platform
 import random
 import subprocess
@@ -33,7 +36,7 @@ from pathlib import Path
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import PermGroup
-from prymdim.rhprym import validate
+from prymdim.rhprym import genus_quotient, prym_dim_formula, validate
 from prymdim.weyl import hitchin_preset, weyl_group
 
 GROUPS = [("D", 5), ("F", 4), ("B", 5), ("A", 6), ("A", 7)]
@@ -80,7 +83,14 @@ def _stages(W) -> dict[str, float]:
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)
     validate(spec)  # fill the per-group caches the spec reads
-    best["warm_validate"] = min(_timed(lambda: validate(spec))[0] for _ in range(REPEATS))
+    n = len(W.group.cyclic_subgroup_classes())
+    warm = {
+        "warm_validate": lambda: validate(spec),
+        "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
+        "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
+    }
+    for k, fn in warm.items():
+        best[k] = min(_timed(fn)[0] for _ in range(REPEATS))
     return {k: round(v, 6) for k, v in best.items()}
 
 
@@ -88,6 +98,7 @@ def main() -> int:
     report = {
         "git": _git_revision(),
         "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "repeats": REPEATS,
         "unit": "s, best of repeats",
         "groups": {},

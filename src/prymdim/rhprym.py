@@ -8,8 +8,11 @@ genus of every quotient curve X/H_i,
 
 and one function computes it: the total space is X/H_0 for the trivial
 class H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into
-deg(R)/2. The quotient genera determine the isotypic dimensions dim V_j
-through the invertible fixed-subspace dimension matrix. The same
+deg(R)/2. Inversion maps H_k g H_i onto H_i g^-1 H_k, so the double-coset
+matrix is symmetric and its row i holds every #(H_k\\G/H_i); a spec
+reads that matrix and the cyclic classes once for all its genera. The
+quotient genera determine the isotypic dimensions dim V_j through the
+invertible fixed-subspace dimension matrix. The same
 dimensions also come out of the closed form
 
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
@@ -106,13 +109,12 @@ class DimensionReport:
     diagnostics: tuple[str, ...]
 
 
-def _riemann_hurwitz(spec: CoverSpec, i: int, ram_name: str, genus_name: str) -> int:
-    """Genus of X/H_i; the names head the parity and sign diagnostics."""
-    G = spec.group
-    cyclic = G.cyclic_subgroup_classes()
-    index = G.order // cyclic[i].subgroup_order
-    dcm = G.double_coset_matrix()
-    ram = sum((index - dcm[k][i]) * r for k, r in spec.ramification.counts.items())
+def _riemann_hurwitz(
+    spec: CoverSpec, index: int, dc: Sequence[int], ram_name: str, genus_name: str
+) -> int:
+    """Genus of X/H for a subgroup H of the given index, dc[k] being
+    #(H_k\\G/H); the names head the parity and sign diagnostics."""
+    ram = sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
     if ram % 2:
         raise OddRamificationDegree(f"{ram_name} ramification degree {ram} is odd")
     g_h = 1 + index * (spec.base_genus - 1) + ram // 2
@@ -121,15 +123,23 @@ def _riemann_hurwitz(spec: CoverSpec, i: int, ram_name: str, genus_name: str) ->
     return g_h
 
 
+def _genus_of_quotient(spec: CoverSpec, i: int, cyclic, dcm) -> int:
+    """Genus of X/H_i from the group's cyclic classes and double-coset matrix."""
+    name = f"quotient H{i + 1}"
+    index = spec.group.order // cyclic[i].subgroup_order
+    return _riemann_hurwitz(spec, index, dcm[i], name, name)
+
+
 def genus_total(spec: CoverSpec) -> int:
     """Genus of the total space X = X/H_0, H_0 the trivial subgroup."""
-    return _riemann_hurwitz(spec, 0, "total", "total-space")
+    G = spec.group
+    return _riemann_hurwitz(spec, G.order, G.double_coset_matrix()[0], "total", "total-space")
 
 
 def genus_quotient(spec: CoverSpec, i: int) -> int:
     """Genus of the quotient X/H_i for the i-th cyclic class."""
-    name = f"quotient H{i + 1}"
-    return _riemann_hurwitz(spec, i, name, name)
+    G = spec.group
+    return _genus_of_quotient(spec, i, G.cyclic_subgroup_classes(), G.double_coset_matrix())
 
 
 def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
@@ -143,9 +153,9 @@ def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     """Isotypic dimensions from the linear system over all quotient genera."""
     G = spec.group
-    fdm = fixed_dim_matrix(G)
-    genera = [genus_quotient(spec, i) for i in range(len(fdm.rows))]
-    return _solve_from_genera(fdm, genera)
+    cyclic, dcm = G.cyclic_subgroup_classes(), G.double_coset_matrix()
+    genera = [_genus_of_quotient(spec, i, cyclic, dcm) for i in range(len(cyclic))]
+    return _solve_from_genera(fixed_dim_matrix(G), genera)
 
 
 def _closed_form_doubled(
@@ -194,8 +204,9 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(f"{type(exc).__name__}: {exc}")
             return None
 
-    g_total = attempt(genus_total, spec)
-    genera = [attempt(genus_quotient, spec, i) for i in range(len(fdm.rows))]
+    cyclic, dcm = G.cyclic_subgroup_classes(), G.double_coset_matrix()
+    g_total = attempt(_riemann_hurwitz, spec, G.order, dcm[0], "total", "total-space")
+    genera = [attempt(_genus_of_quotient, spec, i, cyclic, dcm) for i in range(len(cyclic))]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
         dims = attempt(_solve_from_genera, fdm, genera)
@@ -231,18 +242,21 @@ def validate(spec: CoverSpec) -> DimensionReport:
     )
 
 
-def sample_cover_specs(G: PermGroup, count: int, rng: random.Random) -> list[CoverSpec]:
-    """Deterministically sample cover specs whose branch data is realizable.
+def sample_cover_specs(
+    G: PermGroup, count: int, rng: random.Random
+) -> list[tuple[CoverSpec, DimensionReport]]:
+    """Deterministically sample cover specs whose branch data is realizable,
+    each with the ``validate`` report that admitted it.
 
     A spec is rejected only for a diagnostic in ``BRANCH_DATA_DIAGNOSTICS``,
-    so a spec on which the two routes disagree is kept for the caller to
-    catch. Half the attempts round all branch counts down to even numbers
+    so a spec on which the two routes disagree is kept, with its report,
+    for the caller to catch. Half the attempts round all branch counts down to even numbers
     (always parity-clean for positive base genus), the rest stay raw so
     odd counts that happen to satisfy all parity constraints appear too.
     """
     cyclic = G.cyclic_subgroup_classes()
     nontrivial = range(1, len(cyclic))
-    out: list[CoverSpec] = []
+    out: list[tuple[CoverSpec, DimensionReport]] = []
     while len(out) < count:
         g = rng.randint(0, SAMPLE_MAX_GENUS)
         counts = {}
@@ -255,7 +269,7 @@ def sample_cover_specs(G: PermGroup, count: int, rng: random.Random) -> list[Cov
         if rng.random() < 0.5:
             counts = {k: c - (c % 2) for k, c in counts.items() if c >= 2}
         spec = CoverSpec(G, g, RamificationSpec(counts))
-        diags = validate(spec).diagnostics
-        if not any(d.split(":", 1)[0] in BRANCH_DATA_DIAGNOSTICS for d in diags):
-            out.append(spec)
+        report = validate(spec)
+        if not any(d.split(":", 1)[0] in BRANCH_DATA_DIAGNOSTICS for d in report.diagnostics):
+            out.append((spec, report))
     return out

@@ -1,24 +1,32 @@
 """Weyl groups as permutation groups, with integrable-system presets.
 
-Realizations: A_n permutes n+1 points; B_n/C_n are signed permutations
-of n coordinates encoded on 2n points (point i is +e_{i+1}, point n+i is
--e_{i+1}); D_n is the even-sign subgroup on the same points; G_2 and F_4
-permute their 12 and 48 roots (F_4 roots doubled to keep coordinates
-integral). Each group is closed from two generators, the Coxeter element
-and the simple reflection s_{r-2}, where they generate it (every
-supported type but D4 and F4), else from the simple reflections; the
-classes and every element index do not depend on that choice.
+Each supported type is data: one ``_realization`` entry gives the
+integer point vectors W permutes, its simple roots, and the Cartan axis
+points a_i with a divisor c and an offset t. A_n permutes the n+1 unit
+vectors; B_n, C_n and D_n permute the 2n vectors +-e_i (point i is
++e_{i+1}, point n+i is -e_{i+1}), and their simple roots differ only in
+the last one, e_n, 2e_n or e_{n-1}+e_n; G_2 and F_4 permute their 12
+and 48 roots (F_4 roots doubled to keep coordinates integral). One
+function reads off every simple reflection by reflecting each point, and
+one formula gives the trace on the Cartan: sum_i (w a_i)_i / c - t.
+Each group is closed from two generators, the Coxeter element and the
+simple reflection s_{r-2}, where they generate it (every supported type
+but D4 and F4), else from the simple reflections; the classes and every
+element index do not depend on that choice.
 
 Each group carries the data the branched-cover presets need: the
 reflection representation (located in the character table by its trace),
 the set of reflections, a Coxeter element, and the long/short reflection
-classes for the non-simply-laced types.
+classes. Every reflection is conjugate to a simple one (Humphreys,
+Reflection Groups and Coxeter Groups, 1.14), so the reflection classes
+are the classes of the simple reflections, and which one is long is read
+off the simple-root norms.
 
-The only per-type table is the invariant degrees d_1..d_r; the rest of
-the metadata follows from them (Humphreys, Reflection Groups and Coxeter
-Groups, 3.9 and 3.18): |W| = prod d_i, the number of reflections is
-sum (d_i - 1), the Coxeter number is max d_i and dim g = sum (2 d_i - 1).
-The first three are checked against the constructed group.
+The only other per-type table is the invariant degrees d_1..d_r; the
+rest of the metadata follows from them (Humphreys, 3.9 and 3.18):
+|W| = prod d_i, the number of reflections is sum (d_i - 1), the Coxeter
+number is max d_i and dim g = sum (2 d_i - 1). The first three are
+checked against the constructed group.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from typing import NamedTuple
 
 from .chartable import character_table
 from .errors import OutOfRegime, UnsupportedType
@@ -74,66 +83,22 @@ class WeylGroup:
         return f"{self.letter}{self.rank}"
 
 
-# -- generators per type -------------------------------------------------------
+# -- each type as data ---------------------------------------------------------
 
 
-def _transposition(n: int, i: int, j: int) -> Permutation:
-    imgs = list(range(n))
-    imgs[i], imgs[j] = imgs[j], imgs[i]
-    return Permutation(tuple(imgs))
+class _Realization(NamedTuple):
+    """Point vectors W permutes (point k is points[k]), its simple roots,
+    and the Cartan axis points a_i, with trace(w) = sum_i (w a_i)_i / c - t."""
+
+    points: list[tuple[int, ...]]
+    simple_roots: list[tuple[int, ...]]
+    axes: list[tuple[int, ...]]
+    c: int
+    t: int
 
 
-def _signed_gens(n: int) -> list[Permutation]:
-    deg = 2 * n
-    gens = []
-    for i in range(n - 1):
-        imgs = list(range(deg))
-        imgs[i], imgs[i + 1] = imgs[i + 1], imgs[i]
-        imgs[n + i], imgs[n + i + 1] = imgs[n + i + 1], imgs[n + i]
-        gens.append(Permutation(tuple(imgs)))
-    imgs = list(range(deg))
-    imgs[n - 1], imgs[2 * n - 1] = imgs[2 * n - 1], imgs[n - 1]
-    gens.append(Permutation(tuple(imgs)))
-    return gens
-
-
-def _even_signed_gens(n: int) -> list[Permutation]:
-    deg = 2 * n
-    gens = _signed_gens(n)[:-1]
-    imgs = list(range(deg))
-    # reflection in e_{n-1} + e_n: e_{n-1} <-> -e_n
-    imgs[n - 2], imgs[2 * n - 1] = imgs[2 * n - 1], imgs[n - 2]
-    imgs[n - 1], imgs[2 * n - 2] = imgs[2 * n - 2], imgs[n - 1]
-    gens.append(Permutation(tuple(imgs)))
-    return gens
-
-
-def _g2_roots() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    short = [
-        (1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1), (0, 1, -1), (0, -1, 1),
-    ]
-    long = [
-        (2, -1, -1), (-2, 1, 1), (-1, 2, -1), (1, -2, 1), (-1, -1, 2), (1, 1, -2),
-    ]
-    simple = [(1, -1, 0), (-1, 2, -1)]
-    return sorted(short + long), simple
-
-
-def _f4_roots() -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    roots: list[tuple[int, ...]] = []
-    for i, j in itertools.combinations(range(4), 2):
-        for si, sj in itertools.product((2, -2), repeat=2):
-            v = [0, 0, 0, 0]
-            v[i], v[j] = si, sj
-            roots.append(tuple(v))
-    for i in range(4):
-        for s in (2, -2):
-            v = [0, 0, 0, 0]
-            v[i] = s
-            roots.append(tuple(v))
-    roots.extend(itertools.product((1, -1), repeat=4))
-    simple = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
-    return sorted(roots), simple
+def _vec(dim: int, entries: dict[int, int]) -> tuple[int, ...]:
+    return tuple(entries.get(j, 0) for j in range(dim))
 
 
 def _dot(a, b) -> int:
@@ -149,47 +114,40 @@ def _reflect(v, alpha) -> tuple[int, ...]:
     return tuple(x - q * a for x, a in zip(v, alpha))
 
 
-def _root_perm(roots, index_of, alpha) -> Permutation:
-    return Permutation(tuple(index_of[_reflect(r, alpha)] for r in roots))
-
-
-# -- reflection-representation traces ------------------------------------------
-
-
-def _trace_on_cartan(letter: str, rank: int, roots):
-    """Return a function mapping an image tuple to its trace on the Cartan."""
-    if letter == "A":
-        def trace(images):
-            return sum(1 for i, v in enumerate(images) if v == i) - 1
-        return trace
+def _realization(letter: str, rank: int) -> _Realization:
+    """Points, simple roots and Cartan axes of a supported type."""
+    n = rank
+    if letter == "A":  # e_1..e_{n+1}; the Cartan is their span minus the trivial line
+        points = [_vec(n + 1, {i: 1}) for i in range(n + 1)]
+        simple = [_vec(n + 1, {i: 1, i + 1: -1}) for i in range(n)]
+        return _Realization(points, simple, points, 1, 1)
     if letter in ("B", "C", "D"):
-        n = rank
-        def trace(images):
-            t = 0
-            for i in range(n):
-                if images[i] == i:
-                    t += 1
-                elif images[i] == n + i:
-                    t -= 1
-            return t
-        return trace
+        points = [_vec(n, {i: s}) for s in (1, -1) for i in range(n)]
+        last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[letter]
+        simple = [_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)] + [_vec(n, last)]
+        return _Realization(points, simple, points[:n], 1, 0)
+    if letter == "G":  # in the plane x + y + z = 0; a_i = 3 e_i - (1, 1, 1)
+        points = sorted(
+            {p for v in ((1, -1, 0), (2, -1, -1), (-2, 1, 1)) for p in itertools.permutations(v)}
+        )
+        axes = [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
+        return _Realization(points, [(1, -1, 0), (-1, 2, -1)], axes, 3, 0)
+    # F: doubled coordinates, so a_i = 2 e_i
+    points = sorted(
+        [v for v in itertools.product((-2, 0, 2), repeat=4) if _dot(v, v) in (4, 8)]
+        + list(itertools.product((1, -1), repeat=4))
+    )
+    simple = [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)]
+    return _Realization(points, simple, [_vec(4, {i: 2}) for i in range(4)], 2, 0)
 
-    # G2/F4: trace(w) = sum_i <w a_i, e_i> / c over roots a_i = c * (projection
-    # of the axis e_i onto the span of the roots)
-    if letter == "G":  # a_i = 3 e_i - (1, 1, 1)
-        c, axes = 3, [(2, -1, -1), (-1, 2, -1), (-1, -1, 2)]
-    else:  # doubled coordinates: a_i = 2 e_i
-        c, axes = 2, [tuple(2 * (i == j) for j in range(4)) for i in range(4)]
-    index_of = {v: i for i, v in enumerate(roots)}
-    axis_idx = [index_of[a] for a in axes]
 
-    def trace(images):
-        t = sum(roots[images[k]][i] for i, k in enumerate(axis_idx))
-        if t % c:
-            raise AssertionError(f"trace {t}/{c} on the Cartan is not an integer")
-        return t // c
-
-    return trace
+def _simple_reflections(real: _Realization) -> list[Permutation]:
+    """Each simple reflection, as the permutation it makes of the points."""
+    index_of = {v: k for k, v in enumerate(real.points)}
+    return [
+        Permutation(tuple(index_of[_reflect(p, alpha)] for p in real.points))
+        for alpha in real.simple_roots
+    ]
 
 
 # -- construction ---------------------------------------------------------------
@@ -220,8 +178,9 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
 
 
 def _supported(letter: str, rank: int) -> str:
+    """The upper-case letter of a supported type; the rank must be an int."""
     letter = letter.upper()
-    if letter not in SUPPORTED or rank not in SUPPORTED[letter]:
+    if type(rank) is not int or letter not in SUPPORTED or rank not in SUPPORTED[letter]:
         raise UnsupportedType(f"unsupported Weyl type {letter}{rank}")
     return letter
 
@@ -231,89 +190,64 @@ def weyl_order(letter: str, rank: int) -> int:
     return math.prod(_INVARIANT_DEGREES[_supported(letter, rank)](rank))
 
 
-def _simple_reflections(letter: str, rank: int) -> tuple[list[Permutation], list | None]:
-    """The simple reflections of a supported type, with the sorted root
-    list they permute for G and F (None for A, B, C and D)."""
-    if letter == "A":
-        return [_transposition(rank + 1, i, i + 1) for i in range(rank)], None
-    if letter in ("B", "C"):
-        return _signed_gens(rank), None
-    if letter == "D":
-        return _even_signed_gens(rank), None
-    roots, simple_roots = _g2_roots() if letter == "G" else _f4_roots()
-    index_of = {v: i for i, v in enumerate(roots)}
-    return [_root_perm(roots, index_of, a) for a in simple_roots], roots
+def weyl_group(letter: str, rank: int) -> WeylGroup:
+    """Construct a supported Weyl group with verified invariants, once per
+    type: the letter is normalised before the cache."""
+    return _weyl_group(_supported(letter, rank), rank)
 
 
 @lru_cache(maxsize=None)
-def weyl_group(letter: str, rank: int) -> WeylGroup:
-    """Construct a supported Weyl group with verified invariants."""
-    letter = _supported(letter, rank)
-    simple, roots = _simple_reflections(letter, rank)
-    G = _closure(tuple(simple), weyl_order(letter, rank))
-    return _weyl_data(letter, rank, G, simple, roots)
+def _weyl_group(letter: str, rank: int) -> WeylGroup:
+    real = _realization(letter, rank)
+    G = _closure(tuple(_simple_reflections(real)), weyl_order(letter, rank))
+    return _weyl_data(letter, rank, G, real)
 
 
-def _weyl_data(letter: str, rank: int, G: PermGroup, simple: list[Permutation],
-               roots: list | None) -> WeylGroup:
+def _weyl_data(letter: str, rank: int, G: PermGroup, real: _Realization) -> WeylGroup:
     """Check G, generated by any set, against the invariant degrees and
-    locate the preset metadata in it; ``simple`` gives the Coxeter element."""
+    locate the preset metadata in it; ``real`` gives the simple
+    reflections, the Cartan trace and the root lengths."""
     degrees = _INVARIANT_DEGREES[letter](rank)
     if G.order != math.prod(degrees):
         raise AssertionError("group order != product of the invariant degrees")
     if not G.is_rational_group():
         raise AssertionError("Weyl groups have rational characters")
 
-    trace = _trace_on_cartan(letter, rank, roots)
-    classes = G.conjugacy_classes()
-    class_traces = [trace(G.elements[cl.representative].images) for cl in classes]
+    index_of = {v: k for k, v in enumerate(real.points)}
+    axes = [index_of[a] for a in real.axes]
 
+    def trace(x: int) -> int:
+        images = G.elements[x].images
+        t = sum(real.points[images[k]][i] for i, k in enumerate(axes))
+        if t % real.c:
+            raise AssertionError(f"trace {t}/{real.c} on the Cartan is not an integer")
+        return t // real.c - real.t
+
+    classes = G.conjugacy_classes()
+    class_traces = [trace(cl.representative) for cl in classes]
     table = character_table(G)
     matches = [
         j for j, row in enumerate(table.table) if list(row) == class_traces
     ]
     if len(matches) != 1:
         raise AssertionError("reflection representation not found in the table")
-    reflection_rep = matches[0]
 
-    refl_class_idx = [
-        ci
-        for ci, cl in enumerate(classes)
-        if cl.element_order == 2 and class_traces[ci] == rank - 2
-    ]
-    reflections = tuple(
-        sorted(x for ci in refl_class_idx for x in classes[ci].members)
-    )
+    # every reflection is conjugate to a simple one; class k generates cyclic class k
+    simple = _simple_reflections(real)
+    norm_of: dict[int, int] = {}
+    for s, alpha in zip(simple, real.simple_roots):
+        norm = _dot(alpha, alpha)
+        if norm_of.setdefault(G.class_of(G.index_of(s)), norm) != norm:
+            raise AssertionError("simple roots of one reflection class differ in norm")
+    if any(class_traces[ci] != rank - 2 for ci in norm_of):
+        raise AssertionError("a reflection class has trace != rank - 2 on the Cartan")
+    reflections = tuple(sorted(x for ci in norm_of for x in classes[ci].members))
     if len(reflections) != sum(d - 1 for d in degrees):
         raise AssertionError("reflection count != sum of (degree - 1)")
 
     cox = G.index_of(_coxeter_element(simple))
     if G.element_order(cox) != max(degrees):
         raise AssertionError("Coxeter order != largest invariant degree")
-
-    # cyclic class k is generated by the representative of conjugacy class k
-    if len(refl_class_idx) == 1:
-        long_cls = short_cls = refl_class_idx[0]
-    else:
-        if len(refl_class_idx) != 2:
-            raise AssertionError("unexpected number of reflection classes")
-        a, b = refl_class_idx
-        ga = G.elements[classes[a].representative].images
-        gb = G.elements[classes[b].representative].images
-        if letter in ("B", "C"):
-            moved_a = sum(1 for i, v in enumerate(ga) if v != i)
-            flips = a if moved_a == 2 else b
-            swaps = b if moved_a == 2 else a
-            # B: sign flip is the short root e_i; C: it is the long root 2e_i
-            long_cls, short_cls = (swaps, flips) if letter == "B" else (flips, swaps)
-        else:
-            def root_norm(images):
-                idx = next(
-                    i for i, r in enumerate(roots)
-                    if roots[images[i]] == tuple(-x for x in r)
-                )
-                return _dot(roots[idx], roots[idx])
-            long_cls, short_cls = (a, b) if root_norm(ga) > root_norm(gb) else (b, a)
 
     return WeylGroup(
         letter=letter,
@@ -322,9 +256,9 @@ def _weyl_data(letter: str, rank: int, G: PermGroup, simple: list[Permutation],
         lie_dim=sum(2 * d - 1 for d in degrees),
         reflections=reflections,
         coxeter=cox,
-        reflection_rep=reflection_rep,
-        long_reflection_class=long_cls,
-        short_reflection_class=short_cls,
+        reflection_rep=matches[0],
+        long_reflection_class=max(norm_of, key=norm_of.__getitem__),
+        short_reflection_class=min(norm_of, key=norm_of.__getitem__),
         coxeter_class=G.cyclic_class_of_element(cox),
         invariant_degrees=degrees,
     )

@@ -107,7 +107,7 @@ def test_criterion_5_two_route_equivalence():
     for idx, (letter, rank) in enumerate(WEYL_FLEET):
         G = weyl_group(letter, rank).group
         rng = random.Random(1000 + idx)
-        for spec in sample_cover_specs(G, 200, rng):
+        for spec, _ in sample_cover_specs(G, 200, rng):
             solved = isotypic_dims_solve(spec)
             closed = tuple(prym_dim_formula(spec, j) for j in range(len(solved)))
             assert solved == closed, (letter, rank, spec.base_genus,

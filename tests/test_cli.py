@@ -537,6 +537,23 @@ def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     assert checks["two_route_dimensions"] is False
 
 
+def test_verify_validates_each_sampled_spec_once(capsys, monkeypatch):
+    """The two-route check reads the reports the sampler already made
+    instead of validating the specs it keeps a second time."""
+    seen = []
+    real = rhprym.validate
+
+    def counted(spec):
+        seen.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(rhprym, "validate", counted)
+    code, out, _ = run(capsys, ["verify", "--weyl", "G2", "--tuples", "0", "--format", "json"])
+    assert code == 0
+    assert "25 sampled cover specs" in out
+    assert len(seen) == len({id(spec) for spec in seen}) >= 25
+
+
 def test_verify_not_rational(capsys):
     code, out, _ = run(capsys, ["verify", "--generators", "(0 1 2)"])
     assert code == 2

@@ -18,6 +18,7 @@ from prymdim.rhprym import (
     sample_cover_specs,
     validate,
 )
+from prymdim.permgroup import PermGroup
 from prymdim.weyl import weyl_group
 
 from conftest import SMALL_WEYL
@@ -167,7 +168,7 @@ def test_spec_rejects_bad_input(z3, s3):
 def test_two_routes_agree_on_sampled_specs():
     for letter, rank in SMALL_WEYL:
         G = weyl_group(letter, rank).group
-        for spec in sample_cover_specs(G, 25, random.Random(99)):
+        for spec, _ in sample_cover_specs(G, 25, random.Random(99)):
             solved = isotypic_dims_solve(spec)
             closed = tuple(prym_dim_formula(spec, j) for j in range(len(solved)))
             assert solved == closed
@@ -180,7 +181,7 @@ def test_dimension_sum_and_trivial_dim():
         from prymdim.chartable import character_table
 
         T = character_table(G)
-        for spec in sample_cover_specs(G, 15, random.Random(5)):
+        for spec, _ in sample_cover_specs(G, 15, random.Random(5)):
             dims = isotypic_dims_solve(spec)
             assert dims[0] == spec.base_genus
             assert sum(d * v for d, v in zip(T.degrees, dims)) == genus_total(spec)
@@ -188,7 +189,7 @@ def test_dimension_sum_and_trivial_dim():
 
 def test_monotonic_in_branch_points(s4):
     """Adding two branch points to any class never shrinks any dimension."""
-    for spec in sample_cover_specs(s4, 10, random.Random(3)):
+    for spec, _ in sample_cover_specs(s4, 10, random.Random(3)):
         base = isotypic_dims_solve(spec)
         for k in range(1, len(s4.cyclic_subgroup_classes())):
             counts = dict(spec.ramification.counts)
@@ -203,7 +204,7 @@ def test_warm_validate_makes_no_elimination(monkeypatch):
     """The fixed-dim matrix is inverted once per group: once it is built,
     each spec's solve is a checked matrix-vector product, not a Bareiss pass."""
     G = weyl_group("F", 4).group
-    specs = sample_cover_specs(G, 51, random.Random(9))
+    specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
     calls = {"_forward": 0, "solve": 0}
 
@@ -227,7 +228,7 @@ def test_warm_validate_looks_up_each_table_once(monkeypatch):
     """validate reads the character table and the fixed-dim inverse once
     per spec and takes the closed form for every irrep from them."""
     G = weyl_group("F", 4).group
-    specs = sample_cover_specs(G, 11, random.Random(9))
+    specs = [spec for spec, _ in sample_cover_specs(G, 11, random.Random(9))]
     validate(specs[0])
     calls = {"character_table": 0, "fixed_dim_matrix": 0}
 
@@ -245,3 +246,39 @@ def test_warm_validate_looks_up_each_table_once(monkeypatch):
     for spec in specs[1:]:
         validate(spec)
     assert calls == {"character_table": 10, "fixed_dim_matrix": 10}
+
+
+def test_warm_validate_reads_cyclic_classes_and_double_cosets_once(monkeypatch):
+    """validate looks up the cyclic classes and the double-coset matrix
+    once per spec for all n + 1 genera, not once per quotient."""
+    G = weyl_group("F", 4).group
+    specs = [spec for spec, _ in sample_cover_specs(G, 11, random.Random(9))]
+    validate(specs[0])
+    calls = {"cyclic_subgroup_classes": 0, "double_coset_matrix": 0}
+
+    def counted(name):
+        inner = getattr(PermGroup, name)
+
+        def wrapper(self):
+            if self is G:
+                calls[name] += 1
+            return inner(self)
+
+        monkeypatch.setattr(PermGroup, name, wrapper)
+
+    counted("cyclic_subgroup_classes")
+    counted("double_coset_matrix")
+    reports = [validate(spec) for spec in specs[1:]]
+    assert calls == {"cyclic_subgroup_classes": 10, "double_coset_matrix": 10}
+    monkeypatch.undo()
+    for spec, report in zip(specs[1:], reports):
+        n = len(G.cyclic_subgroup_classes())
+        assert report.quotient_genera == tuple(genus_quotient(spec, i) for i in range(n))
+        assert report.g_total == genus_total(spec)
+
+
+def test_double_coset_matrix_is_symmetric():
+    """Genera read row i of the matrix as the column #(H_k\\G/H_i)."""
+    for letter, rank in SMALL_WEYL + [("F", 4)]:
+        dcm = weyl_group(letter, rank).group.double_coset_matrix()
+        assert dcm == tuple(zip(*dcm)), (letter, rank)

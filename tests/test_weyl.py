@@ -15,6 +15,7 @@ from prymdim.weyl import (
     parse_weyl_label,
     toda_preset,
     weyl_group,
+    weyl_order,
 )
 
 from conftest import SMALL_WEYL, WEYL_FLEET
@@ -71,6 +72,70 @@ def test_structural_invariants_small_fleet():
             assert fixed_dim(T, W.reflection_rep, cyclic[cls]) == W.rank - 1
         assert fixed_dim(T, W.reflection_rep, cyclic[W.coxeter_class]) == 0
         assert sum(2 * d - 1 for d in W.invariant_degrees) == W.lie_dim
+
+
+@pytest.mark.parametrize("rank", [True, False, 2.0, 3.0, "3", None])
+def test_rank_must_be_an_int(rank):
+    """A bool, a float or any other non-int rank is refused, not labelled
+    ``ATrue`` or left to fail inside the construction."""
+    with pytest.raises(UnsupportedType):
+        weyl_group("A", rank)
+    with pytest.raises(UnsupportedType):
+        weyl_order("B", rank)
+
+
+def test_letter_case_shares_one_group():
+    assert weyl_group("a", 3) is weyl_group("A", 3)
+    assert weyl_group("f", 4) is weyl_group("F", 4)
+    assert weyl_order("g", 2) == 12
+
+
+@pytest.mark.parametrize("label, cycles", [
+    (("A", 3), ["(0 1)", "(1 2)", "(2 3)"]),
+    (("B", 3), ["(0 1)(3 4)", "(1 2)(4 5)", "(2 5)"]),
+    (("C", 3), ["(0 1)(3 4)", "(1 2)(4 5)", "(2 5)"]),
+    (("D", 4), ["(0 1)(4 5)", "(1 2)(5 6)", "(2 3)(6 7)", "(2 7)(3 6)"]),
+])
+def test_simple_reflections_in_the_readme_encoding(label, cycles):
+    """Point i is e_(i+1) for A_n; for B_n, C_n and D_n point i is +e_(i+1)
+    and point n+i is -e_(i+1)."""
+    simple = weyl._simple_reflections(weyl._realization(*label))
+    assert [s.cycle_str() for s in simple] == cycles
+    assert all(s in weyl_group(*label).group for s in simple)
+
+
+def _long_short_by_old_rules(W):
+    """(long, short) reflection classes by the rules weyl.py used before
+    the simple-root norms: moved points and the letter for B and C, the
+    norm of the root a reflection negates for G and F."""
+    G = W.group
+    classes = G.conjugacy_classes()
+    row = character_table(G).table[W.reflection_rep]
+    a, b = [c for c, cl in enumerate(classes) if cl.element_order == 2 and row[c] == W.rank - 2]
+    ga = G.elements[classes[a].representative].images
+    gb = G.elements[classes[b].representative].images
+    if W.letter in ("B", "C"):
+        moved_a = sum(1 for i, v in enumerate(ga) if v != i)
+        flips, swaps = (a, b) if moved_a == 2 else (b, a)
+        # B: the sign flip is the short root e_i; C: it is the long root 2e_i
+        return (swaps, flips) if W.letter == "B" else (flips, swaps)
+    roots = weyl._realization(W.letter, W.rank).points
+
+    def root_norm(images):
+        r = next(r for i, r in enumerate(roots) if roots[images[i]] == tuple(-x for x in r))
+        return sum(x * x for x in r)
+
+    return (a, b) if root_norm(ga) > root_norm(gb) else (b, a)
+
+
+@pytest.mark.parametrize(
+    "label", [(x, r) for x in "BC" for r in range(2, 6)] + [("G", 2), ("F", 4)],
+    ids=lambda v: f"{v[0]}{v[1]}",
+)
+def test_long_short_match_the_old_rules(label):
+    W = weyl_group(*label)
+    assert W.long_reflection_class != W.short_reflection_class
+    assert (W.long_reflection_class, W.short_reflection_class) == _long_short_by_old_rules(W)
 
 
 def test_long_short_labels():
@@ -213,11 +278,12 @@ def test_short_generating_set_gives_the_simple_reflection_group(letter, rank):
     reflections, where that pair does not generate) equals the group of
     the simple reflections class by class, and its metadata is the same."""
     W = weyl_group(letter, rank)
-    simple, roots = weyl._simple_reflections(letter, rank)
+    real = weyl._realization(letter, rank)
+    simple = weyl._simple_reflections(real)
     assert len(W.group.generators) == (4 if W.label in ("D4", "F4") else min(rank, 2))
     ref = PermGroup(simple)
     assert ref.order == W.group.order
     for a, b in zip(ref.conjugacy_classes(), W.group.conjugacy_classes(), strict=True):
         assert a == b, W.label
-    assert dataclasses.replace(weyl._weyl_data(letter, rank, ref, simple, roots),
+    assert dataclasses.replace(weyl._weyl_data(letter, rank, ref, real),
                                group=W.group) == W
