@@ -250,9 +250,10 @@ def sample_cover_specs(
 
     A spec is rejected only for a diagnostic in ``BRANCH_DATA_DIAGNOSTICS``,
     so a spec on which the two routes disagree is kept, with its report,
-    for the caller to catch. Half the attempts round all branch counts down to even numbers
-    (always parity-clean for positive base genus), the rest stay raw so
-    odd counts that happen to satisfy all parity constraints appear too.
+    for the caller to catch. Half the attempts round all branch counts
+    down to even numbers (always parity-clean for positive base genus),
+    the rest stay raw so odd counts that happen to satisfy all parity
+    constraints appear too.
     """
     cyclic = G.cyclic_subgroup_classes()
     nontrivial = range(1, len(cyclic))

@@ -178,11 +178,12 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
 
 
 def _supported(letter: str, rank: int) -> str:
-    """The upper-case letter of a supported type; the rank must be an int."""
-    letter = letter.upper()
-    if type(rank) is not int or letter not in SUPPORTED or rank not in SUPPORTED[letter]:
-        raise UnsupportedType(f"unsupported Weyl type {letter}{rank}")
-    return letter
+    """The upper-case letter of a supported type, given a str and an int."""
+    if type(letter) is str and type(rank) is int:
+        letter = letter.upper()
+        if rank in SUPPORTED.get(letter, ()):
+            return letter
+    raise UnsupportedType(f"unsupported Weyl type {letter}{rank}")
 
 
 def weyl_order(letter: str, rank: int) -> int:

@@ -84,6 +84,12 @@ def test_rank_must_be_an_int(rank):
         weyl_order("B", rank)
 
 
+@pytest.mark.parametrize("letter", [None, 3, ["A"], b"A"])
+def test_letter_must_be_a_str(letter):
+    with pytest.raises(UnsupportedType):
+        weyl_group(letter, 3)
+
+
 def test_letter_case_shares_one_group():
     assert weyl_group("a", 3) is weyl_group("A", 3)
     assert weyl_group("f", 4) is weyl_group("F", 4)
@@ -105,9 +111,9 @@ def test_simple_reflections_in_the_readme_encoding(label, cycles):
 
 
 def _long_short_by_old_rules(W):
-    """(long, short) reflection classes by the rules weyl.py used before
-    the simple-root norms: moved points and the letter for B and C, the
-    norm of the root a reflection negates for G and F."""
+    """(long, short) reflection classes by rules that do not read the
+    simple roots: moved points and the letter for B and C, the norm of
+    the root a reflection negates for G and F."""
     G = W.group
     classes = G.conjugacy_classes()
     row = character_table(G).table[W.reflection_rep]
