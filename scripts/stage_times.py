@@ -14,7 +14,9 @@ warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
 rebuilds the group from `W.group.generators`, so each stage starts
 cold. Those are the generators `weyl_group` closed the group from: the
 pair {Coxeter element, s_(r-2)} where it generates W (all types here
-but F4), else the simple reflections. The object also records the git
+but F4), else the simple reflections. The `cli_cold` stage is one fresh
+`python -m prymdim preset hitchin <type> <rank> --format json` process
+on the same source tree, interpreter start and imports included. The object also records the git
 revision, the Python version and the machine (architecture and CPU count).
 
 Usage (write elsewhere first: redirecting into the tracked file would
@@ -33,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+import prymdim
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import PermGroup
@@ -63,6 +66,16 @@ def _timed(fn):
     return time.perf_counter() - t0, result
 
 
+def _cli_cold(W) -> float:
+    env = {**os.environ, "PYTHONPATH": str(Path(prymdim.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "prymdim", "preset", "hitchin", W.letter, str(W.rank),
+            "--format", "json"]
+    seconds, done = _timed(lambda: subprocess.run(argv, env=env, capture_output=True))
+    if done.returncode != 0:
+        raise RuntimeError(f"{W.label}: {' '.join(argv[1:])} exited {done.returncode}")
+    return seconds
+
+
 def _stages(W) -> dict[str, float]:
     gens = W.group.generators
     best: dict[str, float] = {}
@@ -91,6 +104,7 @@ def _stages(W) -> dict[str, float]:
     }
     for k, fn in warm.items():
         best[k] = min(_timed(fn)[0] for _ in range(REPEATS))
+    best["cli_cold"] = min(_cli_cold(W) for _ in range(REPEATS))
     return {k: round(v, 6) for k, v in best.items()}
 
 

@@ -12,7 +12,6 @@ from .chartable import (
     character_table,
     fixed_dim,
     fixed_dim_matrix,
-    table_tsv,
 )
 from .errors import (
     CapExceeded,

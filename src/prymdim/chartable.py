@@ -379,8 +379,11 @@ def fixed_dim(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
     be phi(d) for each d dividing the subgroup order and zero for every
     other order (so one identity and a total of the subgroup order).
     A profile that fails, a character sum not divisible by the subgroup
-    order, or an average outside [0, deg] raises NonIntegerFixedDim.
+    order, or an average outside [0, deg] raises NonIntegerFixedDim; an
+    irrep index outside 0..n-1 raises IndexError.
     """
+    if not 0 <= irrep < table.n:
+        raise IndexError(f"irrep index {irrep} is not in 0..{table.n - 1}")
     _check_cyclic_profile(table, K)
     return _average_over(table, irrep, K)
 
@@ -428,16 +431,3 @@ def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
         raise Singular("fixed-subspace dimension matrix is singular") from None
     G.fixed_dims = result
     return result
-
-
-def table_tsv(G: PermGroup) -> str:
-    """Character table as TSV: class representatives and sizes head the columns."""
-    table = character_table(G)
-    classes = G.conjugacy_classes()
-    lines = [
-        "class\t" + "\t".join(G.elements[c.representative].cycle_str() for c in classes),
-        "size\t" + "\t".join(str(c.size) for c in classes),
-    ]
-    for j, row in enumerate(table.table):
-        lines.append(f"chi{j + 1}\t" + "\t".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"

@@ -6,6 +6,11 @@ text, json and tsv (verify: text and json); json and tsv are
 byte-stable across runs for identical input and seed. Exit codes: 0
 clean, 1 input error (usage errors included), 2 mathematical
 diagnostics, 3 internal assertion failure.
+
+One render path: each subcommand builds its report once as a JSON-ready
+document and returns it with its exit code and a renderer per text
+format (elapsed seconds -> text); ``main`` alone times the command,
+writes the JSON or the rendered text, and reports every error.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from operator import mul
 from . import chartable, monodromy, rhprym, weyl
 from .errors import (
     CapExceeded,
-    NotRationalGroup,
     ParseError,
     PrymdimError,
     SamplingExhausted,
@@ -293,43 +297,30 @@ def _render_dims_tsv(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(doc: dict, fmt: str, text_renderer, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    else:
-        out.write(text_renderer())
+# -- subcommands: each returns (document, renderers, exit code) --------------------
 
 
-# -- subcommands -----------------------------------------------------------------
-
-
-def _cmd_dims(args, out) -> int:
-    t0 = time.monotonic()
+def _cmd_dims(args):
     try:
         with open(args.specfile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
-        print(f"error: cannot read {args.specfile}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ParseError(f"cannot read {args.specfile}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        print(
-            f"error: malformed JSON in {args.specfile} at line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+        raise ParseError(
+            f"malformed JSON in {args.specfile} at line {exc.lineno} "
+            f"column {exc.colno}: {exc.msg}"
+        ) from exc
     spec, echo = _spec_from_document(doc, args.cap)
     report = _dims_report(spec, echo)
-    elapsed = time.monotonic() - t0
-    if args.format == "tsv":
-        out.write(_render_dims_tsv(report))
-    else:
-        _emit(report, args.format, lambda: _render_dims_text(report, elapsed), out)
-    return EXIT_DIAGNOSTIC if report["diagnostics"] else EXIT_OK
+    renderers = {
+        "text": lambda elapsed: _render_dims_text(report, elapsed),
+        "tsv": lambda _: _render_dims_tsv(report),
+    }
+    return report, renderers, EXIT_DIAGNOSTIC if report["diagnostics"] else EXIT_OK
 
 
-def _cmd_preset(args, out) -> int:
-    t0 = time.monotonic()
+def _cmd_preset(args):
     letter, rank = weyl.parse_weyl_label(f"{args.type}{args.rank}")
     W = weyl.weyl_group(letter, rank)
     split = args.reflection_split
@@ -360,52 +351,48 @@ def _cmd_preset(args, out) -> int:
     report = _dims_report(spec, echo)
     dims = report["dimensions"]
     computed = None if dims is None else dims[W.reflection_rep]["dim"]
+    match = computed == expected
     report["preset"] = {
         "kind": args.kind,
         "reflection_rep": f"chi{W.reflection_rep + 1}",
         "computed_dim": computed,
         "expected_dim": expected,
-        "match": computed == expected,
+        "match": match,
     }
-    elapsed = time.monotonic() - t0
-
-    def text():
-        body = _render_dims_text(report, elapsed)
-        verdict = "MATCH" if report["preset"]["match"] else "MISMATCH"
-        body += (
+    verdict = "MATCH" if match else "MISMATCH"
+    renderers = {
+        "text": lambda elapsed: _render_dims_text(report, elapsed) + (
             f"preset {args.kind} {W.label}: Cartan-representation dim "
             f"{computed}, expected {expected} -> {verdict}\n"
-        )
-        return body
-
-    if args.format == "tsv":
-        tsv = _render_dims_tsv(report)
-        tsv += f"preset\t{args.kind}\t\t{'MATCH' if report['preset']['match'] else 'MISMATCH'}\n"
-        out.write(tsv)
-    else:
-        _emit(report, args.format, text, out)
-    if report["diagnostics"]:
-        return EXIT_DIAGNOSTIC
-    return EXIT_OK if report["preset"]["match"] else EXIT_DIAGNOSTIC
+        ),
+        "tsv": lambda _: _render_dims_tsv(report) + f"preset\t{args.kind}\t\t{verdict}\n",
+    }
+    clean = match and not report["diagnostics"]
+    return report, renderers, EXIT_OK if clean else EXIT_DIAGNOSTIC
 
 
-def _cmd_chartable(args, out) -> int:
+def _cmd_chartable(args):
     G, echo = _build_group(args.cap, args.weyl, args.generators)
-    if args.format == "tsv":
-        out.write(chartable.table_tsv(G))
-        return EXIT_OK
     doc = {"input": echo, "group": _group_block(G), "character_table": _table_block(G)}
 
-    def text():
-        lines = [f"group: order {G.order}, degree {G.degree}"]
-        lines.append(chartable.table_tsv(G).replace("\t", "  "))
-        return "\n".join(lines)
+    def tsv(_):
+        # class representatives and sizes head the columns, one row per irrep
+        classes, rows = doc["character_table"]["classes"], doc["character_table"]["rows"]
+        lines = [
+            "class\t" + "\t".join(c["representative"] for c in classes),
+            "size\t" + "\t".join(str(c["size"]) for c in classes),
+        ]
+        lines += [r["label"] + "\t" + "\t".join(map(str, r["values"])) for r in rows]
+        return "\n".join(lines) + "\n"
 
-    _emit(doc, args.format, text, out)
-    return EXIT_OK
+    def text(_):
+        head = f"group: order {doc['group']['order']}, degree {doc['group']['degree']}\n"
+        return head + tsv(_).replace("\t", "  ")
+
+    return doc, {"text": text, "tsv": tsv}, EXIT_OK
 
 
-def _cmd_group_info(args, out) -> int:
+def _cmd_group_info(args):
     G, echo = _build_group(args.cap, args.weyl, args.generators)
     doc = {
         "input": echo,
@@ -416,10 +403,10 @@ def _cmd_group_info(args, out) -> int:
     if doc["rational_characters"]:
         doc["cyclic_classes"] = _cyclic_block(G)
 
-    def text():
+    def text(_):
         lines = [
-            f"order: {G.order}",
-            f"degree: {G.degree}",
+            f"order: {doc['group']['order']}",
+            f"degree: {doc['group']['degree']}",
             f"rational characters: {doc['rational_characters']}",
             f"conjugacy classes ({len(doc['classes'])}):",
         ]
@@ -436,16 +423,15 @@ def _cmd_group_info(args, out) -> int:
                 )
         return "\n".join(lines) + "\n"
 
-    if args.format == "tsv":
+    def tsv(_):
         lines = ["label\tsize\telement_order\trepresentative"]
         for c in doc["classes"]:
             lines.append(
                 f"{c['label']}\t{c['size']}\t{c['element_order']}\t{c['representative']}"
             )
-        out.write("\n".join(lines) + "\n")
-        return EXIT_OK
-    _emit(doc, args.format, text, out)
-    return EXIT_OK
+        return "\n".join(lines) + "\n"
+
+    return doc, {"text": text, "tsv": tsv}, EXIT_OK
 
 
 def _verify_checks(G: PermGroup, args) -> list[tuple[str, bool, str]]:
@@ -512,7 +498,10 @@ def _verify_checks(G: PermGroup, args) -> list[tuple[str, bool, str]]:
     return checks
 
 
-def _cmd_verify(args, out) -> int:
+def _cmd_verify(args):
+    for flag, value in (("--specs", args.specs), ("--tuples", args.tuples)):
+        if value < 0:
+            raise ParseError(f"{flag} must be a nonnegative integer, got {value}")
     G, echo = _build_group(args.cap, args.weyl, args.generators)
     checks = _verify_checks(G, args)
     ok = all(c[1] for c in checks)
@@ -523,13 +512,12 @@ def _cmd_verify(args, out) -> int:
         "ok": ok,
     }
 
-    def text():
+    def text(_):
         lines = [f"{n}: {'PASS' if o else 'FAIL'} ({d})" for n, o, d in checks]
         lines.append(f"result: {'PASS' if ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
 
-    _emit(doc, args.format, text, out)
-    return EXIT_OK if ok else EXIT_DIAGNOSTIC
+    return doc, {"text": text}, EXIT_OK if ok else EXIT_DIAGNOSTIC
 
 
 def _triangular_change_of_basis_ok(table, fdm) -> bool:
@@ -554,31 +542,32 @@ def _triangular_change_of_basis_ok(table, fdm) -> bool:
     return True
 
 
+_COMMANDS = {
+    "dims": _cmd_dims,
+    "preset": _cmd_preset,
+    "verify": _cmd_verify,
+    "chartable": _cmd_chartable,
+    "group-info": _cmd_group_info,
+}
+
+
 def main(argv=None) -> int:
-    out = sys.stdout
+    """Parse, run the command, render its document in the chosen format."""
     try:
         args = build_parser().parse_args(argv)
         if "cap" in args and args.cap < 1:
             raise ParseError(f"--cap must be a positive integer, got {args.cap}")
-        if args.command == "verify":
-            for flag, value in (("--specs", args.specs), ("--tuples", args.tuples)):
-                if value < 0:
-                    raise ParseError(f"{flag} must be a nonnegative integer, got {value}")
-        if args.command == "dims":
-            return _cmd_dims(args, out)
-        if args.command == "preset":
-            return _cmd_preset(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "chartable":
-            return _cmd_chartable(args, out)
-        return _cmd_group_info(args, out)
+        t0 = time.monotonic()
+        doc, renderers, code = _COMMANDS[args.command](args)
+        elapsed = time.monotonic() - t0
+        if args.format == "json":
+            sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        else:
+            sys.stdout.write(renderers[args.format](elapsed))
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotRationalGroup as exc:
-        print(f"error: NotRationalGroup: {exc}", file=sys.stderr)
-        return EXIT_DIAGNOSTIC
     except PrymdimError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DIAGNOSTIC

@@ -22,8 +22,9 @@ computed and compared. All arithmetic is in integers. The fixed-dim
 matrix is inverted once per group, into its adjugate and determinant, so
 each spec's solve is one integer matrix-vector product checked by
 A y = det b: numerators over one common denominator. The closed form is
-summed doubled for every irrep in one pass, so each route's integrality
-is one divisibility test per entry.
+summed doubled, irrep by irrep, so each route's integrality is one
+divisibility test per entry. An index outside 0..n-1, negative ones
+included, raises IndexError.
 """
 
 from __future__ import annotations
@@ -139,7 +140,10 @@ def genus_total(spec: CoverSpec) -> int:
 def genus_quotient(spec: CoverSpec, i: int) -> int:
     """Genus of the quotient X/H_i for the i-th cyclic class."""
     G = spec.group
-    return _genus_of_quotient(spec, i, G.cyclic_subgroup_classes(), G.double_coset_matrix())
+    cyclic = G.cyclic_subgroup_classes()
+    if not 0 <= i < len(cyclic):
+        raise IndexError(f"cyclic class index {i} is not in 0..{len(cyclic) - 1}")
+    return _genus_of_quotient(spec, i, cyclic, G.double_coset_matrix())
 
 
 def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
@@ -159,15 +163,16 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
 
 
 def _closed_form_doubled(
-    spec: CoverSpec, table: CharacterTable, fdm: exactla.Inverse
-) -> list[int]:
-    """2 dim V_j by the closed form, for every irrep j at once."""
+    spec: CoverSpec, table: CharacterTable, fdm: exactla.Inverse, j: int
+) -> int:
+    """2 dim V_j by the closed form for the one irrep j."""
     g = spec.base_genus
-    counts = spec.ramification.counts.items()
-    return [2 * g] + [
-        2 * deg * (g - 1) + sum((deg - fdm.rows[k][j]) * r for k, r in counts)
-        for j, deg in enumerate(table.degrees[1:], 1)
-    ]
+    if j == 0:
+        return 2 * g
+    deg = table.degrees[j]
+    return 2 * deg * (g - 1) + sum(
+        (deg - fdm.rows[k][j]) * r for k, r in spec.ramification.counts.items()
+    )
 
 
 def _halve(twice: int) -> int:
@@ -180,7 +185,10 @@ def prym_dim_formula(spec: CoverSpec, j: int) -> int:
     """Closed-form dimension of the j-th isotypic piece (= g for the trivial
     irrep, j = 0)."""
     G = spec.group
-    return _halve(_closed_form_doubled(spec, character_table(G), fixed_dim_matrix(G))[j])
+    table = character_table(G)
+    if not 0 <= j < table.n:
+        raise IndexError(f"irrep index {j} is not in 0..{table.n - 1}")
+    return _halve(_closed_form_doubled(spec, table, fixed_dim_matrix(G), j))
 
 
 def validate(spec: CoverSpec) -> DimensionReport:
@@ -210,7 +218,9 @@ def validate(spec: CoverSpec) -> DimensionReport:
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
         dims = attempt(_solve_from_genera, fdm, genera)
-    closed = attempt(tuple, map(_halve, _closed_form_doubled(spec, table, fdm)))
+    closed = attempt(
+        tuple, (_halve(_closed_form_doubled(spec, table, fdm, j)) for j in range(table.n))
+    )
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:

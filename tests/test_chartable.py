@@ -19,7 +19,6 @@ from prymdim.chartable import (
     character_table,
     fixed_dim,
     fixed_dim_matrix,
-    table_tsv,
 )
 from prymdim.errors import LiftFailure, NotRationalGroup
 from prymdim.permgroup import PermGroup, group_from_generators, parse_generators
@@ -440,12 +439,3 @@ def test_fixed_dim_matrix_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "AssertionError"]
-
-
-def test_tsv_export(s3):
-    tsv = table_tsv(s3)
-    lines = tsv.strip().split("\n")
-    assert lines[0].startswith("class\t")
-    assert lines[1] == "size\t1\t3\t2"
-    assert lines[2] == "chi1\t1\t1\t1"
-    assert len(lines) == 2 + 3

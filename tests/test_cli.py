@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -96,16 +98,21 @@ def test_dims_diagnostics_exit_code(capsys, tmp_path):
         (b"{not json", "line 1 column"),
         (b"\xff\xfe{}", "cannot read"),
         (b"[" * 100_000, "cannot read"),
+        (None, "cannot read"),
+        ("directory", "cannot read"),
     ],
-    ids=["syntax", "not_utf8", "nested_past_recursion_limit"],
+    ids=["syntax", "not_utf8", "nested_past_recursion_limit", "missing_path", "directory"],
 )
 def test_dims_malformed_json(capsys, tmp_path, content, message):
     f = tmp_path / "bad.json"
-    f.write_bytes(content)
+    if content == "directory":
+        f.mkdir()
+    elif content is not None:
+        f.write_bytes(content)
     code, out, err = run(capsys, ["dims", str(f)])
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and str(f) in err
     assert err.count("\n") == 1
 
 
@@ -524,10 +531,10 @@ def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     sampler keeps specs on which the two routes disagree."""
     real = rhprym._closed_form_doubled
 
-    def broken(spec, table, fdm):
-        twice = real(spec, table, fdm)
-        if spec.base_genus == 3:
-            twice[1] += 2
+    def broken(spec, table, fdm, j):
+        twice = real(spec, table, fdm, j)
+        if spec.base_genus == 3 and j == 1:
+            twice += 2
         return twice
 
     monkeypatch.setattr(rhprym, "_closed_form_doubled", broken)
@@ -565,9 +572,11 @@ def test_chartable_tsv(capsys):
                                 "--format", "tsv"])
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0].split("\t")[0] == "class"
+    assert lines[0].startswith("class\t")
     assert lines[1] == "size\t1\t3\t2"
+    assert lines[2] == "chi1\t1\t1\t1"
     assert lines[-1] == "chi3\t2\t0\t-1"
+    assert len(lines) == 2 + 3
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "tsv"])
@@ -586,3 +595,76 @@ def test_group_info(capsys):
     assert doc["group"]["order"] == 12
     assert doc["rational_characters"] is True
     assert [k["subgroup_order"] for k in doc["cyclic_classes"]] == [1, 2, 2, 2, 3, 6]
+
+
+ODD_SPEC = {
+    "group": {"generators": ["(0 1)", "(0 1 2)"]},
+    "base_genus": 1,
+    "ramification": [{"inertia_generator": "(0 1)", "count": 1}],
+}
+
+# Every subcommand in each format it accepts, one dims spec with a
+# diagnostic, one usage error and the chartable refusal. {S3} and {ODD}
+# stand for files holding S3_SPEC and ODD_SPEC.
+GOLDEN_ARGVS = [
+    *(["dims", "{S3}", "--format", f] for f in FORMATS),
+    *(["dims", "{ODD}", "--format", f] for f in FORMATS),
+    *(["preset", "toda", "B", "3", "--format", f] for f in FORMATS),
+    *(["preset", "hitchin", "G", "2", "--format", f] for f in FORMATS),
+    *(["preset", "markman", "C", "3", "--genus", "2", "--degD", "1",
+       "--reflection-split", "short", "--format", f] for f in FORMATS),
+    *(["chartable", "--weyl", "B3", "--format", f] for f in FORMATS),
+    *(["group-info", "--weyl", "G2", "--format", f] for f in FORMATS),
+    *(["verify", "--weyl", "G2", "--format", f] for f in ("text", "json")),
+    ["preset", "hitchin", "A"],
+    ["chartable", "--generators", "(0 1 2 3 4)"],
+]
+
+# SHA-256 of json.dumps([exit code, stdout, stderr]) per command, with the
+# text "elapsed:" seconds masked, recorded before main became the one
+# place that renders.
+GOLDEN_DIGESTS = [
+    "c800ff63af57b8b9475f664aaaa2c96f57cb5de3f089866f5d5a7ba84181facd",
+    "ec5d265ce7b39f5c07c51587d6589d2b7e9464efccf40dfc8b7dbffd0c7a06a5",
+    "0dd3deff79f0447b9b118d4f2d478f5e6f9bb10a15717bfabaff07c8419314b9",
+    "780478c5cde45e99acd05eb6f61eb5cfd6502c99ad53b6cb29abe46551b2baf0",
+    "6fd66d7571c7ca3d016c4c6b0b21776fb1227a0b25d44e25f73ac42d3a7c538d",
+    "0969372408f6f6bf1b83d87c6da3aaba3f8ec96e78e1f33873e720df71d14026",
+    "923b231d5973b6bd96d87be21ea3f698bb7b6051a0bb6d792b4f6f80456844ab",
+    "ead38447622a7e9659e3f6bea39930728aa25afe4f150def4701c49b0f814dc5",
+    "3446301c88f24b22c695ce5d48e7c39f0830cc1af2002c274679be63dee4f558",
+    "650e9ae82e769dfd109113d40e7f19cf03de80bac1a625969eabb289cd9525a7",
+    "baaad4936bac268be8384688564c742386e6957910727d0e630969f52aaa26f1",
+    "3d13d98c42f228bf3a27eca145f0a711e7c9fbdda981a0d4b456c1891b3079b0",
+    "60f1dd1c6e977143e3dbb75f0c78c44dc4712727f68e3d31df6173422ec77b28",
+    "9f7093d0fbe41847028a6c425bf66e99541aa9eb5191c835339ea8e59468ab78",
+    "9a1a61e4969ac9efd16d5afc8dbec6ffb30ac5e4532d7f9f92bd7980524efda9",
+    "affdf969bfea72ba1a61ed5ee513a45444dc30c6ce91a4d2b75743c7e79077ee",
+    "1fb9d89de43eb6e2b6d7c8f5e409220002e0e4c5fa987bc6adc6288f094ab222",
+    "3afbb2f0b54b5f38a2015c2a247585edcd0407ad310503d85c5c521929c51c95",
+    "715de43abd84b4c059ea812e355b9975e65697522154902e78081f51bc2fefd0",
+    "7cc63ddf8fe3f64866c1be1de3795d84c79702ad1706c02a01994c42f6a7c0fc",
+    "78a1472383d4caf93db39dc2a47a632e6f0fe9bbe2093eef9461407b14523c02",
+    "f30f03745909a87169dc31235831e240be52037557024cd105de1cd21f4a1c39",
+    "1ceaa86b3c8d2d044fd16d0755d67663e2059291803c1c1a7e9c569c6b7632f2",
+    "24eca2bad7dac4cb030a1e4beb987e308b0dbdaf2e9a859b2355e26a89d86812",
+    "77853889c8d1e5032ab7c63fabea397da7268e5313d90a75a33074a509581349",
+]
+
+
+def golden_record(code, out, err):
+    out = re.sub(r"^elapsed: \d+\.\d{3}s$", "elapsed: MASKED", out, flags=re.M)
+    return hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, digest", list(zip(GOLDEN_ARGVS, GOLDEN_DIGESTS, strict=True)),
+    ids=[" ".join(a) for a in GOLDEN_ARGVS],
+)
+def test_golden_output(capsys, tmp_path, argv, digest):
+    """stdout, stderr and exit code of the command, pinned byte for byte."""
+    paths = {}
+    for name, doc in (("S3", S3_SPEC), ("ODD", ODD_SPEC)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert golden_record(*run(capsys, [a.format(**paths) for a in argv])) == digest

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from prymdim import exactla, rhprym
+from prymdim.chartable import character_table, fixed_dim
 from prymdim.errors import (
     NegativeGenus,
     NotRationalGroup,
@@ -282,3 +283,18 @@ def test_double_coset_matrix_is_symmetric():
     for letter, rank in SMALL_WEYL + [("F", 4)]:
         dcm = weyl_group(letter, rank).group.double_coset_matrix()
         assert dcm == tuple(zip(*dcm)), (letter, rank)
+
+
+@pytest.mark.parametrize("index", [-1, -3, 3])
+def test_index_outside_range_raises(s3, index):
+    """An irrep or cyclic-class index outside 0..n-1 raises IndexError;
+    a negative one does not wrap round to the last entries."""
+    spec = s3_spec(s3)
+    table = character_table(s3)
+    K = s3.cyclic_subgroup_classes()[1]
+    with pytest.raises(IndexError):
+        prym_dim_formula(spec, index)
+    with pytest.raises(IndexError):
+        genus_quotient(spec, index)
+    with pytest.raises(IndexError):
+        fixed_dim(table, index, K)
