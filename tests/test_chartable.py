@@ -439,3 +439,22 @@ def test_fixed_dim_matrix_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "AssertionError"]
+
+
+def test_tsv_export(s3, capsys):
+    """The TSV export of the S3 table, rendered by the CLI from the
+    character_table block, carries the class sizes and every row of
+    character_table."""
+    from prymdim.cli import main
+
+    assert main(["chartable", "--generators", "(0 1)", "(0 1 2)",
+                 "--format", "tsv"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0].startswith("class\t")
+    assert lines[1] == "size\t1\t3\t2"
+    assert lines[2] == "chi1\t1\t1\t1"
+    assert len(lines) == 2 + 3
+    T = character_table(s3)
+    assert [line.split("\t")[1:] for line in lines[2:]] == [
+        [str(v) for v in row] for row in T.table
+    ]
