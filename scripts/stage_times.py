@@ -16,8 +16,15 @@ cold. Those are the generators `weyl_group` closed the group from: the
 pair {Coxeter element, s_(r-2)} where it generates W (all types here
 but F4), else the simple reflections. The `cli_cold` stage is one fresh
 `python -m prymdim preset hitchin <type> <rank> --format json` process
-on the same source tree, interpreter start and imports included. The object also records the git
-revision, the Python version and the machine (architecture and CPU count).
+on the same source tree, interpreter start and imports included, and the
+`verify_cold` stage one fresh `python -m prymdim verify --weyl <label>
+--format json` process, the whole invariant suite with the monodromy
+oracle. The object also records the git revision, the Python version and
+the machine (architecture and CPU count).
+
+Cold processes read bytecode from `__pycache__` when it is there and
+recompile every module when it is not (as under PYTHONDONTWRITEBYTECODE),
+so compare two trees only in the same bytecode state.
 
 Usage (write elsewhere first: redirecting into the tracked file would
 record the revision as dirty):
@@ -66,13 +73,13 @@ def _timed(fn):
     return time.perf_counter() - t0, result
 
 
-def _cli_cold(W) -> float:
+def _cold(*args: str) -> float:
+    """Seconds for one fresh ``python -m prymdim ARGS --format json`` process."""
     env = {**os.environ, "PYTHONPATH": str(Path(prymdim.__file__).resolve().parents[1])}
-    argv = [sys.executable, "-m", "prymdim", "preset", "hitchin", W.letter, str(W.rank),
-            "--format", "json"]
+    argv = [sys.executable, "-m", "prymdim", *args, "--format", "json"]
     seconds, done = _timed(lambda: subprocess.run(argv, env=env, capture_output=True))
     if done.returncode != 0:
-        raise RuntimeError(f"{W.label}: {' '.join(argv[1:])} exited {done.returncode}")
+        raise RuntimeError(f"{' '.join(argv[1:])} exited {done.returncode}")
     return seconds
 
 
@@ -104,7 +111,12 @@ def _stages(W) -> dict[str, float]:
     }
     for k, fn in warm.items():
         best[k] = min(_timed(fn)[0] for _ in range(REPEATS))
-    best["cli_cold"] = min(_cli_cold(W) for _ in range(REPEATS))
+    cold = {
+        "cli_cold": ("preset", "hitchin", W.letter, str(W.rank)),
+        "verify_cold": ("verify", "--weyl", W.label),
+    }
+    for k, args in cold.items():
+        best[k] = min(_cold(*args) for _ in range(REPEATS))
     return {k: round(v, 6) for k, v in best.items()}
 
 

@@ -59,34 +59,6 @@ class BranchTuple:
         seeds = [x for ab in self.handles for x in ab] + list(self.branch_elements)
         return len(G.subgroup_closure(seeds)) == G.order
 
-    def to_json(self) -> dict:
-        G = self.group
-        return {
-            "base_genus": self.base_genus,
-            "handles": [
-                [G.elements[a].cycle_str(), G.elements[b].cycle_str()]
-                for a, b in self.handles
-            ],
-            "branch_elements": [G.elements[g].cycle_str() for g in self.branch_elements],
-        }
-
-    @classmethod
-    def from_json(cls, G: PermGroup, doc: dict) -> "BranchTuple":
-        from .permgroup import Permutation
-
-        def idx(text):
-            return G.index_of(Permutation.from_cycles(text, G.degree))
-
-        genus = doc["base_genus"]
-        if type(genus) is not int or genus < 0:
-            raise ValueError(f"base genus {genus!r} is not a nonnegative int")
-        return cls(
-            group=G,
-            base_genus=genus,
-            handles=tuple((idx(a), idx(b)) for a, b in doc["handles"]),
-            branch_elements=tuple(idx(g) for g in doc["branch_elements"]),
-        )
-
 
 def sample_tuple(
     G: PermGroup, base_genus: int, branch_count: int, rng: random.Random
@@ -95,8 +67,13 @@ def sample_tuple(
 
     Handles and all but the last branch element are uniform; the last
     branch element is forced by the relation and the draw is rejected if
-    it is the identity or the tuple fails to generate the group.
+    it is the identity or the tuple fails to generate the group. A
+    ``base_genus`` or ``branch_count`` that is not a nonnegative int raises
+    ValueError before any draw.
     """
+    for name, n in (("base genus", base_genus), ("branch count", branch_count)):
+        if type(n) is not int or n < 0:
+            raise ValueError(f"{name} {n!r} is not a nonnegative int")
     order = G.order
     for _ in range(SAMPLE_ATTEMPTS):
         handles = tuple(

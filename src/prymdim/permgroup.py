@@ -4,11 +4,16 @@ Every group is realized concretely: elements are permutations of
 ``{0..n-1}``, the whole group is closed breadth-first from its
 generators, and an element is identified by its index into the table of
 image sequences sorted lexicographically (so index 0 is the identity).
+One loop, ``_close``, does every closure: it composes stored images and
+stops at a size limit, cap + 1 for a group (so an order equal to the cap
+passes) and |G| for a subgroup, whose images are mapped to indices only
+once it is complete.
 
 For degree n <= 256 each element's images are stored as ``bytes``, and
 every composition is one ``bytes.translate`` call: with ``a`` padded
 once to a 256-byte table, ``b.translate(a + tail)`` is a*b (b applied
-first). Inverses are ``bytes.maketrans(t, identity)[:n]``. Sorted
+first). Inverses are ``bytes.maketrans(t, identity)[:n]``, computed on
+demand by ``PermGroup.inv``; no inverse table is kept. Sorted
 ``bytes`` of equal length are in the same order as the tuples of their
 values, so element indices do not depend on the store. Above degree 256
 the images stay tuples of ints, composed by ``map``; only the kernel
@@ -23,8 +28,7 @@ the powers rep^t per class, so no power list is stored. A coset action
 stores only the coset of each element; an element g acts on it through
 its left-multiplication row (row[y] is the index of g*y), so counting
 the orbits of <g> on G/H is list indexing with no composition, and one
-row serves every subgroup H. A subgroup is closed from its generators by
-the same breadth-first loop as the group itself.
+row serves every subgroup H.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -115,20 +119,11 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
-
     def __mul__(self, other: "Permutation") -> "Permutation":
         """Composition: apply ``other`` first, then ``self``."""
         if len(self.images) != len(other.images):
             raise DegreeMismatch("cannot compose permutations of different degree")
         return Permutation(tuple(map(self.images.__getitem__, other.images)))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
 
     def extend(self, degree: int) -> "Permutation":
         """Re-embed into a larger point set, fixing the new points."""
@@ -172,14 +167,12 @@ def _check_degree(degree: int | None, where: str) -> None:
         raise ParseError(f"degree {degree} of {where} is past the degree limit {MAX_DEGREE}")
 
 
-def parse_permutation(text: str, degree: int | None = None) -> Permutation:
+def parse_permutation(text: str) -> Permutation:
     """Parse either cycle notation or a one-line image array."""
     s = text.strip()
-    if s.startswith("(") or s == "()":
-        return Permutation.from_cycles(s, degree)
-    _check_degree(degree, repr(text))
-    s = s.strip("[]")
-    toks = s.replace(",", " ").split()
+    if s.startswith("("):
+        return Permutation.from_cycles(s)
+    toks = s.strip("[]").replace(",", " ").split()
     if not toks:
         raise ParseError(f"empty permutation text: {text!r}")
     _check_degree(len(toks), repr(text))
@@ -187,8 +180,6 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
         images = [int(t) for t in toks]
     except ValueError as exc:
         raise ParseError(f"bad image array: {text!r}") from exc
-    if degree is not None and len(images) < degree:
-        images.extend(range(len(images), degree))
     return Permutation.from_images(images)
 
 
@@ -300,6 +291,26 @@ def _kernel(degree: int) -> _Kernel:
     )
 
 
+def _close(ident, pads: Sequence, compose: Callable, limit: int) -> set:
+    """Stored images of the breadth-first closure of ``ident`` under left
+    multiplication by the padded generators ``pads``; it stops as soon as
+    it holds ``limit`` elements."""
+    seen = {ident}
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for gp in pads:
+                c = compose(a, gp)
+                if c not in seen:
+                    seen.add(c)
+                    if len(seen) >= limit:
+                        return seen
+                    nxt.append(c)
+        frontier = nxt
+    return seen
+
+
 class _ElementView(Sequence):
     """The elements of a group in index order, each Permutation built when read."""
 
@@ -336,22 +347,11 @@ class PermGroup:
                     f"generator degree {g.degree()} != group degree {degree}"
                 )
 
-        self._kernel = key, pad, compose, invert = _kernel(degree)
+        self._kernel = key, pad, compose, _ = _kernel(degree)
         ident = key(range(degree))
-        seen = {ident}
-        frontier = [ident]
-        gpads = [pad(key(g.images)) for g in gens]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for gp in gpads:
-                    c = compose(a, gp)
-                    if c not in seen:
-                        if len(seen) >= cap:
-                            raise CapExceeded(f"group order exceeds cap {cap}")
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
+        seen = _close(ident, [pad(key(g.images)) for g in gens], compose, cap + 1)
+        if len(seen) > cap:
+            raise CapExceeded(f"group order exceeds cap {cap}")
 
         imgs = sorted(seen)
         self.degree = degree
@@ -363,7 +363,6 @@ class PermGroup:
         self.identity_index = index[ident]
         if self.identity_index != 0:
             raise AssertionError("identity must be the lexicographically least element")
-        self._inverse = [index[invert(t)] for t in imgs]
         self.generator_indices = [index[key(g.images)] for g in gens]
         # set by conjugacy_classes() together with _class_of, _rational, _cyclic
         self._classes: tuple[ConjugacyClass, ...] | None = None
@@ -387,7 +386,8 @@ class PermGroup:
         return [index[compose(images[y], xp)] for y in ys]
 
     def inv(self, i: int) -> int:
-        return self._inverse[i]
+        """Index of the inverse of element i, computed on demand."""
+        return self._index[self._kernel.invert(self._images[i])]
 
     def element_order(self, x: int) -> int:
         return self._classified()[self._class_of[x]].element_order
@@ -400,9 +400,6 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return len(p.images) == self.degree and self._kernel.key(p.images) in self._index
 
-    def __len__(self) -> int:
-        return self.order
-
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_str() for g in self.generators) or "-"
         return f"PermGroup(degree={self.degree}, order={self.order}, gens=[{gens}])"
@@ -410,28 +407,15 @@ class PermGroup:
     # -- subgroups ----------------------------------------------------------
 
     def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given element indices: the breadth-first
-        closure of the identity under left multiplication by the seeds, padded
-        once each; it stops as soon as it holds the whole group."""
+        """Subgroup generated by the given element indices: the group's own
+        closure loop run from the identity with the seeds as generators,
+        stopping once it holds |G| elements; the images it found are mapped
+        to indices once, at the end."""
         index, images = self._index, self._images
         _, pad, compose, _ = self._kernel
-        one, order = self.identity_index, self.order
+        one = self.identity_index
         spads = [pad(images[s]) for s in set(seeds) if s != one]
-        found = {one}
-        frontier = [one]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                im = images[a]
-                for sp in spads:
-                    c = index[compose(im, sp)]
-                    if c not in found:
-                        found.add(c)
-                        if len(found) == order:
-                            return frozenset(found)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(found)
+        return frozenset(map(index.__getitem__, _close(images[one], spads, compose, self.order)))
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:
         """Exact test: close a generating set chosen greedily from ``elems``,
@@ -465,9 +449,9 @@ class PermGroup:
             tmp = [-1] * self.order
             raw: list[tuple[int, int, int, list[int]]] = []
             index, images = self._index, self._images
-            _, pad, compose, _ = self._kernel
+            _, pad, compose, invert = self._kernel
             # g y g^-1 sends point i to g[y[g^-1[i]]]: compose(compose(g^-1, pad(y)), pad(g))
-            conj = [(images[self._inverse[g]], pad(images[g])) for g in self.generator_indices]
+            conj = [(invert(images[g]), pad(images[g])) for g in self.generator_indices]
             one = self.identity_index
             for x in range(self.order):
                 if tmp[x] >= 0:

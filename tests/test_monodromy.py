@@ -104,18 +104,17 @@ def test_unbranched_tuple(z2, s3):
         sample_tuple(s3, 1, 0, random.Random(4))
 
 
-def test_tuple_json_roundtrip(s4):
-    t = sample_tuple(s4, 1, 3, random.Random(8))
-    doc = t.to_json()
-    assert BranchTuple.from_json(s4, doc) == t
-
-
 @pytest.mark.parametrize("genus", [1.9, "1", True, -1])
-def test_tuple_from_json_rejects_bad_base_genus(s4, genus):
-    doc = sample_tuple(s4, 1, 3, random.Random(8)).to_json()
-    doc["base_genus"] = genus
+def test_sample_tuple_rejects_bad_base_genus(s4, genus):
     with pytest.raises(ValueError, match="base genus"):
-        BranchTuple.from_json(s4, doc)
+        sample_tuple(s4, genus, 3, random.Random(8))
+
+
+@pytest.mark.parametrize("count", [-1, 2.0, True])
+def test_sample_tuple_rejects_bad_branch_count(s4, count):
+    """A negative count used to force one branch element anyway."""
+    with pytest.raises(ValueError, match="branch count"):
+        sample_tuple(s4, 1, count, random.Random(8))
 
 
 def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):

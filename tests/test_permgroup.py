@@ -50,9 +50,16 @@ def test_cycle_roundtrip(images):
 
 @given(st.permutations(list(range(5))), st.permutations(list(range(5))))
 def test_compose_inverse(a, b):
+    """``pa * pb`` applies pb first, and composing with the inverse images
+    in either order gives the identity."""
     pa, pb = Permutation.from_images(a), Permutation.from_images(b)
-    assert (pa * pb) * (pa * pb).inverse() == Permutation.identity(5)
-    assert pa.inverse().inverse() == pa
+    ab = pa * pb
+    assert ab.images == tuple(a[b[i]] for i in range(5))
+    inverse = [0] * 5
+    for i, v in enumerate(ab.images):
+        inverse[v] = i
+    inv = Permutation.from_images(inverse)
+    assert ab * inv == inv * ab == Permutation.identity(5)
 
 
 # -- enumeration ----------------------------------------------------------------
@@ -69,12 +76,17 @@ def test_group_examples(trivial, z2, s3):
 
 def test_group_identity_is_index_zero(s4):
     assert s4.identity_index == 0
-    assert s4.elements[0].is_identity()
+    assert s4.elements[0] == Permutation.identity(4)
 
 
 def test_cap_exceeded():
-    with pytest.raises(CapExceeded):
-        group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]), cap=10)
+    """S4 (order 24) is refused below cap 24 and builds at cap 24: the cap
+    bounds the order, so an order equal to the cap passes."""
+    gens = parse_generators(["(0 1)", "(0 1 2 3)"])
+    for cap in (10, 23):
+        with pytest.raises(CapExceeded):
+            group_from_generators(gens, cap=cap)
+    assert group_from_generators(gens, cap=24).order == 24
 
 
 def test_degree_mismatch():
@@ -385,14 +397,18 @@ def closure_by_mul(G, seeds):
 
 def test_subgroup_closure_matches_mul_bfs(s4):
     """The early-stopping closure equals a plain G.mul closure for every
-    pair of S4 elements, generating pairs and others alike."""
-    generating = 0
-    for x in range(s4.order):
-        for y in range(s4.order):
-            span = s4.subgroup_closure([x, y])
-            assert span == closure_by_mul(s4, [x, y]), (x, y)
-            generating += len(span) == s4.order
-    assert 0 < generating < s4.order ** 2
+    pair of S4 elements, generating pairs and others alike, in the byte
+    store and in the tuple store (S4 re-embedded at degree 300)."""
+    s4_tuples = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"], degree=300))
+    assert type(s4_tuples._images[0]) is tuple
+    for G in (s4, s4_tuples):
+        generating = 0
+        for x in range(G.order):
+            for y in range(G.order):
+                span = G.subgroup_closure([x, y])
+                assert span == closure_by_mul(G, [x, y]), (x, y)
+                generating += len(span) == G.order
+        assert 0 < generating < G.order ** 2
 
 
 def test_double_coset_examples(s3):
