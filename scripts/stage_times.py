@@ -7,7 +7,9 @@ classification pass (conjugacy classes, rationality, cyclic classes),
 the character table, the fixed-dimension matrix with its inverse, the
 double-coset matrix, the coset action of every cyclic subgroup, the
 monodromy oracle on those built actions (`monodromy.sample_tuple` of a
-genus-1 tuple with two branch points, then `verify_tuple`), and, on a
+genus-1 tuple with two branch points, then `verify_tuple`), the
+generation test (`PermGroup.subgroup_closure` of 100 seeded sets of 4
+random elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
 (`genus_quotient`) and the closed form for every irrep
 (`prym_dim_formula`). Every repetition
@@ -51,6 +53,7 @@ from prymdim.weyl import hitchin_preset, weyl_group
 
 GROUPS = [("D", 5), ("F", 4), ("B", 5), ("A", 6), ("A", 7)]
 REPEATS = 3
+SEED_SETS = 100
 
 
 def _git_revision() -> str:
@@ -85,6 +88,8 @@ def _cold(*args: str) -> float:
 
 def _stages(W) -> dict[str, float]:
     gens = W.group.generators
+    rng = random.Random(0)
+    seed_sets = [rng.sample(range(W.group.order), 4) for _ in range(SEED_SETS)]
     best: dict[str, float] = {}
     for _ in range(REPEATS):
         t = {}
@@ -99,6 +104,7 @@ def _stages(W) -> dict[str, float]:
         t["oracle"], ver = _timed(lambda: verify_tuple(sample_tuple(G, 1, 2, random.Random(0))))
         if not ver.ok:
             raise RuntimeError(f"{W.label}: oracle and formula genera differ at {ver.mismatches}")
+        t["generation"], _ = _timed(lambda: [G.subgroup_closure(s) for s in seed_sets])
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)

@@ -14,8 +14,9 @@ class DegreeMismatch(PrymdimError):
 
 
 class CapExceeded(PrymdimError):
-    """Group closure grew past the configured element cap, or the group
-    has more conjugacy classes than the character table supports."""
+    """Group closure would pass the configured element cap (it stops
+    before the coset that would), or the group has more conjugacy classes
+    than the character table supports."""
 
 
 class NotASubgroup(PrymdimError):

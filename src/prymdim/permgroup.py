@@ -1,13 +1,16 @@
 """Fully enumerated permutation groups.
 
 Every group is realized concretely: elements are permutations of
-``{0..n-1}``, the whole group is closed breadth-first from its
-generators, and an element is identified by its index into the table of
-image sequences sorted lexicographically (so index 0 is the identity).
-One loop, ``_close``, does every closure: it composes stored images and
-stops at a size limit, cap + 1 for a group (so an order equal to the cap
-passes) and |G| for a subgroup, whose images are mapped to indices only
-once it is complete.
+``{0..n-1}``, the whole group is closed from its generators, and an
+element is identified by its index into the table of image sequences
+sorted lexicographically (so index 0 is the identity). One loop,
+``_close``, does every closure: it builds the span of each new
+generator as a union of cosets of the span before it (Dimino's
+algorithm), and it stops before the coset that would bring the span to
+a size limit. The limit is cap + 1 for a group (so an order equal to the
+cap passes) and |G|//2 + 1 for a subgroup, since a subgroup of more than
+|G|/2 elements is G; a subgroup's images are mapped to indices only once
+it is complete.
 
 For degree n <= 256 each element's images are stored as ``bytes``, and
 every composition is one ``bytes.translate`` call: with ``a`` padded
@@ -44,6 +47,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
@@ -291,24 +295,37 @@ def _kernel(degree: int) -> _Kernel:
     )
 
 
-def _close(ident, pads: Sequence, compose: Callable, limit: int) -> set:
-    """Stored images of the breadth-first closure of ``ident`` under left
-    multiplication by the padded generators ``pads``; it stops as soon as
-    it holds ``limit`` elements."""
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for gp in pads:
-                c = compose(a, gp)
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) >= limit:
-                        return seen
-                    nxt.append(c)
-        frontier = nxt
-    return seen
+def _close(ident, gens: Sequence, pad: Callable, compose: Callable, limit: int) -> list | None:
+    """Stored images of the subgroup generated by the stored images
+    ``gens``, closed coset by coset (Dimino's algorithm; Butler, LNCS 559,
+    ch. 6).
+
+    Each generator g not yet in the span K grows it to <K, g>, a union of
+    left cosets x*K. The representatives x = s*r come from
+    left-multiplying each representative r found so far, starting from
+    the identity, by every generator s so far; a new coset x*K costs
+    |K| - 1 compositions with x padded once, as x*1 = x. Returns None
+    instead of adding a coset that would bring the span to ``limit``
+    elements.
+    """
+    span, seen, pads = [ident], {ident}, []
+    for g in gens:
+        if g in seen:
+            continue
+        pads.append(pad(g))
+        rest = span[1:]  # K without the identity, span[0]
+        reps = [ident]
+        for r in reps:
+            for sp in pads:
+                x = compose(r, sp)
+                if x not in seen:
+                    if len(span) + 1 + len(rest) >= limit:
+                        return None
+                    coset = [x, *map(compose, rest, repeat(pad(x)))]
+                    span += coset
+                    seen.update(coset)
+                    reps.append(x)
+    return span
 
 
 class _ElementView(Sequence):
@@ -349,11 +366,11 @@ class PermGroup:
 
         self._kernel = key, pad, compose, _ = _kernel(degree)
         ident = key(range(degree))
-        seen = _close(ident, [pad(key(g.images)) for g in gens], compose, cap + 1)
-        if len(seen) > cap:
+        span = _close(ident, [key(g.images) for g in gens], pad, compose, cap + 1)
+        if span is None:
             raise CapExceeded(f"group order exceeds cap {cap}")
 
-        imgs = sorted(seen)
+        imgs = sorted(span)
         self.degree = degree
         self.generators = gens
         self.elements: Sequence[Permutation] = _ElementView(imgs)
@@ -408,14 +425,17 @@ class PermGroup:
 
     def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
         """Subgroup generated by the given element indices: the group's own
-        closure loop run from the identity with the seeds as generators,
-        stopping once it holds |G| elements; the images it found are mapped
-        to indices once, at the end."""
-        index, images = self._index, self._images
+        closure loop run with the seeds as generators, with limit
+        |G|//2 + 1; the images it found are mapped to indices once, at the
+        end. A span of more than |G|/2 elements is G (Lagrange), so the
+        loop stops there and G is returned without closing the rest."""
+        images = self._images
         _, pad, compose, _ = self._kernel
-        one = self.identity_index
-        spads = [pad(images[s]) for s in set(seeds) if s != one]
-        return frozenset(map(index.__getitem__, _close(images[one], spads, compose, self.order)))
+        span = _close(images[self.identity_index], [images[s] for s in seeds],
+                      pad, compose, self.order // 2 + 1)
+        if span is None:
+            return frozenset(range(self.order))
+        return frozenset(map(self._index.__getitem__, span))
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:
         """Exact test: close a generating set chosen greedily from ``elems``,
@@ -640,5 +660,5 @@ class PermGroup:
 
 
 def group_from_generators(gens: Sequence[Permutation], cap: int = DEFAULT_CAP) -> PermGroup:
-    """Breadth-first closure of the generators into a PermGroup."""
+    """Closure of the generators, coset by coset, into a PermGroup."""
     return PermGroup(gens, cap=cap)

@@ -164,8 +164,10 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
     (from the Coxeter element alone in rank 1), else from the simple
     reflections.
 
-    Closure and classification cost one composition per element and
-    generator, so two generators beat r of them. The pair lies in W, so
+    The classification pass costs one composition per element and
+    generator, so two generators beat r of them; the closure, coset by
+    coset, costs about one composition per element plus one per coset
+    representative and generator. The pair lies in W, so
     it generates W exactly when its closure has order |W| = prod d_i; it
     does for A1-A7, B2-B5 = C2-C5, D5 and G2, not for D4 or F4.
 

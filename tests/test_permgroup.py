@@ -1,4 +1,5 @@
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -87,6 +88,16 @@ def test_cap_exceeded():
         with pytest.raises(CapExceeded):
             group_from_generators(gens, cap=cap)
     assert group_from_generators(gens, cap=24).order == 24
+
+
+def test_cap_boundary_on_four_generators():
+    """W(F4) closed from its four simple reflections, several cosets per
+    generator, is refused at cap 1151 and built at cap 1152 = |W(F4)|."""
+    gens = weyl_group("F", 4).group.generators
+    assert len(gens) == 4
+    with pytest.raises(CapExceeded):
+        group_from_generators(gens, cap=1151)
+    assert group_from_generators(gens, cap=1152).order == 1152
 
 
 def test_degree_mismatch():
@@ -409,6 +420,65 @@ def test_subgroup_closure_matches_mul_bfs(s4):
                 assert span == closure_by_mul(G, [x, y]), (x, y)
                 generating += len(span) == G.order
         assert 0 < generating < G.order ** 2
+
+
+def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
+    """The coset-by-coset closure, which returns G once its span passes
+    |G|/2, equals a plain G.mul closure on 200 seeded sets of 1-4 seeds
+    in W(F4), W(D5), W(B3) and S4 re-embedded at degree 300 (the tuple
+    store), on empty, identity and repeated seeds, on the trivial group
+    and Z2 (limits 1 and 2), and at index 2: two 3-cycles of S4 close to
+    A4, not S4."""
+    s4_tuples = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"], degree=300))
+    rng = random.Random(0)
+    for G in (*(weyl_group(*t).group for t in [("F", 4), ("D", 5), ("B", 3)]), s4_tuples):
+        sets = [[rng.randrange(G.order) for _ in range(rng.randint(1, 4))] for _ in range(200)]
+        generating = 0
+        for seeds in sets:
+            span = G.subgroup_closure(seeds)
+            assert span == closure_by_mul(G, seeds), seeds
+            generating += len(span) == G.order
+        assert 0 < generating < len(sets)
+        x, y = sets[0][0], sets[1][0]
+        assert G.subgroup_closure([]) == G.subgroup_closure([0]) == {0}
+        assert G.subgroup_closure([0, x, x]) == closure_by_mul(G, [x])
+        assert G.subgroup_closure([y, x, y, 0, x]) == closure_by_mul(G, [x, y])
+    for G in (trivial, z2):
+        assert G.subgroup_closure([]) == G.subgroup_closure([0]) == {0}
+        assert G.subgroup_closure(range(G.order)) == frozenset(range(G.order))
+    assert z2.subgroup_closure([1, 1]) == {0, 1}
+    a4 = s4.subgroup_closure(
+        [s4.index_of(Permutation.from_cycles(c, degree=4)) for c in ("(0 1 2)", "(1 2 3)")]
+    )
+    even = {x for x in range(s4.order)
+            if sum(len(c) - 1 for c in s4.elements[x].cycles()) % 2 == 0}
+    assert len(a4) == s4.order // 2 and a4 == even
+
+
+@pytest.mark.parametrize("label", [("F", 4), ("D", 5)])
+def test_generation_test_costs_under_one_composition_per_element(monkeypatch, label):
+    """A generating set of 4 seeds costs fewer than |G| compositions: each
+    new generator's span is a union of cosets of the previous one, and the
+    closure stops at the coset that would take it past |G|/2. A
+    breadth-first closure makes about 4 per element."""
+    G = weyl_group(*label).group
+    calls = 0
+    compose = G._kernel.compose
+
+    def counted(b, a):
+        nonlocal calls
+        calls += 1
+        return compose(b, a)
+
+    monkeypatch.setattr(G, "_kernel", G._kernel._replace(compose=counted))
+    rng = random.Random(1)
+    checked = 0
+    while checked < 10:
+        seeds = rng.sample(range(G.order), 4)
+        calls = 0
+        if len(G.subgroup_closure(seeds)) == G.order:
+            assert calls < G.order, (seeds, calls)
+            checked += 1
 
 
 def test_double_coset_examples(s3):
