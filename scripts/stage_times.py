@@ -8,8 +8,8 @@ the character table, the fixed-dimension matrix with its inverse, the
 double-coset matrix, the coset action of every cyclic subgroup, the
 monodromy oracle on those built actions (`monodromy.sample_tuple` of a
 genus-1 tuple with two branch points, then `verify_tuple`), the
-generation test (`PermGroup.subgroup_closure` of 100 seeded sets of 4
-random elements, the question `BranchTuple.is_valid` asks), and, on a
+generation test (`PermGroup.generates` on 100 seeded sets of 4 random
+elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
 (`genus_quotient`) and the closed form for every irrep
 (`prym_dim_formula`). Every repetition
@@ -104,7 +104,7 @@ def _stages(W) -> dict[str, float]:
         t["oracle"], ver = _timed(lambda: verify_tuple(sample_tuple(G, 1, 2, random.Random(0))))
         if not ver.ok:
             raise RuntimeError(f"{W.label}: oracle and formula genera differ at {ver.mismatches}")
-        t["generation"], _ = _timed(lambda: [G.subgroup_closure(s) for s in seed_sets])
+        t["generation"], _ = _timed(lambda: [G.generates(s) for s in seed_sets])
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)

@@ -57,7 +57,7 @@ class BranchTuple:
         if any(g == G.identity_index for g in self.branch_elements):
             return False
         seeds = [x for ab in self.handles for x in ab] + list(self.branch_elements)
-        return len(G.subgroup_closure(seeds)) == G.order
+        return G.generates(seeds)
 
 
 def sample_tuple(

@@ -7,10 +7,16 @@ sorted lexicographically (so index 0 is the identity). One loop,
 ``_close``, does every closure: it builds the span of each new
 generator as a union of cosets of the span before it (Dimino's
 algorithm), and it stops before the coset that would bring the span to
-a size limit. The limit is cap + 1 for a group (so an order equal to the
-cap passes) and |G|//2 + 1 for a subgroup, since a subgroup of more than
-|G|/2 elements is G; a subgroup's images are mapped to indices only once
-it is complete.
+a size limit. There are three limits: cap + 1 for a group (so an order
+equal to the cap passes); |G|//2 + 1 for the span of some elements and
+for the test whether they generate G, since a subgroup of more than
+|G|/2 elements is G; and |S| + 1 for the test whether a set S of
+elements is a subgroup, since the span of S contains S and so equals it
+exactly when it stops short of |S| + 1. Every subgroup question reaches
+``_close`` through ``PermGroup._span``, which raises IndexError for an
+element index outside 0..|G|-1 before it reads any image; a span's
+images are mapped to indices only once it is complete, and only when
+the caller needs them.
 
 For degree n <= 256 each element's images are stored as ``bytes``, and
 every composition is one ``bytes.translate`` call: with ``a`` padded
@@ -306,7 +312,8 @@ def _close(ident, gens: Sequence, pad: Callable, compose: Callable, limit: int) 
     the identity, by every generator s so far; a new coset x*K costs
     |K| - 1 compositions with x padded once, as x*1 = x. Returns None
     instead of adding a coset that would bring the span to ``limit``
-    elements.
+    elements: cap + 1 for a group, |G|//2 + 1 for a span or a generation
+    test, and |S| + 1 for the subgroup test of a set S.
     """
     span, seen, pads = [ident], {ident}, []
     for g in gens:
@@ -423,37 +430,51 @@ class PermGroup:
 
     # -- subgroups ----------------------------------------------------------
 
-    def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
-        """Subgroup generated by the given element indices: the group's own
-        closure loop run with the seeds as generators, with limit
-        |G|//2 + 1; the images it found are mapped to indices once, at the
-        end. A span of more than |G|/2 elements is G (Lagrange), so the
-        loop stops there and G is returned without closing the rest."""
+    def _checked(self, x: int) -> int:
+        """x, once it is known to be an element index: IndexError for any
+        value outside 0..|G|-1, negative ones included."""
+        if not 0 <= x < self.order:
+            raise IndexError(f"element index {x} is not in 0..{self.order - 1}")
+        return x
+
+    def _span(self, seeds: Iterable[int], limit: int) -> list | None:
+        """``_close`` of the elements with indices ``seeds`` under ``limit``:
+        the stored images of their span, or None where it gives up. Raises
+        IndexError for an index outside 0..|G|-1, negative ones included,
+        before it reads any image."""
+        seeds = [self._checked(s) for s in seeds]
         images = self._images
         _, pad, compose, _ = self._kernel
-        span = _close(images[self.identity_index], [images[s] for s in seeds],
-                      pad, compose, self.order // 2 + 1)
+        return _close(images[0], [images[s] for s in seeds], pad, compose, limit)
+
+    def subgroup_closure(self, seeds: Iterable[int]) -> frozenset[int]:
+        """Subgroup generated by the given element indices, closed with limit
+        |G|//2 + 1; the images found are mapped to indices once, at the end.
+        A span of more than |G|/2 elements is G (Lagrange), so the closure
+        stops there and G is returned without closing the rest."""
+        span = self._span(seeds, self.order // 2 + 1)
         if span is None:
             return frozenset(range(self.order))
         return frozenset(map(self._index.__getitem__, span))
 
+    def generates(self, seeds: Iterable[int]) -> bool:
+        """Whether the given element indices generate G: one closure with
+        limit |G|//2 + 1, which gives up once the span passes |G|/2 (only
+        the trivial group spans all of G below the limit); no index set is
+        built."""
+        span = self._span(seeds, self.order // 2 + 1)
+        return span is None or len(span) == self.order
+
     def is_subgroup(self, elems: frozenset[int]) -> bool:
-        """Exact test: close a generating set chosen greedily from ``elems``,
-        giving up as soon as the span leaves ``elems``. Each added generator
-        at least doubles the span, so there are at most log2 |elems| closures."""
+        """Exact test. A set without the identity, or whose size does not
+        divide |G|, is no subgroup; a set holding every index is G; any other
+        set is closed with its own elements as generators and limit
+        |elems| + 1. The span contains ``elems``, so it equals ``elems``
+        exactly when the closure does not give up."""
         if self.identity_index not in elems or self.order % len(elems):
             return False
-        if len(elems) == self.order:
-            return True
-        gens: list[int] = []
-        span = frozenset([self.identity_index])
-        for x in sorted(elems):
-            if x not in span:
-                gens.append(x)
-                span = self.subgroup_closure(gens)
-                if not span <= elems:
-                    return False
-        return span == elems
+        return (elems.issuperset(range(self.order))
+                or self._span(elems, len(elems) + 1) is not None)
 
     # -- conjugacy classes, rationality and cyclic-subgroup classes -----------
 
@@ -567,15 +588,16 @@ class PermGroup:
         return self._cyclic
 
     def cyclic_class_of_element(self, x: int) -> int:
-        """Index of the cyclic class generated by (the class of) x: its class index."""
+        """Index of the cyclic class generated by (the class of) x: its class
+        index. Raises IndexError for x outside 0..|G|-1."""
         self.cyclic_subgroup_classes()
-        return self._class_of[x]
+        return self._class_of[self._checked(x)]
 
     # -- coset actions and double cosets --------------------------------------
 
     def coset_action(self, subgroup: Iterable[int]) -> CosetAction:
         """Action on left cosets xH; raises NotASubgroup for non-closed sets."""
-        H = subgroup if isinstance(subgroup, frozenset) else frozenset(subgroup)
+        H = frozenset(subgroup)
         cached = self._coset_actions.get(H)
         if cached is not None:
             return cached
@@ -602,12 +624,11 @@ class PermGroup:
         """(class profile, order) of a CyclicClass, of the cyclic subgroup
         generated by an element index, or of a set of element indices;
         raises NotASubgroup for a set that is not a subgroup."""
+        if isinstance(x, int):
+            x = self.cyclic_subgroup_classes()[self.cyclic_class_of_element(x)]
         if isinstance(x, CyclicClass):
             return x.member_class_profile, x.subgroup_order
-        if isinstance(x, int):
-            K = self.cyclic_subgroup_classes()[self.cyclic_class_of_element(x)]
-            return K.member_class_profile, K.subgroup_order
-        elems = x if isinstance(x, frozenset) else frozenset(x)
+        elems = frozenset(x)
         if not self.is_subgroup(elems):
             raise NotASubgroup(f"{len(elems)} elements do not form a subgroup")
         return Counter(map(self.class_indices().__getitem__, elems)), len(elems)

@@ -131,10 +131,14 @@ def _genus_of_quotient(spec: CoverSpec, i: int, cyclic, dcm) -> int:
     return _riemann_hurwitz(spec, index, dcm[i], name, name)
 
 
+def _genus_total(spec: CoverSpec, dcm) -> int:
+    """Genus of the total space X from the group's double-coset matrix."""
+    return _riemann_hurwitz(spec, spec.group.order, dcm[0], "total", "total-space")
+
+
 def genus_total(spec: CoverSpec) -> int:
     """Genus of the total space X = X/H_0, H_0 the trivial subgroup."""
-    G = spec.group
-    return _riemann_hurwitz(spec, G.order, G.double_coset_matrix()[0], "total", "total-space")
+    return _genus_total(spec, spec.group.double_coset_matrix())
 
 
 def genus_quotient(spec: CoverSpec, i: int) -> int:
@@ -213,7 +217,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
             return None
 
     cyclic, dcm = G.cyclic_subgroup_classes(), G.double_coset_matrix()
-    g_total = attempt(_riemann_hurwitz, spec, G.order, dcm[0], "total", "total-space")
+    g_total = attempt(_genus_total, spec, dcm)
     genera = [attempt(_genus_of_quotient, spec, i, cyclic, dcm) for i in range(len(cyclic))]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:

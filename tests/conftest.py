@@ -30,6 +30,22 @@ def left_row(G, x):
     return G.products(x, range(G.order))
 
 
+def closure_by_mul(G, seeds):
+    """Plain breadth-first closure of the identity and the seeds under G.mul."""
+    found = {G.identity_index, *seeds}
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for s in seeds:
+                c = G.mul(a, s)
+                if c not in found:
+                    found.add(c)
+                    nxt.append(c)
+        frontier = nxt
+    return frozenset(found)
+
+
 @pytest.fixture(scope="session")
 def trivial():
     return group_from_generators([])

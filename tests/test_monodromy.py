@@ -12,10 +12,11 @@ from prymdim.monodromy import (
     spec_from_tuple,
     verify_tuple,
 )
+from prymdim.permgroup import PermGroup
 from prymdim.rhprym import genus_total, validate
 from prymdim.weyl import weyl_group
 
-from conftest import left_row
+from conftest import closure_by_mul, left_row
 
 
 def test_sample_z2_forced(z2):
@@ -135,6 +136,29 @@ def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
         assert verify_tuple(t).ok
         assert sorted(full) == sorted(set(t.branch_elements))
         monkeypatch.undo()
+
+
+def test_sample_tuple_needs_no_subgroup_closure(monkeypatch, s4):
+    """The sampler asks ``PermGroup.generates`` whether a tuple generates G
+    and never builds the span's index set: with ``subgroup_closure``
+    refusing every call, it still returns tuples that satisfy the
+    relation, have no identity branch element, generate G by a plain
+    G.mul closure and verify against the formula."""
+
+    def refuse(self, seeds):
+        raise AssertionError("subgroup_closure was called")
+
+    monkeypatch.setattr(PermGroup, "subgroup_closure", refuse)
+    rng = random.Random(5)
+    for G in (s4, weyl_group("B", 3).group, weyl_group("G", 2).group):
+        for g, b in ((0, 3), (0, 4), (1, 2), (2, 1)):
+            t = sample_tuple(G, g, b, rng)
+            assert t.is_valid()
+            assert t.relation_product() == G.identity_index
+            assert G.identity_index not in t.branch_elements
+            seeds = [x for ab in t.handles for x in ab] + list(t.branch_elements)
+            assert len(closure_by_mul(G, seeds)) == G.order
+            assert verify_tuple(t).ok
 
 
 def test_orbit_count_equals_double_coset(s4):

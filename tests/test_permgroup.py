@@ -21,7 +21,7 @@ from prymdim.permgroup import (
 )
 from prymdim.weyl import weyl_group
 
-from conftest import SMALL_WEYL, left_row
+from conftest import SMALL_WEYL, closure_by_mul, left_row
 
 
 # -- parsing / printing ---------------------------------------------------------
@@ -390,22 +390,6 @@ def test_cycle_count_row_matches_mul(s4):
                 assert act.cycle_count(rows[x]) == cycle_count_of(coset_permutation(G, act, x))
 
 
-def closure_by_mul(G, seeds):
-    """Plain breadth-first closure of the identity and the seeds under G.mul."""
-    found = {G.identity_index, *seeds}
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in seeds:
-                c = G.mul(a, s)
-                if c not in found:
-                    found.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(found)
-
-
 def test_subgroup_closure_matches_mul_bfs(s4):
     """The early-stopping closure equals a plain G.mul closure for every
     pair of S4 elements, generating pairs and others alike, in the byte
@@ -428,28 +412,40 @@ def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
     in W(F4), W(D5), W(B3) and S4 re-embedded at degree 300 (the tuple
     store), on empty, identity and repeated seeds, on the trivial group
     and Z2 (limits 1 and 2), and at index 2: two 3-cycles of S4 close to
-    A4, not S4."""
+    A4, not S4. ``generates`` answers true exactly when that plain
+    closure is G, on every one of those seed sets."""
     s4_tuples = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"], degree=300))
     rng = random.Random(0)
+
+    def generates_by_mul(G, seeds):
+        return len(closure_by_mul(G, seeds)) == G.order
+
     for G in (*(weyl_group(*t).group for t in [("F", 4), ("D", 5), ("B", 3)]), s4_tuples):
         sets = [[rng.randrange(G.order) for _ in range(rng.randint(1, 4))] for _ in range(200)]
         generating = 0
         for seeds in sets:
             span = G.subgroup_closure(seeds)
             assert span == closure_by_mul(G, seeds), seeds
+            assert G.generates(seeds) == generates_by_mul(G, seeds), seeds
             generating += len(span) == G.order
         assert 0 < generating < len(sets)
         x, y = sets[0][0], sets[1][0]
         assert G.subgroup_closure([]) == G.subgroup_closure([0]) == {0}
         assert G.subgroup_closure([0, x, x]) == closure_by_mul(G, [x])
         assert G.subgroup_closure([y, x, y, 0, x]) == closure_by_mul(G, [x, y])
+        for seeds in ([], [0], [0, x, x], [y, x, y, 0, x]):
+            assert G.generates(seeds) == generates_by_mul(G, seeds), seeds
     for G in (trivial, z2):
         assert G.subgroup_closure([]) == G.subgroup_closure([0]) == {0}
         assert G.subgroup_closure(range(G.order)) == frozenset(range(G.order))
+        for seeds in ([], [0], range(G.order)):
+            assert G.generates(seeds) == generates_by_mul(G, seeds), seeds
     assert z2.subgroup_closure([1, 1]) == {0, 1}
-    a4 = s4.subgroup_closure(
-        [s4.index_of(Permutation.from_cycles(c, degree=4)) for c in ("(0 1 2)", "(1 2 3)")]
-    )
+    assert z2.generates([1, 1]) and trivial.generates([]) and not z2.generates([0])
+    three_cycles = [s4.index_of(Permutation.from_cycles(c, degree=4))
+                    for c in ("(0 1 2)", "(1 2 3)")]
+    a4 = s4.subgroup_closure(three_cycles)
+    assert not s4.generates(three_cycles)
     even = {x for x in range(s4.order)
             if sum(len(c) - 1 for c in s4.elements[x].cycles()) % 2 == 0}
     assert len(a4) == s4.order // 2 and a4 == even
@@ -479,6 +475,77 @@ def test_generation_test_costs_under_one_composition_per_element(monkeypatch, la
         if len(G.subgroup_closure(seeds)) == G.order:
             assert calls < G.order, (seeds, calls)
             checked += 1
+
+
+def test_subgroup_test_stops_at_one_more_than_the_set(monkeypatch):
+    """{1, (0 1), (0 1 2 3 4 5 6 7)} in S8 contains the identity and has
+    an order dividing 8!, so only a closure can reject it: closed with
+    limit |set| + 1, the span gives up at 4 elements, well under 100
+    compositions. Closing generator by generator to the span of all
+    three, S8, took 26,797."""
+    s8 = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3 4 5 6 7)"]))
+    elems = frozenset(s8.index_of(Permutation.from_cycles(c, degree=8))
+                      for c in ("()", "(0 1)", "(0 1 2 3 4 5 6 7)"))
+    calls = 0
+    compose = s8._kernel.compose
+
+    def counted(b, a):
+        nonlocal calls
+        calls += 1
+        return compose(b, a)
+
+    monkeypatch.setattr(s8, "_kernel", s8._kernel._replace(compose=counted))
+    assert len(elems) == 3
+    assert not s8.is_subgroup(elems)
+    assert 0 < calls < 100
+
+
+def test_is_subgroup_matches_mul_closure(s4):
+    """``is_subgroup`` agrees with "the G.mul closure of the set is the set"
+    on 30 seeded subgroups each of S4 and W(B3), in the byte store and
+    re-embedded at degree 300 (the tuple store), and on each of them with
+    one element swapped for one outside it."""
+    b3 = weyl_group("B", 3).group
+    groups = [s4, b3]
+    groups += [group_from_generators([g.extend(300) for g in G.generators]) for G in groups]
+    assert [type(G._images[0]) for G in groups] == [bytes, bytes, tuple, tuple]
+    rng = random.Random(3)
+    for G in groups:
+        verdicts = Counter()
+        for _ in range(30):
+            H = G.subgroup_closure(rng.sample(range(G.order), rng.randint(1, 2)))
+            cases = [H]
+            if len(H) < G.order:
+                out = rng.choice([x for x in range(G.order) if x not in H])
+                cases.append(H - {rng.choice(sorted(H))} | {out})
+            for elems in cases:
+                expected = closure_by_mul(G, elems) == elems
+                assert G.is_subgroup(elems) == expected, sorted(elems)
+                verdicts[expected] += 1
+        assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_element_index_out_of_range(s3, bad):
+    """An element index outside 0..|G|-1 raises IndexError, a negative one
+    too: it does not count from the end of the element table (on S3, -1
+    used to close to {0, 5}, the span of the last element)."""
+    K = s3.cyclic_subgroup_classes()[1]
+    calls = [
+        lambda: s3.subgroup_closure([bad]),
+        lambda: s3.subgroup_closure([1, bad]),
+        lambda: s3.generates([bad]),
+        lambda: s3.generates([1, 5, bad]),
+        lambda: s3.is_subgroup(frozenset({0, bad})),
+        lambda: s3.is_subgroup(frozenset({0, 1, 2, 3, 4, bad})),
+        lambda: s3.coset_action([0, bad]),
+        lambda: s3.double_coset_count(K, [0, bad]),
+        lambda: s3.double_coset_count(bad, K),
+        lambda: s3.double_coset_count(K, bad),
+    ]
+    for call in calls:
+        with pytest.raises(IndexError, match=f"element index {bad} is not in 0..5"):
+            call()
 
 
 def test_double_coset_examples(s3):
