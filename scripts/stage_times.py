@@ -21,8 +21,11 @@ but F4), else the simple reflections. The `cli_cold` stage is one fresh
 on the same source tree, interpreter start and imports included, and the
 `verify_cold` stage one fresh `python -m prymdim verify --weyl <label>
 --format json` process, the whole invariant suite with the monodromy
-oracle. The object also records the git revision, the Python version and
-the machine (architecture and CPU count).
+oracle. Beside the groups, the top-level `cli_import` stage is the best
+of REPEATS fresh `python -c "import prymdim.cli"` processes: interpreter
+start and the CLI's imports, with no group built. The object also
+records the git revision, the Python version and the machine
+(architecture and CPU count).
 
 Cold processes read bytecode from `__pycache__` when it is there and
 recompile every module when it is not (as under PYTHONDONTWRITEBYTECODE),
@@ -76,14 +79,19 @@ def _timed(fn):
     return time.perf_counter() - t0, result
 
 
-def _cold(*args: str) -> float:
-    """Seconds for one fresh ``python -m prymdim ARGS --format json`` process."""
+def _fresh(*args: str) -> float:
+    """Seconds for one fresh ``python ARGS`` process on this source tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(prymdim.__file__).resolve().parents[1])}
-    argv = [sys.executable, "-m", "prymdim", *args, "--format", "json"]
+    argv = [sys.executable, *args]
     seconds, done = _timed(lambda: subprocess.run(argv, env=env, capture_output=True))
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(argv[1:])} exited {done.returncode}")
     return seconds
+
+
+def _cold(*args: str) -> float:
+    """Seconds for one fresh ``python -m prymdim ARGS --format json`` process."""
+    return _fresh("-m", "prymdim", *args, "--format", "json")
 
 
 def _stages(W) -> dict[str, float]:
@@ -133,6 +141,7 @@ def main() -> int:
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "repeats": REPEATS,
         "unit": "s, best of repeats",
+        "cli_import": round(min(_fresh("-c", "import prymdim.cli") for _ in range(REPEATS)), 6),
         "groups": {},
     }
     for letter, rank in GROUPS:

@@ -27,9 +27,8 @@ matrix as the ``exactla.Inverse`` that ``exactla.solve`` takes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import exactla
 from .errors import (
@@ -44,8 +43,7 @@ from .permgroup import ConjugacyClass, CyclicClass, PermGroup
 MAX_CLASSES = 40
 
 
-@dataclass(frozen=True)
-class CharacterTable:
+class CharacterTable(NamedTuple):
     """Integer-valued irreducible characters, rows = irreps, columns = classes.
 
     Rows are ordered trivial character first (row 0), then by degree

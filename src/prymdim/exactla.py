@@ -14,9 +14,8 @@ integrality with a divisibility test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotSquare, Singular
 
@@ -70,8 +69,7 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return _forward(m, n) * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class Inverse:
+class Inverse(NamedTuple):
     """A square integer matrix with its adjugate: rows * adjugate = det * I."""
 
     rows: tuple[tuple[int, ...], ...]

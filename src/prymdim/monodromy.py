@@ -13,26 +13,29 @@ tuple and read by the orbit count on every quotient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
-from .permgroup import PermGroup
+from .permgroup import PermGroup, _Record
 from .rhprym import CoverSpec, RamificationSpec, genus_quotient
 
 # rejection draws per sample_tuple call before it raises SamplingExhausted
 SAMPLE_ATTEMPTS = 500
 
 
-@dataclass(frozen=True)
-class BranchTuple:
-    """Handles and branch elements realizing a cover of a genus-g base."""
+class BranchTuple(_Record):
+    """Handles and branch elements realizing a cover of a genus-g base.
+    Not slotted: the cached ``rows`` live in the instance ``__dict__``."""
 
-    group: PermGroup
-    base_genus: int
-    handles: tuple[tuple[int, int], ...]
-    branch_elements: tuple[int, ...]
+    _fields = ("group", "base_genus", "handles", "branch_elements")
+
+    def __init__(self, group: PermGroup, base_genus: int,
+                 handles: tuple[tuple[int, int], ...], branch_elements: tuple[int, ...]):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "base_genus", base_genus)
+        object.__setattr__(self, "handles", handles)
+        object.__setattr__(self, "branch_elements", branch_elements)
 
     @cached_property
     def rows(self) -> dict[int, list[int]]:
@@ -129,8 +132,7 @@ def spec_from_tuple(t: BranchTuple) -> CoverSpec:
     return CoverSpec(G, t.base_genus, RamificationSpec(counts))
 
 
-@dataclass(frozen=True)
-class TupleVerification:
+class TupleVerification(NamedTuple):
     """Per-quotient comparison of oracle genus and formula genus."""
 
     oracle: tuple[int, ...]

@@ -44,6 +44,15 @@ Double cosets are counted from class data alone, by Burnside's lemma,
 
 where pA[c] is the number of elements of A in class c. Every quantity is
 exact and reproducible across runs.
+
+``mul``, ``inv``, ``class_of``, ``element_order`` and the first argument
+of ``products`` raise IndexError for an element index outside
+0..|G|-1 by the same rule as ``_span``. The plain records here
+(``ConjugacyClass``, ``CyclicClass``, ``CosetAction``) are
+``typing.NamedTuple``s, copied with ``_replace``; ``Permutation``
+validates its images and, like the package's other validating records,
+is built on ``_Record``. No record is a dataclass, so importing the
+package does not load ``dataclasses`` and what it imports.
 """
 
 from __future__ import annotations
@@ -52,7 +61,6 @@ import math
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -78,16 +86,49 @@ _CYCLES_RE = re.compile(r"\s*(?:\([^()]*\)\s*)+")
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Record:
+    """Base of the records that are not NamedTuples, because they validate
+    their fields or cache more than their fields: ``__init__`` checks the
+    fields and sets each name of ``_fields`` once, with
+    ``object.__setattr__``. A record compares, hashes and prints field by
+    field, like a frozen dataclass, and any later assignment or deletion
+    raises AttributeError."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Record):
     """A bijection of {0..n-1}, stored as its tuple of images."""
 
-    images: tuple[int, ...]
+    __slots__ = _fields = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
-            raise ParseError(f"not a bijection on 0..{n - 1}: {self.images!r}")
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
+        if sorted(images) != list(range(n)):
+            raise ParseError(f"not a bijection on 0..{n - 1}: {images!r}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -204,8 +245,7 @@ def parse_generators(texts: Sequence[str], degree: int | None = None) -> list[Pe
     return [p.extend(n) for p in raw]
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     """A conjugacy class: its least member is the representative, and
     ``element_order`` is the lcm of the representative's cycle lengths."""
 
@@ -215,8 +255,7 @@ class ConjugacyClass:
     element_order: int
 
 
-@dataclass(frozen=True)
-class CyclicClass:
+class CyclicClass(NamedTuple):
     """A conjugacy class of cyclic subgroups, with a chosen generator.
 
     ``member_class_profile`` maps conjugacy-class index -> how many
@@ -233,8 +272,7 @@ class CyclicClass:
     member_class_profile: Mapping[int, int]
 
 
-@dataclass(frozen=True)
-class CosetAction:
+class CosetAction(NamedTuple):
     """Left action of a group on the cosets of a subgroup.
 
     ``cosets`` holds the least element index of each coset, in discovery
@@ -400,21 +438,25 @@ class PermGroup:
 
     def mul(self, i: int, j: int) -> int:
         """Index of element i composed with element j (j applied first)."""
-        k = self._kernel
-        return self._index[k.compose(self._images[j], k.pad(self._images[i]))]
+        k, images = self._kernel, self._images
+        a = images[self._checked(i)]
+        return self._index[k.compose(images[self._checked(j)], k.pad(a))]
 
     def products(self, x: int, ys: Iterable[int]) -> list[int]:
-        """Indices of x*y for each y in ``ys``, padding x once."""
+        """Indices of x*y for each y in ``ys``, padding x once. Only x is
+        checked against 0..|G|-1: the one caller, ``BranchTuple.rows``,
+        passes ``range(order)`` as ``ys``."""
         index, images, compose = self._index, self._images, self._kernel.compose
-        xp = self._kernel.pad(images[x])
+        xp = self._kernel.pad(images[self._checked(x)])
         return [index[compose(images[y], xp)] for y in ys]
 
     def inv(self, i: int) -> int:
         """Index of the inverse of element i, computed on demand."""
-        return self._index[self._kernel.invert(self._images[i])]
+        return self._index[self._kernel.invert(self._images[self._checked(i)])]
 
     def element_order(self, x: int) -> int:
-        return self._classified()[self._class_of[x]].element_order
+        classes = self._classified()
+        return classes[self._class_of[self._checked(x)]].element_order
 
     def index_of(self, p: Permutation) -> int:
         if p in self:
@@ -548,7 +590,7 @@ class PermGroup:
         return self._classes
 
     def class_of(self, x: int) -> int:
-        return self.class_indices()[x]
+        return self.class_indices()[self._checked(x)]
 
     def class_indices(self) -> tuple[int, ...]:
         """Conjugacy-class index of every element, by element index; read it

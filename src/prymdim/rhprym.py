@@ -30,9 +30,7 @@ included, raises IndexError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla
 from .chartable import CharacterTable, character_table, fixed_dim_matrix
@@ -43,7 +41,7 @@ from .errors import (
     NotRationalGroup,
     OddRamificationDegree,
 )
-from .permgroup import PermGroup
+from .permgroup import PermGroup, _Record
 
 # Diagnostics that say the branch data belongs to no cover. The others
 # (MethodDisagreement, DimensionSum, TrivialDimension) are identities that
@@ -61,45 +59,44 @@ SAMPLE_MAX_GENUS = 5
 SAMPLE_MAX_COUNT = 10
 
 
-@dataclass(frozen=True)
-class RamificationSpec:
-    """Branch-point counts keyed by nontrivial cyclic-class index."""
+class RamificationSpec(_Record):
+    """Branch-point counts keyed by nontrivial cyclic-class index; zero
+    counts are dropped."""
 
-    counts: Mapping[int, int]
+    __slots__ = _fields = ("counts",)
 
-    def __post_init__(self):
-        for k, v in self.counts.items():
+    def __init__(self, counts: Mapping[int, int]):
+        for k, v in counts.items():
             if type(k) is not int or type(v) is not int:
                 raise ValueError(f"ramification key {k!r} and count {v!r} must both be int")
             if v < 0:
                 raise ValueError("branch-point counts must be nonnegative")
-        object.__setattr__(self, "counts", {k: v for k, v in self.counts.items() if v})
+        object.__setattr__(self, "counts", {k: v for k, v in counts.items() if v})
 
     def count(self, k: int) -> int:
         return self.counts.get(k, 0)
 
 
-@dataclass(frozen=True)
-class CoverSpec:
+class CoverSpec(_Record):
     """Base genus plus branch data over a fixed rational-character group."""
 
-    group: PermGroup
-    base_genus: int
-    ramification: RamificationSpec
+    __slots__ = _fields = ("group", "base_genus", "ramification")
 
-    def __post_init__(self):
-        if type(self.base_genus) is not int or self.base_genus < 0:
-            raise ValueError(f"base genus {self.base_genus!r} is not a nonnegative int")
-        if not self.group.is_rational_group():
+    def __init__(self, group: PermGroup, base_genus: int, ramification: RamificationSpec):
+        if type(base_genus) is not int or base_genus < 0:
+            raise ValueError(f"base genus {base_genus!r} is not a nonnegative int")
+        if not group.is_rational_group():
             raise NotRationalGroup("cover group must have rational characters")
-        n = len(self.group.cyclic_subgroup_classes())
-        for k in self.ramification.counts:
+        n = len(group.cyclic_subgroup_classes())
+        for k in ramification.counts:
             if not 1 <= k < n:
                 raise ValueError(f"ramification key {k} is not a nontrivial cyclic class")
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "base_genus", base_genus)
+        object.__setattr__(self, "ramification", ramification)
 
 
-@dataclass(frozen=True)
-class DimensionReport:
+class DimensionReport(NamedTuple):
     """Genera, per-irrep Prym dimensions, and validation diagnostics."""
 
     g_total: int | None
@@ -153,6 +150,8 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
 def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
     y, d = exactla.solve(fdm, genera)
     if any(v % d for v in y):
+        from fractions import Fraction  # only for the diagnostic text
+
         x = [Fraction(v, d) for v in y]
         raise NonIntegerSolution(f"isotypic dimensions are not integers: {x}")
     return tuple(v // d for v in y)

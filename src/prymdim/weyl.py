@@ -34,7 +34,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -62,8 +61,7 @@ _INVARIANT_DEGREES = {
 }
 
 
-@dataclass
-class WeylGroup:
+class WeylGroup(NamedTuple):
     """A Weyl group with the metadata the cover presets consume."""
 
     letter: str

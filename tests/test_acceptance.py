@@ -5,7 +5,6 @@ Character tables and double-coset tables are cached per group, so later
 criteria reuse what earlier ones built.
 """
 
-import dataclasses
 import random
 import time
 
@@ -188,7 +187,7 @@ def test_verify_triangularity_matches_inverse_reference():
         assert _triangularity_failure(G, T, fdm.rows) is None
         rows = list(fdm.rows)
         rows[0], rows[1] = rows[1], rows[0]
-        swapped = dataclasses.replace(fdm, rows=tuple(rows))
+        swapped = fdm._replace(rows=tuple(rows))
         assert _triangular_change_of_basis_ok(T, swapped) is False
         assert _triangularity_failure(G, T, swapped.rows) is not None
 

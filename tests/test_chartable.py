@@ -415,13 +415,13 @@ def test_fixed_dim_matrix_check_survives_python_O():
     assert statements: a table whose last degree is off by one is caught."""
     snippet = textwrap.dedent(
         """
-        import dataclasses, sys
+        import sys
         from prymdim.chartable import character_table, fixed_dim_matrix
         from prymdim.permgroup import group_from_generators, parse_generators
 
         G = group_from_generators(parse_generators(["(0 1)", "(0 1 2)"]))
         T = character_table(G)
-        G.table = dataclasses.replace(T, degrees=T.degrees[:-1] + (T.degrees[-1] + 1,))
+        G.table = T._replace(degrees=T.degrees[:-1] + (T.degrees[-1] + 1,))
         print(sys.flags.optimize)
         try:
             fixed_dim_matrix(G)

@@ -529,7 +529,9 @@ def test_is_subgroup_matches_mul_closure(s4):
 def test_element_index_out_of_range(s3, bad):
     """An element index outside 0..|G|-1 raises IndexError, a negative one
     too: it does not count from the end of the element table (on S3, -1
-    used to close to {0, 5}, the span of the last element)."""
+    used to close to {0, 5}, the span of the last element, and
+    ``mul(-1, 0)``, ``inv(-1)`` and ``products(-1, [0])`` gave 5, while 6
+    failed in element arithmetic with a bare list or tuple IndexError)."""
     K = s3.cyclic_subgroup_classes()[1]
     calls = [
         lambda: s3.subgroup_closure([bad]),
@@ -542,6 +544,12 @@ def test_element_index_out_of_range(s3, bad):
         lambda: s3.double_coset_count(K, [0, bad]),
         lambda: s3.double_coset_count(bad, K),
         lambda: s3.double_coset_count(K, bad),
+        lambda: s3.mul(bad, 0),
+        lambda: s3.mul(0, bad),
+        lambda: s3.inv(bad),
+        lambda: s3.products(bad, [0]),
+        lambda: s3.class_of(bad),
+        lambda: s3.element_order(bad),
     ]
     for call in calls:
         with pytest.raises(IndexError, match=f"element index {bad} is not in 0..5"):

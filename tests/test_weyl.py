@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -291,5 +290,4 @@ def test_short_generating_set_gives_the_simple_reflection_group(letter, rank):
     assert ref.order == W.group.order
     for a, b in zip(ref.conjugacy_classes(), W.group.conjugacy_classes(), strict=True):
         assert a == b, W.label
-    assert dataclasses.replace(weyl._weyl_data(letter, rank, ref, real),
-                               group=W.group) == W
+    assert weyl._weyl_data(letter, rank, ref, real)._replace(group=W.group) == W
