@@ -46,13 +46,10 @@ where pA[c] is the number of elements of A in class c. Every quantity is
 exact and reproducible across runs.
 
 ``mul``, ``inv``, ``class_of``, ``element_order`` and the first argument
-of ``products`` raise IndexError for an element index outside
-0..|G|-1 by the same rule as ``_span``. The plain records here
-(``ConjugacyClass``, ``CyclicClass``, ``CosetAction``) are
-``typing.NamedTuple``s, copied with ``_replace``; ``Permutation``
-validates its images and, like the package's other validating records,
-is built on ``_Record``. No record is a dataclass, so importing the
-package does not load ``dataclasses`` and what it imports.
+of ``products`` check an element index by the same rule as ``_span``.
+The records here are ``typing.NamedTuple``s (copy one with ``_replace``,
+not ``dataclasses.replace``), except ``Permutation``, which validates its
+images on the ``_Record`` base.
 """
 
 from __future__ import annotations
