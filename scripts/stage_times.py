@@ -11,20 +11,24 @@ genus-1 tuple with two branch points, then `verify_tuple`), the
 generation test (`PermGroup.generates` on 100 seeded sets of 4 random
 elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
-(`genus_quotient`) and the closed form for every irrep
-(`prym_dim_formula`). Every repetition
-rebuilds the group from `W.group.generators`, so each stage starts
-cold. Those are the generators `weyl_group` closed the group from: the
-pair {Coxeter element, s_(r-2)} where it generates W (all types here
-but F4), else the simple reflections. The `cli_cold` stage is one fresh
-`python -m prymdim preset hitchin <type> <rank> --format json` process
-on the same source tree, interpreter start and imports included, and the
-`verify_cold` stage one fresh `python -m prymdim verify --weyl <label>
---format json` process, the whole invariant suite with the monodromy
-oracle. Beside the groups, the top-level `cli_import` stage is the best
-of REPEATS fresh `python -c "import prymdim.cli"` processes: interpreter
-start and the CLI's imports, with no group built. The object also
-records the git revision, the Python version and the machine
+(`genus_quotient`), the closed form for every irrep (`prym_dim_formula`)
+and one `exactla.solve` of the fixed-dim system on the spec's quotient
+genera. Every repetition of the cold stages rebuilds the group from
+`W.group.generators`, so each of them starts cold. Those are the
+generators `weyl_group` closed the group from: the pair
+{Coxeter element, s_(r-2)} where it generates W (all types here but
+F4), else the simple reflections. A warm stage takes well under a
+millisecond, so one call would be mostly timer noise: its figure is the
+mean of WARM_CALLS back-to-back calls, best of REPEATS. The `cli_cold`
+stage is one fresh `python -m prymdim preset hitchin <type> <rank>
+--format json` process on the same source tree, interpreter start and
+imports included, and the `verify_cold` stage one fresh `python -m
+prymdim verify --weyl <label> --format json` process, the whole
+invariant suite with the monodromy oracle. Beside the groups, the
+top-level `cli_import` stage is the best of REPEATS fresh
+`python -c "import prymdim.cli"` processes: interpreter start and the
+CLI's imports, with no group built. The object also records the git
+revision, the Python version and the machine
 (architecture and CPU count).
 
 Cold processes read bytecode from `__pycache__` when it is there and
@@ -48,6 +52,7 @@ import time
 from pathlib import Path
 
 import prymdim
+from prymdim import exactla
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import PermGroup
@@ -57,6 +62,7 @@ from prymdim.weyl import hitchin_preset, weyl_group
 GROUPS = [("D", 5), ("F", 4), ("B", 5), ("A", 6), ("A", 7)]
 REPEATS = 3
 SEED_SETS = 100
+WARM_CALLS = 200
 
 
 def _git_revision() -> str:
@@ -77,6 +83,12 @@ def _timed(fn):
     t0 = time.perf_counter()
     result = fn()
     return time.perf_counter() - t0, result
+
+
+def _warm(fn) -> float:
+    """Seconds per call of fn: the mean of WARM_CALLS calls, best of REPEATS."""
+    calls = range(WARM_CALLS)
+    return min(_timed(lambda: [fn() for _ in calls])[0] for _ in range(REPEATS)) / WARM_CALLS
 
 
 def _fresh(*args: str) -> float:
@@ -116,15 +128,17 @@ def _stages(W) -> dict[str, float]:
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)
-    validate(spec)  # fill the per-group caches the spec reads
+    genera = validate(spec).quotient_genera  # also fills the per-group caches
+    fdm = fixed_dim_matrix(W.group)
     n = len(W.group.cyclic_subgroup_classes())
     warm = {
         "warm_validate": lambda: validate(spec),
         "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
         "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
+        "solve": lambda: exactla.solve(fdm, genera),
     }
     for k, fn in warm.items():
-        best[k] = min(_timed(fn)[0] for _ in range(REPEATS))
+        best[k] = _warm(fn)
     cold = {
         "cli_cold": ("preset", "hitchin", W.letter, str(W.rank)),
         "verify_cold": ("verify", "--weyl", W.label),
@@ -140,7 +154,8 @@ def main() -> int:
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "repeats": REPEATS,
-        "unit": "s, best of repeats",
+        "warm_calls": WARM_CALLS,
+        "unit": "s, best of repeats; warm stages the mean of warm_calls calls",
         "cli_import": round(min(_fresh("-c", "import prymdim.cli") for _ in range(REPEATS)), 6),
         "groups": {},
     }

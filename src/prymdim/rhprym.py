@@ -9,22 +9,24 @@ genus of every quotient curve X/H_i,
 and one function computes it: the total space is X/H_0 for the trivial
 class H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into
 deg(R)/2. Inversion maps H_k g H_i onto H_i g^-1 H_k, so the double-coset
-matrix is symmetric and its row i holds every #(H_k\\G/H_i); a spec
-reads that matrix and the cyclic classes once for all its genera. The
-quotient genera determine the isotypic dimensions dim V_j through the
-invertible fixed-subspace dimension matrix. The same
+matrix is symmetric and its row i holds every #(H_k\\G/H_i). The
+ramification sums of all quotients thus come from one vector, the R_k-weighted
+sum of the rows k of that matrix over the spec's branch classes, formed
+once per spec. The quotient genera determine the isotypic dimensions
+dim V_j through the invertible fixed-subspace dimension matrix. The same
 dimensions also come out of the closed form
 
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one); both routes are
 computed and compared. All arithmetic is in integers. The fixed-dim
-matrix is inverted once per group, into its adjugate and determinant, so
-each spec's solve is one integer matrix-vector product checked by
-A y = det b: numerators over one common denominator. The closed form is
-summed doubled, irrep by irrep, so each route's integrality is one
-divisibility test per entry. An index outside 0..n-1, negative ones
-included, raises IndexError.
+matrix is inverted once per group, into its adjugate and determinant
+with their common content divided out, so each spec's solve is one
+small-integer matrix-vector product checked by A y' = (det / content) b,
+then scaled back to numerators over the one common denominator det. The
+closed form is summed doubled, irrep by irrep, so each route's
+integrality is one divisibility test per entry. An index outside
+0..n-1, negative ones included, raises IndexError.
 """
 
 from __future__ import annotations
@@ -107,35 +109,51 @@ class DimensionReport(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def _riemann_hurwitz(
-    spec: CoverSpec, index: int, dc: Sequence[int], ram_name: str, genus_name: str
-) -> int:
-    """Genus of X/H for a subgroup H of the given index, dc[k] being
-    #(H_k\\G/H); the names head the parity and sign diagnostics."""
-    ram = sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
+def _riemann_hurwitz(spec: CoverSpec, i: int | None, index: int, ram: int) -> int:
+    """Genus of X/H_i, H_i of the given index, from its ramification degree
+    ram; i is None for the total space X = X/H_0, which only changes the
+    names in the parity and sign diagnostics."""
     if ram % 2:
-        raise OddRamificationDegree(f"{ram_name} ramification degree {ram} is odd")
+        name = "total" if i is None else f"quotient H{i + 1}"
+        raise OddRamificationDegree(f"{name} ramification degree {ram} is odd")
     g_h = 1 + index * (spec.base_genus - 1) + ram // 2
     if g_h < 0:
-        raise NegativeGenus(f"{genus_name} genus {g_h} is negative")
+        name = "total-space" if i is None else f"quotient H{i + 1}"
+        raise NegativeGenus(f"{name} genus {g_h} is negative")
     return g_h
 
 
-def _genus_of_quotient(spec: CoverSpec, i: int, cyclic, dcm) -> int:
-    """Genus of X/H_i from the group's cyclic classes and double-coset matrix."""
-    name = f"quotient H{i + 1}"
-    index = spec.group.order // cyclic[i].subgroup_order
-    return _riemann_hurwitz(spec, index, dcm[i], name, name)
+def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
+    """Ramification degree of X -> X/H for H of the given index, dc[k]
+    being #(H_k\\G/H): one term per branch class."""
+    return sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
 
 
-def _genus_total(spec: CoverSpec, dcm) -> int:
-    """Genus of the total space X from the group's double-coset matrix."""
-    return _riemann_hurwitz(spec, spec.group.order, dcm[0], "total", "total-space")
+def _ramifications(spec: CoverSpec, cyclic, dcm) -> list[tuple[int, int]]:
+    """(index, ramification degree) of every quotient X/H_i.
+
+    The degree is [G:H_i] R - w_i with R = sum_k R_k and w the R_k-weighted
+    sum of the rows k of the symmetric double-coset matrix, summed once for
+    all i over the spec's branch classes.
+    """
+    counts = spec.ramification.counts
+    points = sum(counts.values())
+    weighted = [0] * len(cyclic)
+    for k, r in counts.items():
+        weighted = [w + r * v for w, v in zip(weighted, dcm[k])]
+    order = spec.group.order
+    out = []
+    for K, w in zip(cyclic, weighted):
+        index = order // K.subgroup_order
+        out.append((index, index * points - w))
+    return out
 
 
 def genus_total(spec: CoverSpec) -> int:
     """Genus of the total space X = X/H_0, H_0 the trivial subgroup."""
-    return _genus_total(spec, spec.group.double_coset_matrix())
+    G = spec.group
+    ram = _ramification(spec, G.order, G.double_coset_matrix()[0])
+    return _riemann_hurwitz(spec, None, G.order, ram)
 
 
 def genus_quotient(spec: CoverSpec, i: int) -> int:
@@ -144,7 +162,9 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
     cyclic = G.cyclic_subgroup_classes()
     if not 0 <= i < len(cyclic):
         raise IndexError(f"cyclic class index {i} is not in 0..{len(cyclic) - 1}")
-    return _genus_of_quotient(spec, i, cyclic, G.double_coset_matrix())
+    index = G.order // cyclic[i].subgroup_order
+    ram = _ramification(spec, index, G.double_coset_matrix()[i])
+    return _riemann_hurwitz(spec, i, index, ram)
 
 
 def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
@@ -160,8 +180,8 @@ def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     """Isotypic dimensions from the linear system over all quotient genera."""
     G = spec.group
-    cyclic, dcm = G.cyclic_subgroup_classes(), G.double_coset_matrix()
-    genera = [_genus_of_quotient(spec, i, cyclic, dcm) for i in range(len(cyclic))]
+    rams = _ramifications(spec, G.cyclic_subgroup_classes(), G.double_coset_matrix())
+    genera = [_riemann_hurwitz(spec, i, index, ram) for i, (index, ram) in enumerate(rams)]
     return _solve_from_genera(fixed_dim_matrix(G), genera)
 
 
@@ -173,9 +193,11 @@ def _closed_form_doubled(
     if j == 0:
         return 2 * g
     deg = table.degrees[j]
-    return 2 * deg * (g - 1) + sum(
-        (deg - fdm.rows[k][j]) * r for k, r in spec.ramification.counts.items()
-    )
+    rows = fdm.rows
+    twice = 2 * deg * (g - 1)
+    for k, r in spec.ramification.counts.items():  # a loop: no generator per irrep
+        twice += (deg - rows[k][j]) * r
+    return twice
 
 
 def _halve(twice: int) -> int:
@@ -215,9 +237,10 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(f"{type(exc).__name__}: {exc}")
             return None
 
-    cyclic, dcm = G.cyclic_subgroup_classes(), G.double_coset_matrix()
-    g_total = attempt(_genus_total, spec, dcm)
-    genera = [attempt(_genus_of_quotient, spec, i, cyclic, dcm) for i in range(len(cyclic))]
+    rams = _ramifications(spec, G.cyclic_subgroup_classes(), G.double_coset_matrix())
+    # the total space is the quotient by H_0: same index and degree, own names
+    g_total = attempt(_riemann_hurwitz, spec, None, *rams[0])
+    genera = [attempt(_riemann_hurwitz, spec, i, *ram) for i, ram in enumerate(rams)]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
         dims = attempt(_solve_from_genera, fdm, genera)

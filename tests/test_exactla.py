@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import prymdim
+from prymdim.chartable import fixed_dim_matrix
 from prymdim.errors import NotSquare, Singular
 from prymdim.exactla import determinant, inverse, solve
+from prymdim.weyl import weyl_group
 
 
 def cofactor_det(rows):
@@ -142,3 +151,84 @@ def test_inverse_examples():
         inverse([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(NotSquare):
         inverse([[1, 2], [3]])
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+def test_inverse_divides_out_the_content(rows):
+    """The content c > 0 divides det and every adjugate entry, and what is
+    left, the reduced adjugate with det / c, has no common factor."""
+    if cofactor_det(rows) == 0:
+        return
+    inv = inverse(rows)
+    c = inv.content
+    assert c > 0 and inv.det % c == 0
+    flat = [v for row in inv.adjugate for v in row]
+    assert all(v % c == 0 for v in flat)
+    reduced = [v for row in inv.reduced for v in row]
+    assert reduced == [v // c for v in flat]
+    assert gcd(inv.det // c, *reduced) == 1
+
+
+@pytest.mark.parametrize("letter, rank, det, content", [
+    ("B", 5, -2**71, 2**64),
+    ("F", 4, 9 * 2**37, 3 * 2**31),
+])
+def test_fixed_dim_content_pins(letter, rank, det, content):
+    """The fixed-dim content: W(B5) has det -2^71 and det / content -128,
+    W(F4) det / content 192. Either way solve returns the full det."""
+    inv = fixed_dim_matrix(weyl_group(letter, rank).group)
+    assert (inv.det, inv.content) == (det, content) and det == determinant(inv.rows)
+    assert det // content == {"B": -128, "F": 192}[letter]
+    assert max(abs(v) for row in inv.reduced for v in row).bit_length() <= 6
+    b = [1] * len(inv.rows)
+    y, d = solve(inv, b)
+    assert d == det
+    assert mat_vec(inv.rows, y) == [d * v for v in b]
+
+
+def _corrupted(inv):
+    """The Inverse with its first reduced-adjugate entry off by one."""
+    first = (inv.reduced[0][0] + 1,) + inv.reduced[0][1:]
+    return inv._replace(reduced=(first,) + inv.reduced[1:])
+
+
+def test_solve_rejects_a_corrupted_reduced_adjugate():
+    for inv in (inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
+                fixed_dim_matrix(weyl_group("B", 5).group)):
+        bad = _corrupted(inv)
+        with pytest.raises(AssertionError, match="solve verification failed"):
+            solve(bad, [1] * len(inv.rows))
+
+
+def test_solve_check_survives_python_O():
+    """The A y' == (det / c) b check is an explicit raise, so a corrupted
+    reduced adjugate is caught when -O strips assert statements."""
+    snippet = textwrap.dedent(
+        """
+        import sys
+        from prymdim.chartable import fixed_dim_matrix
+        from prymdim.exactla import solve
+        from prymdim.weyl import weyl_group
+
+        inv = fixed_dim_matrix(weyl_group("B", 5).group)
+        first = (inv.reduced[0][0] + 1,) + inv.reduced[0][1:]
+        bad = inv._replace(reduced=(first,) + inv.reduced[1:])
+        print(sys.flags.optimize)
+        try:
+            solve(bad, [1] * len(inv.rows))
+        except AssertionError:
+            print("AssertionError")
+        """
+    )
+    src = str(Path(prymdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "AssertionError"]

@@ -6,10 +6,13 @@ from prymdim import exactla, rhprym
 from prymdim.chartable import character_table, fixed_dim
 from prymdim.errors import (
     NegativeGenus,
+    NonIntegerDimension,
+    NonIntegerSolution,
     NotRationalGroup,
     OddRamificationDegree,
 )
 from prymdim.rhprym import (
+    BRANCH_DATA_DIAGNOSTICS,
     CoverSpec,
     RamificationSpec,
     genus_quotient,
@@ -22,7 +25,7 @@ from prymdim.rhprym import (
 from prymdim.permgroup import PermGroup
 from prymdim.weyl import weyl_group
 
-from conftest import SMALL_WEYL
+from conftest import SMALL_WEYL, WEYL_FLEET
 
 
 def s3_spec(s3, g=0, r2=4, r3=1):
@@ -276,6 +279,60 @@ def test_warm_validate_reads_cyclic_classes_and_double_cosets_once(monkeypatch):
         n = len(G.cyclic_subgroup_classes())
         assert report.quotient_genera == tuple(genus_quotient(spec, i) for i in range(n))
         assert report.g_total == genus_total(spec)
+
+
+def _report_from_public_functions(spec):
+    """The fields and diagnostics validate should give, assembled from
+    genus_total, genus_quotient, isotypic_dims_solve and prym_dim_formula
+    and the exceptions they raise, in validate's order."""
+    n = len(spec.group.cyclic_subgroup_classes())
+    diags = []
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except (OddRamificationDegree, NegativeGenus, NonIntegerSolution,
+                NonIntegerDimension) as exc:
+            diags.append(f"{type(exc).__name__}: {exc}")
+            return None
+
+    g_total = attempt(genus_total, spec)
+    genera = tuple(attempt(genus_quotient, spec, i) for i in range(n))
+    dims = None
+    if g_total is not None and None not in genera:
+        dims = attempt(isotypic_dims_solve, spec)
+    # the closed form stops at its first half-integer dimension
+    closed = attempt(lambda: tuple(prym_dim_formula(spec, j) for j in range(n)))
+    final = dims if dims is not None else closed
+    if final is not None and any(v < 0 for v in final):
+        diags.append(f"NegativeDimension: {final}")
+    return g_total, genera, dims, closed, tuple(diags)
+
+
+def test_validate_matches_public_functions_on_fleet():
+    """On every supported Weyl group, seeded clean and dirty specs (odd
+    counts, base genus 0): validate's genera, both routes' dimensions and
+    its diagnostics equal those of the one-quantity functions, and every
+    kind of branch-data diagnostic comes up."""
+    kinds = set()
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        n = len(G.cyclic_subgroup_classes())
+        rng = random.Random(f"fleet-validate:{letter}{rank}")
+        for t in range(40):
+            keys = rng.sample(range(1, n), rng.randint(0, min(6, n - 1)))
+            counts = {k: rng.randint(0, 9) for k in keys}
+            if t % 2:  # clean half: even counts, positive genus
+                counts = {k: c - c % 2 for k, c in counts.items()}
+            spec = CoverSpec(G, rng.randint(1 - t % 2, 3), RamificationSpec(counts))
+            rep = validate(spec)
+            g_total, genera, dims, closed, diags = _report_from_public_functions(spec)
+            assert (rep.g_total, rep.quotient_genera) == (g_total, genera), spec
+            assert (rep.dims, rep.dims_closed_form) == (dims, closed), spec
+            assert rep.method_agreement == (dims is not None and dims == closed)
+            assert rep.diagnostics == diags, spec
+            kinds.update(d.split(":", 1)[0] for d in diags)
+    assert kinds == set(BRANCH_DATA_DIAGNOSTICS)
 
 
 def test_double_coset_matrix_is_symmetric():
