@@ -129,22 +129,23 @@ def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
     return sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
 
 
-def _ramifications(spec: CoverSpec, cyclic, dcm) -> list[tuple[int, int]]:
+def _ramifications(spec: CoverSpec) -> list[tuple[int, int]]:
     """(index, ramification degree) of every quotient X/H_i.
 
     The degree is [G:H_i] R - w_i with R = sum_k R_k and w the R_k-weighted
     sum of the rows k of the symmetric double-coset matrix, summed once for
     all i over the spec's branch classes.
     """
+    G = spec.group
+    dcm = G.double_coset_matrix()
     counts = spec.ramification.counts
     points = sum(counts.values())
-    weighted = [0] * len(cyclic)
+    weighted = [0] * len(dcm)
     for k, r in counts.items():
         weighted = [w + r * v for w, v in zip(weighted, dcm[k])]
-    order = spec.group.order
     out = []
-    for K, w in zip(cyclic, weighted):
-        index = order // K.subgroup_order
+    for K, w in zip(G.cyclic_subgroup_classes(), weighted):
+        index = G.order // K.subgroup_order
         out.append((index, index * points - w))
     return out
 
@@ -179,10 +180,9 @@ def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int
 
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     """Isotypic dimensions from the linear system over all quotient genera."""
-    G = spec.group
-    rams = _ramifications(spec, G.cyclic_subgroup_classes(), G.double_coset_matrix())
-    genera = [_riemann_hurwitz(spec, i, index, ram) for i, (index, ram) in enumerate(rams)]
-    return _solve_from_genera(fixed_dim_matrix(G), genera)
+    rams = _ramifications(spec)
+    genera = [_riemann_hurwitz(spec, i, *ram) for i, ram in enumerate(rams)]
+    return _solve_from_genera(fixed_dim_matrix(spec.group), genera)
 
 
 def _closed_form_doubled(
@@ -237,7 +237,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(f"{type(exc).__name__}: {exc}")
             return None
 
-    rams = _ramifications(spec, G.cyclic_subgroup_classes(), G.double_coset_matrix())
+    rams = _ramifications(spec)
     # the total space is the quotient by H_0: same index and degree, own names
     g_total = attempt(_riemann_hurwitz, spec, None, *rams[0])
     genera = [attempt(_riemann_hurwitz, spec, i, *ram) for i, ram in enumerate(rams)]
