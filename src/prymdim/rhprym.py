@@ -143,11 +143,8 @@ def _ramifications(spec: CoverSpec) -> list[tuple[int, int]]:
     weighted = [0] * len(dcm)
     for k, r in counts.items():
         weighted = [w + r * v for w, v in zip(weighted, dcm[k])]
-    out = []
-    for K, w in zip(G.cyclic_subgroup_classes(), weighted):
-        index = G.order // K.subgroup_order
-        out.append((index, index * points - w))
-    return out
+    indices = [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
+    return [(index, index * points - w) for index, w in zip(indices, weighted)]
 
 
 def genus_total(spec: CoverSpec) -> int:
