@@ -171,16 +171,17 @@ def test_inverse_divides_out_the_content(rows):
     assert gcd(inv.det // c, *reduced) == 1
 
 
-@pytest.mark.parametrize("letter, rank, det, content", [
-    ("B", 5, -2**71, 2**64),
-    ("F", 4, 9 * 2**37, 3 * 2**31),
-])
-def test_fixed_dim_content_pins(letter, rank, det, content):
-    """The fixed-dim content: W(B5) has det -2^71 and det / content -128,
-    W(F4) det / content 192. Either way solve returns the full det."""
+@pytest.mark.parametrize("letter, rank, det, content, scaled", [
+    ("B", 5, -2**71, 2**64, -128),
+    ("F", 4, 9 * 2**37, 3 * 2**31, 192),
+], ids=["B5", "F4"])
+def test_fixed_dim_content_pins(letter, rank, det, content, scaled):
+    """The fixed-dim content of W(B5) and W(F4): a large power of two
+    (times 3) leaves det / content and the reduced entries a few bits,
+    and solve still returns the full det."""
     inv = fixed_dim_matrix(weyl_group(letter, rank).group)
     assert (inv.det, inv.content) == (det, content) and det == determinant(inv.rows)
-    assert det // content == {"B": -128, "F": 192}[letter]
+    assert inv.det // inv.content == scaled
     assert max(abs(v) for row in inv.reduced for v in row).bit_length() <= 6
     b = [1] * len(inv.rows)
     y, d = solve(inv, b)

@@ -324,7 +324,7 @@ def test_validate_matches_public_functions_on_fleet():
             counts = {k: rng.randint(0, 9) for k in keys}
             if t % 2:  # clean half: even counts, positive genus
                 counts = {k: c - c % 2 for k, c in counts.items()}
-            spec = CoverSpec(G, rng.randint(1 - t % 2, 3), RamificationSpec(counts))
+            spec = CoverSpec(G, rng.randint(t % 2, 3), RamificationSpec(counts))
             rep = validate(spec)
             g_total, genera, dims, closed, diags = _report_from_public_functions(spec)
             assert (rep.g_total, rep.quotient_genera) == (g_total, genera), spec
