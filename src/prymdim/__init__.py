@@ -10,7 +10,6 @@ intermediate quotient genera, and a combinatorial monodromy oracle.
 from .chartable import (
     CharacterTable,
     character_table,
-    fixed_dim,
     fixed_dim_matrix,
 )
 from .errors import (

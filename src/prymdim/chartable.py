@@ -22,11 +22,17 @@ verified; for a square table that implies column orthogonality, so
 everything downstream inherits its correctness. Row 0 is always the
 trivial character. ``fixed_dim_matrix`` returns the invariant-dimension
 matrix as the ``exactla.Inverse`` that ``exactla.solve`` takes.
+
+The table and the inverse are computed once per group and cached here,
+keyed weakly on the group, so a cached entry never keeps its group
+alive. A table holds only the characters and their degrees; class sizes
+and element orders are read from ``G.conjugacy_classes()``.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -42,6 +48,10 @@ from .permgroup import ConjugacyClass, CyclicClass, PermGroup
 
 MAX_CLASSES = 40
 
+# the per-group results, dropped with their group
+_tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_fixed_dims: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
 
 class CharacterTable(NamedTuple):
     """Integer-valued irreducible characters, rows = irreps, columns = classes.
@@ -51,8 +61,6 @@ class CharacterTable(NamedTuple):
     conjugacy class order (identity first).
     """
 
-    class_sizes: tuple[int, ...]
-    class_orders: tuple[int, ...]
     table: tuple[tuple[int, ...], ...]
     degrees: tuple[int, ...]
 
@@ -252,15 +260,16 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
 def character_table(G: PermGroup) -> CharacterTable:
     """Exact character table of a rational-character group.
 
-    The result is cached on the group. A group that fails the power-map
+    The result is cached per group. A group that fails the power-map
     rationality test raises NotRationalGroup before any class matrix is
     built.
     """
-    if G.table is None:
+    table = _tables.get(G)
+    if table is None:
         if not G.is_rational_group():
             raise NotRationalGroup("character table needs rational characters")
-        G.table = _dixon_schneider(G)
-    return G.table
+        table = _tables[G] = _dixon_schneider(G)
+    return table
 
 
 def _dixon_schneider(G: PermGroup) -> CharacterTable:
@@ -303,12 +312,7 @@ def _dixon_schneider(G: PermGroup) -> CharacterTable:
         raise LiftFailure("trivial character missing from the lifted table")
     _verify_orthogonality(G.order, sizes, table)
 
-    return CharacterTable(
-        class_sizes=tuple(sizes),
-        class_orders=tuple(cl.element_order for cl in classes),
-        table=table,
-        degrees=degrees,
-    )
+    return CharacterTable(table=table, degrees=degrees)
 
 
 def _verify_orthogonality(order: int, sizes: Sequence[int], table) -> None:
@@ -335,7 +339,7 @@ def _totient(n: int) -> int:
     return phi
 
 
-def _check_cyclic_profile(table: CharacterTable, K: CyclicClass) -> None:
+def _check_cyclic_profile(classes: Sequence[ConjugacyClass], K: CyclicClass) -> None:
     """Raise NonIntegerFixedDim unless K's profile fits a cyclic group.
 
     A cyclic group of order m has phi(d) elements of order d for each
@@ -347,13 +351,13 @@ def _check_cyclic_profile(table: CharacterTable, K: CyclicClass) -> None:
     m = K.subgroup_order
     by_order: dict[int, int] = {}
     for ci, count in K.member_class_profile.items():
-        if type(ci) is not int or not 0 <= ci < table.n:
-            raise NonIntegerFixedDim(f"class index {ci!r} outside 0..{table.n - 1}")
+        if type(ci) is not int or not 0 <= ci < len(classes):
+            raise NonIntegerFixedDim(f"class index {ci!r} outside 0..{len(classes) - 1}")
         if type(count) is not int or count < 0:
             raise NonIntegerFixedDim(
                 f"class {ci} count {count!r} is not a non-negative integer"
             )
-        d = table.class_orders[ci]
+        d = classes[ci].element_order
         by_order[d] = by_order.get(d, 0) + count
     for d, count in by_order.items():
         if count and (m % d or count != _totient(d)):
@@ -367,27 +371,10 @@ def _check_cyclic_profile(table: CharacterTable, K: CyclicClass) -> None:
         )
 
 
-def fixed_dim(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
-    """Dimension of the K-invariant subspace of the given irrep.
-
-    Computed as the average of the character over the subgroup, using
-    the cyclic class's conjugacy-class profile. The profile is checked
-    first: every key must be a class index of the table, every count a
-    non-negative integer, and the counts grouped by element order must
-    be phi(d) for each d dividing the subgroup order and zero for every
-    other order (so one identity and a total of the subgroup order).
-    A profile that fails, a character sum not divisible by the subgroup
-    order, or an average outside [0, deg] raises NonIntegerFixedDim; an
-    irrep index outside 0..n-1 raises IndexError.
-    """
-    if not 0 <= irrep < table.n:
-        raise IndexError(f"irrep index {irrep} is not in 0..{table.n - 1}")
-    _check_cyclic_profile(table, K)
-    return _average_over(table, irrep, K)
-
-
 def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
-    """fixed_dim for a profile that _check_cyclic_profile has accepted."""
+    """Dimension of the K-invariant subspace of the irrep: the average of
+    its character over K, from a class profile that _check_cyclic_profile
+    has accepted."""
     total = sum(
         count * table.table[irrep][ci] for ci, count in K.member_class_profile.items()
     )
@@ -404,18 +391,22 @@ def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
 def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
     """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps,
     read off ``character_table(G)``: ``rows[i][j]`` = dim of the
-    H_i-invariant subspace of irrep j.
+    H_i-invariant subspace of irrep j. Every cyclic class's profile is
+    checked first; a profile that fails, or an average that is not an
+    integer in [0, deg], raises NonIntegerFixedDim.
 
     The matrix is inverted exactly here, once per group, so each spec's
     ``exactla.solve`` is one matrix-vector product; a singular matrix
     would contradict the rational-character assumption.
     """
-    if G.fixed_dims is not None:
-        return G.fixed_dims
+    result = _fixed_dims.get(G)
+    if result is not None:
+        return result
     table = character_table(G)
+    classes = G.conjugacy_classes()
     cyclic = G.cyclic_subgroup_classes()
     for K in cyclic:
-        _check_cyclic_profile(table, K)
+        _check_cyclic_profile(classes, K)
     rows = tuple(
         tuple(_average_over(table, j, K) for j in range(table.n)) for K in cyclic
     )
@@ -427,5 +418,5 @@ def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
         result = exactla.inverse(rows)
     except Singular:
         raise Singular("fixed-subspace dimension matrix is singular") from None
-    G.fixed_dims = result
+    _fixed_dims[G] = result
     return result

@@ -166,10 +166,17 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         count = entry.get("count")
         if not _is_int(count) or count < 0:
             raise ParseError(f'"count" must be a nonnegative integer in {entry!r}')
+        if not isinstance(text, str):
+            raise ParseError(
+                f'inertia generator {text!r} must be a cycle string such as "(0 1)"'
+            )
         try:
-            perm = Permutation.from_cycles(str(text), degree=G.degree)
+            perm = Permutation.from_cycles(text, degree=G.degree)
+        except ParseError as exc:
+            raise ParseError(f"inertia generator {text!r} is malformed: {exc}") from exc
+        try:
             x = G.index_of(perm)
-        except (ParseError, KeyError) as exc:
+        except KeyError as exc:
             raise ParseError(f"inertia generator {text!r} is not in the group: {exc}") from exc
         if x == G.identity_index:
             raise ParseError("inertia generators must be nontrivial")

@@ -10,7 +10,8 @@ determinant (A adj(A) = det(A) I). The pass builds up a common factor:
 the content c = gcd(det(A), entries of adj(A)) can be large (2^64 on the
 W(B5) fixed-dim matrix, whose det is -2^71) while adj(A) / c and det(A) / c
 are small (at most 6 and 8 bits on every supported Weyl group). So the
-content is divided out once, and each solve is one small-integer
+content is divided out once: an ``Inverse`` keeps only adj(A) / c and c,
+whose product is the adjugate, and each solve is one small-integer
 matrix-vector product y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b
 before y = c y' is returned over the common denominator d = det(A).
 Callers decide integrality with a divisibility test.
@@ -84,12 +85,6 @@ class Inverse(NamedTuple):
     reduced: tuple[tuple[int, ...], ...]
     det: int
     content: int
-
-    @property
-    def adjugate(self) -> tuple[tuple[int, ...], ...]:
-        """The full adjugate: rows * adjugate = det * I."""
-        c = self.content
-        return tuple(tuple(c * v for v in row) for row in self.reduced)
 
 
 def inverse(rows: Sequence[Sequence[int]]) -> Inverse:

@@ -59,7 +59,7 @@ import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     CapExceeded,
@@ -68,10 +68,6 @@ from .errors import (
     NotRationalGroup,
     ParseError,
 )
-
-if TYPE_CHECKING:
-    from .chartable import CharacterTable
-    from .exactla import Inverse
 
 DEFAULT_CAP = 200_000
 # largest permutation degree the parsers accept; the Weyl fleet needs 48
@@ -427,9 +423,6 @@ class PermGroup:
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
-        # filled by chartable.character_table and chartable.fixed_dim_matrix
-        self.table: CharacterTable | None = None
-        self.fixed_dims: Inverse | None = None
 
     # -- element arithmetic -------------------------------------------------
 

@@ -16,7 +16,7 @@ element index do not depend on that choice.
 
 Each group carries the data the branched-cover presets need: the
 reflection representation (located in the character table by its trace),
-the set of reflections, a Coxeter element, and the long/short reflection
+the cyclic class of a Coxeter element, and the long/short reflection
 classes. Every reflection is conjugate to a simple one (Humphreys,
 Reflection Groups and Coxeter Groups, 1.14), so the reflection classes
 are the classes of the simple reflections, and which one is long is read
@@ -68,8 +68,6 @@ class WeylGroup(NamedTuple):
     rank: int
     group: PermGroup
     lie_dim: int
-    reflections: tuple[int, ...]
-    coxeter: int
     reflection_rep: int
     long_reflection_class: int
     short_reflection_class: int
@@ -242,8 +240,7 @@ def _weyl_data(letter: str, rank: int, G: PermGroup, real: _Realization) -> Weyl
             raise AssertionError("simple roots of one reflection class differ in norm")
     if any(class_traces[ci] != rank - 2 for ci in norm_of):
         raise AssertionError("a reflection class has trace != rank - 2 on the Cartan")
-    reflections = tuple(sorted(x for ci in norm_of for x in classes[ci].members))
-    if len(reflections) != sum(d - 1 for d in degrees):
+    if sum(classes[ci].size for ci in norm_of) != sum(d - 1 for d in degrees):
         raise AssertionError("reflection count != sum of (degree - 1)")
 
     cox = G.index_of(_coxeter_element(simple))
@@ -255,8 +252,6 @@ def _weyl_data(letter: str, rank: int, G: PermGroup, real: _Realization) -> Weyl
         rank=rank,
         group=G,
         lie_dim=sum(2 * d - 1 for d in degrees),
-        reflections=reflections,
-        coxeter=cox,
         reflection_rep=matches[0],
         long_reflection_class=max(norm_of, key=norm_of.__getitem__),
         short_reflection_class=min(norm_of, key=norm_of.__getitem__),
@@ -300,11 +295,11 @@ def toda_preset(W: WeylGroup, split: str = "long") -> CoverSpec:
 
 def hitchin_preset(W: WeylGroup, genus: int, split: str = "long") -> CoverSpec:
     """Generic cameral cover for the cotangent integrable system on a base
-    of genus >= 2: (dim g - r)(2g - 2) simple reflection branch points."""
+    of genus >= 2: (dim g - r)(2g - 2) simple reflection branch points,
+    the untwisted ``markman_preset``."""
     if genus < 2:
         raise OutOfRegime("base genus must be at least 2")
-    total = (W.lie_dim - W.rank) * (2 * genus - 2)
-    return CoverSpec(W.group, genus, RamificationSpec(_reflection_counts(W, total, split)))
+    return markman_preset(W, genus, 0, split)
 
 
 def markman_preset(W: WeylGroup, genus: int, deg_d: int, split: str = "long") -> CoverSpec:
@@ -322,24 +317,18 @@ def markman_preset(W: WeylGroup, genus: int, deg_d: int, split: str = "long") ->
 
 def expected_base_dim(W: WeylGroup, genus: int, deg_d: int = 0) -> int:
     """Dimension of the base of the (possibly twisted) integrable system,
-    counted independently through the invariant-polynomial degrees.
-
-    Untwisted: sum_i h^0(K^{d_i}) = sum_i (2 d_i - 1)(g - 1) for g >= 2.
-    Twisted by deg D > 0: sum_i h^0((K(D))^{d_i}) - r deg D, valid while
-    every line-bundle degree d_i (2g - 2 + deg D) exceeds 2g - 2.
-    deg D < 0 is refused with OutOfRegime, as in ``markman_preset``.
+    counted independently through the invariant-polynomial degrees:
+    sum_i h^0((K(D))^{d_i}) - r deg D, by Riemann-Roch, since every line
+    bundle degree d_i (2g - 2 + deg D) exceeds 2g - 2 once 2g - 2 + deg D
+    > 0 (each d_i >= 2). At deg D = 0 this is the untwisted
+    sum_i (2 d_i - 1)(g - 1). deg D < 0 is refused with OutOfRegime, as
+    in ``markman_preset``, and so is g < 2 when deg D = 0.
     """
     if deg_d < 0:
         raise OutOfRegime("deg D must be nonnegative")
-    r = W.rank
-    ds = W.invariant_degrees
-    if deg_d == 0:
-        if genus < 2:
-            raise OutOfRegime("untwisted count needs base genus >= 2")
-        return sum((2 * d - 1) * (genus - 1) for d in ds)
+    if deg_d == 0 and genus < 2:
+        raise OutOfRegime("untwisted count needs base genus >= 2")
     if genus < 0 or 2 * genus - 2 + deg_d <= 0:
         raise OutOfRegime("2g - 2 + deg D must be positive")
-    if any(d * (2 * genus - 2 + deg_d) <= 2 * genus - 2 for d in ds):
-        raise OutOfRegime("line-bundle degrees too small for Riemann-Roch count")
-    h0 = sum(d * (2 * genus - 2 + deg_d) - (genus - 1) for d in ds)
-    return h0 - r * deg_d
+    h0 = sum(d * (2 * genus - 2 + deg_d) - (genus - 1) for d in W.invariant_degrees)
+    return h0 - W.rank * deg_d

@@ -138,7 +138,7 @@ def test_criterion_7_orthogonality_and_triangularity():
         G = weyl_group(letter, rank).group
         T = character_table(G)
         n = T.n
-        sizes = T.class_sizes
+        sizes = [cl.size for cl in G.conjugacy_classes()]
         for j in range(n):
             for j2 in range(n):
                 s = sum(sizes[i] * T.table[j][i] * T.table[j2][i] for i in range(n))

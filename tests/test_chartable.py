@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,12 +14,13 @@ from hypothesis import strategies as st
 
 import prymdim
 from prymdim.chartable import (
+    CharacterTable,
+    _check_cyclic_profile,
     _dixon_schneider,
     _kernel_mod,
     _rref,
     _verify_orthogonality,
     character_table,
-    fixed_dim,
     fixed_dim_matrix,
 )
 from prymdim.errors import LiftFailure, NotRationalGroup
@@ -138,7 +141,7 @@ def test_orthogonality_on_fleet():
         G = weyl_group(letter, rank).group
         T = character_table(G)
         n = T.n
-        sizes = T.class_sizes
+        sizes = [cl.size for cl in G.conjugacy_classes()]
         assert sum(d * d for d in T.degrees) == G.order
         for j in range(n):
             for j2 in range(n):
@@ -150,7 +153,7 @@ def test_orthogonality_on_fleet():
                 assert s == (G.order // sizes[i] if i == i2 else 0)
 
 
-def _corrupted(T, how):
+def _corrupted(T, sizes, how):
     """T's table with one corruption that breaks row orthogonality. A
     negated row is not one: it keeps both orthogonality relations."""
     rows = [list(r) for r in T.table]
@@ -162,7 +165,7 @@ def _corrupted(T, how):
         rows[-1] = rows[-2][:]
     else:  # two columns of different class sizes swapped
         a, b = next((a, b) for a, b in itertools.combinations(range(1, T.n), 2)
-                    if T.class_sizes[a] != T.class_sizes[b])
+                    if sizes[a] != sizes[b])
         for r in rows:
             r[a], r[b] = r[b], r[a]
     return rows
@@ -176,9 +179,10 @@ def test_verify_orthogonality_rejects_bad_tables(label, how, s4):
     """The row check is the only check on a lifted table."""
     G = s4 if label == "S4" else weyl_group("B", 3).group
     T = character_table(G)
-    _verify_orthogonality(G.order, T.class_sizes, T.table)
+    sizes = [cl.size for cl in G.conjugacy_classes()]
+    _verify_orthogonality(G.order, sizes, T.table)
     with pytest.raises(LiftFailure, match="row orthogonality"):
-        _verify_orthogonality(G.order, T.class_sizes, _corrupted(T, how))
+        _verify_orthogonality(G.order, sizes, _corrupted(T, sizes, how))
 
 
 def test_natural_permutation_character_decomposes():
@@ -224,7 +228,7 @@ def test_table_satisfies_every_class_matrix(label, s4):
     G = s4 if label == "S4" else weyl_group(label[0], int(label[1:])).group
     T = character_table(G)
     mats = _full_class_matrices(G)
-    sizes = T.class_sizes
+    sizes = [cl.size for cl in G.conjugacy_classes()]
     for chi in T.table:
         weighted = [c * v for c, v in zip(sizes, chi)]
         for r, Mr in enumerate(mats):
@@ -302,13 +306,11 @@ def test_kernel_mod_is_the_null_space(case):
 
 
 def test_fixed_dim_examples(s3):
-    T = character_table(s3)
-    cyclic = s3.cyclic_subgroup_classes()
-    H2, H3 = cyclic[1], cyclic[2]
-    assert fixed_dim(T, 2, H2) == 1  # standard rep, reflection subgroup
-    assert fixed_dim(T, 1, H3) == 1  # sign rep, rotation subgroup
-    for K in cyclic:
-        assert fixed_dim(T, 0, K) == 1
+    rows = fixed_dim_matrix(s3).rows
+    assert rows[1][2] == 1  # standard rep, reflection subgroup
+    assert rows[2][1] == 1  # sign rep, rotation subgroup
+    for k in range(len(s3.cyclic_subgroup_classes())):
+        assert rows[k][0] == 1
 
 
 def test_fixed_dim_matrix_examples(z2, s3, trivial):
@@ -353,7 +355,6 @@ def test_non_integer_fixed_dim_detected(s3):
     from prymdim.errors import NonIntegerFixedDim
     from prymdim.permgroup import CyclicClass
 
-    T = character_table(s3)
     good = s3.cyclic_subgroup_classes()[1]
     corrupted = CyclicClass(
         generator=good.generator,
@@ -362,7 +363,7 @@ def test_non_integer_fixed_dim_detected(s3):
         member_class_profile={0: 2},  # inconsistent with any subgroup
     )
     with pytest.raises(NonIntegerFixedDim):
-        fixed_dim(T, 2, corrupted)
+        _check_cyclic_profile(s3.conjugacy_classes(), corrupted)
 
 
 @pytest.mark.parametrize(
@@ -377,7 +378,6 @@ def test_fixed_dim_rejects_impossible_profile_s3(s3, profile):
     from prymdim.errors import NonIntegerFixedDim
     from prymdim.permgroup import CyclicClass
 
-    T = character_table(s3)
     good = s3.cyclic_subgroup_classes()[1]
     assert good.member_class_profile == {0: 1, 1: 1}
     bad = CyclicClass(
@@ -386,9 +386,8 @@ def test_fixed_dim_rejects_impossible_profile_s3(s3, profile):
         subgroup_elements=good.subgroup_elements,
         member_class_profile=profile,
     )
-    for j in range(T.n):
-        with pytest.raises(NonIntegerFixedDim):
-            fixed_dim(T, j, bad)
+    with pytest.raises(NonIntegerFixedDim):
+        _check_cyclic_profile(s3.conjugacy_classes(), bad)
 
 
 def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
@@ -397,7 +396,6 @@ def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
     from prymdim.errors import NonIntegerFixedDim
     from prymdim.permgroup import CyclicClass
 
-    T = character_table(s4)
     good = next(K for K in s4.cyclic_subgroup_classes() if 2 in K.member_class_profile)
     assert good.member_class_profile == {0: 1, 2: 1}
     bad = CyclicClass(
@@ -407,7 +405,21 @@ def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
         member_class_profile={0: 1, 1: -1, 2: 2},
     )
     with pytest.raises(NonIntegerFixedDim):
-        fixed_dim(T, 0, bad)
+        _check_cyclic_profile(s4.conjugacy_classes(), bad)
+
+
+def test_tables_are_cached_without_keeping_the_group_alive():
+    """Repeated calls on a live group return the very same table and
+    inverse; once the group is dropped, the caches do not keep it."""
+    G = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]))
+    T, F = character_table(G), fixed_dim_matrix(G)
+    assert character_table(G) is T and fixed_dim_matrix(G) is F
+    assert CharacterTable._fields == ("table", "degrees")
+    assert not hasattr(G, "table") and not hasattr(G, "fixed_dims")
+    ref = weakref.ref(G)
+    del G
+    gc.collect()
+    assert ref() is None
 
 
 def test_fixed_dim_matrix_check_survives_python_O():
@@ -416,12 +428,13 @@ def test_fixed_dim_matrix_check_survives_python_O():
     snippet = textwrap.dedent(
         """
         import sys
+        from prymdim import chartable
         from prymdim.chartable import character_table, fixed_dim_matrix
         from prymdim.permgroup import group_from_generators, parse_generators
 
         G = group_from_generators(parse_generators(["(0 1)", "(0 1 2)"]))
         T = character_table(G)
-        G.table = T._replace(degrees=T.degrees[:-1] + (T.degrees[-1] + 1,))
+        chartable._tables[G] = T._replace(degrees=T.degrees[:-1] + (T.degrees[-1] + 1,))
         print(sys.flags.optimize)
         try:
             fixed_dim_matrix(G)

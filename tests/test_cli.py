@@ -132,6 +132,27 @@ def test_dims_unresolvable_inertia(capsys, tmp_path):
     assert "not in the group" in err
 
 
+@pytest.mark.parametrize(
+    "inertia, message",
+    [
+        ([1, 0, 2], 'inertia generator [1, 0, 2] must be a cycle string such as "(0 1)"'),
+        (3, 'inertia generator 3 must be a cycle string such as "(0 1)"'),
+        ("(0 1", "inertia generator '(0 1' is malformed: bad cycle notation: '(0 1'"),
+    ],
+    ids=["image_array", "integer", "unclosed_cycle"],
+)
+def test_dims_refuses_non_cycle_inertia(capsys, tmp_path, inertia, message):
+    """Inertia generators take cycle notation only: an image array, which
+    "generators" accepts, or any other non-string is refused as such, and
+    a malformed string as malformed, not as an element outside G."""
+    doc = json.loads(json.dumps(S3_SPEC))
+    doc["ramification"][0]["inertia_generator"] = inertia
+    f = tmp_path / "inertia.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dims", str(f)])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def _with(path, value):
     """S3_SPEC with the field at ``path`` set to ``value``."""
     doc = json.loads(json.dumps(S3_SPEC))
@@ -517,6 +538,20 @@ def test_preset_out_of_regime(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: OutOfRegime: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["preset", "hitchin", "A", "3", "--genus", "1"], "base genus must be at least 2"),
+        (["preset", "markman", "A", "3", "--genus", "1", "--degD", "0"],
+         "2g - 2 + deg D must be positive"),
+    ],
+    ids=["hitchin_genus_1", "markman_genus_1_degD_0"],
+)
+def test_preset_out_of_regime_message(capsys, argv, line):
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: OutOfRegime: {line}\n")
 
 
 def test_verify_weyl(capsys):

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from prymdim.errors import (
     NotRationalGroup,
     ParseError,
 )
+import prymdim.permgroup
 from prymdim.permgroup import (
     Permutation,
     group_from_generators,
@@ -713,3 +716,19 @@ def test_permutation_of_another_degree_is_not_an_element(s4):
     assert Permutation.from_cycles("(0 1)") not in wide
     with pytest.raises(KeyError):
         wide.index_of(Permutation.from_cycles("(0 1)"))
+
+
+def test_permgroup_imports_only_errors_from_the_package():
+    """permgroup sits at the bottom of the package: of its own modules it
+    imports ``.errors`` and nothing else, so no per-group result computed
+    above it (a table, an inverse) can be stored on a group."""
+    tree = ast.parse(Path(prymdim.permgroup.__file__).read_text(encoding="utf-8"))
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.startswith("prymdim"):
+                package.add(name)
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("prymdim"))
+    assert package == {".errors"}

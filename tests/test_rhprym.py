@@ -3,7 +3,6 @@ import random
 import pytest
 
 from prymdim import exactla, rhprym
-from prymdim.chartable import character_table, fixed_dim
 from prymdim.errors import (
     NegativeGenus,
     NonIntegerDimension,
@@ -347,11 +346,7 @@ def test_index_outside_range_raises(s3, index):
     """An irrep or cyclic-class index outside 0..n-1 raises IndexError;
     a negative one does not wrap round to the last entries."""
     spec = s3_spec(s3)
-    table = character_table(s3)
-    K = s3.cyclic_subgroup_classes()[1]
     with pytest.raises(IndexError):
         prym_dim_formula(spec, index)
     with pytest.raises(IndexError):
         genus_quotient(spec, index)
-    with pytest.raises(IndexError):
-        fixed_dim(table, index, K)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from prymdim.chartable import character_table, fixed_dim
+from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.errors import OutOfRegime, UnsupportedType
 from prymdim.permgroup import PermGroup
 from prymdim.rhprym import isotypic_dims_solve, validate
@@ -32,16 +32,29 @@ _LIE_DIM = {"A": lambda n: n * (n + 2), "B": lambda n: n * (2 * n + 1),
             "G": lambda n: 14, "F": lambda n: 52}
 
 
+def _reflections(W):
+    """The members of W's reflection classes, in index order."""
+    classes = W.group.conjugacy_classes()
+    refl_classes = {W.long_reflection_class, W.short_reflection_class}
+    return sorted(x for c in refl_classes for x in classes[c].members)
+
+
+def _coxeter_order(W):
+    """The element order of the generator of W's Coxeter cyclic class."""
+    G = W.group
+    return G.element_order(G.cyclic_subgroup_classes()[W.coxeter_class].generator)
+
+
 def test_weyl_examples():
     a2 = weyl_group("A", 2)
     assert (a2.group.order, a2.rank, a2.lie_dim) == (6, 2, 8)
-    assert len(a2.reflections) == 3
-    assert a2.group.element_order(a2.coxeter) == 3
+    assert len(_reflections(a2)) == 3
+    assert _coxeter_order(a2) == 3
 
     g2 = weyl_group("G", 2)
     assert (g2.group.order, g2.rank, g2.lie_dim) == (12, 2, 14)
-    assert len(g2.reflections) == 6
-    assert g2.group.element_order(g2.coxeter) == 6
+    assert len(_reflections(g2)) == 6
+    assert _coxeter_order(g2) == 6
 
     a1 = weyl_group("A", 1)
     assert a1.group.order == 2
@@ -62,14 +75,14 @@ def test_structural_invariants_small_fleet():
         W = weyl_group(letter, rank)
         G = W.group
         assert G.is_rational_group()
-        assert len(W.reflections) == (W.lie_dim - W.rank) // 2
-        assert G.element_order(W.coxeter) == _COXETER_ORDER[letter](rank)
-        cyclic = G.cyclic_subgroup_classes()
+        assert len(_reflections(W)) == (W.lie_dim - W.rank) // 2
+        assert _coxeter_order(W) == _COXETER_ORDER[letter](rank)
         T = character_table(G)
+        rows = fixed_dim_matrix(G).rows
         assert T.degrees[W.reflection_rep] == W.rank
         for cls in {W.long_reflection_class, W.short_reflection_class}:
-            assert fixed_dim(T, W.reflection_rep, cyclic[cls]) == W.rank - 1
-        assert fixed_dim(T, W.reflection_rep, cyclic[W.coxeter_class]) == 0
+            assert rows[cls][W.reflection_rep] == W.rank - 1
+        assert rows[W.coxeter_class][W.reflection_rep] == 0
         assert sum(2 * d - 1 for d in W.invariant_degrees) == W.lie_dim
 
 
@@ -211,13 +224,20 @@ def test_expected_base_dim():
     assert expected_base_dim(weyl_group("A", 2), 2, 2) == 14
     with pytest.raises(OutOfRegime):
         expected_base_dim(weyl_group("A", 2), 1)
-    # twisted closed form agrees with the Riemann-Roch count in regime
+    # the closed form agrees with the Riemann-Roch count wherever it is in
+    # regime, and the count refuses exactly what markman_preset refuses
     for letter, rank in SMALL_WEYL:
         W = weyl_group(letter, rank)
-        for g in (1, 2):
-            for d in (1, 2, 4):
+        for g in range(-1, 5):
+            for d in range(-1, 5):
+                if d < 0 or g < 0 or 2 * g - 2 + d <= 0:
+                    with pytest.raises(OutOfRegime):
+                        expected_base_dim(W, g, d)
+                    with pytest.raises(OutOfRegime):
+                        markman_preset(W, g, d)
+                    continue
                 want = W.lie_dim * (g - 1) + (W.lie_dim - W.rank) // 2 * d
-                assert expected_base_dim(W, g, d) == want
+                assert expected_base_dim(W, g, d) == want, (W.label, g, d)
 
 
 def test_negative_twist_refused_by_both_counts():
@@ -228,6 +248,31 @@ def test_negative_twist_refused_by_both_counts():
         markman_preset(W, 3, -1)
     with pytest.raises(OutOfRegime):
         expected_base_dim(W, 3, -1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda W: hitchin_preset(W, 1), "base genus must be at least 2"),
+        (lambda W: hitchin_preset(W, -3), "base genus must be at least 2"),
+        (lambda W: markman_preset(W, -1, 5), "base genus must be nonnegative"),
+        (lambda W: markman_preset(W, 2, -1), "deg D must be nonnegative"),
+        (lambda W: markman_preset(W, 1, 0), "2g - 2 + deg D must be positive"),
+        (lambda W: markman_preset(W, 0, 2), "2g - 2 + deg D must be positive"),
+        (lambda W: expected_base_dim(W, 2, -1), "deg D must be nonnegative"),
+        (lambda W: expected_base_dim(W, 1), "untwisted count needs base genus >= 2"),
+        (lambda W: expected_base_dim(W, -1, 0), "untwisted count needs base genus >= 2"),
+        (lambda W: expected_base_dim(W, 0, 2), "2g - 2 + deg D must be positive"),
+        (lambda W: expected_base_dim(W, -1, 5), "2g - 2 + deg D must be positive"),
+    ],
+    ids=["hitchin_g1", "hitchin_g_negative", "markman_g_negative", "markman_degD_negative",
+         "markman_g1_degD0", "markman_g0_degD2", "base_dim_degD_negative", "base_dim_g1",
+         "base_dim_g_negative", "base_dim_g0_degD2", "base_dim_g_negative_degD5"],
+)
+def test_out_of_regime_messages(call, message):
+    with pytest.raises(OutOfRegime) as exc:
+        call(weyl_group("A", 3))
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("label", [("A", 3), ("D", 4), ("B", 3), ("G", 2)])
@@ -265,15 +310,17 @@ def test_weyl_orders_full_fleet_formulae():
         G = W.group
         assert G.order == _ORDER[letter](rank), W.label
         assert W.lie_dim == _LIE_DIM[letter](rank), W.label
-        assert G.element_order(W.coxeter) == _COXETER_ORDER[letter](rank), W.label
-        assert len(W.reflections) == (W.lie_dim - W.rank) // 2, W.label
+        assert _coxeter_order(W) == _COXETER_ORDER[letter](rank), W.label
+        assert len(_reflections(W)) == (W.lie_dim - W.rank) // 2, W.label
         if letter in ("G", "F"):
             T = character_table(G)
             refl_classes = {W.long_reflection_class, W.short_reflection_class}
             assert T.degrees[W.reflection_rep] == rank
             assert all(T.table[W.reflection_rep][c] == rank - 2 for c in refl_classes)
-            members = sorted(x for c in refl_classes for x in G.conjugacy_classes()[c].members)
-            assert tuple(members) == W.reflections
+            # a reflection is an involution with trace rank - 2 on the Cartan
+            involutions = [x for x in range(G.order) if G.element_order(x) == 2
+                           and T.table[W.reflection_rep][G.class_of(x)] == rank - 2]
+            assert _reflections(W) == involutions
 
 
 @pytest.mark.parametrize("letter, rank", WEYL_FLEET, ids=lambda v: str(v))
