@@ -11,9 +11,12 @@ genus-1 tuple with two branch points, then `verify_tuple`), the
 generation test (`PermGroup.generates` on 100 seeded sets of 4 random
 elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
-(`genus_quotient`), the closed form for every irrep (`prym_dim_formula`)
-and one `exactla.solve` of the fixed-dim system on the spec's quotient
-genera. Every repetition of the cold stages rebuilds the group from
+(`genus_quotient`), the closed form for every irrep (`prym_dim_formula`),
+the exact check A x == genera of those dimensions (`closed_form_check`,
+the one product by which `validate` accepts the closed form) and one
+`exactla.solve` of the fixed-dim system on the spec's quotient genera
+(the reference route, which `validate` runs only when that check
+fails). Every repetition of the cold stages rebuilds the group from
 `W.group.generators`, so each of them starts cold. Those are the
 generators `weyl_group` closed the group from: the pair
 {Coxeter element, s_(r-2)} where it generates W (all types here but
@@ -49,6 +52,7 @@ import random
 import subprocess
 import sys
 import time
+from operator import mul
 from pathlib import Path
 
 import prymdim
@@ -128,13 +132,17 @@ def _stages(W) -> dict[str, float]:
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
     spec = hitchin_preset(W, 2)
-    genera = validate(spec).quotient_genera  # also fills the per-group caches
+    report = validate(spec)  # also fills the per-group caches
+    genera, dims = report.quotient_genera, report.dims
     fdm = fixed_dim_matrix(W.group)
     n = len(W.group.cyclic_subgroup_classes())
     warm = {
         "warm_validate": lambda: validate(spec),
         "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
         "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
+        "closed_form_check": lambda: all(
+            sum(map(mul, row, dims)) == g for row, g in zip(fdm.rows, genera)
+        ),
         "solve": lambda: exactla.solve(fdm, genera),
     }
     for k, fn in warm.items():

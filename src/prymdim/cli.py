@@ -177,7 +177,9 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         try:
             x = G.index_of(perm)
         except KeyError as exc:
-            raise ParseError(f"inertia generator {text!r} is not in the group: {exc}") from exc
+            raise ParseError(
+                f"inertia generator {text!r} is not in the group: {exc.args[0]}"
+            ) from exc
         if x == G.identity_index:
             raise ParseError("inertia generators must be nontrivial")
         k = G.cyclic_class_of_element(x)

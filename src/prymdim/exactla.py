@@ -14,7 +14,11 @@ content is divided out once: an ``Inverse`` keeps only adj(A) / c and c,
 whose product is the adjugate, and each solve is one small-integer
 matrix-vector product y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b
 before y = c y' is returned over the common denominator d = det(A).
-Callers decide integrality with a divisibility test.
+Callers decide integrality with a divisibility test. Once the inverse
+exists, det(A) != 0, so one product A x == b decides whether a candidate
+x is the solution: ``rhprym.validate`` checks its closed form that way
+and solves only when the check fails, while the reference route
+``rhprym.isotypic_dims_solve`` always solves.
 """
 
 from __future__ import annotations

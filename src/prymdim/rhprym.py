@@ -18,20 +18,26 @@ dimensions also come out of the closed form
 
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
-for nontrivial irreps (dim V_1 = g for the trivial one); both routes are
-computed and compared. All arithmetic is in integers. The fixed-dim
-matrix is inverted once per group, into its adjugate and determinant
-with their common content divided out, so each spec's solve is one
-small-integer matrix-vector product checked by A y' = (det / content) b,
-then scaled back to numerators over the one common denominator det. The
-closed form is summed doubled, irrep by irrep, so each route's
-integrality is one divisibility test per entry. An index outside
-0..n-1, negative ones included, raises IndexError.
+for nontrivial irreps (dim V_1 = g for the trivial one). All arithmetic
+is in integers. The fixed-dim matrix A is inverted once per group, so
+A x = g has exactly one solution. ``validate`` sums the closed form x
+first, doubled, irrep by irrep, so its integrality is one divisibility
+test per entry, and checks it against the quotient genera with one exact
+product A x == g. If the check passes, x is the solve's answer and both
+routes agree. Only a failed check (or a half-integral closed form) runs
+the adjugate solve, whose dimensions or NonIntegerSolution text are then
+reported beside the closed form's. That solve, also the whole of
+``isotypic_dims_solve``, is one small-integer matrix-vector product in
+the adjugate with its content divided out, checked by
+A y' = (det / content) b and scaled back to numerators over the one
+common denominator det. An index outside 0..n-1, negative ones
+included, raises IndexError.
 """
 
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla
@@ -238,12 +244,19 @@ def validate(spec: CoverSpec) -> DimensionReport:
     # the total space is the quotient by H_0: same index and degree, own names
     g_total = attempt(_riemann_hurwitz, spec, None, *rams[0])
     genera = [attempt(_riemann_hurwitz, spec, i, *ram) for i, ram in enumerate(rams)]
+    twice = [_closed_form_doubled(spec, table, fdm, j) for j in range(table.n)]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
-        dims = attempt(_solve_from_genera, fdm, genera)
-    closed = attempt(
-        tuple, (_halve(_closed_form_doubled(spec, table, fdm, j)) for j in range(table.n))
-    )
+        # A is invertible, so an integral closed form x with A x == genera
+        # is the solve's answer; only a failed check pays for the solve
+        x = [v // 2 for v in twice]
+        if any(v % 2 for v in twice) or any(
+            sum(map(mul, row, x)) != g for row, g in zip(fdm.rows, genera)
+        ):
+            dims = attempt(_solve_from_genera, fdm, genera)
+        else:
+            dims = tuple(x)
+    closed = attempt(tuple, map(_halve, twice))
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:

@@ -132,6 +132,21 @@ def test_dims_unresolvable_inertia(capsys, tmp_path):
     assert "not in the group" in err
 
 
+def test_dims_inertia_outside_group_message(capsys, tmp_path):
+    """An inertia generator outside G is named once, without the quotes
+    of a KeyError's repr around the group's message."""
+    doc = json.loads(json.dumps(S3_SPEC))
+    doc["ramification"][0]["inertia_generator"] = "(0 5)"
+    f = tmp_path / "outside.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["dims", str(f)])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: inertia generator '(0 5)' is not in the group: "
+        "(0 5) is not an element of this group\n"
+    )
+
+
 @pytest.mark.parametrize(
     "inertia, message",
     [

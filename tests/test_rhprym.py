@@ -204,8 +204,9 @@ def test_monotonic_in_branch_points(s4):
 
 
 def test_warm_validate_makes_no_elimination(monkeypatch):
-    """The fixed-dim matrix is inverted once per group: once it is built,
-    each spec's solve is a checked matrix-vector product, not a Bareiss pass."""
+    """The fixed-dim matrix is inverted once per group: once it is built, a
+    spec whose closed form x passes the exact check A x == genera needs
+    neither a Bareiss pass nor the adjugate solve."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
@@ -224,7 +225,35 @@ def test_warm_validate_makes_no_elimination(monkeypatch):
     counted("solve")
     for spec in specs[1:]:
         validate(spec)
-    assert calls == {"_forward": 0, "solve": 50}
+    assert calls == {"_forward": 0, "solve": 0}
+
+
+def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
+    """A closed form that fails A x == genera sends validate to the adjugate
+    solve once, whose dimensions it reports against the closed form's."""
+    G = weyl_group("F", 4).group
+    spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
+    solved = isotypic_dims_solve(spec)
+    closed_form = rhprym._closed_form_doubled
+
+    def off_by_one(spec, table, fdm, j):
+        return closed_form(spec, table, fdm, j) + 2 * (j == 3)
+
+    monkeypatch.setattr(rhprym, "_closed_form_doubled", off_by_one)
+    solve = exactla.solve
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(exactla, "solve", counted)
+    rep = validate(spec)
+    closed = tuple(v + (j == 3) for j, v in enumerate(solved))
+    assert len(calls) == 1
+    assert (rep.dims, rep.dims_closed_form) == (solved, closed)
+    assert not rep.method_agreement
+    assert rep.diagnostics == (f"MethodDisagreement: solver {solved} != closed form {closed}",)
 
 
 def test_warm_validate_looks_up_each_table_once(monkeypatch):
