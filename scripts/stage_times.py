@@ -12,10 +12,11 @@ generation test (`PermGroup.generates` on 100 seeded sets of 4 random
 elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
 (`genus_quotient`), the closed form for every irrep (`prym_dim_formula`),
-the exact check A x == genera of those dimensions (`closed_form_check`,
-the one product by which `validate` accepts the closed form) and one
-`exactla.solve` of the fixed-dim system on the spec's quotient genera
-(the reference route, which `validate` runs only when that check
+one `exactla.solve` of the fixed-dim system on the spec's quotient genera
+with those dimensions as its candidate (`closed_form_check`, the one
+product A x == genera by which `validate` accepts the closed form) and
+one `exactla.solve` without a candidate (`solve`, the adjugate product
+of the reference route, which `validate` takes only when that check
 fails). Every repetition of the cold stages rebuilds the group from
 `W.group.generators`, so each of them starts cold. Those are the
 generators `weyl_group` closed the group from: the pair
@@ -52,7 +53,6 @@ import random
 import subprocess
 import sys
 import time
-from operator import mul
 from pathlib import Path
 
 import prymdim
@@ -140,9 +140,7 @@ def _stages(W) -> dict[str, float]:
         "warm_validate": lambda: validate(spec),
         "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
         "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
-        "closed_form_check": lambda: all(
-            sum(map(mul, row, dims)) == g for row, g in zip(fdm.rows, genera)
-        ),
+        "closed_form_check": lambda: exactla.solve(fdm, genera, dims),
         "solve": lambda: exactla.solve(fdm, genera),
     }
     for k, fn in warm.items():

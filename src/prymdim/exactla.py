@@ -15,10 +15,12 @@ whose product is the adjugate, and each solve is one small-integer
 matrix-vector product y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b
 before y = c y' is returned over the common denominator d = det(A).
 Callers decide integrality with a divisibility test. Once the inverse
-exists, det(A) != 0, so one product A x == b decides whether a candidate
-x is the solution: ``rhprym.validate`` checks its closed form that way
-and solves only when the check fails, while the reference route
-``rhprym.isotypic_dims_solve`` always solves.
+exists, det(A) != 0, so A x = b has exactly one solution and one product
+A x == b decides whether a candidate x is it. ``solve`` takes such a
+candidate and returns it over d = 1 when it passes, so the adjugate
+product runs only for a missing or failed candidate: ``rhprym.validate``
+passes its closed form, while the reference route
+``rhprym.isotypic_dims_solve`` passes none and always takes the product.
 """
 
 from __future__ import annotations
@@ -122,16 +124,25 @@ def inverse(rows: Sequence[Sequence[int]]) -> Inverse:
     return Inverse(rows=a, reduced=reduced, det=det, content=c)
 
 
-def solve(inv: Inverse, b: Sequence[int]) -> tuple[list[int], int]:
+def solve(
+    inv: Inverse, b: Sequence[int], candidate: Sequence[int] | None = None
+) -> tuple[list[int], int]:
     """Solve A x = b for the matrix A of an Inverse and an integer vector b.
 
-    Returns (y, d) with x = y / d, y = adj(A) b and d = det(A) != 0.
-    The product is taken with the reduced adjugate, y' = (adj(A) / c) b
-    for the content c, and checked by A y' == (d / c) b, which holds iff
-    A y == d b; failure there would indicate a bug, not bad input.
+    Returns (y, d) with x = y / d. An integer candidate x with A x == b
+    is the one solution, returned as (x, 1) with no further product.
+    Otherwise y = adj(A) b and d = det(A) != 0. That product is taken
+    with the reduced adjugate, y' = (adj(A) / c) b for the content c, and
+    checked by A y' == (d / c) b, which holds iff A y == d b; failure
+    there would indicate a bug, not bad input.
     """
     if len(b) != len(inv.rows):
         raise ValueError("right-hand side length mismatch")
+    if candidate is not None:
+        if len(candidate) != len(b):
+            raise ValueError("candidate length mismatch")
+        if all(sum(map(mul, row, candidate)) == v for row, v in zip(inv.rows, b)):
+            return list(candidate), 1
     c = inv.content
     scaled = inv.det // c
     y = [sum(map(mul, row, b)) for row in inv.reduced]

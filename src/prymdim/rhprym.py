@@ -22,13 +22,13 @@ for nontrivial irreps (dim V_1 = g for the trivial one). All arithmetic
 is in integers. The fixed-dim matrix A is inverted once per group, so
 A x = g has exactly one solution. ``validate`` sums the closed form x
 first, doubled, irrep by irrep, so its integrality is one divisibility
-test per entry, and checks it against the quotient genera with one exact
-product A x == g. If the check passes, x is the solve's answer and both
-routes agree. Only a failed check (or a half-integral closed form) runs
-the adjugate solve, whose dimensions or NonIntegerSolution text are then
-reported beside the closed form's. That solve, also the whole of
-``isotypic_dims_solve``, is one small-integer matrix-vector product in
-the adjugate with its content divided out, checked by
+test per entry, and hands an integral x to ``exactla.solve`` as its
+candidate: one exact product A x == g accepts it as the solve's answer,
+and both routes agree. Only a failed check (or a half-integral closed
+form) takes the adjugate product, whose dimensions or NonIntegerSolution
+text are then reported beside the closed form's. That product, which
+``isotypic_dims_solve`` always takes, is one small-integer matrix-vector
+product in the adjugate with its content divided out, checked by
 A y' = (det / content) b and scaled back to numerators over the one
 common denominator det. An index outside 0..n-1, negative ones
 included, raises IndexError.
@@ -37,7 +37,6 @@ included, raises IndexError.
 from __future__ import annotations
 
 import random
-from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla
@@ -171,8 +170,10 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
     return _riemann_hurwitz(spec, i, index, ram)
 
 
-def _solve_from_genera(fdm: exactla.Inverse, genera: Sequence[int]) -> tuple[int, ...]:
-    y, d = exactla.solve(fdm, genera)
+def _solve_from_genera(
+    fdm: exactla.Inverse, genera: Sequence[int], candidate: Sequence[int] | None = None
+) -> tuple[int, ...]:
+    y, d = exactla.solve(fdm, genera, candidate)
     if any(v % d for v in y):
         from fractions import Fraction  # only for the diagnostic text
 
@@ -247,15 +248,10 @@ def validate(spec: CoverSpec) -> DimensionReport:
     twice = [_closed_form_doubled(spec, table, fdm, j) for j in range(table.n)]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
-        # A is invertible, so an integral closed form x with A x == genera
-        # is the solve's answer; only a failed check pays for the solve
-        x = [v // 2 for v in twice]
-        if any(v % 2 for v in twice) or any(
-            sum(map(mul, row, x)) != g for row, g in zip(fdm.rows, genera)
-        ):
-            dims = attempt(_solve_from_genera, fdm, genera)
-        else:
-            dims = tuple(x)
+        # an integral closed form is the solve's candidate: only a failed
+        # check A x == genera pays for the adjugate product
+        x = None if any(v % 2 for v in twice) else [v // 2 for v in twice]
+        dims = attempt(_solve_from_genera, fdm, genera, x)
     closed = attempt(tuple, map(_halve, twice))
 
     agreement = dims is not None and closed is not None and dims == closed

@@ -79,6 +79,39 @@ def test_solve_examples():
     assert abs(d) == 2 and y == [d * v for v in (1, 0, 1)]
 
 
+def test_solve_accepts_a_candidate_that_passes_the_check():
+    """A candidate x with A x == b is the one solution: solve returns it
+    over d = 1. A failed or absent candidate gives the adjugate answer."""
+    inv = inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]])
+    x = [1, 1, 2]
+    b = mat_vec(inv.rows, x)
+    assert solve(inv, b, x) == (x, 1)
+    assert solve(inv, b, (1, 1, 2)) == (x, 1)
+    y, d = solve(inv, b)
+    assert d == inv.det and [Fraction(v, d) for v in y] == x
+    assert solve(inv, b, [1, 1, 3]) == (y, d)
+    with pytest.raises(ValueError, match="candidate length mismatch"):
+        solve(inv, b, [1, 1])
+
+
+@given(st.data())
+def test_solve_candidate_matches_the_adjugate(data):
+    """On random nonsingular systems with integer solutions, every candidate
+    is accepted iff it is the solution, and the answer never depends on it."""
+    n = data.draw(st.integers(min_value=1, max_value=4))
+    rows = data.draw(st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if cofactor_det(rows) == 0:
+        return
+    inv = inverse(rows)
+    x = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+    b = mat_vec(rows, x)
+    y, d = solve(inv, b)
+    assert [Fraction(v, d) for v in y] == x
+    other = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+    expected = (other, 1) if other == x else (y, d)
+    assert solve(inv, b, other) == expected
+
+
 def test_solve_singular():
     for rows, b in (([[1, 2], [2, 4]], [1, 1]), ([[0, 0], [0, 0]], [0, 0])):
         with pytest.raises(Singular):

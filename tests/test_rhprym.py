@@ -3,6 +3,7 @@ import random
 import pytest
 
 from prymdim import exactla, rhprym
+from prymdim.chartable import fixed_dim_matrix
 from prymdim.errors import (
     NegativeGenus,
     NonIntegerDimension,
@@ -203,10 +204,28 @@ def test_monotonic_in_branch_points(s4):
             assert all(b >= a for a, b in zip(base, bumped))
 
 
+class _ReadCounted(tuple):
+    """A reduced adjugate that counts how often its rows are read, that
+    is, how many adjugate products solve takes."""
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+
+def _count_adjugate_products(monkeypatch, G):
+    fdm = fixed_dim_matrix(G)
+    reduced = _ReadCounted(fdm.reduced)
+    reduced.reads = 0
+    counted = fdm._replace(reduced=reduced)
+    monkeypatch.setattr(rhprym, "fixed_dim_matrix", lambda group: counted)
+    return reduced
+
+
 def test_warm_validate_makes_no_elimination(monkeypatch):
     """The fixed-dim matrix is inverted once per group: once it is built, a
-    spec whose closed form x passes the exact check A x == genera needs
-    neither a Bareiss pass nor the adjugate solve."""
+    spec whose closed form x passes solve's check A x == genera needs
+    neither a Bareiss pass nor the adjugate product."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
@@ -223,14 +242,17 @@ def test_warm_validate_makes_no_elimination(monkeypatch):
 
     counted("_forward")
     counted("solve")
+    reduced = _count_adjugate_products(monkeypatch, G)
     for spec in specs[1:]:
         validate(spec)
-    assert calls == {"_forward": 0, "solve": 0}
+    assert calls == {"_forward": 0, "solve": 50}
+    assert reduced.reads == 0
 
 
 def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
-    """A closed form that fails A x == genera sends validate to the adjugate
-    solve once, whose dimensions it reports against the closed form's."""
+    """A closed form that fails A x == genera sends validate's solve to the
+    adjugate product once, whose dimensions it reports against the closed
+    form's."""
     G = weyl_group("F", 4).group
     spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
     solved = isotypic_dims_solve(spec)
@@ -248,9 +270,11 @@ def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(exactla, "solve", counted)
+    reduced = _count_adjugate_products(monkeypatch, G)
     rep = validate(spec)
     closed = tuple(v + (j == 3) for j, v in enumerate(solved))
-    assert len(calls) == 1
+    assert len(calls) == 1 and list(calls[0][2]) == list(closed)
+    assert reduced.reads == 1
     assert (rep.dims, rep.dims_closed_form) == (solved, closed)
     assert not rep.method_agreement
     assert rep.diagnostics == (f"MethodDisagreement: solver {solved} != closed form {closed}",)
