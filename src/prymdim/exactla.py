@@ -11,9 +11,10 @@ the content c = gcd(det(A), entries of adj(A)) can be large (2^64 on the
 W(B5) fixed-dim matrix, whose det is -2^71) while adj(A) / c and det(A) / c
 are small (at most 6 and 8 bits on every supported Weyl group). So the
 content is divided out once: an ``Inverse`` keeps only adj(A) / c and c,
-whose product is the adjugate, and each solve is one small-integer
-matrix-vector product y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b
-before y = c y' is returned over the common denominator d = det(A).
+whose product is the adjugate, and each solve without an accepted
+candidate (below) is one small-integer matrix-vector product
+y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b before y = c y'
+is returned over the common denominator d = det(A).
 Callers decide integrality with a divisibility test. Once the inverse
 exists, det(A) != 0, so A x = b has exactly one solution and one product
 A x == b decides whether a candidate x is it. ``solve`` takes such a
