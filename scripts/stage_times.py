@@ -4,7 +4,7 @@
 For W(D5), W(F4), W(B5), W(A6) and W(A7) it prints, as one JSON object,
 the best of three wall-clock seconds for: the group closure, the
 classification pass (conjugacy classes, rationality, cyclic classes),
-the character table, the fixed-dimension matrix with its inverse, the
+the character table, the fixed-dimension matrix with its determinant, the
 double-coset matrix, the coset action of every cyclic subgroup, the
 monodromy oracle on those built actions (`monodromy.sample_tuple` of a
 genus-1 tuple with two branch points, then `verify_tuple`), the
@@ -13,12 +13,13 @@ elements, the question `BranchTuple.is_valid` asks), and, on a
 warm hitchin genus-2 spec, one `rhprym.validate`, all n quotient genera
 (`genus_quotient`), the closed form for every irrep (`prym_dim_formula`),
 one `exactla.solve` of the fixed-dim system on the spec's quotient genera
-with those dimensions as its candidate (`closed_form_check`, the one
-product A x == genera by which `validate` accepts the closed form) and
-one `exactla.solve` without a candidate (`solve`, the adjugate product
-of the reference route, which `validate` takes only when that check
-fails). Every repetition of the cold stages rebuilds the group from
-`W.group.generators`, so each of them starts cold. Those are the
+with those dimensions, doubled over d = 2, as its candidate
+(`closed_form_check`, the one product A (2x) == 2 genera by which
+`validate` accepts the closed form) and one `exactla.solve` without a
+candidate (`solve`, the one elimination of the reference route, which
+`validate` takes only when that check fails). Every repetition of the
+cold stages rebuilds the group from `W.group.generators`, so each of
+them starts cold. Those are the
 generators `weyl_group` closed the group from: the pair
 {Coxeter element, s_(r-2)} where it generates W (all types here but
 F4), else the simple reflections. A warm stage takes well under a
@@ -110,6 +111,23 @@ def _cold(*args: str) -> float:
     return _fresh("-m", "prymdim", *args, "--format", "json")
 
 
+def _warm_stages(W) -> dict[str, float]:
+    """The warm stages on W's hitchin genus-2 spec, caches filled first."""
+    spec = hitchin_preset(W, 2)
+    report = validate(spec)
+    genera, twice = report.quotient_genera, [2 * v for v in report.dims]
+    fdm = fixed_dim_matrix(W.group)
+    n = len(W.group.cyclic_subgroup_classes())
+    warm = {
+        "warm_validate": lambda: validate(spec),
+        "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
+        "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
+        "closed_form_check": lambda: exactla.solve(fdm, genera, (twice, 2)),
+        "solve": lambda: exactla.solve(fdm, genera),
+    }
+    return {k: _warm(fn) for k, fn in warm.items()}
+
+
 def _stages(W) -> dict[str, float]:
     gens = W.group.generators
     rng = random.Random(0)
@@ -131,20 +149,7 @@ def _stages(W) -> dict[str, float]:
         t["generation"], _ = _timed(lambda: [G.generates(s) for s in seed_sets])
         for k, v in t.items():
             best[k] = min(v, best.get(k, v))
-    spec = hitchin_preset(W, 2)
-    report = validate(spec)  # also fills the per-group caches
-    genera, dims = report.quotient_genera, report.dims
-    fdm = fixed_dim_matrix(W.group)
-    n = len(W.group.cyclic_subgroup_classes())
-    warm = {
-        "warm_validate": lambda: validate(spec),
-        "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
-        "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
-        "closed_form_check": lambda: exactla.solve(fdm, genera, dims),
-        "solve": lambda: exactla.solve(fdm, genera),
-    }
-    for k, fn in warm.items():
-        best[k] = _warm(fn)
+    best.update(_warm_stages(W))
     cold = {
         "cli_cold": ("preset", "hitchin", W.letter, str(W.rank)),
         "verify_cold": ("verify", "--weyl", W.label),

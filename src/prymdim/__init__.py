@@ -31,7 +31,7 @@ from .errors import (
     Singular,
     UnsupportedType,
 )
-from .exactla import Inverse, determinant, inverse, solve
+from .exactla import Nonsingular, determinant, nonsingular, solve
 from .monodromy import (
     BranchTuple,
     oracle_genus,

@@ -21,11 +21,11 @@ A table is returned only after exact row orthogonality has been
 verified; for a square table that implies column orthogonality, so
 everything downstream inherits its correctness. Row 0 is always the
 trivial character. ``fixed_dim_matrix`` returns the invariant-dimension
-matrix as the ``exactla.Inverse`` that ``exactla.solve`` takes.
+matrix as the ``exactla.Nonsingular`` that ``exactla.solve`` takes.
 
-The table and the inverse are computed once per group and cached here,
-keyed weakly on the group, so a cached entry never keeps its group
-alive. A table holds only the characters and their degrees; class sizes
+The table and the fixed-dim matrix are computed once per group and
+cached here, keyed weakly on the group, so a cached entry never keeps
+its group alive. A table holds only the characters and their degrees; class sizes
 and element orders are read from ``G.conjugacy_classes()``.
 """
 
@@ -388,16 +388,17 @@ def _average_over(table: CharacterTable, irrep: int, K: CyclicClass) -> int:
     return val
 
 
-def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
+def fixed_dim_matrix(G: PermGroup) -> exactla.Nonsingular:
     """Matrix of invariant dimensions, rows = cyclic classes, columns = irreps,
     read off ``character_table(G)``: ``rows[i][j]`` = dim of the
     H_i-invariant subspace of irrep j. Every cyclic class's profile is
     checked first; a profile that fails, or an average that is not an
     integer in [0, deg], raises NonIntegerFixedDim.
 
-    The matrix is inverted exactly here, once per group, so each spec's
-    ``exactla.solve`` is one matrix-vector product; a singular matrix
-    would contradict the rational-character assumption.
+    The matrix is certified here, once per group, by its exact nonzero
+    determinant, so each spec's ``exactla.solve`` can accept a candidate
+    with one product; a singular matrix would contradict the
+    rational-character assumption.
     """
     result = _fixed_dims.get(G)
     if result is not None:
@@ -415,7 +416,7 @@ def fixed_dim_matrix(G: PermGroup) -> exactla.Inverse:
     if any(row[0] != 1 for row in rows):
         raise AssertionError("trivial irrep must have a one-dimensional fixed space")
     try:
-        result = exactla.inverse(rows)
+        result = exactla.nonsingular(rows)
     except Singular:
         raise Singular("fixed-subspace dimension matrix is singular") from None
     _fixed_dims[G] = result

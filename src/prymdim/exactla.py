@@ -1,33 +1,23 @@
 """Exact integer linear algebra.
 
-The one matrix the package inverts, the fixed-dim matrix, has integer
+The one matrix the package solves with, the fixed-dim matrix, has integer
 entries, and every right-hand side is an integer vector. One
 fraction-free Bareiss forward pass (Bareiss, Math. Comp. 22, 1968)
-serves both the determinant and the inverse: by
-Sylvester's identity each division in it is exact, so every intermediate
-entry is an integer. A matrix is inverted once, into its adjugate and
-determinant (A adj(A) = det(A) I). The pass builds up a common factor:
-the content c = gcd(det(A), entries of adj(A)) can be large (2^64 on the
-W(B5) fixed-dim matrix, whose det is -2^71) while adj(A) / c and det(A) / c
-are small (at most 6 and 8 bits on every supported Weyl group). So the
-content is divided out once: an ``Inverse`` keeps only adj(A) / c and c,
-whose product is the adjugate, and each solve without an accepted
-candidate (below) is one small-integer matrix-vector product
-y' = (adj(A) / c) b, checked by A y' = (det(A) / c) b before y = c y'
-is returned over the common denominator d = det(A).
-Callers decide integrality with a divisibility test. Once the inverse
-exists, det(A) != 0, so A x = b has exactly one solution and one product
-A x == b decides whether a candidate x is it. ``solve`` takes such a
-candidate and returns it over d = 1 when it passes, so the adjugate
-product runs only for a missing or failed candidate: ``rhprym.validate``
-passes its closed form, while the reference route
-``rhprym.isotypic_dims_solve`` passes none and always takes the product.
+serves both the determinant and the solve: by Sylvester's identity each
+division in it is exact, so every intermediate entry is an integer.
+
+A matrix is certified once, by its determinant: a ``Nonsingular`` keeps
+the rows with their nonzero det. Then A x = b has exactly one solution,
+so one product decides whether a candidate is it. ``solve`` takes a
+candidate (y, d) and returns it when A y == d b: ``rhprym.validate``
+passes its doubled closed form over d = 2. A missing or failed candidate
+costs one elimination over [A | b]: its last column, back-substituted,
+gives the Cramer numerators y = adj(A) b over d = det(A), checked by
+A y == d b. Callers decide integrality with a divisibility test.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -46,10 +36,11 @@ def _forward(m: list[list[int]], n: int) -> int:
     """Bareiss forward pass on the first n columns of the n rows m, in place.
 
     Columns past the n-th (a right-hand side) are carried along. Afterwards
-    m is upper triangular in its first n columns and m[n-1][n-1] equals the
-    determinant times the returned sign of the row swaps. Returns 0 instead
-    when the matrix is singular.
+    m is upper triangular in its first n columns. Returns the determinant
+    of those columns, 0 when they are singular.
     """
+    if n == 0:
+        return 1
     width = len(m[0])
     sign = 1
     prev = 1
@@ -71,83 +62,64 @@ def _forward(m: list[list[int]], n: int) -> int:
                 mi[j] = (mi[j] * pkk - mik * mk[j]) // prev
             mi[k] = 0
         prev = pkk
-    return sign if m[n - 1][n - 1] else 0
+    return sign * m[n - 1][n - 1]
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix."""
-    n = _order(rows)
-    if n == 0:
-        return 1
-    m = [list(row) for row in rows]
-    return _forward(m, n) * m[n - 1][n - 1]
+    return _forward([list(row) for row in rows], _order(rows))
 
 
-class Inverse(NamedTuple):
-    """A square integer matrix with its adjugate divided by its content:
-    rows * reduced = (det / content) * I, content > 0 the gcd of det and
-    every adjugate entry."""
+class Nonsingular(NamedTuple):
+    """A square integer matrix with its determinant, which is nonzero."""
 
     rows: tuple[tuple[int, ...], ...]
-    reduced: tuple[tuple[int, ...], ...]
     det: int
-    content: int
 
 
-def inverse(rows: Sequence[Sequence[int]]) -> Inverse:
-    """Adjugate and determinant of a square nonsingular integer matrix.
-
-    One Bareiss pass over [A | I], then back substitution of each identity
-    column; the adjugate is stored divided by its content. Raises NotSquare
-    or Singular.
-    """
-    n = _order(rows)
-    a = tuple(tuple(row) for row in rows)
-    if n == 0:
-        return Inverse(rows=a, reduced=(), det=1, content=1)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    sign = _forward(m, n)
-    if not sign:
-        raise Singular(f"{n}x{n} matrix is singular")
-    det = sign * m[n - 1][n - 1]
-    # column c of adj(A) = det(A) A^-1 is the vector of Cramer numerators
-    # of A x = e_c, so each division is exact
-    cols = []
-    for c in range(n, 2 * n):
-        y = [0] * n
-        for i in range(n - 1, -1, -1):
-            mi = m[i]
-            s = det * mi[c] - sum(mi[j] * y[j] for j in range(i + 1, n))
-            y[i] = s // mi[i]
-        cols.append(y)
-    c = gcd(det, *chain.from_iterable(cols))
-    reduced = tuple(zip(*([v // c for v in col] for col in cols)))
-    return Inverse(rows=a, reduced=reduced, det=det, content=c)
+def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
+    """Certify a square integer matrix by its determinant. Raises NotSquare
+    or Singular."""
+    det = determinant(rows)
+    if not det:
+        raise Singular(f"{len(rows)}x{len(rows)} matrix is singular")
+    return Nonsingular(rows=tuple(tuple(row) for row in rows), det=det)
 
 
 def solve(
-    inv: Inverse, b: Sequence[int], candidate: Sequence[int] | None = None
+    m: Nonsingular,
+    b: Sequence[int],
+    candidate: tuple[Sequence[int], int] | None = None,
 ) -> tuple[list[int], int]:
-    """Solve A x = b for the matrix A of an Inverse and an integer vector b.
+    """Solve A x = b for the matrix A of a Nonsingular and an integer vector b.
 
-    Returns (y, d) with x = y / d. An integer candidate x with A x == b
-    is the one solution, returned as (x, 1) with no further product.
-    Otherwise y = adj(A) b and d = det(A) != 0. That product is taken
-    with the reduced adjugate, y' = (adj(A) / c) b for the content c, and
-    checked by A y' == (d / c) b, which holds iff A y == d b; failure
-    there would indicate a bug, not bad input.
+    Returns (y, d) with x = y / d. A candidate (y, d), d != 0, with
+    A y == d b is the one solution and is returned as it is. Otherwise
+    one elimination over [A | b] gives y = adj(A) b and d = det(A),
+    checked by A y == d b; failure there would indicate a bug, not bad
+    input.
     """
-    if len(b) != len(inv.rows):
+    rows = m.rows
+    n = len(rows)
+    if len(b) != n:
         raise ValueError("right-hand side length mismatch")
     if candidate is not None:
-        if len(candidate) != len(b):
+        y, d = candidate
+        if len(y) != n:
             raise ValueError("candidate length mismatch")
-        if all(sum(map(mul, row, candidate)) == v for row, v in zip(inv.rows, b)):
-            return list(candidate), 1
-    c = inv.content
-    scaled = inv.det // c
-    y = [sum(map(mul, row, b)) for row in inv.reduced]
-    for row, v in zip(inv.rows, b):
-        if sum(map(mul, row, y)) != scaled * v:
+        if d and all(sum(map(mul, row, y)) == d * v for row, v in zip(rows, b)):
+            return list(y), d
+    a = [list(row) + [v] for row, v in zip(rows, b)]
+    d = _forward(a, n)
+    if not d:
+        raise Singular(f"{n}x{n} matrix is singular")
+    # by Cramer's rule y = d x is the vector of integer numerators, so
+    # each division is exact
+    y = [0] * n
+    for i in range(n - 1, -1, -1):
+        ai = a[i]
+        y[i] = (d * ai[n] - sum(map(mul, ai[i + 1 : n], y[i + 1 :]))) // ai[i]
+    for row, v in zip(rows, b):
+        if sum(map(mul, row, y)) != d * v:
             raise AssertionError("solve verification failed")
-    return [c * v for v in y], inv.det
+    return y, d

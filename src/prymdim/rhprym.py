@@ -19,19 +19,18 @@ dimensions also come out of the closed form
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one). All arithmetic
-is in integers. The fixed-dim matrix A is inverted once per group, so
-A x = g has exactly one solution. ``validate`` sums the closed form x
-first, doubled, irrep by irrep, so its integrality is one divisibility
-test per entry, and hands an integral x to ``exactla.solve`` as its
-candidate: one exact product A x == g accepts it as the solve's answer,
-and both routes agree. Only a failed check (or a half-integral closed
-form) takes the adjugate product, whose dimensions or NonIntegerSolution
-text are then reported beside the closed form's. That product, which
-``isotypic_dims_solve`` always takes, is one small-integer matrix-vector
-product in the adjugate with its content divided out, checked by
-A y' = (det / content) b and scaled back to numerators over the one
-common denominator det. An index outside 0..n-1, negative ones
-included, raises IndexError.
+is in integers. The fixed-dim matrix A is certified once per group by
+its nonzero determinant, so A x = g has exactly one solution.
+``validate`` sums the closed form first, doubled, irrep by irrep, and
+hands it to ``exactla.solve`` as its candidate over d = 2: one exact
+product A (2x) == 2 g accepts it as the solve's answer, half-integral
+or not, so both routes agree and the solve's NonIntegerSolution text comes
+from the same fractions. Only a failed check takes an elimination, whose
+dimensions or NonIntegerSolution text are then reported beside the
+closed form's. ``isotypic_dims_solve``, the reference route, always
+eliminates: one Bareiss pass over [A | g] gives the numerators over
+d = det A. An index outside 0..n-1, negative ones included, raises
+IndexError.
 """
 
 from __future__ import annotations
@@ -171,7 +170,9 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
 
 
 def _solve_from_genera(
-    fdm: exactla.Inverse, genera: Sequence[int], candidate: Sequence[int] | None = None
+    fdm: exactla.Nonsingular,
+    genera: Sequence[int],
+    candidate: tuple[Sequence[int], int] | None = None,
 ) -> tuple[int, ...]:
     y, d = exactla.solve(fdm, genera, candidate)
     if any(v % d for v in y):
@@ -190,7 +191,7 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
 
 
 def _closed_form_doubled(
-    spec: CoverSpec, table: CharacterTable, fdm: exactla.Inverse, j: int
+    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular, j: int
 ) -> int:
     """2 dim V_j by the closed form for the one irrep j."""
     g = spec.base_genus
@@ -248,10 +249,9 @@ def validate(spec: CoverSpec) -> DimensionReport:
     twice = [_closed_form_doubled(spec, table, fdm, j) for j in range(table.n)]
     dims: tuple[int, ...] | None = None
     if g_total is not None and None not in genera:
-        # an integral closed form is the solve's candidate: only a failed
-        # check A x == genera pays for the adjugate product
-        x = None if any(v % 2 for v in twice) else [v // 2 for v in twice]
-        dims = attempt(_solve_from_genera, fdm, genera, x)
+        # the doubled closed form is the solve's candidate: only a failed
+        # check A (2x) == 2 genera pays for an elimination
+        dims = attempt(_solve_from_genera, fdm, genera, (twice, 2))
     closed = attempt(tuple, map(_halve, twice))
 
     agreement = dims is not None and closed is not None and dims == closed

@@ -13,7 +13,7 @@ import pytest
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.cli import _triangular_change_of_basis_ok
 from prymdim.errors import SamplingExhausted
-from prymdim.exactla import determinant, inverse, solve
+from prymdim.exactla import determinant, nonsingular, solve
 from prymdim.monodromy import sample_tuple, verify_tuple
 from prymdim.permgroup import group_from_generators, parse_generators
 from prymdim.rhprym import (
@@ -156,15 +156,15 @@ def test_criterion_7_orthogonality_and_triangularity():
 
 
 def _triangularity_failure(G, T, rows):
-    """Reference check, by the table's exact inverse: the first (row, class)
+    """Reference check, by exact solves in the table: the first (row, class)
     at which the rows, written in the basis of character-table rows, are
     not lower triangular with nonzero diagonal, or None."""
     cyclic = G.cyclic_subgroup_classes()
     pos_of_class = {G.class_of(K.generator): k for k, K in enumerate(cyclic)}
-    table_inverse = inverse(T.table)
+    table = nonsingular(T.table)
     for i, row in enumerate(rows):
         # numerators over one nonzero d: the zero pattern of the coefficients
-        coeffs, _ = solve(table_inverse, row)
+        coeffs, _ = solve(table, row)
         for c, coef in enumerate(coeffs):
             k = pos_of_class[c]
             if (k > i and coef != 0) or (k == i and coef == 0):
@@ -174,7 +174,7 @@ def _triangularity_failure(G, T, rows):
 
 def test_verify_triangularity_matches_inverse_reference():
     """verify reads triangularity off column orthogonality; it agrees with
-    the exact-inverse reference on every Weyl group, S6, D8 and Z2^3, and
+    the exact-solve reference on every Weyl group, S6, D8 and Z2^3, and
     both reject the fixed-dim matrix with its first two rows swapped."""
     groups = [weyl_group(letter, rank).group for letter, rank in WEYL_FLEET] + [
         group_from_generators(parse_generators(gens))

@@ -410,7 +410,7 @@ def test_fixed_dim_rejects_negative_count_with_right_order_tally(s4):
 
 def test_tables_are_cached_without_keeping_the_group_alive():
     """Repeated calls on a live group return the very same table and
-    inverse; once the group is dropped, the caches do not keep it."""
+    fixed-dim matrix; once the group is dropped, the caches do not keep it."""
     G = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]))
     T, F = character_table(G), fixed_dim_matrix(G)
     assert character_table(G) is T and fixed_dim_matrix(G) is F

@@ -3,7 +3,6 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from math import gcd
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,8 @@ from hypothesis import strategies as st
 import prymdim
 from prymdim.chartable import fixed_dim_matrix
 from prymdim.errors import NotSquare, Singular
-from prymdim.exactla import determinant, inverse, solve
+from prymdim import exactla
+from prymdim.exactla import determinant, nonsingular, solve
 from prymdim.weyl import weyl_group
 
 
@@ -35,9 +35,16 @@ def mat_vec(rows, x):
     return [sum(a * v for a, v in zip(row, x)) for row in rows]
 
 
-def _adjugate(inv):
-    """The full adjugate of an Inverse: content times the reduced one."""
-    return tuple(tuple(inv.content * v for v in row) for row in inv.reduced)
+def _inverse(rows):
+    """adj(A) and det(A), column c of adj(A) the solve of A x = e_c."""
+    m = nonsingular(rows)
+    n = len(m.rows)
+    cols = []
+    for c in range(n):
+        y, d = solve(m, [int(i == c) for i in range(n)])
+        assert d == m.det
+        cols.append(y)
+    return tuple(zip(*cols)), m.det
 
 
 IDENTITY_3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -55,73 +62,118 @@ def test_determinant_rejects_non_square():
     with pytest.raises(NotSquare):
         determinant([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(NotSquare):
-        solve(inverse([[1, 2, 3], [4, 5, 6]]), [1, 1])
+        solve(nonsingular([[1, 2, 3], [4, 5, 6]]), [1, 1])
 
 
 small_entries = st.integers(min_value=-6, max_value=6)
-
-
-@given(st.integers(min_value=1, max_value=5).flatmap(
+square_matrices = st.integers(min_value=1, max_value=5).flatmap(
     lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-))
+)
+
+
+@given(square_matrices)
 def test_determinant_matches_cofactor_oracle(rows):
     assert determinant(rows) == cofactor_det(rows)
 
 
 def test_solve_examples():
-    y, d = solve(inverse(IDENTITY_3), [3, 4, 5])
+    y, d = solve(nonsingular(IDENTITY_3), [3, 4, 5])
     assert d == 1 and y == [3, 4, 5]
     # classical double cover bookkeeping: rows (total space, quotient)
     g_x, g = 7, 3
-    y, d = solve(inverse([[1, 1], [1, 0]]), [g_x, g])
+    y, d = solve(nonsingular([[1, 1], [1, 0]]), [g_x, g])
     assert abs(d) == 1 and y == [d * g, d * (g_x - g)]
-    y, d = solve(inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]]), [3, 2, 1])
+    y, d = solve(nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]), [3, 2, 1])
     assert abs(d) == 2 and y == [d * v for v in (1, 0, 1)]
 
 
 def test_solve_accepts_a_candidate_that_passes_the_check():
-    """A candidate x with A x == b is the one solution: solve returns it
-    over d = 1. A failed or absent candidate gives the adjugate answer."""
-    inv = inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]])
+    """A candidate (y, d), d != 0, with A y == d b is the one solution:
+    solve returns it as it is, half-integral over d = 2 included. A failed
+    or absent candidate gives the elimination's answer."""
+    m = nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]])
     x = [1, 1, 2]
-    b = mat_vec(inv.rows, x)
-    assert solve(inv, b, x) == (x, 1)
-    assert solve(inv, b, (1, 1, 2)) == (x, 1)
-    y, d = solve(inv, b)
-    assert d == inv.det and [Fraction(v, d) for v in y] == x
-    assert solve(inv, b, [1, 1, 3]) == (y, d)
+    b = mat_vec(m.rows, x)
+    assert solve(m, b, (x, 1)) == (x, 1)
+    assert solve(m, b, ((1, 1, 2), 1)) == (x, 1)
+    assert solve(m, b, ([2, 2, 4], 2)) == ([2, 2, 4], 2)
+    y, d = solve(m, b)
+    assert d == m.det and [Fraction(v, d) for v in y] == x
+    assert solve(m, b, ([1, 1, 3], 1)) == (y, d)
+    assert solve(m, b, ([1, 1, 2], 2)) == (y, d)
+    # x = (-1/2, 1/2, 1/2) for b = e_0
+    half = ([-1, 1, 1], 2)
+    assert solve(m, [1, 0, 0], half) == half
+    assert solve(m, [1, 0, 0], ([1, -1, -1], -2)) == ([1, -1, -1], -2)
+    assert solve(m, [1, 0, 0], ([-1, 1, 1], 1)) == half
+    assert solve(m, [1, 0, 0]) == half
+    # d = 0 is no solution: A 0 == 0 b holds, but 0 / 0 is not x
+    assert solve(m, [0, 0, 0], ([0, 0, 0], 0)) == ([0, 0, 0], 2)
     with pytest.raises(ValueError, match="candidate length mismatch"):
-        solve(inv, b, [1, 1])
+        solve(m, b, ([1, 1], 1))
+    with pytest.raises(ValueError, match="right-hand side length mismatch"):
+        solve(m, [1, 1])
 
 
 @given(st.data())
 def test_solve_candidate_matches_the_adjugate(data):
-    """On random nonsingular systems with integer solutions, every candidate
-    is accepted iff it is the solution, and the answer never depends on it."""
+    """On random nonsingular systems, a candidate (y, d) is accepted iff
+    A y == d b, over d in -2..2, and the answer never depends on it: a
+    rejected candidate gives the adjugate numerators over det."""
     n = data.draw(st.integers(min_value=1, max_value=4))
     rows = data.draw(st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n))
     if cofactor_det(rows) == 0:
         return
-    inv = inverse(rows)
+    m = nonsingular(rows)
     x = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+    halves = data.draw(st.booleans())
+    # b = A x, or A x / 2 where that is integral: a half-integral solution
     b = mat_vec(rows, x)
-    y, d = solve(inv, b)
-    assert [Fraction(v, d) for v in y] == x
+    if halves and all(v % 2 == 0 for v in b):
+        b = [v // 2 for v in b]
+    y, d = solve(m, b)
+    assert mat_vec(rows, y) == [d * v for v in b]
     other = data.draw(st.lists(small_entries, min_size=n, max_size=n))
-    expected = (other, 1) if other == x else (y, d)
-    assert solve(inv, b, other) == expected
+    scale = data.draw(st.integers(min_value=-2, max_value=2))
+    for cand in ((x, 2), (x, 1), (other, scale), ([scale * v for v in x], scale)):
+        passes = cand[1] != 0 and mat_vec(rows, cand[0]) == [cand[1] * v for v in b]
+        assert solve(m, b, cand) == ((list(cand[0]), cand[1]) if passes else (y, d))
+
+
+@given(square_matrices, st.data())
+def test_solve_matches_cramer_oracle(rows, data):
+    """solve(A, b) returns the Cramer numerators det(A_i) over det(A), A_i
+    being A with column i replaced by b, both from cofactor expansion;
+    Singular is raised iff det(A) = 0."""
+    n = len(rows)
+    b = data.draw(st.lists(small_entries, min_size=n, max_size=n))
+    det = cofactor_det(rows)
+    if det == 0:
+        with pytest.raises(Singular):
+            solve(nonsingular(rows), b)
+        return
+    cramer = [
+        cofactor_det([row[:i] + [v] + row[i + 1 :] for row, v in zip(rows, b)])
+        for i in range(n)
+    ]
+    y, d = solve(nonsingular(rows), b)
+    assert (y, d) == (cramer, det)
+    assert [Fraction(v, d) for v in y] == [Fraction(c, det) for c in cramer]
 
 
 def test_solve_singular():
     for rows, b in (([[1, 2], [2, 4]], [1, 1]), ([[0, 0], [0, 0]], [0, 0])):
         with pytest.raises(Singular):
-            solve(inverse(rows), b)
+            solve(nonsingular(rows), b)
+    # a record of singular rows made by hand is refused by the elimination
+    with pytest.raises(Singular):
+        solve(exactla.Nonsingular(rows=((1, 2), (2, 4)), det=1), [1, 1])
 
 
 def test_solve_fractions():
     """An integer system whose solution is not integral."""
     A, b = [[1, 2], [3, 4]], [1, 0]
-    y, d = solve(inverse(A), b)
+    y, d = solve(nonsingular(A), b)
     assert abs(d) == abs(determinant(A)) == 2
     assert mat_vec(A, y) == [d * v for v in b]
     assert [Fraction(v, d) for v in y] == [-2, Fraction(3, 2)]
@@ -141,9 +193,9 @@ def test_solve_roundtrip(data):
     det = cofactor_det(rows)
     if det == 0:
         with pytest.raises(Singular):
-            inverse(rows)
+            nonsingular(rows)
         return
-    y, d = solve(inverse(rows), b)
+    y, d = solve(nonsingular(rows), b)
     assert abs(d) == abs(det)
     assert y == [d * v for v in x]
 
@@ -152,111 +204,102 @@ def test_zero_determinant_iff_singular():
     for rows in ([[2, 3], [4, 6]], [[1, 0], [0, 1]], [[0, 1], [1, 0]], [[5]]):
         is_zero = determinant(rows) == 0
         try:
-            solve(inverse(rows), [1] * len(rows))
+            solve(nonsingular(rows), [1] * len(rows))
             solved = True
         except Singular:
             solved = False
         assert solved == (not is_zero)
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-))
+@given(square_matrices)
 def test_inverse_matches_cofactor_oracle(rows):
-    """A adj(A) == det(A) I with det(A) from cofactor expansion; Singular iff det(A) = 0."""
+    """The inverse solved column by column: A adj(A) == det(A) I with det(A)
+    from cofactor expansion; Singular iff det(A) = 0."""
     n = len(rows)
     det = cofactor_det(rows)
     if det == 0:
         with pytest.raises(Singular):
-            inverse(rows)
+            nonsingular(rows)
         return
-    inv = inverse(rows)
-    assert inv.det == det
-    assert inv.rows == tuple(tuple(r) for r in rows)
-    product = [mat_vec(rows, col) for col in zip(*_adjugate(inv))]
+    assert nonsingular(rows) == (tuple(tuple(r) for r in rows), det)
+    adj, d = _inverse(rows)
+    assert d == det
+    product = [mat_vec(rows, col) for col in zip(*adj)]
     assert product == [[det * (i == j) for i in range(n)] for j in range(n)]
 
 
 def test_inverse_examples():
-    assert inverse([]).det == 1 and _adjugate(inverse([])) == ()
-    assert solve(inverse([]), []) == ([], 1)
-    inv = inverse([[1, 1], [1, 0]])
-    assert inv.det == -1 and _adjugate(inv) == ((0, -1), (-1, 1))
+    assert nonsingular([]) == ((), 1) and _inverse([]) == ((), 1)
+    assert solve(nonsingular([]), []) == ([], 1)
+    assert _inverse([[1, 1], [1, 0]]) == (((0, -1), (-1, 1)), -1)
     for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]]):
         with pytest.raises(Singular):
-            inverse(rows)
+            nonsingular(rows)
     with pytest.raises(NotSquare):
-        inverse([[1, 2, 3], [4, 5, 6]])
+        nonsingular([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(NotSquare):
-        inverse([[1, 2], [3]])
+        nonsingular([[1, 2], [3]])
 
 
-@given(st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.lists(st.lists(small_entries, min_size=n, max_size=n), min_size=n, max_size=n)
-))
-def test_inverse_divides_out_the_content(rows):
-    """The content c > 0 divides det and every adjugate entry, and what is
-    left, the reduced adjugate with det / c, has no common factor."""
-    if cofactor_det(rows) == 0:
-        return
-    inv = inverse(rows)
-    c = inv.content
-    assert c > 0 and inv.det % c == 0
-    flat = [v for row in _adjugate(inv) for v in row]
-    assert all(v % c == 0 for v in flat)
-    reduced = [v for row in inv.reduced for v in row]
-    assert reduced == [v // c for v in flat]
-    assert gcd(inv.det // c, *reduced) == 1
-
-
-@pytest.mark.parametrize("letter, rank, det, content, scaled", [
-    ("B", 5, -2**71, 2**64, -128),
-    ("F", 4, 9 * 2**37, 3 * 2**31, 192),
+@pytest.mark.parametrize("letter, rank, det", [
+    ("B", 5, -2**71),
+    ("F", 4, 9 * 2**37),
 ], ids=["B5", "F4"])
-def test_fixed_dim_content_pins(letter, rank, det, content, scaled):
-    """The fixed-dim content of W(B5) and W(F4): a large power of two
-    (times 3) leaves det / content and the reduced entries a few bits,
-    and solve still returns the full det."""
-    inv = fixed_dim_matrix(weyl_group(letter, rank).group)
-    assert (inv.det, inv.content) == (det, content) and det == determinant(inv.rows)
-    assert inv.det // inv.content == scaled
-    assert max(abs(v) for row in inv.reduced for v in row).bit_length() <= 6
-    b = [1] * len(inv.rows)
-    y, d = solve(inv, b)
+def test_fixed_dim_det_pins(letter, rank, det):
+    """The fixed-dim determinants of W(B5) and W(F4), and solve returns
+    the full det as its denominator."""
+    fdm = fixed_dim_matrix(weyl_group(letter, rank).group)
+    assert fdm.det == det == determinant(fdm.rows)
+    b = [1] * len(fdm.rows)
+    y, d = solve(fdm, b)
     assert d == det
-    assert mat_vec(inv.rows, y) == [d * v for v in b]
+    assert mat_vec(fdm.rows, y) == [d * v for v in b]
 
 
-def _corrupted(inv):
-    """The Inverse with its first reduced-adjugate entry off by one."""
-    first = (inv.reduced[0][0] + 1,) + inv.reduced[0][1:]
-    return inv._replace(reduced=(first,) + inv.reduced[1:])
+def _faulty_forward(monkeypatch):
+    """Make every elimination carry its last right-hand-side entry off by
+    one, so the last back-substituted numerator is off by one."""
+    forward = exactla._forward
+
+    def faulty(m, n):
+        d = forward(m, n)
+        m[n - 1][n] += 1
+        return d
+
+    monkeypatch.setattr(exactla, "_forward", faulty)
 
 
-def test_solve_rejects_a_corrupted_reduced_adjugate():
-    for inv in (inverse([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
-                fixed_dim_matrix(weyl_group("B", 5).group)):
-        bad = _corrupted(inv)
+def test_solve_rejects_a_faulty_elimination(monkeypatch):
+    fdms = (nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
+            fixed_dim_matrix(weyl_group("B", 5).group))
+    _faulty_forward(monkeypatch)
+    for m in fdms:
         with pytest.raises(AssertionError, match="solve verification failed"):
-            solve(bad, [1] * len(inv.rows))
+            solve(m, [1] * len(m.rows))
 
 
 def test_solve_check_survives_python_O():
-    """The A y' == (det / c) b check is an explicit raise, so a corrupted
-    reduced adjugate is caught when -O strips assert statements."""
+    """The A y == d b check is an explicit raise, so a faulty elimination
+    is caught when -O strips assert statements."""
     snippet = textwrap.dedent(
         """
         import sys
+        from prymdim import exactla
         from prymdim.chartable import fixed_dim_matrix
-        from prymdim.exactla import solve
         from prymdim.weyl import weyl_group
 
-        inv = fixed_dim_matrix(weyl_group("B", 5).group)
-        first = (inv.reduced[0][0] + 1,) + inv.reduced[0][1:]
-        bad = inv._replace(reduced=(first,) + inv.reduced[1:])
+        fdm = fixed_dim_matrix(weyl_group("B", 5).group)
+        forward = exactla._forward
+
+        def faulty(m, n):
+            d = forward(m, n)
+            m[n - 1][n] += 1
+            return d
+
+        exactla._forward = faulty
         print(sys.flags.optimize)
         try:
-            solve(bad, [1] * len(inv.rows))
+            exactla.solve(fdm, [1] * len(fdm.rows))
         except AssertionError:
             print("AssertionError")
         """

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from prymdim import exactla, rhprym
-from prymdim.chartable import fixed_dim_matrix
+from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.errors import (
     NegativeGenus,
     NonIntegerDimension,
@@ -182,8 +183,6 @@ def test_dimension_sum_and_trivial_dim():
     for letter, rank in [("A", 2), ("B", 2), ("G", 2)]:
         W = weyl_group(letter, rank)
         G = W.group
-        from prymdim.chartable import character_table
-
         T = character_table(G)
         for spec, _ in sample_cover_specs(G, 15, random.Random(5)):
             dims = isotypic_dims_solve(spec)
@@ -204,54 +203,95 @@ def test_monotonic_in_branch_points(s4):
             assert all(b >= a for a, b in zip(base, bumped))
 
 
-class _ReadCounted(tuple):
-    """A reduced adjugate that counts how often its rows are read, that
-    is, how many adjugate products solve takes."""
+def _count_eliminations(monkeypatch):
+    """Record the (rows, width) of every Bareiss pass exactla runs."""
+    passes = []
+    forward = exactla._forward
 
-    def __iter__(self):
-        self.reads += 1
-        return super().__iter__()
+    def counted(m, n):
+        passes.append((n, len(m[0]) if m else 0))
+        return forward(m, n)
+
+    monkeypatch.setattr(exactla, "_forward", counted)
+    return passes
 
 
-def _count_adjugate_products(monkeypatch, G):
-    fdm = fixed_dim_matrix(G)
-    reduced = _ReadCounted(fdm.reduced)
-    reduced.reads = 0
-    counted = fdm._replace(reduced=reduced)
-    monkeypatch.setattr(rhprym, "fixed_dim_matrix", lambda group: counted)
-    return reduced
+def _count_solves(monkeypatch):
+    calls = []
+    solve = exactla.solve
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(exactla, "solve", counted)
+    return calls
 
 
 def test_warm_validate_makes_no_elimination(monkeypatch):
-    """The fixed-dim matrix is inverted once per group: once it is built, a
-    spec whose closed form x passes solve's check A x == genera needs
-    neither a Bareiss pass nor the adjugate product."""
+    """The fixed-dim matrix is certified once per group: once it is built,
+    a spec whose doubled closed form passes solve's check
+    A (2x) == 2 genera needs no Bareiss pass."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
-    calls = {"_forward": 0, "solve": 0}
-
-    def counted(name):
-        inner = getattr(exactla, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-
-        monkeypatch.setattr(exactla, name, wrapper)
-
-    counted("_forward")
-    counted("solve")
-    reduced = _count_adjugate_products(monkeypatch, G)
+    passes = _count_eliminations(monkeypatch)
+    calls = _count_solves(monkeypatch)
     for spec in specs[1:]:
         validate(spec)
-    assert calls == {"_forward": 0, "solve": 50}
-    assert reduced.reads == 0
+    assert (len(passes), len(calls)) == (0, 50)
+
+
+def _half_integral_specs(G, count, rng):
+    """Seeded specs with odd counts whose quotient genera are all integers
+    but whose isotypic dimensions are not, each with its report's
+    NonIntegerSolution text."""
+    n = len(G.cyclic_subgroup_classes())
+    out = []
+    while len(out) < count:
+        counts = {k: rng.randint(1, 9) for k in range(1, n) if rng.random() < 0.3}
+        spec = CoverSpec(G, rng.randint(0, 5), RamificationSpec(counts))
+        texts = [d for d in validate(spec).diagnostics if d.startswith("NonIntegerSolution")]
+        if texts:
+            out.append((spec, texts[0]))
+    return out
+
+
+# The NonIntegerSolution texts of the 20 seeded W(F4) specs, as the
+# adjugate solve printed them before validate settled them by the closed
+# form's check over d = 2.
+HALF_INTEGRAL_F4_FIRST = (
+    "NonIntegerSolution: isotypic dimensions are not integers: "
+    "[Fraction(5, 1), Fraction(5, 1), Fraction(17, 2), Fraction(19, 2), "
+    "Fraction(31, 1), Fraction(61, 2), Fraction(65, 2), Fraction(31, 1), "
+    "Fraction(77, 1), Fraction(175, 2), Fraction(175, 2), Fraction(175, 2), "
+    "Fraction(175, 2), Fraction(195, 2), Fraction(195, 2), Fraction(175, 1), "
+    "Fraction(178, 1), Fraction(178, 1), Fraction(184, 1), Fraction(323, 2), "
+    "Fraction(321, 2), Fraction(166, 1), Fraction(165, 1), Fraction(216, 1), "
+    "Fraction(365, 1)]"
+)
+HALF_INTEGRAL_F4_SHA256 = "3dcae9af23251bc74de2e70e894001f7664d5734373fe5f27d95f85ffc6be12a"
+
+
+def test_warm_validate_settles_half_integral_specs_without_elimination(monkeypatch):
+    """A half-integral closed form passes the check over d = 2 as well, so
+    validate reports NonIntegerSolution with no Bareiss pass, in the very
+    text the adjugate solve printed."""
+    G = weyl_group("F", 4).group
+    specs = _half_integral_specs(G, 20, random.Random(7))
+    passes = _count_eliminations(monkeypatch)
+    reports = [validate(spec) for spec, _ in specs]
+    assert passes == []
+    texts = [text for _, text in specs]
+    assert texts[0] == HALF_INTEGRAL_F4_FIRST
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == HALF_INTEGRAL_F4_SHA256
+    for (spec, text), rep in zip(specs, reports):
+        assert rep.dims is None and text in rep.diagnostics
 
 
 def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
-    """A closed form that fails A x == genera sends validate's solve to the
-    adjugate product once, whose dimensions it reports against the closed
+    """A closed form that fails A (2x) == 2 genera sends validate's solve
+    to one elimination, whose dimensions it reports against the closed
     form's."""
     G = weyl_group("F", 4).group
     spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
@@ -262,26 +302,35 @@ def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
         return closed_form(spec, table, fdm, j) + 2 * (j == 3)
 
     monkeypatch.setattr(rhprym, "_closed_form_doubled", off_by_one)
-    solve = exactla.solve
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(exactla, "solve", counted)
-    reduced = _count_adjugate_products(monkeypatch, G)
+    calls = _count_solves(monkeypatch)
+    passes = _count_eliminations(monkeypatch)
     rep = validate(spec)
     closed = tuple(v + (j == 3) for j, v in enumerate(solved))
-    assert len(calls) == 1 and list(calls[0][2]) == list(closed)
-    assert reduced.reads == 1
+    n = len(solved)
+    assert len(calls) == 1
+    twice, d = calls[0][2]
+    assert (list(twice), d) == ([2 * v for v in closed], 2)
+    assert passes == [(n, n + 1)]
     assert (rep.dims, rep.dims_closed_form) == (solved, closed)
     assert not rep.method_agreement
     assert rep.diagnostics == (f"MethodDisagreement: solver {solved} != closed form {closed}",)
 
 
+def test_cold_fixed_dim_matrix_runs_one_pass_of_width_n(monkeypatch):
+    """Certifying a cold fixed-dim matrix is one determinant pass over its
+    n columns, with no identity block beside them."""
+    G = PermGroup(weyl_group("F", 4).group.generators)
+    n = len(character_table(G).degrees)
+    passes = _count_eliminations(monkeypatch)
+    fdm = fixed_dim_matrix(G)
+    assert passes == [(n, n)]
+    assert fdm.det == 9 * 2**37
+    fixed_dim_matrix(G)
+    assert passes == [(n, n)]
+
+
 def test_warm_validate_looks_up_each_table_once(monkeypatch):
-    """validate reads the character table and the fixed-dim inverse once
+    """validate reads the character table and the fixed-dim matrix once
     per spec and takes the closed form for every irrep from them."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 11, random.Random(9))]

@@ -2,8 +2,9 @@
 
 No other test imports them, so a public name they use could be removed
 without any failure. ``fleet_report.py`` is run in full (well under a
-second); ``stage_times.py`` is only loaded, so its imports resolve but
-nothing is timed.
+second). ``stage_times.py`` is loaded, so its imports resolve, and its
+warm stages run on W(A1), so the calls they time do too; its cold
+stages and processes are not run.
 """
 
 import os
@@ -13,6 +14,8 @@ import sys
 from pathlib import Path
 
 import prymdim
+from prymdim import exactla
+from prymdim.weyl import weyl_group
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SRC = str(Path(prymdim.__file__).resolve().parents[1])
@@ -33,3 +36,25 @@ def test_fleet_report_runs_and_matches():
 def test_stage_times_imports_resolve():
     module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
     assert callable(module["main"])
+
+
+def test_stage_times_warm_stages_run_on_a_tiny_group(monkeypatch):
+    """The warm stages time the calls validate makes: of them only the
+    candidate-free `solve` stage runs an elimination, once per call."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    forward = exactla._forward
+    passes = []
+
+    def counted(m, n):
+        passes.append(n)
+        return forward(m, n)
+
+    W = weyl_group("A", 1)
+    module["validate"](module["hitchin_preset"](W, 2))  # fill the caches first
+    monkeypatch.setattr(exactla, "_forward", counted)
+    stages = module["_warm_stages"](W)
+    assert sorted(stages) == sorted([
+        "warm_validate", "quotient_genera", "closed_form", "closed_form_check", "solve",
+    ])
+    assert all(v > 0 for v in stages.values())
+    assert len(passes) == module["REPEATS"] * module["WARM_CALLS"]
