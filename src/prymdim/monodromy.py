@@ -5,9 +5,20 @@ elements (a_1, b_1, .., a_g, b_g; g_1, .., g_b) satisfying the surface
 relation prod [a_i, b_i] * prod g_i = e and generating the whole group.
 The genus of the cover, and of every intermediate quotient, is then pure
 orbit counting on coset spaces - no character theory involved - which
-makes it an independent check of the Riemann-Hurwitz pipeline. Each
-distinct branch element's left-multiplication row is built once per
-tuple and read by the orbit count on every quotient.
+makes it an independent check of the Riemann-Hurwitz pipeline.
+
+The count over a branch point with monodromy g on X/H is the number of
+double cosets #(<g>\\G/H), which can be taken from either side: as the
+orbits of <g> on the |G|/|H| left cosets xH, or as the orbits of H on
+the |G|/ord(g) right cosets <g>y. Given a generator h of H,
+``oracle_genus`` walks the right cosets when ord(g) > |H|, under h's
+right-multiplication row (y -> y*h, ``PermGroup.right_row``), and the
+left cosets otherwise; for the trivial H the count is the number of
+right cosets, with no walk. Each distinct branch element's
+left-multiplication row is built once per tuple and read by every left
+walk, and, the first time some class needs it, labelled into the right
+cosets of <g>, its cycles. Right rows are built per group, once per
+generator asked for, and only when a right walk needs one.
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ import random
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
-from .permgroup import PermGroup, _Record
+from .errors import NegativeGenus, NotASubgroup, OddRamificationDegree, SamplingExhausted
+from .permgroup import CosetAction, PermGroup, _Record
 from .rhprym import CoverSpec, RamificationSpec, genus_quotient
 
 # rejection draws per sample_tuple call before it raises SamplingExhausted
@@ -26,7 +37,8 @@ SAMPLE_ATTEMPTS = 500
 
 class BranchTuple(_Record):
     """Handles and branch elements realizing a cover of a genus-g base.
-    Not slotted: the cached ``rows`` live in the instance ``__dict__``."""
+    Not slotted: the cached ``rows``, ``orders`` and right cosets live in
+    the instance ``__dict__``."""
 
     _fields = ("group", "base_genus", "handles", "branch_elements")
 
@@ -43,6 +55,42 @@ class BranchTuple(_Record):
         ``rows[g][y]`` is the index of g*y."""
         G = self.group
         return {g: G.products(g, range(G.order)) for g in set(self.branch_elements)}
+
+    @cached_property
+    def orders(self) -> dict[int, int]:
+        """Order of each distinct branch element g, read off the identity's
+        cycle 0 -> g -> g*g -> ... in its row."""
+        orders = {}
+        for g, row in self.rows.items():
+            n, y = 1, row[0]
+            while y:  # the identity is index 0
+                n, y = n + 1, row[y]
+            orders[g] = n
+        return orders
+
+    @cached_property
+    def _right_cosets(self) -> dict[int, CosetAction]:
+        return {}
+
+    def right_cosets(self, g: int) -> CosetAction:
+        """The right cosets <g>y of the branch element g, on which <h> acts
+        through h's right row ``PermGroup.right_row(h)``. They are the
+        cycles of g's row, so one walk of it labels them; labelled on first
+        use and cached, once per distinct branch element."""
+        act = self._right_cosets.get(g)
+        if act is None:
+            row = self.rows[g]
+            coset_of = [-1] * len(row)
+            reps: list[int] = []
+            for y in range(len(row)):
+                if coset_of[y] < 0:
+                    c, z = len(reps), y
+                    reps.append(y)
+                    while coset_of[z] < 0:
+                        coset_of[z] = c
+                        z = row[z]
+            act = self._right_cosets[g] = CosetAction(tuple(reps), tuple(coset_of))
+        return act
 
     def relation_product(self) -> int:
         G = self.group
@@ -101,19 +149,37 @@ def sample_tuple(
     )
 
 
-def oracle_genus(t: BranchTuple, subgroup: Iterable[int]) -> int:
-    """Genus of X/H by counting orbits of each local monodromy on G/H.
+def oracle_genus(t: BranchTuple, subgroup: Iterable[int], generator: int | None = None) -> int:
+    """Genus of X/H by counting the orbits of each local monodromy g on G/H.
 
     Over a branch point with monodromy g, the fiber of X/H -> Y has one
     point per cycle of g on the cosets, ramified with index the cycle
-    length; Riemann-Hurwitz then gives the genus directly. Raises
-    OddRamificationDegree or NegativeGenus when the tuple defines no
-    surface.
+    length; Riemann-Hurwitz then gives the genus directly. With a
+    ``generator`` h of H, the count #(<g>\\G/H) for ord(g) > |H| is taken
+    on the smaller side, the orbits of <h> on the right cosets <g>y (see
+    the module docstring); a generator whose powers are not exactly
+    ``subgroup`` raises NotASubgroup, as does a ``subgroup`` that is not
+    one. Raises OddRamificationDegree or NegativeGenus when the tuple
+    defines no surface.
     """
     G = t.group
-    act = G.coset_action(frozenset(subgroup))
-    n = len(act.cosets)
-    ram = sum(n - act.cycle_count(t.rows[g]) for g in t.branch_elements)
+    H = frozenset(subgroup)
+    m = len(H)
+    orbits: dict[int, int] = {}  # by distinct branch element
+    if generator is not None:
+        if G.powers(generator) != H:
+            raise NotASubgroup(f"element {generator} does not generate the {m} given elements")
+        for g, d in t.orders.items():
+            if d > m:  # fewer right cosets <g>y than left cosets xH
+                orbits[g] = (G.order // d if m == 1
+                             else t.right_cosets(g).cycle_count(G.right_row(generator)))
+    if generator is None or len(orbits) < len(t.rows):
+        act = G.coset_action(H)
+        for g, row in t.rows.items():
+            if g not in orbits:
+                orbits[g] = act.cycle_count(row)
+    n = G.order // m
+    ram = sum(n - orbits[g] for g in t.branch_elements)
     if ram % 2:
         raise OddRamificationDegree(f"oracle ramification degree {ram} is odd")
     g_h = 1 + n * (t.base_genus - 1) + ram // 2
@@ -153,7 +219,7 @@ def verify_tuple(t: BranchTuple) -> TupleVerification:
     oracle = []
     formula = []
     for i, K in enumerate(cyclic):
-        oracle.append(oracle_genus(t, K.subgroup_elements))
+        oracle.append(oracle_genus(t, K.subgroup_elements, K.generator))
         formula.append(genus_quotient(spec, i))
     mism = tuple(i for i, (a, b) in enumerate(zip(oracle, formula)) if a != b)
     return TupleVerification(tuple(oracle), tuple(formula), mism)

@@ -34,10 +34,14 @@ Conjugacy classes are found by direct counting in one classification
 pass; element orders come from each representative's cycle type, and
 the rationality test and the cyclic-subgroup classes share one walk of
 the powers rep^t per class, so no power list is stored. A coset action
-stores only the coset of each element; an element g acts on it through
-its left-multiplication row (row[y] is the index of g*y), so counting
-the orbits of <g> on G/H is list indexing with no composition, and one
-row serves every subgroup H.
+stores only the coset of each element; an element acts on it through a
+row of element indices, so counting orbits is list indexing with no
+composition. The monodromy oracle counts #(<g>\\G/H) on the smaller
+side: the orbits of <g> on the left cosets xH under g's
+left-multiplication row (row[y] is the index of g*y), one row for every
+H, or the orbits of H = <h> on the right cosets <g>y under h's
+right-multiplication row (``right_row``, row[y] the index of y*h), one
+row per generator, built only when asked for.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -266,14 +270,20 @@ class CyclicClass(NamedTuple):
 
 
 class CosetAction(NamedTuple):
-    """Left action of a group on the cosets of a subgroup.
+    """Action of a group element on a partition of G into cosets.
 
     ``cosets`` holds the least element index of each coset, in discovery
     order; ``coset_of[x]`` is the coset index of element ``x``. An element
-    g acts through its left-multiplication row, ``row[y]`` the index of
-    g*y (``PermGroup.products(g, range(order))``): it sends coset j to
-    ``coset_of[row[cosets[j]]]``. Orbit counts on cosets are the monodromy
-    oracle's route to quotient genera; the dimension pipeline counts
+    acts through a row of element indices that maps cosets to cosets: it
+    sends coset j to ``coset_of[row[cosets[j]]]``. The monodromy oracle
+    walks both sides of a double-coset count #(<g>\\G/H) with it:
+    - the left cosets xH (``PermGroup.coset_action``) under g's
+      left-multiplication row, ``row[y]`` the index of g*y
+      (``PermGroup.products(g, range(order))``), and
+    - the right cosets <g>y (``BranchTuple.right_cosets``) under the
+      right-multiplication row of a generator h of H, ``row[y]`` the index
+      of y*h (``PermGroup.right_row``).
+    Both counts are element arithmetic; the dimension pipeline counts
     double cosets from class data instead (``PermGroup.double_coset_matrix``),
     so the two stay independent.
     """
@@ -282,8 +292,8 @@ class CosetAction(NamedTuple):
     coset_of: tuple[int, ...]
 
     def cycle_count(self, row: Sequence[int]) -> int:
-        """Number of orbits of <g> on the cosets, given g's left-multiplication
-        row (``row[y]`` is the index of g*y)."""
+        """Number of orbits on the cosets of the cyclic group generated by
+        the element whose row is ``row``."""
         cosets, coset_of = self.cosets, self.coset_of
         seen = [False] * len(cosets)
         n = 0
@@ -422,6 +432,9 @@ class PermGroup:
         # set by conjugacy_classes() together with _class_of, _rational, _cyclic
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
+        # the monodromy oracle's per-generator caches, filled on first use
+        self._powers: dict[int, frozenset[int]] = {}
+        self._right_rows: dict[int, tuple[int, ...]] = {}
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
 
     # -- element arithmetic -------------------------------------------------
@@ -435,7 +448,9 @@ class PermGroup:
     def products(self, x: int, ys: Iterable[int]) -> list[int]:
         """Indices of x*y for each y in ``ys``, padding x once. Only x is
         checked against 0..|G|-1: the one caller, ``BranchTuple.rows``,
-        passes ``range(order)`` as ``ys``."""
+        passes ``range(order)`` as ``ys`` for the left rows that the
+        monodromy oracle walks on G/H and labels the right cosets <g>y by.
+        The right rows of its other side come from ``right_row``."""
         index, images, compose = self._index, self._images, self._kernel.compose
         xp = self._kernel.pad(images[self._checked(x)])
         return [index[compose(images[y], xp)] for y in ys]
@@ -651,6 +666,29 @@ class PermGroup:
         act = CosetAction(tuple(reps), tuple(coset_of))
         self._coset_actions[H] = act
         return act
+
+    def powers(self, h: int) -> frozenset[int]:
+        """The cyclic subgroup <h> as element indices, so its size is the
+        order of h: closed on first use, with a limit it cannot reach, and
+        cached per element. It reads no class data."""
+        cached = self._powers.get(h)
+        if cached is None:
+            span = self._span([h], self.order + 1)
+            cached = self._powers[h] = frozenset(map(self._index.__getitem__, span))
+        return cached
+
+    def right_row(self, h: int) -> tuple[int, ...]:
+        """Right-multiplication row of element h, ``row[y]`` the index of
+        y*h; built on first use and cached. The monodromy oracle asks for
+        the generator of a cyclic class H only when it walks the right
+        cosets <g>y of some branch element g under H."""
+        cached = self._right_rows.get(h)
+        if cached is None:
+            index, images = self._index, self._images
+            _, pad, compose, _ = self._kernel
+            hi = images[self._checked(h)]
+            cached = self._right_rows[h] = tuple([index[compose(hi, pad(y))] for y in images])
+        return cached
 
     def _profile(self, x) -> tuple[Mapping[int, int], int]:
         """(class profile, order) of a CyclicClass, of the cyclic subgroup

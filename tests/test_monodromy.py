@@ -1,9 +1,21 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from prymdim.errors import NegativeGenus, OddRamificationDegree, SamplingExhausted
+import prymdim
+from prymdim import monodromy
+from prymdim.errors import (
+    NegativeGenus,
+    NotASubgroup,
+    OddRamificationDegree,
+    SamplingExhausted,
+)
 from prymdim.monodromy import (
     SAMPLE_ATTEMPTS,
     BranchTuple,
@@ -16,7 +28,7 @@ from prymdim.permgroup import PermGroup
 from prymdim.rhprym import genus_total, validate
 from prymdim.weyl import weyl_group
 
-from conftest import closure_by_mul, left_row
+from conftest import WEYL_FLEET, closure_by_mul, left_row
 
 
 def test_sample_z2_forced(z2):
@@ -136,6 +148,124 @@ def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
         assert verify_tuple(t).ok
         assert sorted(full) == sorted(set(t.branch_elements))
         monkeypatch.undo()
+
+
+def test_verify_tuple_asks_oracle_genus_once_per_class(monkeypatch, s4):
+    """One oracle_genus call per cyclic class, each with that class's
+    subgroup and generator."""
+    calls = []
+    genus = monodromy.oracle_genus
+
+    def counting(t, subgroup, generator=None):
+        calls.append((tuple(subgroup), generator))
+        return genus(t, subgroup, generator)
+
+    monkeypatch.setattr(monodromy, "oracle_genus", counting)
+    G = weyl_group("F", 4).group
+    for H in (s4, G):
+        calls.clear()
+        assert verify_tuple(sample_tuple(H, 1, 2, random.Random(3))).ok
+        assert calls == [(K.subgroup_elements, K.generator)
+                         for K in H.cyclic_subgroup_classes()]
+
+
+def test_right_rows_are_built_lazily_and_once():
+    """On a fresh W(F4), verify_tuple builds a right row only for the
+    classes 1 < |H| < ord(g) of some branch element g, and a second warm
+    call builds no right row and labels no right cosets."""
+    G = PermGroup(weyl_group("F", 4).group.generators)
+    assert G._right_rows == {}  # none at construction
+    rng = random.Random(12)
+    t = sample_tuple(G, 0, 4, rng)
+    top = max(t.orders.values())
+    assert top > 2  # so some right row is needed
+    assert verify_tuple(t).ok
+    built = dict(G._right_rows)
+    assert set(built) == {K.generator for K in G.cyclic_subgroup_classes()
+                          if 1 < K.subgroup_order < top}
+    labelled = dict(t._right_cosets)
+    assert set(labelled) == {g for g, d in t.orders.items() if d > 2}
+    assert verify_tuple(t).ok
+    assert G._right_rows.keys() == built.keys()
+    assert all(G._right_rows[h] is row for h, row in built.items())
+    assert t._right_cosets == labelled
+
+
+def test_both_sides_agree_on_fleet_tuples():
+    """On sampled tuples of every fleet group of order <= 5000, the genus
+    from the smaller side of each count (given the generator) equals the
+    genus from the left cosets alone, and both sides were walked."""
+    rng = random.Random(41)
+    sides: set[str] = set()
+    seen: set[int] = set()
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        if G.order > 5000 or id(G) in seen:  # B and C share the group instance
+            continue
+        seen.add(id(G))
+        for g, b in ((0, 3), (0, 4), (1, 2), (2, 1)):
+            try:
+                t = sample_tuple(G, g, b, rng)
+            except SamplingExhausted:
+                continue
+            assert t.orders == {x: G.element_order(x) for x in set(t.branch_elements)}
+            for K in G.cyclic_subgroup_classes():
+                assert (oracle_genus(t, K.subgroup_elements, K.generator)
+                        == oracle_genus(t, K.subgroup_elements)), (letter, rank, K.generator)
+                m = K.subgroup_order
+                sides.update("right" if d > m > 1 else "trivial" if d > m else "left"
+                             for d in t.orders.values())
+    assert sides == {"left", "right", "trivial"}
+
+
+def _guard_cases(G):
+    """(subgroup, generator) pairs oracle_genus must refuse on S4: the
+    generator outside the subgroup, of order 2 in the cyclic subgroup of
+    order 4, and the right size and order but a set that is no subgroup."""
+    K = next(K for K in G.cyclic_subgroup_classes() if K.subgroup_order == 4)
+    h, H = K.generator, K.subgroup_elements
+    outside = next(x for x in range(G.order) if x not in H)
+    square = G.mul(h, h)
+    return [(H, outside), (H, square), ((0, h, square, outside), h)]
+
+
+def test_oracle_genus_refuses_a_wrong_generator(s4):
+    t = sample_tuple(s4, 1, 2, random.Random(6))
+    for H, h in _guard_cases(s4):
+        with pytest.raises(NotASubgroup, match=f"element {h} does not generate"):
+            oracle_genus(t, H, h)
+
+
+def test_oracle_genus_guard_survives_python_O():
+    """The generator guard is an explicit raise, so it holds under -O."""
+    snippet = textwrap.dedent(
+        """
+        import random, sys
+        from test_monodromy import _guard_cases
+        from prymdim.errors import NotASubgroup
+        from prymdim.monodromy import oracle_genus, sample_tuple
+        from prymdim.permgroup import group_from_generators, parse_generators
+
+        G = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]))
+        t = sample_tuple(G, 1, 2, random.Random(6))
+        print(sys.flags.optimize)
+        for H, h in _guard_cases(G):
+            try:
+                oracle_genus(t, H, h)
+            except NotASubgroup:
+                print("NotASubgroup")
+        """
+    )
+    paths = [str(Path(prymdim.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"] + ["NotASubgroup"] * 3
 
 
 def test_sample_tuple_needs_no_subgroup_closure(monkeypatch, s4):

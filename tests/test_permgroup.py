@@ -22,6 +22,7 @@ from prymdim.permgroup import (
     parse_generators,
     parse_permutation,
 )
+from prymdim.monodromy import BranchTuple
 from prymdim.weyl import weyl_group
 
 from conftest import SMALL_WEYL, closure_by_mul, left_row
@@ -609,7 +610,8 @@ def test_double_coset_symmetry():
 
 
 def test_double_coset_routes_fleet_under_5000():
-    """Burnside's class count, orbit counting on cosets and the direct
+    """Burnside's class count, the orbits of <a> on the left cosets G/B,
+    the orbits of B = <b> on the right cosets <a>\\G and the direct
     partition of G into AxB sets agree, for every pair of cyclic classes
     in every fleet group of order <= 5000."""
     from conftest import WEYL_FLEET
@@ -622,15 +624,21 @@ def test_double_coset_routes_fleet_under_5000():
         seen.add(id(G))
         cyclic = G.cyclic_subgroup_classes()
         rows = [left_row(G, A.generator) for A in cyclic]
+        # the right cosets of <a> as the oracle labels them, from a's row
+        right = [BranchTuple(G, 0, (), (A.generator,)).right_cosets(A.generator)
+                 for A in cyclic]
         for B in cyclic:
             act = G.coset_action(B.subgroup_elements)
-            for A, row in zip(cyclic, rows):
+            b_row = G.right_row(B.generator)
+            for A, row, a_right in zip(cyclic, rows, right):
                 burnside_route = G.double_coset_count(A, B)
                 orbit_route = act.cycle_count(row)
+                dual_route = a_right.cycle_count(b_row)
                 partition_route = double_cosets_by_partition(
                     G, A.subgroup_elements, B.subgroup_elements
                 )
-                assert burnside_route == orbit_route == partition_route, (letter, rank)
+                assert (burnside_route == orbit_route == dual_route
+                        == partition_route), (letter, rank)
 
 
 def test_trivial_double_coset_is_index():
