@@ -13,9 +13,16 @@ symmetric residue in (-p/2, p/2). ``character_table`` refuses a
 non-rational group up front with NotRationalGroup; the split alone would
 fail to split or fail orthogonality on it and raise LiftFailure.
 
-One GF(p) row reduction, ``_rref``, serves the whole split: it gives
-each eigenvalue's kernel and the reduced basis of each new eigenspace.
-The characteristic polynomials come from a Hessenberg reduction.
+Each splitting step restricts a class matrix M to an eigenspace V found
+so far: on the full space the restriction is M itself, and on a smaller
+space it is read off W = M V, which must lie in V (the invariance
+check). If M is one scalar on V, W = lam V certifies invariance and V
+stays whole with no further work. Otherwise one Hessenberg reduction
+H = T^-1 A T of the restriction A serves the step: its characteristic
+polynomial gives the eigenvalues, and each eigenspace is T times the
+null space of H - lam I, which elimination over a Hessenberg matrix
+finds in O(d^2). ``_rref`` then gives the reduced basis of each new
+eigenspace.
 
 A table is returned only after exact row orthogonality has been
 verified; for a square table that implies column orthogonality, so
@@ -98,28 +105,56 @@ def _dixon_prime(group_order: int) -> int:
     return p
 
 
-def _charpoly_mod(A: list[list[int]], p: int) -> list[int]:
-    """Characteristic polynomial of A over GF(p), coefficients low-to-high."""
+def _hessenberg_mod(
+    A: list[list[int]], p: int
+) -> tuple[list[list[int]], list[tuple[int, int, int]]]:
+    """Upper Hessenberg H = T^-1 A T over GF(p), with T as its operations.
+
+    Each recorded (a, b, f) is one column operation of T: the swap of
+    coordinates a and b when f == 0, else adding f times coordinate b to
+    coordinate a. ``_apply_t`` maps a vector through T, so a null vector
+    of H - lam I becomes one of A - lam I.
+    """
     n = len(A)
-    H = [row[:] for row in A]
-    for j in range(n - 2):  # similarity reduction to upper Hessenberg
-        piv = next((i for i in range(j + 1, n) if H[i][j] % p), None)
+    H = [[v % p for v in row] for row in A]
+    ops: list[tuple[int, int, int]] = []
+    for j in range(n - 2):
+        piv = next((i for i in range(j + 1, n) if H[i][j]), None)
         if piv is None:
             continue
         if piv != j + 1:
+            ops.append((piv, j + 1, 0))
             H[piv], H[j + 1] = H[j + 1], H[piv]
-            for r in range(n):
-                H[r][piv], H[r][j + 1] = H[r][j + 1], H[r][piv]
-        inv = pow(H[j + 1][j], p - 2, p)
-        for i in range(j + 2, n):
-            f = H[i][j] * inv % p
-            if not f:
-                continue
-            Hi, Hj = H[i], H[j + 1]
-            for c in range(n):
-                Hi[c] = (Hi[c] - f * Hj[c]) % p
-            for r in range(n):
-                H[r][j + 1] = (H[r][j + 1] + f * H[r][i]) % p
+            for Hr in H:
+                Hr[piv], Hr[j + 1] = Hr[j + 1], Hr[piv]
+        Hj = H[j + 1]
+        inv = pow(Hj[j], p - 2, p)
+        fs = [H[i][j] * inv % p for i in range(j + 2, n)]
+        if not any(fs):
+            continue
+        for i, f in enumerate(fs, j + 2):  # rows i -= f * row j+1 ...
+            if f:
+                ops.append((i, j + 1, f))
+                H[i] = [(a - f * b) % p for a, b in zip(H[i], Hj)]
+        for Hr in H:  # ... then column j+1 += f * column i, for every i at once
+            Hr[j + 1] = (Hr[j + 1] + sum(map(mul, fs, Hr[j + 2 :]))) % p
+    return H, ops
+
+
+def _apply_t(ops: list[tuple[int, int, int]], v: list[int], p: int) -> list[int]:
+    """T v for the T of ``_hessenberg_mod``, one O(1) update per operation."""
+    for a, b, f in reversed(ops):
+        if f:
+            v[a] = (v[a] + f * v[b]) % p
+        else:
+            v[a], v[b] = v[b], v[a]
+    return v
+
+
+def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
+    """Characteristic polynomial of an upper Hessenberg H over GF(p),
+    coefficients low-to-high."""
+    n = len(H)
     polys: list[list[int]] = [[1]]
     for k in range(1, n + 1):
         a = H[k - 1][k - 1] % p
@@ -160,6 +195,8 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
     pivots: list[int] = []
     for c in range(len(M[0])):
         r = len(pivots)
+        if r == len(M):  # every row holds a pivot: no column after c can
+            break
         piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
             continue
@@ -174,16 +211,40 @@ def _rref(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
     return pivots, M[: len(pivots)]
 
 
-def _kernel_mod(A: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the null space of A over GF(p), one vector per free column."""
-    n = len(A[0])
-    pivots, R = _rref(A, p)
+def _hessenberg_null_space(H: list[list[int]], lam: int, p: int) -> list[list[int]]:
+    """Basis of the null space of H - lam I over GF(p), H upper Hessenberg,
+    one vector per free column.
+
+    Below row c + 1 column c of H is zero, and row operations between rows
+    that hold no earlier pivot keep it so. So forward elimination seeks
+    column c's pivot only in rows r..c + 1, and back-substitution solves
+    for the pivots: O(d^2) on a d x d matrix with one-dimensional
+    eigenspaces, against O(d^3) for a full reduction.
+    """
+    d = len(H)
+    M = [row[:] for row in H]
+    for i, row in enumerate(M):
+        row[i] = (row[i] - lam) % p
+    pivots: list[int] = []
+    for c in range(d):
+        r, last = len(pivots), min(c + 2, d)
+        piv = next((i for i in range(r, last) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = pow(M[r][c], p - 2, p)
+        Mr = M[r] = [v * inv % p for v in M[r]]
+        for i in range(r + 1, last):
+            f = M[i][c]
+            if f:
+                M[i] = [(a - f * b) % p for a, b in zip(M[i], Mr)]
+        pivots.append(c)
     basis = []
-    for c in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[c] = 1
-        for pc, row in zip(pivots, R):
-            v[pc] = -row[c] % p
+    for free in sorted(set(range(d)) - set(pivots)):
+        v = [0] * d
+        v[free] = 1
+        for k in range(len(pivots) - 1, -1, -1):  # v[pivot] is 0 until set here
+            v[pivots[k]] = -sum(map(mul, M[k], v)) % p
         basis.append(v)
     return basis
 
@@ -216,24 +277,30 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
             if d == 1:
                 nxt.append((pivots, basis))
                 continue
-            W = [[sum(map(mul, row, bv)) % p for row in M] for bv in basis]
-            A = [[W[j][pr] for j in range(d)] for pr in pivots]
-            cols = list(zip(*basis))
-            for Wj, a in zip(W, zip(*A)):  # invariance check: a is column j of A
-                if [sum(map(mul, a, col)) % p for col in cols] != Wj:
-                    raise LiftFailure("class-matrix eigenspace is not invariant")
-            roots = _poly_roots_mod(_charpoly_mod(A, p), p)
+            if d == n:  # the full space: its basis is the identity, A is M
+                A = [[v % p for v in row] for row in M]
+            else:
+                W = [[sum(map(mul, row, bv)) % p for row in M] for bv in basis]
+                lam = W[0][pivots[0]]
+                if all(Wj == [lam * v % p for v in bv] for Wj, bv in zip(W, basis)):
+                    nxt.append((pivots, basis))  # M = lam on the space: invariant, no split
+                    continue
+                A = [[W[j][pr] for j in range(d)] for pr in pivots]
+                cols = list(zip(*basis))
+                for Wj, a in zip(W, zip(*A)):  # invariance check: a is column j of A
+                    if [sum(map(mul, a, col)) % p for col in cols] != Wj:
+                        raise LiftFailure("class-matrix eigenspace is not invariant")
+            H, ops = _hessenberg_mod(A, p)
+            roots = _poly_roots_mod(_charpoly_mod(H, p), p)
             if len(roots) <= 1:
                 nxt.append((pivots, basis))
                 continue
             total = 0
             for lam in sorted(roots):
-                B = [[(A[i][j] - (lam if i == j else 0)) % p for j in range(d)] for i in range(d)]
-                kbasis = _kernel_mod(B, p)
-                if not kbasis:
-                    continue
-                newcols = [[sum(map(mul, c, col)) % p for col in cols] for c in kbasis]
-                piv2, bas2 = _rref(newcols, p)
+                kernel = [_apply_t(ops, v, p) for v in _hessenberg_null_space(H, lam, p)]
+                if d != n:
+                    kernel = [[sum(map(mul, c, col)) % p for col in cols] for c in kernel]
+                piv2, bas2 = _rref(kernel, p)
                 total += len(bas2)
                 nxt.append((piv2, bas2))
             if total != d:
@@ -324,11 +391,10 @@ def _verify_orthogonality(order: int, sizes: Sequence[int], table) -> None:
     entry is sum_j deg_j^2 = |G| (Serre, Linear Representations of Finite
     Groups, 2.5).
     """
-    n = len(table)
-    for j in range(n):
-        for j2 in range(j, n):
-            s = sum(sizes[i] * table[j][i] * table[j2][i] for i in range(n))
-            if s != (order if j == j2 else 0):
+    for j, row in enumerate(table):
+        w = list(map(mul, sizes, row))  # |C_i| chi_j(C_i), once per j
+        for j2 in range(j, len(table)):
+            if sum(map(mul, w, table[j2])) != (order if j == j2 else 0):
                 raise LiftFailure("row orthogonality failed")
 
 

@@ -13,11 +13,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import prymdim
+from prymdim import chartable
 from prymdim.chartable import (
     CharacterTable,
+    _apply_t,
+    _central_characters,
     _check_cyclic_profile,
+    _class_matrices,
+    _dixon_prime,
     _dixon_schneider,
-    _kernel_mod,
+    _hessenberg_mod,
+    _hessenberg_null_space,
     _rref,
     _verify_orthogonality,
     character_table,
@@ -294,15 +300,124 @@ def test_rref_spans_the_row_space(case):
     assert _row_space(R or zero, p) == _row_space(rows, p)
 
 
-@given(_matrices_mod_p())
-def test_kernel_mod_is_the_null_space(case):
-    rows, p = case
-    n = len(rows[0])
-    kernel = _kernel_mod(rows, p)
-    assert len(kernel) == n - len(_rref(rows, p)[0])
+@st.composite
+def _eigenproblems_mod_p(draw):
+    """(A, lam, p): a square A of up to 5x5 integers over GF(p), p in
+    {2, 3, 5, 7}, and lam in GF(p); zero entries are drawn often, so
+    Hessenberg columns with no pivot and repeated eigenvalues occur."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    d = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-p, 2 * p))
+    A = [draw(st.lists(entry, min_size=d, max_size=d)) for _ in range(d)]
+    return A, draw(st.integers(0, p - 1)), p
+
+
+@given(_eigenproblems_mod_p())
+def test_hessenberg_null_space_maps_to_the_null_space(case):
+    """T null(H - lam I) is the null space of A - lam I, for H = T^-1 A T."""
+    A, lam, p = case
+    d = len(A)
+    H, ops = _hessenberg_mod(A, p)
+    assert all(H[i][j] == 0 for i in range(d) for j in range(i - 1))
+    rows = [[a - (lam if i == j else 0) for j, a in enumerate(row)] for i, row in enumerate(A)]
+    kernel = [_apply_t(ops, v, p) for v in _hessenberg_null_space(H, lam, p)]
+    assert len(kernel) == d - len(_rref(rows, p)[0])
     assert not kernel or len(_rref(kernel, p)[0]) == len(kernel)  # independent
     for v in kernel:
         assert all(sum(a * b for a, b in zip(row, v)) % p == 0 for row in rows)
+
+
+def _noncommuting_s4_stream(G):
+    """S4's first class matrix, then its second with the rows reversed: a
+    pair that does not commute, so an eigenspace of the first is not
+    invariant under the second."""
+    M1, M2 = itertools.islice(_class_matrices(G, G.conjugacy_classes()), 2)
+    bad = M2[::-1]
+    n = len(M1)
+    prod = lambda X, Y: [[sum(X[i][k] * Y[k][j] for k in range(n)) for j in range(n)]
+                         for i in range(n)]
+    assert prod(M1, bad) != prod(bad, M1)
+    return n, [M1, bad], _dixon_prime(G.order)
+
+
+def test_split_refuses_a_non_invariant_eigenspace(s4):
+    n, mats, p = _noncommuting_s4_stream(s4)
+    with pytest.raises(LiftFailure, match="^class-matrix eigenspace is not invariant$"):
+        _central_characters(n, mats, p)
+
+
+@pytest.mark.parametrize(
+    "mats, message",
+    [
+        # the second matrix is 5 on the first basis vector of the first's
+        # 2-eigenspace span(e1, e2), but sends e2 to e0, outside it
+        (
+            [[[1, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 1], [0, 5, 0], [0, 0, 0]]],
+            "class-matrix eigenspace is not invariant",
+        ),
+        # a Jordan block: eigenvalue 2 twice, with a one-dimensional eigenspace
+        ([[[1, 0, 0], [0, 2, 1], [0, 0, 2]]], "eigenspace dimensions do not add up"),
+    ],
+)
+def test_split_refuses_synthetic_streams(mats, message):
+    with pytest.raises(LiftFailure, match=f"^{message}$"):
+        _central_characters(3, mats, 7)
+
+
+def test_invariance_check_survives_python_O():
+    snippet = textwrap.dedent(
+        """
+        import itertools, sys
+        from prymdim.chartable import _central_characters, _class_matrices, _dixon_prime
+        from prymdim.errors import LiftFailure
+        from prymdim.permgroup import group_from_generators, parse_generators
+
+        G = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]))
+        M1, M2 = itertools.islice(_class_matrices(G, G.conjugacy_classes()), 2)
+        print(sys.flags.optimize)
+        try:
+            _central_characters(len(M1), [M1, M2[::-1]], _dixon_prime(G.order))
+        except LiftFailure as e:
+            print(e)
+        """
+    )
+    src = str(Path(prymdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["1", "class-matrix eigenspace is not invariant"]
+
+
+def test_b5_split_takes_nine_charpolys_from_six_class_matrices(monkeypatch):
+    """W(B5) splits after six class matrices. The full space and the two
+    halves it leaves take one characteristic polynomial each; the third,
+    fourth and fifth matrices are scalar on every space (no polynomial);
+    the sixth splits the six spaces of dimension 5 to 7 that remain."""
+    G = PermGroup(weyl_group("B", 5).group.generators)
+    consumed, polys = 0, 0
+    class_matrices, charpoly = chartable._class_matrices, chartable._charpoly_mod
+
+    def counting_matrices(*args):
+        nonlocal consumed
+        for M in class_matrices(*args):
+            consumed += 1
+            yield M
+
+    def counting_charpoly(H, p):
+        nonlocal polys
+        polys += 1
+        return charpoly(H, p)
+
+    monkeypatch.setattr(chartable, "_class_matrices", counting_matrices)
+    monkeypatch.setattr(chartable, "_charpoly_mod", counting_charpoly)
+    T = _dixon_schneider(G)
+    assert T.n == 36 and T.table[0] == (1,) * 36
+    assert (polys, consumed) == (9, 6)
 
 
 def test_fixed_dim_examples(s3):

@@ -4,7 +4,8 @@ No other test imports them, so a public name they use could be removed
 without any failure. ``fleet_report.py`` is run in full (well under a
 second). ``stage_times.py`` is loaded, so its imports resolve, and its
 warm stages run on W(A1), so the calls they time do too; its cold
-stages and processes are not run.
+stages and processes are not run; each warm stage reports its wall and
+its CPU seconds.
 """
 
 import os
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 import prymdim
-from prymdim import exactla
+from prymdim import chartable, exactla
 from prymdim.weyl import weyl_group
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -53,8 +54,21 @@ def test_stage_times_warm_stages_run_on_a_tiny_group(monkeypatch):
     module["validate"](module["hitchin_preset"](W, 2))  # fill the caches first
     monkeypatch.setattr(exactla, "_forward", counted)
     stages = module["_warm_stages"](W)
-    assert sorted(stages) == sorted([
-        "warm_validate", "quotient_genera", "closed_form", "closed_form_check", "solve",
-    ])
+    names = ["warm_validate", "quotient_genera", "closed_form", "closed_form_check", "solve"]
+    assert sorted(stages) == sorted(names + [f"{k}_cpu" for k in names])
     assert all(v > 0 for v in stages.values())
     assert len(passes) == module["REPEATS"] * module["WARM_CALLS"]
+
+
+def test_stage_times_split_input_and_oracles_run_on_a_small_group():
+    """The `table_split` stage replays the split on the class matrices it
+    consumed, which give the split of the full stream; the `oracle` and
+    `oracle_warm` tuples verify on one group."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    G = weyl_group("B", 3).group
+    n, used, p = module["_split_input"](G)
+    assert 0 < len(used) < n - 1
+    stream = chartable._class_matrices(G, G.conjugacy_classes())
+    assert chartable._central_characters(n, used, p) == chartable._central_characters(n, stream, p)
+    module["_oracle"](G, 0, "B3")
+    module["_oracle"](G, 1, "B3")
