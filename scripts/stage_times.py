@@ -67,15 +67,44 @@ record the revision as dirty):
 
     PYTHONPATH=src python3 scripts/stage_times.py > stages.json
     mv stages.json BENCH_stages.json
+
+Paired mode compares this tree with a git revision REV on chosen cold
+in-process stages (closure through generation above) and groups:
+
+    PYTHONPATH=src python3 scripts/stage_times.py --against HEAD \
+        --stages table,table_split --groups B5,F4 --pairs 7
+
+REV is checked out into a temporary `git worktree`, removed afterwards.
+Each pair runs one fresh process of this script on each tree, the order
+alternating from pair to pair; a process imports its tree's `src` and,
+REPEATS times on each group, runs the cold stages in order up to the
+last one chosen, reporting the best run of each chosen stage. So both
+trees are timed by this script's code, and REV must have the package
+names it imports. The printed object:
+
+    git, against, python,    this tree's revision, REV as given, then
+      machine                as above
+    pairs, repeats           the number of pairs and REPEATS
+    unit                     how the figures are taken
+    groups                   {label: {STAGE: {rev, this, ratio,
+                             rev_cpu, this_cpu, ratio_cpu}}}
+
+where rev and this are the median over the pairs of each tree's wall
+seconds, rev_cpu and this_cpu the same for CPU seconds, and each ratio
+this / rev, so a ratio below 1 means this tree is faster.
 """
 
+import argparse
 import json
 import os
 import platform
 import random
 import resource
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -95,6 +124,11 @@ from prymdim.rhprym import genus_quotient, prym_dim_formula, validate
 from prymdim.weyl import hitchin_preset, weyl_group
 
 GROUPS = [("D", 5), ("F", 4), ("B", 5), ("A", 6), ("A", 7)]
+COLD_STAGES = (
+    "closure", "classes", "table", "table_split", "table_orthogonality",
+    "fixed_dim_matrix", "double_coset_matrix", "coset_actions", "oracle",
+    "oracle_warm", "generation",
+)
 REPEATS = 3
 SEED_SETS = 100
 WARM_CALLS = 200
@@ -203,19 +237,24 @@ def _oracle(G, seed: int, label: str):
         raise RuntimeError(f"{label}: oracle and formula genera differ at {ver.mismatches}")
 
 
-def _stages(W) -> dict[str, float]:
-    gens = W.group.generators
-    rng = random.Random(0)
-    seed_sets = [rng.sample(range(W.group.order), 4) for _ in range(SEED_SETS)]
-    runs: dict[str, list[tuple[float, float]]] = {}
+class _PassDone(Exception):
+    """Raised by a cold pass after the last stage it was asked for."""
+
+
+def _cold_pass(W, seed_sets, last=COLD_STAGES[-1]) -> dict[str, tuple[float, float]]:
+    """{STAGE: (wall, cpu)} for one run of the COLD_STAGES, in order, up to
+    and including ``last``, on a group rebuilt from W's generators."""
+    times = {}
 
     def stage(name, fn):
         wall, cpu, result = _timed(fn)
-        runs.setdefault(name, []).append((wall, cpu))
+        times[name] = (wall, cpu)
+        if name == last:
+            raise _PassDone
         return result
 
-    for _ in range(REPEATS):
-        G = stage("closure", lambda: PermGroup(gens))
+    try:
+        G = stage("closure", lambda: PermGroup(W.group.generators))
         stage("classes", G.conjugacy_classes)
         table = stage("table", lambda: character_table(G)).table
         n, used, p = _split_input(G)
@@ -230,7 +269,21 @@ def _stages(W) -> dict[str, float]:
         stage("oracle", lambda: _oracle(G, 0, W.label))
         stage("oracle_warm", lambda: _oracle(G, 1, W.label))
         stage("generation", lambda: [G.generates(s) for s in seed_sets])
-    best = {k: _best(v) for k, v in runs.items()}
+    except _PassDone:
+        pass
+    return times
+
+
+def _cold_best(W, last=COLD_STAGES[-1]) -> dict[str, tuple[float, float]]:
+    """The best (wall, cpu) of REPEATS cold passes up to ``last``, per stage."""
+    rng = random.Random(0)
+    seed_sets = [rng.sample(range(W.group.order), 4) for _ in range(SEED_SETS)]
+    passes = [_cold_pass(W, seed_sets, last) for _ in range(REPEATS)]
+    return {k: _best(run[k] for run in passes) for k in passes[0]}
+
+
+def _stages(W) -> dict[str, float]:
+    best = _cold_best(W)
     cold = {
         "cli_cold": ("preset", "hitchin", W.letter, str(W.rank)),
         "verify_cold": ("verify", "--weyl", W.label),
@@ -240,7 +293,88 @@ def _stages(W) -> dict[str, float]:
     return {**_pairs(best), **_warm_stages(W)}
 
 
-def main() -> int:
+def _pass_report(labels, stages) -> dict:
+    """{label: {STAGE: [wall, cpu]}}: the chosen stages' best cold runs."""
+    last = max(stages, key=COLD_STAGES.index)
+    report = {}
+    for label in labels:
+        best = _cold_best(weyl_group(label[0], int(label[1:])), last)
+        report[label] = {k: best[k] for k in stages}
+    return report
+
+
+def _paired(rev: str, labels, stages, pairs: int) -> dict:
+    """Medians and ratios of the chosen stages, this tree against REV."""
+    here = Path(prymdim.__file__).resolve().parents[1]
+    tmp = Path(tempfile.mkdtemp(prefix="stage-times-"))
+    tree = tmp / "tree"
+    git = ["git", "-C", str(Path(__file__).resolve().parent)]
+    runs: dict[str, list] = {"rev": [], "this": []}
+    try:
+        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                       check=True)
+        sides = [("rev", tree / "src"), ("this", here)]
+        for i in range(pairs):
+            for side, src in sides if i % 2 == 0 else sides[::-1]:
+                argv = [sys.executable, __file__, "--pass",
+                        "--groups", ",".join(labels), "--stages", ",".join(stages)]
+                done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
+                                      capture_output=True, text=True)
+                if done.returncode != 0:
+                    raise RuntimeError(f"{side} pass exited {done.returncode}:\n{done.stderr}")
+                runs[side].append(json.loads(done.stdout))
+    finally:
+        subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=False)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    def median(side, label, k, i):
+        return statistics.median(run[label][k][i] for run in runs[side])
+
+    groups = {}
+    for label in labels:
+        groups[label] = {}
+        for k in stages:
+            row = {}
+            for suffix, i in (("", 0), ("_cpu", 1)):
+                old = round(median("rev", label, k, i), 6)
+                new = round(median("this", label, k, i), 6)
+                row[f"rev{suffix}"], row[f"this{suffix}"] = old, new
+                row[f"ratio{suffix}"] = round(new / old, 3) if old else None
+            groups[label][k] = row
+    return {
+        "git": _git_revision(),
+        "against": rev,
+        "python": platform.python_version(),
+        "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
+        "pairs": pairs,
+        "repeats": REPEATS,
+        "unit": "s, median over pairs of each tree's best of repeats by wall clock,"
+        " with the CPU s of the same run; ratio = this / rev",
+        "groups": groups,
+    }
+
+
+def _parse(argv):
+    ap = argparse.ArgumentParser(description="Time each cold stage of the pipeline.")
+    ap.add_argument("--against", metavar="REV",
+                    help="compare this tree with git revision REV, in pairs")
+    ap.add_argument("--stages", default=",".join(COLD_STAGES),
+                    help="paired mode: comma-separated cold stages (default: all)")
+    ap.add_argument("--groups", default=",".join(f"{t}{r}" for t, r in GROUPS),
+                    help="paired mode: comma-separated Weyl labels (default: %(default)s)")
+    ap.add_argument("--pairs", type=int, default=5, help="paired mode: number of pairs")
+    ap.add_argument("--pass", dest="one_pass", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    args.stages, args.groups = args.stages.split(","), args.groups.split(",")
+    unknown = sorted(set(args.stages) - set(COLD_STAGES))
+    if unknown:
+        ap.error(f"unknown stages {unknown}; choose from {', '.join(COLD_STAGES)}")
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
+    return args
+
+
+def _full_report() -> dict:
     report = {
         "git": _git_revision(),
         "python": platform.python_version(),
@@ -261,6 +395,17 @@ def main() -> int:
             **_stages(W),
         }
     report["loadavg_end"] = [round(v, 2) for v in os.getloadavg()]
+    return report
+
+
+def main(argv=None) -> int:
+    args = _parse(argv)
+    if args.one_pass:
+        report = _pass_report(args.groups, args.stages)
+    elif args.against:
+        report = _paired(args.against, args.groups, args.stages, args.pairs)
+    else:
+        report = _full_report()
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0

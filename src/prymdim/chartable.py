@@ -16,13 +16,19 @@ fail to split or fail orthogonality on it and raise LiftFailure.
 Each splitting step restricts a class matrix M to an eigenspace V found
 so far: on the full space the restriction is M itself, and on a smaller
 space it is read off W = M V, which must lie in V (the invariance
-check). If M is one scalar on V, W = lam V certifies invariance and V
-stays whole with no further work. Otherwise one Hessenberg reduction
-H = T^-1 A T of the restriction A serves the step: its characteristic
-polynomial gives the eigenvalues, and each eigenspace is T times the
-null space of H - lam I, which elimination over a Hessenberg matrix
-finds in O(d^2). ``_rref`` then gives the reduced basis of each new
-eigenspace.
+check). The class matrices are sparse, so W is formed over M's nonzero
+entries only, listed column by column once per consumed matrix. If M is
+one scalar on V, W = lam V certifies invariance and V stays whole with
+no further work. Otherwise one Hessenberg reduction H = T^-1 A T of the
+restriction A serves the step: the roots of its characteristic
+polynomial are the eigenvalues, and each eigenspace is T times the null
+space of H - lam I, which elimination over a Hessenberg matrix finds in
+O(d^2). The roots are sought outward from 0 and the scan stops at the
+last one, so it seldom tries all of GF(p). Every basis is in reduced
+row echelon form (``_rref``), so a combination of it equals its
+coefficients at the pivot coordinates by construction: the invariance
+check and the re-expansion of each new eigenvector work on the free
+coordinates only.
 
 A table is returned only after exact row orthogonality has been
 verified; for a square table that implies column orthogonality, so
@@ -174,15 +180,43 @@ def _charpoly_mod(H: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _outward(p: int) -> Iterator[int]:
+    """Every residue of GF(p) once, outward from 0: 0, 1, -1, 2, -2, ..."""
+    yield 0
+    for k in range(1, p // 2 + 1):
+        yield k
+        if p - k != k:
+            yield p - k
+
+
 def _poly_roots_mod(poly: list[int], p: int) -> list[int]:
-    roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
+    """The distinct roots in GF(p) of a monic poly (coefficients
+    low-to-high), ascending.
+
+    Candidates come from ``_outward``. Each root is divided out by
+    synthetic division and tried again, so a repeated root leaves with all
+    its multiplicity, and the scan stops once the quotient is a constant:
+    every root has then been found. A class-matrix eigenvalue is an
+    integer of absolute value at most the class size, so the scan usually
+    stops long before it has tried all p residues.
+    """
+    q = [c % p for c in poly]
+    roots: set[int] = set()
+    candidates = _outward(p)
+    x = next(candidates)
+    while len(q) > 1:
+        acc, quot = 0, []
+        for c in reversed(q):  # Horner: quot is the quotient high-to-low, then the remainder
             acc = (acc * x + c) % p
+            quot.append(acc)
         if acc == 0:
-            roots.append(x)
-    return roots
+            roots.add(x)
+            q = quot[-2::-1]
+            continue
+        x = next(candidates, None)
+        if x is None:
+            break
+    return sorted(roots)
 
 
 def _rref(rows: list[list[int]], p: int) -> tuple[list[int], list[list[int]]]:
@@ -264,6 +298,25 @@ def _class_matrices(
         yield M
 
 
+def _columns(M: list[list[int]]) -> list[list[tuple[int, int]]]:
+    """The nonzero entries (s, M[s][t]) of each column t of a square M."""
+    return [[(s, v) for s, v in enumerate(col) if v] for col in zip(*M)]
+
+
+def _image(cols: list[list[tuple[int, int]]], basis: list[list[int]], p: int) -> list[list[int]]:
+    """M b mod p for each b in basis, M given by its ``_columns``: each
+    nonzero b[t] is scattered over the nonzero entries of column t only."""
+    W = []
+    for bv in basis:
+        w = [0] * len(bv)
+        for t, b in enumerate(bv):
+            if b:
+                for s, v in cols[t]:
+                    w[s] += b * v
+        W.append([v % p for v in w])
+    return W
+
+
 def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list[list[int]]:
     """Common eigenvectors of the class matrices M_1, M_2, ... drawn from ``mats``
     until the split is complete, normalized at the identity class."""
@@ -271,6 +324,7 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
         (list(range(n)), [[1 if r == i else 0 for r in range(n)] for i in range(n)])
     ]
     for M in mats:
+        cols = _columns(M)
         nxt: list[tuple[list[int], list[list[int]]]] = []
         for pivots, basis in spaces:
             d = len(basis)
@@ -280,15 +334,17 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
             if d == n:  # the full space: its basis is the identity, A is M
                 A = [[v % p for v in row] for row in M]
             else:
-                W = [[sum(map(mul, row, bv)) % p for row in M] for bv in basis]
+                W = _image(cols, basis, p)
                 lam = W[0][pivots[0]]
                 if all(Wj == [lam * v % p for v in bv] for Wj, bv in zip(W, basis)):
                     nxt.append((pivots, basis))  # M = lam on the space: invariant, no split
                     continue
                 A = [[W[j][pr] for j in range(d)] for pr in pivots]
-                cols = list(zip(*basis))
+                is_pivot = set(pivots)  # sum_i a_i b_i is a_k at the k-th pivot already
+                free = [c for c in range(n) if c not in is_pivot]
+                free_cols = [[bv[c] for bv in basis] for c in free]
                 for Wj, a in zip(W, zip(*A)):  # invariance check: a is column j of A
-                    if [sum(map(mul, a, col)) % p for col in cols] != Wj:
+                    if [sum(map(mul, a, col)) % p for col in free_cols] != [Wj[c] for c in free]:
                         raise LiftFailure("class-matrix eigenspace is not invariant")
             H, ops = _hessenberg_mod(A, p)
             roots = _poly_roots_mod(_charpoly_mod(H, p), p)
@@ -296,10 +352,18 @@ def _central_characters(n: int, mats: Iterable[list[list[int]]], p: int) -> list
                 nxt.append((pivots, basis))
                 continue
             total = 0
-            for lam in sorted(roots):
+            for lam in roots:
                 kernel = [_apply_t(ops, v, p) for v in _hessenberg_null_space(H, lam, p)]
-                if d != n:
-                    kernel = [[sum(map(mul, c, col)) % p for col in cols] for c in kernel]
+                if d != n:  # sum_i c_i b_i: c_k at the k-th pivot, summed at the free ones
+                    full = []
+                    for c in kernel:
+                        v = [0] * n
+                        for pr, ck in zip(pivots, c):
+                            v[pr] = ck
+                        for fc, col in zip(free, free_cols):
+                            v[fc] = sum(map(mul, c, col)) % p
+                        full.append(v)
+                    kernel = full
                 piv2, bas2 = _rref(kernel, p)
                 total += len(bas2)
                 nxt.append((piv2, bas2))

@@ -46,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+class _StoreOnce(argparse.Action):
+    """Store the option's values, refusing a second occurrence: argparse
+    would keep only the last list and silently drop the first."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Each subcommand accepts exactly the options it reads."""
     ap = _Parser(
@@ -65,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             g = p.add_mutually_exclusive_group(required=True)
             g.add_argument("--weyl", metavar="LABEL", help="Weyl group label like A3 or G2")
-            g.add_argument("--generators", nargs="+", metavar="PERM",
+            g.add_argument("--generators", nargs="+", metavar="PERM", action=_StoreOnce,
                            help="cycle strings or image arrays")
         p.add_argument("--format", choices=FORMATS[:2] if name == "verify" else FORMATS,
                        default="text")

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -20,10 +21,13 @@ from prymdim.chartable import (
     _central_characters,
     _check_cyclic_profile,
     _class_matrices,
+    _columns,
     _dixon_prime,
     _dixon_schneider,
     _hessenberg_mod,
     _hessenberg_null_space,
+    _image,
+    _poly_roots_mod,
     _rref,
     _verify_orthogonality,
     character_table,
@@ -31,7 +35,7 @@ from prymdim.chartable import (
 )
 from prymdim.errors import LiftFailure, NotRationalGroup
 from prymdim.permgroup import PermGroup, group_from_generators, parse_generators
-from prymdim.weyl import weyl_group
+from prymdim.weyl import SUPPORTED, weyl_group
 
 from conftest import SMALL_WEYL, left_row
 
@@ -259,6 +263,100 @@ def test_table_builds_only_the_class_matrices_it_uses(monkeypatch):
     monkeypatch.setattr(G, "mul", counting_mul)
     character_table(G)
     assert 0 < calls < G.order
+
+
+def test_fleet_tables_are_pinned():
+    """Every supported type's table, byte for byte."""
+    h = hashlib.sha256()
+    for letter, ranks in sorted(SUPPORTED.items()):
+        for rank in ranks:
+            h.update(repr((letter, rank, character_table(weyl_group(letter, rank).group))).encode())
+    assert h.hexdigest() == "1ca53e9d9ea9cd630c782d9e92d2845374017bbbfdac7411419203892d0fc7a2"
+
+
+def _poly_times(poly, factor, p):
+    """poly * factor over GF(p), both low-to-high."""
+    out = [0] * (len(poly) + len(factor) - 1)
+    for i, a in enumerate(poly):
+        for j, b in enumerate(factor):
+            out[i + j] = (out[i + j] + a * b) % p
+    return out
+
+
+def _scanned_roots(poly, p):
+    """The roots of poly by evaluating it at every residue of GF(p)."""
+    def value(x):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % p
+        return acc
+
+    return [x for x in range(p) if value(x) == 0]
+
+
+@st.composite
+def _monic_polys_mod_p(draw):
+    """(poly, p): a product of up to 8 linear factors X - r over GF(p),
+    roots repeated often, times an optional monic quadratic with no root."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 409]))
+    pool = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3))
+    poly = [1]
+    for r in draw(st.lists(st.sampled_from(pool), max_size=8)):
+        poly = _poly_times(poly, [-r % p, 1], p)
+    a = draw(st.integers(0, p - 1))
+    rootless = [b for b in range(p) if not _scanned_roots([b, a, 1], p)]
+    if rootless and draw(st.booleans()):
+        poly = _poly_times(poly, [draw(st.sampled_from(rootless)), a, 1], p)
+    return poly, p
+
+
+@given(_monic_polys_mod_p())
+def test_root_scan_finds_every_root(case):
+    poly, p = case
+    assert _poly_roots_mod(poly, p) == _scanned_roots(poly, p)
+
+
+def test_root_scan_stops_at_the_last_root(monkeypatch):
+    """(X - 1)^2 (X + 1) = X^3 - X^2 - X + 1: 1 divides out twice, then
+    -1 leaves a constant, so no candidate past -1 is tried."""
+    outward, tried = chartable._outward, []
+
+    def recorded(p):
+        for x in outward(p):
+            tried.append(x)
+            yield x
+
+    monkeypatch.setattr(chartable, "_outward", recorded)
+    assert _poly_roots_mod([1, -1, -1, 1], 409) == [1, 408]
+    assert tried == [0, 1, 408]
+
+
+@st.composite
+def _products_mod_p(draw):
+    """(M, basis, p): a square nonnegative M of up to 6x6, mostly zeros,
+    with entries past p, and the RREF basis of a random row set mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 127]))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, 3 * p))
+    M = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n))
+    return M, _rref(rows, p)[1], p
+
+
+@given(_products_mod_p())
+def test_sparse_image_matches_the_dense_product(case):
+    M, basis, p = case
+    dense = [[sum(a * b for a, b in zip(row, bv)) % p for row in M] for bv in basis]
+    assert _image(_columns(M), basis, p) == dense
+
+
+def test_split_refuses_a_defect_in_a_free_coordinate():
+    """The first matrix is 2 on span((1, 0, 1), (0, 1, 0)), pivots 0 and 1.
+    The second sends (1, 0, 1) to (1, 0, 0) and (0, 1, 0) to (0, 3, 0):
+    right at both pivots, so the only defect is at free coordinate 2."""
+    mats = [[[2, 0, 0], [0, 2, 0], [1, 0, 1]], [[1, 0, 0], [0, 3, 0], [0, 0, 0]]]
+    with pytest.raises(LiftFailure, match="^class-matrix eigenspace is not invariant$"):
+        _central_characters(3, mats, 7)
 
 
 @st.composite

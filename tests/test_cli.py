@@ -473,6 +473,17 @@ def test_rejected_argv_is_input_error(capsys, s3_file, argv, named):
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["chartable", "group-info", "verify"])
+def test_repeated_generators_flag_is_refused(capsys, command):
+    """argparse keeps only the last list of a repeated nargs option; taking
+    it would silently drop the first list's generators."""
+    argv = [command, "--generators", "(0 1 2 3 4 5 6 7)", "--generators", "(0 1)"]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: prymdim {command}: argument --generators: given more than once\n"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["preset", "markman", "--help"])

@@ -5,14 +5,19 @@ without any failure. ``fleet_report.py`` is run in full (well under a
 second). ``stage_times.py`` is loaded, so its imports resolve, and its
 warm stages run on W(A1), so the calls they time do too; its cold
 stages and processes are not run; each warm stage reports its wall and
-its CPU seconds.
+its CPU seconds. Its paired mode runs against HEAD on two stages of
+W(B3), in a temporary git worktree that it removes.
 """
 
+import json
 import os
 import runpy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import prymdim
 from prymdim import chartable, exactla
@@ -72,3 +77,34 @@ def test_stage_times_split_input_and_oracles_run_on_a_small_group():
     assert chartable._central_characters(n, used, p) == chartable._central_characters(n, stream, p)
     module["_oracle"](G, 0, "B3")
     module["_oracle"](G, 1, "B3")
+
+
+def _worktrees():
+    done = subprocess.run(["git", "-C", str(_ROOT), "worktree", "list", "--porcelain"],
+                          capture_output=True, text=True)
+    return done.stdout if done.returncode == 0 else None
+
+
+@pytest.mark.skipif(shutil.which("git") is None or _worktrees() is None,
+                    reason="paired mode needs a git work tree")
+def test_stage_times_pairs_against_head_and_removes_its_worktree():
+    before = _worktrees()
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "stage_times.py"), "--against", "HEAD",
+         "--stages", "classes,table_split", "--groups", "B3", "--pairs", "2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["against"], report["pairs"]) == ("HEAD", 2)
+    assert sorted(report["groups"]) == ["B3"]
+    rows = report["groups"]["B3"]
+    assert sorted(rows) == ["classes", "table_split"]
+    for row in rows.values():
+        assert sorted(row) == sorted(["rev", "this", "ratio", "rev_cpu", "this_cpu", "ratio_cpu"])
+        assert all(v > 0 for v in row.values())
+        assert row["ratio"] == round(row["this"] / row["rev"], 3)
+    assert _worktrees() == before
