@@ -69,22 +69,23 @@ record the revision as dirty):
     mv stages.json BENCH_stages.json
 
 Paired mode compares this tree with a git revision REV on chosen cold
-in-process stages (closure through generation above) and groups:
+in-process stages (closure through generation above), on the five groups:
 
     PYTHONPATH=src python3 scripts/stage_times.py --against HEAD \
-        --stages table,table_split --groups B5,F4 --pairs 7
+        --stages table,table_split
 
 REV is checked out into a temporary `git worktree`, removed afterwards.
-Each pair runs one fresh process of this script on each tree, the order
-alternating from pair to pair; a process imports its tree's `src` and,
-REPEATS times on each group, runs the cold stages in order up to the
-last one chosen, reporting the best run of each chosen stage. So both
-trees are timed by this script's code, and REV must have the package
-names it imports. The printed object:
+Each of PAIRS pairs runs one fresh process of this script on each tree,
+the order alternating from pair to pair; a process imports its tree's
+`src` and, REPEATS times on each group, runs the cold stages in order up
+to the last one chosen, reporting the best run of each chosen stage. So
+both trees are timed by this script's code, and REV must have the
+package names it imports. `--stages` (default: every cold in-process
+stage) is refused without `--against`. The printed object:
 
     git, against, python,    this tree's revision, REV as given, then
       machine                as above
-    pairs, repeats           the number of pairs and REPEATS
+    pairs, repeats           PAIRS and REPEATS
     unit                     how the figures are taken
     groups                   {label: {STAGE: {rev, this, ratio,
                              rev_cpu, this_cpu, ratio_cpu}}}
@@ -130,6 +131,7 @@ COLD_STAGES = (
     "oracle_warm", "generation",
 )
 REPEATS = 3
+PAIRS = 10
 SEED_SETS = 100
 WARM_CALLS = 200
 
@@ -293,17 +295,18 @@ def _stages(W) -> dict[str, float]:
     return {**_pairs(best), **_warm_stages(W)}
 
 
-def _pass_report(labels, stages) -> dict:
+def _pass_report(stages) -> dict:
     """{label: {STAGE: [wall, cpu]}}: the chosen stages' best cold runs."""
     last = max(stages, key=COLD_STAGES.index)
     report = {}
-    for label in labels:
-        best = _cold_best(weyl_group(label[0], int(label[1:])), last)
-        report[label] = {k: best[k] for k in stages}
+    for letter, rank in GROUPS:
+        W = weyl_group(letter, rank)
+        best = _cold_best(W, last)
+        report[W.label] = {k: best[k] for k in stages}
     return report
 
 
-def _paired(rev: str, labels, stages, pairs: int) -> dict:
+def _paired(rev: str, stages) -> dict:
     """Medians and ratios of the chosen stages, this tree against REV."""
     here = Path(prymdim.__file__).resolve().parents[1]
     tmp = Path(tempfile.mkdtemp(prefix="stage-times-"))
@@ -314,10 +317,9 @@ def _paired(rev: str, labels, stages, pairs: int) -> dict:
         subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), rev],
                        check=True)
         sides = [("rev", tree / "src"), ("this", here)]
-        for i in range(pairs):
+        for i in range(PAIRS):
             for side, src in sides if i % 2 == 0 else sides[::-1]:
-                argv = [sys.executable, __file__, "--pass",
-                        "--groups", ",".join(labels), "--stages", ",".join(stages)]
+                argv = [sys.executable, __file__, "--pass", "--stages", ",".join(stages)]
                 done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
                                       capture_output=True, text=True)
                 if done.returncode != 0:
@@ -331,7 +333,7 @@ def _paired(rev: str, labels, stages, pairs: int) -> dict:
         return statistics.median(run[label][k][i] for run in runs[side])
 
     groups = {}
-    for label in labels:
+    for label in runs["this"][0]:
         groups[label] = {}
         for k in stages:
             row = {}
@@ -346,7 +348,7 @@ def _paired(rev: str, labels, stages, pairs: int) -> dict:
         "against": rev,
         "python": platform.python_version(),
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
-        "pairs": pairs,
+        "pairs": PAIRS,
         "repeats": REPEATS,
         "unit": "s, median over pairs of each tree's best of repeats by wall clock,"
         " with the CPU s of the same run; ratio = this / rev",
@@ -358,19 +360,19 @@ def _parse(argv):
     ap = argparse.ArgumentParser(description="Time each cold stage of the pipeline.")
     ap.add_argument("--against", metavar="REV",
                     help="compare this tree with git revision REV, in pairs")
-    ap.add_argument("--stages", default=",".join(COLD_STAGES),
+    ap.add_argument("--stages",
                     help="paired mode: comma-separated cold stages (default: all)")
-    ap.add_argument("--groups", default=",".join(f"{t}{r}" for t, r in GROUPS),
-                    help="paired mode: comma-separated Weyl labels (default: %(default)s)")
-    ap.add_argument("--pairs", type=int, default=5, help="paired mode: number of pairs")
     ap.add_argument("--pass", dest="one_pass", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    args.stages, args.groups = args.stages.split(","), args.groups.split(",")
+    if args.stages is None:
+        args.stages = list(COLD_STAGES)
+    elif not (args.against or args.one_pass):
+        ap.error("--stages applies only with --against")
+    else:
+        args.stages = args.stages.split(",")
     unknown = sorted(set(args.stages) - set(COLD_STAGES))
     if unknown:
         ap.error(f"unknown stages {unknown}; choose from {', '.join(COLD_STAGES)}")
-    if args.pairs < 1:
-        ap.error("--pairs must be at least 1")
     return args
 
 
@@ -401,9 +403,9 @@ def _full_report() -> dict:
 def main(argv=None) -> int:
     args = _parse(argv)
     if args.one_pass:
-        report = _pass_report(args.groups, args.stages)
+        report = _pass_report(args.stages)
     elif args.against:
-        report = _paired(args.against, args.groups, args.stages, args.pairs)
+        report = _paired(args.against, args.stages)
     else:
         report = _full_report()
     json.dump(report, sys.stdout, indent=2)

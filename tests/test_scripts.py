@@ -5,8 +5,9 @@ without any failure. ``fleet_report.py`` is run in full (well under a
 second). ``stage_times.py`` is loaded, so its imports resolve, and its
 warm stages run on W(A1), so the calls they time do too; its cold
 stages and processes are not run; each warm stage reports its wall and
-its CPU seconds. Its paired mode runs against HEAD on two stages of
-W(B3), in a temporary git worktree that it removes.
+its CPU seconds. Its paired mode runs against HEAD on the closure stage
+of its five groups, in a temporary git worktree that it removes, and
+refuses `--stages` without `--against`.
 """
 
 import json
@@ -85,26 +86,48 @@ def _worktrees():
     return done.stdout if done.returncode == 0 else None
 
 
+def _remove_new_worktrees(before):
+    """Remove every worktree not listed in ``before``: a killed script never
+    reaches its own clean-up."""
+    for line in _worktrees().splitlines():
+        if line.startswith("worktree ") and line not in before.splitlines():
+            subprocess.run(["git", "-C", str(_ROOT), "worktree", "remove", "--force",
+                            line.removeprefix("worktree ")], capture_output=True)
+    subprocess.run(["git", "-C", str(_ROOT), "worktree", "prune"], capture_output=True)
+
+
 @pytest.mark.skipif(shutil.which("git") is None or _worktrees() is None,
                     reason="paired mode needs a git work tree")
 def test_stage_times_pairs_against_head_and_removes_its_worktree():
     before = _worktrees()
-    proc = subprocess.run(
-        [sys.executable, str(_ROOT / "scripts" / "stage_times.py"), "--against", "HEAD",
-         "--stages", "classes,table_split", "--groups", "B3", "--pairs", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": _SRC},
-        timeout=300,
-    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(_ROOT / "scripts" / "stage_times.py"), "--against", "HEAD",
+             "--stages", "closure"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": _SRC},
+            timeout=300,
+        )
+        after = _worktrees()
+    finally:
+        _remove_new_worktrees(before)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert (report["against"], report["pairs"]) == ("HEAD", 2)
-    assert sorted(report["groups"]) == ["B3"]
-    rows = report["groups"]["B3"]
-    assert sorted(rows) == ["classes", "table_split"]
-    for row in rows.values():
+    assert (report["against"], report["pairs"]) == ("HEAD", 10)
+    assert list(report["groups"]) == ["D5", "F4", "B5", "A6", "A7"]
+    for rows in report["groups"].values():
+        assert list(rows) == ["closure"]
+        row = rows["closure"]
         assert sorted(row) == sorted(["rev", "this", "ratio", "rev_cpu", "this_cpu", "ratio_cpu"])
         assert all(v > 0 for v in row.values())
         assert row["ratio"] == round(row["this"] / row["rev"], 3)
-    assert _worktrees() == before
+    assert after == before
+
+
+def test_stage_times_refuses_stages_without_against(capsys):
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    with pytest.raises(SystemExit) as exit_info:
+        module["main"](["--stages", "table"])
+    assert exit_info.value.code == 2
+    assert "--stages applies only with --against" in capsys.readouterr().err
