@@ -12,32 +12,33 @@ matrix with its determinant, the double-coset matrix, the coset action
 of every cyclic subgroup, the monodromy oracle on those built actions
 (`oracle`: `monodromy.sample_tuple` of a genus-1 tuple with two branch
 points, then `verify_tuple`, on the fresh group, so it pays for the
-rows its walks build once per group), a second seeded tuple on the same
-group (`oracle_warm`), the generation test (`PermGroup.generates` on
-100 seeded sets of 4 random elements, the question
-`BranchTuple.is_valid` asks), and, on a warm hitchin genus-2 spec, one
-`rhprym.validate`, all n quotient genera (`genus_quotient`), the closed
-form for every irrep (`prym_dim_formula`), one `exactla.solve` of the
-fixed-dim system on the spec's quotient genera with those dimensions,
-doubled over d = 2, as its candidate (`closed_form_check`, the one
-product A (2x) == 2 genera by which `validate` accepts the closed form)
-and one `exactla.solve` without a candidate (`solve`, the one
-elimination of the reference route, which `validate` takes only when
-that check fails). Every repetition of the cold stages rebuilds the
-group from `W.group.generators`, so each of them starts cold. Those are
-the generators `weyl_group` closed the group from: the pair
-{Coxeter element, s_(r-2)} where it generates W (all types here but
-F4), else the simple reflections. A warm stage takes well under a
-millisecond, so one call would be mostly timer noise: its figure is the
-mean of WARM_CALLS back-to-back calls, best of REPEATS. The `cli_cold`
-stage is one fresh `python -m prymdim preset hitchin <type> <rank>
---format json` process on the same source tree, interpreter start and
-imports included, and the `verify_cold` stage one fresh `python -m
-prymdim verify --weyl <label> --format json` process, the whole
-invariant suite with the monodromy oracle. Beside the groups, the
-top-level `cli_import` stage is the best of REPEATS fresh
-`python -c "import prymdim.cli"` processes: interpreter start and the
-CLI's imports, with no group built.
+rows its walks build once per group, the Schreier tree that its
+left-multiplication rows are read off included), a second seeded tuple
+on the same group (`oracle_warm`), the generation test
+(`PermGroup.generates` on 100 seeded sets of 4 random elements, the
+question `BranchTuple.is_valid` asks), and, on a warm hitchin genus-2
+spec, one `rhprym.validate`, all n quotient genera (`genus_quotient`),
+the closed form for every irrep (`prym_dim_formula`), one
+`exactla.solve` of the fixed-dim system on the spec's quotient genera
+with those dimensions, doubled over d = 2, as its candidate
+(`closed_form_check`, the one product A (2x) == 2 genera by which
+`validate` accepts the closed form) and one `exactla.solve` without a
+candidate (`solve`, the one elimination of the reference route, which
+`validate` takes only when that check fails). Every repetition of the
+cold stages rebuilds the group from `W.group.generators`, so each of
+them starts cold. Those are the generators `weyl_group` closed the
+group from: the pair {Coxeter element, s_(r-2)} where it generates W
+(all types here but F4), else the simple reflections. A warm stage
+takes well under a millisecond, so one call would be mostly timer
+noise: its figure is the mean of WARM_CALLS back-to-back calls, best of
+REPEATS. The `cli_cold` stage is one fresh `python -m prymdim preset
+hitchin <type> <rank> --format json` process on the same source tree,
+interpreter start and imports included, and the `verify_cold` stage one
+fresh `python -m prymdim verify --weyl <label> --format json` process,
+the whole invariant suite with the monodromy oracle. Beside the groups,
+the top-level `cli_import` stage is the best of REPEATS fresh `python
+-c "import prymdim.cli"` processes: interpreter start and the CLI's
+imports, with no group built.
 
 Schema of the printed object:
 

@@ -47,12 +47,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _StoreOnce(argparse.Action):
-    """Store the option's values, refusing a second occurrence: argparse
-    would keep only the last list and silently drop the first."""
+    """Store the option's value, refusing a second occurrence: argparse
+    would keep only the last one and silently drop the first. The options
+    given are tracked on the namespace, so an option with a default is
+    refused too."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is not None:
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
             raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
         setattr(namespace, self.dest, values)
 
 
@@ -74,18 +78,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("specfile", help="JSON cover spec (see README for the schema)")
         else:
             g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--weyl", metavar="LABEL", help="Weyl group label like A3 or G2")
+            g.add_argument("--weyl", metavar="LABEL", action=_StoreOnce,
+                           help="Weyl group label like A3 or G2")
             g.add_argument("--generators", nargs="+", metavar="PERM", action=_StoreOnce,
                            help="cycle strings or image arrays")
         p.add_argument("--format", choices=FORMATS[:2] if name == "verify" else FORMATS,
-                       default="text")
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       default="text", action=_StoreOnce)
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP, action=_StoreOnce,
                        help="largest group order accepted, for Weyl labels and generators")
         if name == "verify":
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--specs", type=int, default=25,
+            p.add_argument("--seed", type=int, default=0, action=_StoreOnce)
+            p.add_argument("--specs", type=int, default=25, action=_StoreOnce,
                            help="sampled cover specs for the two-route check")
-            p.add_argument("--tuples", type=int, default=50,
+            p.add_argument("--tuples", type=int, default=50, action=_StoreOnce,
                            help="sampled branch tuples for the oracle check")
 
     p = sub.add_parser("preset", help="run a named integrable-system preset")
@@ -95,11 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("type", help="Weyl type letter A/B/C/D/G/F")
         p.add_argument("rank", type=int)
         if kind != "toda":
-            p.add_argument("--genus", type=int, default=2, help="base genus")
+            p.add_argument("--genus", type=int, default=2, action=_StoreOnce,
+                           help="base genus")
         if kind == "markman":
-            p.add_argument("--degD", dest="deg_d", type=int, default=1, help="twist degree")
-        p.add_argument("--format", choices=FORMATS, default="text")
+            p.add_argument("--degD", dest="deg_d", type=int, default=1, action=_StoreOnce,
+                           help="twist degree")
+        p.add_argument("--format", choices=FORMATS, default="text", action=_StoreOnce)
         p.add_argument("--reflection-split", choices=("long", "short", "even"), default="long",
+                       action=_StoreOnce,
                        help="where non-simply-laced presets place reflection branch points")
     return ap
 

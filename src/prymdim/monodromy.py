@@ -15,10 +15,12 @@ the |G|/ord(g) right cosets <g>y. Given a generator h of H,
 right-multiplication row (y -> y*h, ``PermGroup.right_row``), and the
 left cosets otherwise; for the trivial H the count is the number of
 right cosets, with no walk. Each distinct branch element's
-left-multiplication row is built once per tuple and read by every left
-walk, and, the first time some class needs it, labelled into the right
-cosets of <g>, its cycles. Right rows are built per group, once per
-generator asked for, and only when a right walk needs one.
+left-multiplication row (``PermGroup.left_row``) is built once per tuple,
+by |G| list lookups along the group's Schreier tree with no composition,
+and read by every left walk, and, the first time some class needs it,
+labelled into the right cosets of <g>, its cycles. The tree is built
+once per group; right rows are built per group, once per generator
+asked for, and only when a right walk needs one.
 """
 
 from __future__ import annotations
@@ -52,9 +54,10 @@ class BranchTuple(_Record):
     @cached_property
     def rows(self) -> dict[int, list[int]]:
         """Left-multiplication row of each distinct branch element g:
-        ``rows[g][y]`` is the index of g*y."""
+        ``rows[g][y]`` is the index of g*y, from ``PermGroup.left_row``
+        (list lookups along the group's Schreier tree)."""
         G = self.group
-        return {g: G.products(g, range(G.order)) for g in set(self.branch_elements)}
+        return {g: G.left_row(g) for g in set(self.branch_elements)}
 
     @cached_property
     def orders(self) -> dict[int, int]:

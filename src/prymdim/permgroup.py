@@ -38,10 +38,13 @@ stores only the coset of each element; an element acts on it through a
 row of element indices, so counting orbits is list indexing with no
 composition. The monodromy oracle counts #(<g>\\G/H) on the smaller
 side: the orbits of <g> on the left cosets xH under g's
-left-multiplication row (row[y] is the index of g*y), one row for every
-H, or the orbits of H = <h> on the right cosets <g>y under h's
+left-multiplication row (``left_row``, row[y] the index of g*y), one row
+for every H, or the orbits of H = <h> on the right cosets <g>y under h's
 right-multiplication row (``right_row``, row[y] the index of y*h), one
-row per generator, built only when asked for.
+row per generator, built only when asked for. A left row takes no
+composition: it is read off a breadth-first Schreier tree of G, built
+once per group from the right rows of the generators, since x*(y*s) =
+(x*y)*s along each tree edge y -> y*s.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -49,8 +52,8 @@ Double cosets are counted from class data alone, by Burnside's lemma,
 where pA[c] is the number of elements of A in class c. Every quantity is
 exact and reproducible across runs.
 
-``mul``, ``inv``, ``class_of``, ``element_order`` and the first argument
-of ``products`` check an element index by the same rule as ``_span``.
+``mul``, ``inv``, ``class_of``, ``element_order`` and ``left_row`` check
+an element index by the same rule as ``_span``.
 The records here are ``typing.NamedTuple``s (copy one with ``_replace``,
 not ``dataclasses.replace``), except ``Permutation``, which validates its
 images on the ``_Record`` base.
@@ -279,7 +282,7 @@ class CosetAction(NamedTuple):
     walks both sides of a double-coset count #(<g>\\G/H) with it:
     - the left cosets xH (``PermGroup.coset_action``) under g's
       left-multiplication row, ``row[y]`` the index of g*y
-      (``PermGroup.products(g, range(order))``), and
+      (``PermGroup.left_row``, read off the group's Schreier tree), and
     - the right cosets <g>y (``BranchTuple.right_cosets``) under the
       right-multiplication row of a generator h of H, ``row[y]`` the index
       of y*h (``PermGroup.right_row``).
@@ -435,6 +438,7 @@ class PermGroup:
         # the monodromy oracle's per-generator caches, filled on first use
         self._powers: dict[int, frozenset[int]] = {}
         self._right_rows: dict[int, tuple[int, ...]] = {}
+        self._tree: list[tuple[int, int, list[int]]] | None = None
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
 
     # -- element arithmetic -------------------------------------------------
@@ -445,15 +449,48 @@ class PermGroup:
         a = images[self._checked(i)]
         return self._index[k.compose(images[self._checked(j)], k.pad(a))]
 
-    def products(self, x: int, ys: Iterable[int]) -> list[int]:
-        """Indices of x*y for each y in ``ys``, padding x once. Only x is
-        checked against 0..|G|-1: the one caller, ``BranchTuple.rows``,
-        passes ``range(order)`` as ``ys`` for the left rows that the
-        monodromy oracle walks on G/H and labels the right cosets <g>y by.
-        The right rows of its other side come from ``right_row``."""
-        index, images, compose = self._index, self._images, self._kernel.compose
-        xp = self._kernel.pad(images[self._checked(x)])
-        return [index[compose(images[y], xp)] for y in ys]
+    def left_row(self, x: int) -> list[int]:
+        """Left-multiplication row of element x, ``row[y]`` the index of
+        x*y, with no composition: row[0] = x, and x*(y*s) = (x*y)*s along
+        each edge (y, y*s, r) of the Schreier tree, r the right row of the
+        generator s. The monodromy oracle walks these rows on G/H and
+        labels the right cosets <g>y by them."""
+        row = [0] * self.order
+        row[0] = self._checked(x)
+        for y, z, r in self._schreier_tree():
+            row[z] = r[row[y]]
+        return row
+
+    def _schreier_tree(self) -> list[tuple[int, int, list[int]]]:
+        """Breadth-first spanning tree of G from the identity, grown by
+        right multiplication by each distinct generator (Seress,
+        *Permutation Group Algorithms*, 4.1): one edge (y, z, r) with z =
+        y*s and r the right row of s for every element but the identity.
+        Built on first use, once per group; the generators' right rows are
+        built by composition and kept in the tree only. A tree that misses
+        an element raises AssertionError."""
+        if self._tree is None:
+            index, images = self._index, self._images
+            _, pad, compose, _ = self._kernel
+            one = self.identity_index
+            rights = [[index[compose(images[s], pad(y))] for y in images]
+                      for s in sorted(set(self.generator_indices))]
+            seen = [False] * self.order
+            seen[one] = True
+            reached, tree = [one], []
+            for y in reached:
+                for r in rights:
+                    z = r[y]
+                    if not seen[z]:
+                        seen[z] = True
+                        reached.append(z)
+                        tree.append((y, z, r))
+            if len(reached) != self.order:
+                raise AssertionError(
+                    f"the Schreier tree reaches {len(reached)} of {self.order} elements"
+                )
+            self._tree = tree
+        return self._tree
 
     def inv(self, i: int) -> int:
         """Index of the inverse of element i, computed on demand."""

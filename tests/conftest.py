@@ -27,7 +27,7 @@ SMALL_WEYL = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 3), ("D", 4), ("G", 
 
 def left_row(G, x):
     """Left-multiplication row of element x: entry y is the index of x*y."""
-    return G.products(x, range(G.order))
+    return G.left_row(x)
 
 
 def closure_by_mul(G, seeds):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prymdim import rhprym, weyl
-from prymdim.cli import FORMATS, main
+from prymdim.cli import FORMATS, build_parser, main
 from prymdim.permgroup import MAX_DEGREE, Permutation
 
 
@@ -482,6 +482,44 @@ def test_repeated_generators_flag_is_refused(capsys, command):
     assert code == 1
     assert out == ""
     assert err == f"error: prymdim {command}: argument --generators: given more than once\n"
+
+
+# (subcommand, its other arguments, flag, two values) for every single-valued
+# option; the first value is never the option's default
+_ONCE_OPTIONS = [
+    ("dims", ["SPEC"], "--format", "json", "tsv"),
+    ("dims", ["SPEC"], "--cap", "10", "20"),
+    *[(command, [] if flag == "--weyl" else ["--weyl", "A2"], flag, a, b)
+      for command in ("chartable", "group-info", "verify")
+      for flag, a, b in (("--weyl", "A2", "B3"), ("--format", "json", "text"),
+                         ("--cap", "10", "20"))],
+    *[("verify", ["--weyl", "A2"], flag, "1", "2") for flag in ("--seed", "--specs", "--tuples")],
+    *[(f"preset {kind}", ["A", "2"], flag, a, b)
+      for kind in ("toda", "hitchin", "markman")
+      for flag, a, b in (("--format", "json", "tsv"), ("--reflection-split", "short", "long"))],
+    *[(f"preset {kind}", ["A", "2"], "--genus", "3", "2") for kind in ("hitchin", "markman")],
+    ("preset markman", ["A", "2"], "--degD", "2", "1"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, rest, flag, first, second", _ONCE_OPTIONS,
+    ids=[f"{command} {flag}" for command, _, flag, _, _ in _ONCE_OPTIONS],
+)
+def test_repeated_single_valued_option_is_refused(capsys, s3_file, command, rest, flag,
+                                                  first, second):
+    """argparse keeps the last value of a repeated option, so
+    ``group-info --weyl A2 --weyl B3`` used to report W(B3); every
+    single-valued option is refused the second time, defaults or not,
+    and taken the first time."""
+    rest = [s3_file if a == "SPEC" else a for a in rest]
+    once = build_parser().parse_args([*command.split(), *rest, flag, first])
+    dest = "deg_d" if flag == "--degD" else flag[2:].replace("-", "_")
+    assert str(getattr(once, dest)) == first
+    code, out, err = run(capsys, [*command.split(), *rest, flag, first, flag, second])
+    assert code == 1
+    assert out == ""
+    assert err == f"error: prymdim {command}: argument {flag}: given more than once\n"
 
 
 def test_help_exits_zero(capsys):

@@ -135,15 +135,14 @@ def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
     branch element and reuses it for every quotient and every later call."""
     for G, t in ((z2, sample_tuple(z2, 0, 4, random.Random(1))),
                  (s4, sample_tuple(s4, 1, 3, random.Random(8)))):
-        products = G.products
+        left_row = G.left_row
         full: list[int] = []
 
-        def counting(x, ys):
-            if len(ys) == G.order:
-                full.append(x)
-            return products(x, ys)
+        def counting(x):
+            full.append(x)
+            return left_row(x)
 
-        monkeypatch.setattr(G, "products", counting)
+        monkeypatch.setattr(G, "left_row", counting)
         assert verify_tuple(t).ok
         assert verify_tuple(t).ok
         assert sorted(full) == sorted(set(t.branch_elements))

@@ -1,6 +1,11 @@
 import ast
+import copy
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -18,14 +23,15 @@ from prymdim.errors import (
 import prymdim.permgroup
 from prymdim.permgroup import (
     Permutation,
+    PermGroup,
     group_from_generators,
     parse_generators,
     parse_permutation,
 )
-from prymdim.monodromy import BranchTuple
+from prymdim.monodromy import BranchTuple, sample_tuple, verify_tuple
 from prymdim.weyl import weyl_group
 
-from conftest import SMALL_WEYL, closure_by_mul, left_row
+from conftest import SMALL_WEYL, WEYL_FLEET, closure_by_mul, left_row
 
 
 # -- parsing / printing ---------------------------------------------------------
@@ -394,6 +400,126 @@ def test_cycle_count_row_matches_mul(s4):
                 assert act.cycle_count(rows[x]) == cycle_count_of(coset_permutation(G, act, x))
 
 
+# -- left-multiplication rows from the Schreier tree ------------------------------
+
+
+def _row_by_mul(G, x):
+    return [G.mul(x, y) for y in range(G.order)]
+
+
+def test_left_row_matches_mul(s4):
+    """``left_row(x)`` is the G.mul row of x for every x of S4 and W(B3),
+    and for 20 seeded x of every fleet group of order <= 5000."""
+    for G in (s4, weyl_group("B", 3).group):
+        for x in range(G.order):
+            assert G.left_row(x) == _row_by_mul(G, x), x
+    rng = random.Random(5)
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        if G.order > 5000:
+            continue
+        for x in rng.sample(range(G.order), min(20, G.order)):
+            assert G.left_row(x) == _row_by_mul(G, x), (letter, rank, x)
+
+
+def test_left_row_on_tuple_store_trivial_group_and_redundant_generators(trivial):
+    """The tree rows match G.mul in the tuple store (the 257-cycle), on the
+    order-1 group, whose tree has no edge, and on S4 generated by a set
+    that repeats a generator and contains the identity."""
+    cycle = group_from_generators(parse_generators([f"({' '.join(map(str, range(257)))})"]))
+    assert type(cycle._images[0]) is tuple
+    for x in random.Random(6).sample(range(cycle.order), 20):
+        assert cycle.left_row(x) == _row_by_mul(cycle, x), x
+    assert trivial.order == 1
+    assert trivial.left_row(0) == [0] and trivial._tree == []
+    s4 = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)", "(0 1)", "()"]))
+    assert s4.order == 24
+    gens = s4.generator_indices
+    assert gens[0] == gens[2] and gens[3] == s4.identity_index
+    for x in range(s4.order):
+        assert s4.left_row(x) == _row_by_mul(s4, x), x
+    assert len(s4._tree) == s4.order - 1
+
+
+def test_schreier_tree_is_built_lazily_and_once(monkeypatch):
+    """A fresh W(F4) has no tree; the first row builds it with one
+    composition per element for each distinct generator, and later rows
+    and a verified tuple reuse that same tree."""
+    G = PermGroup(weyl_group("F", 4).group.generators)
+    assert G._tree is None
+    calls = 0
+    compose = G._kernel.compose
+
+    def counted(b, a):
+        nonlocal calls
+        calls += 1
+        return compose(b, a)
+
+    monkeypatch.setattr(G, "_kernel", G._kernel._replace(compose=counted))
+    G.left_row(7)
+    tree = G._tree
+    assert len(tree) == G.order - 1
+    assert calls == len(set(G.generator_indices)) * G.order
+    G.left_row(8)
+    assert verify_tuple(sample_tuple(G, 1, 2, random.Random(4))).ok
+    assert G._tree is tree
+
+
+def test_left_row_composes_nothing_once_the_tree_is_built(monkeypatch, s4):
+    """With the tree built, every row is list lookups only: a kernel whose
+    compose raises does not stop ``left_row``."""
+
+    def refuse(b, a):
+        raise AssertionError("left_row composed")
+
+    for H in (s4, weyl_group("D", 4).group):
+        expected = [_row_by_mul(H, x) for x in range(H.order)]
+        H.left_row(0)  # builds the tree, if no earlier call has
+        monkeypatch.setattr(H, "_kernel", H._kernel._replace(compose=refuse))
+        assert [H.left_row(x) for x in range(H.order)] == expected
+
+
+def _truncated_tree_s4():
+    """A copy of a fresh S4 whose tree is grown from its first generator,
+    (0 1), alone, so it reaches 2 of the 24 elements."""
+    G = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"]))
+    H = copy.copy(G)
+    H.generator_indices = G.generator_indices[:1]
+    return H
+
+
+def test_schreier_tree_that_misses_an_element_raises():
+    with pytest.raises(AssertionError, match="reaches 2 of 24 elements"):
+        _truncated_tree_s4().left_row(0)
+
+
+def test_schreier_tree_check_survives_python_O():
+    """The tree's reach check is an explicit raise, so it holds under -O."""
+    snippet = textwrap.dedent(
+        """
+        import sys
+        from test_permgroup import _truncated_tree_s4
+
+        print(sys.flags.optimize)
+        try:
+            _truncated_tree_s4().left_row(0)
+        except AssertionError as exc:
+            print(exc)
+        """
+    )
+    paths = [str(Path(prymdim.permgroup.__file__).resolve().parents[1]),
+             str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\nthe Schreier tree reaches 2 of 24 elements\n"
+
+
 def test_subgroup_closure_matches_mul_bfs(s4):
     """The early-stopping closure equals a plain G.mul closure for every
     pair of S4 elements, generating pairs and others alike, in the byte
@@ -534,8 +660,8 @@ def test_element_index_out_of_range(s3, bad):
     """An element index outside 0..|G|-1 raises IndexError, a negative one
     too: it does not count from the end of the element table (on S3, -1
     used to close to {0, 5}, the span of the last element, and
-    ``mul(-1, 0)``, ``inv(-1)`` and ``products(-1, [0])`` gave 5, while 6
-    failed in element arithmetic with a bare list or tuple IndexError)."""
+    ``mul(-1, 0)`` and ``inv(-1)`` gave 5, while 6 failed in element
+    arithmetic with a bare list or tuple IndexError)."""
     K = s3.cyclic_subgroup_classes()[1]
     calls = [
         lambda: s3.subgroup_closure([bad]),
@@ -551,7 +677,7 @@ def test_element_index_out_of_range(s3, bad):
         lambda: s3.mul(bad, 0),
         lambda: s3.mul(0, bad),
         lambda: s3.inv(bad),
-        lambda: s3.products(bad, [0]),
+        lambda: s3.left_row(bad),
         lambda: s3.class_of(bad),
         lambda: s3.element_order(bad),
     ]
