@@ -70,30 +70,38 @@ record the revision as dirty):
     mv stages.json BENCH_stages.json
 
 Paired mode compares this tree with a git revision REV on chosen cold
-in-process stages (closure through generation above), on the five groups:
+in-process stages (closure through generation above) and warm stages
+(warm_validate through solve), on the five groups:
 
     PYTHONPATH=src python3 scripts/stage_times.py --against HEAD \
-        --stages table,table_split
+        --stages table,table_split,warm_validate
 
 REV is checked out into a temporary `git worktree`, removed afterwards.
 Each of PAIRS pairs runs one fresh process of this script on each tree,
 the order alternating from pair to pair; a process imports its tree's
-`src` and, REPEATS times on each group, runs the cold stages in order up
-to the last one chosen, reporting the best run of each chosen stage. So
-both trees are timed by this script's code, and REV must have the
-package names it imports. `--stages` (default: every cold in-process
-stage) is refused without `--against`. The printed object:
+`src` and, on each group, runs the cold stages REPEATS times in order up
+to the last one chosen, reporting the best run of each chosen stage,
+then times each chosen warm stage as above. So both trees are timed by
+this script's code, and REV must have the package names it imports.
+`--stages` (default: every cold in-process stage) is refused without
+`--against`. The printed object:
 
     git, against, python,    this tree's revision, REV as given, then
       machine                as above
-    pairs, repeats           PAIRS and REPEATS
+    pairs, repeats,          PAIRS, REPEATS and WARM_CALLS
+      warm_calls
     unit                     how the figures are taken
     groups                   {label: {STAGE: {rev, this, ratio,
-                             rev_cpu, this_cpu, ratio_cpu}}}
+                             ratio_q1, ratio_q3, rev_cpu, this_cpu,
+                             ratio_cpu, ratio_q1_cpu, ratio_q3_cpu}}}
 
 where rev and this are the median over the pairs of each tree's wall
-seconds, rev_cpu and this_cpu the same for CPU seconds, and each ratio
-this / rev, so a ratio below 1 means this tree is faster.
+seconds, to the nanosecond, rev_cpu and this_cpu the same for CPU
+seconds, and each ratio this / rev, so a ratio below 1 means this tree
+is faster. ratio_q1 and ratio_q3 are the lower and upper quartiles of
+the PAIRS per-pair ratios this / rev (`statistics.quantiles`), and the
+_cpu ones the same for CPU seconds: a stage whose quartiles straddle 1
+did not move beyond the noise of its pairs.
 """
 
 import argparse
@@ -131,6 +139,7 @@ COLD_STAGES = (
     "fixed_dim_matrix", "double_coset_matrix", "coset_actions", "oracle",
     "oracle_warm", "generation",
 )
+WARM_STAGES = ("warm_validate", "quotient_genera", "closed_form", "closed_form_check", "solve")
 REPEATS = 3
 PAIRS = 10
 SEED_SETS = 100
@@ -204,6 +213,12 @@ def _pairs(figures: dict[str, tuple[float, float]]) -> dict[str, float]:
 def _warm_stages(W) -> dict[str, float]:
     """The warm stages on W's hitchin genus-2 spec, caches filled first,
     as {STAGE: wall, STAGE_cpu: cpu} seconds per call."""
+    return _pairs(_warm_figures(W, WARM_STAGES))
+
+
+def _warm_figures(W, stages) -> dict[str, tuple[float, float]]:
+    """{STAGE: (wall, cpu)} seconds per call for the chosen warm stages on
+    W's hitchin genus-2 spec, caches filled first."""
     spec = hitchin_preset(W, 2)
     report = validate(spec)
     genera, twice = report.quotient_genera, [2 * v for v in report.dims]
@@ -216,7 +231,7 @@ def _warm_stages(W) -> dict[str, float]:
         "closed_form_check": lambda: exactla.solve(fdm, genera, (twice, 2)),
         "solve": lambda: exactla.solve(fdm, genera),
     }
-    return _pairs({k: _warm(fn) for k, fn in warm.items()})
+    return {k: _warm(warm[k]) for k in stages}
 
 
 def _split_input(G):
@@ -297,12 +312,16 @@ def _stages(W) -> dict[str, float]:
 
 
 def _pass_report(stages) -> dict:
-    """{label: {STAGE: [wall, cpu]}}: the chosen stages' best cold runs."""
-    last = max(stages, key=COLD_STAGES.index)
+    """{label: {STAGE: [wall, cpu]}}: the chosen cold stages' best runs and
+    the chosen warm stages' figures."""
+    cold = [k for k in stages if k in COLD_STAGES]
+    warm = [k for k in stages if k in WARM_STAGES]
     report = {}
     for letter, rank in GROUPS:
         W = weyl_group(letter, rank)
-        best = _cold_best(W, last)
+        best = _cold_best(W, max(cold, key=COLD_STAGES.index)) if cold else {}
+        if warm:
+            best.update(_warm_figures(W, warm))
         report[W.label] = {k: best[k] for k in stages}
     return report
 
@@ -333,16 +352,26 @@ def _paired(rev: str, stages) -> dict:
     def median(side, label, k, i):
         return statistics.median(run[label][k][i] for run in runs[side])
 
+    def ratio_quartiles(label, k, i):
+        ratios = [new[label][k][i] / old[label][k][i]
+                  for old, new in zip(runs["rev"], runs["this"]) if old[label][k][i]]
+        if len(ratios) < 2:
+            return None, None
+        q1, _, q3 = statistics.quantiles(ratios, n=4)
+        return round(q1, 3), round(q3, 3)
+
     groups = {}
     for label in runs["this"][0]:
         groups[label] = {}
         for k in stages:
             row = {}
             for suffix, i in (("", 0), ("_cpu", 1)):
-                old = round(median("rev", label, k, i), 6)
-                new = round(median("this", label, k, i), 6)
+                # to the nanosecond: a warm stage takes some microseconds
+                old = round(median("rev", label, k, i), 9)
+                new = round(median("this", label, k, i), 9)
                 row[f"rev{suffix}"], row[f"this{suffix}"] = old, new
                 row[f"ratio{suffix}"] = round(new / old, 3) if old else None
+                row[f"ratio_q1{suffix}"], row[f"ratio_q3{suffix}"] = ratio_quartiles(label, k, i)
             groups[label][k] = row
     return {
         "git": _git_revision(),
@@ -351,8 +380,10 @@ def _paired(rev: str, stages) -> dict:
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "pairs": PAIRS,
         "repeats": REPEATS,
-        "unit": "s, median over pairs of each tree's best of repeats by wall clock,"
-        " with the CPU s of the same run; ratio = this / rev",
+        "warm_calls": WARM_CALLS,
+        "unit": "s, median over pairs of each tree's best of repeats by wall clock"
+        " (warm stages: the mean of warm_calls calls), with the CPU s of the same run;"
+        " ratio = this / rev, ratio_q1 and ratio_q3 the quartiles of the per-pair ratios",
         "groups": groups,
     }
 
@@ -362,7 +393,8 @@ def _parse(argv):
     ap.add_argument("--against", metavar="REV",
                     help="compare this tree with git revision REV, in pairs")
     ap.add_argument("--stages",
-                    help="paired mode: comma-separated cold stages (default: all)")
+                    help="paired mode: comma-separated cold in-process or warm stages"
+                    " (default: every cold in-process stage)")
     ap.add_argument("--pass", dest="one_pass", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.stages is None:
@@ -371,9 +403,9 @@ def _parse(argv):
         ap.error("--stages applies only with --against")
     else:
         args.stages = args.stages.split(",")
-    unknown = sorted(set(args.stages) - set(COLD_STAGES))
+    unknown = sorted(set(args.stages) - set(COLD_STAGES + WARM_STAGES))
     if unknown:
-        ap.error(f"unknown stages {unknown}; choose from {', '.join(COLD_STAGES)}")
+        ap.error(f"unknown stages {unknown}; choose from {', '.join(COLD_STAGES + WARM_STAGES)}")
     return args
 
 

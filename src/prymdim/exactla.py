@@ -14,14 +14,32 @@ passes its doubled closed form over d = 2. A missing or failed candidate
 costs one elimination over [A | b]: its last column, back-substituted,
 gives the Cramer numerators y = adj(A) b over d = det(A), checked by
 A y == d b. Callers decide integrality with a divisibility test.
+
+Both checks of A y == d b are one packed comparison (Kronecker
+substitution; von zur Gathen and Gerhard, Modern Computer Algebra). A
+``Nonsingular`` also keeps each column j packed at width w = 64 as the
+integer c_j = sum_i a_ij 2^(w i), and the row norm |A| = max_i sum_j
+|a_ij|. With e = A y - d b,
+
+    sum_j c_j y_j - d sum_i b_i 2^(w i) = sum_i e_i 2^(w i),
+
+and each |e_i| is at most B = |A| max|y| + |d| max|b|. While
+B < 2^(w - 1), a nonzero e cannot pack to 0, since its lowest nonzero
+e_i would have to be a multiple of 2^w. So A y == d b exactly when the
+two packed sides are equal. For B >= 2^63 the columns are packed on the
+fly at width w = B.bit_length() + 1: the same comparison, wider.
 """
 
 from __future__ import annotations
 
-from operator import mul
-from typing import NamedTuple, Sequence
+from operator import lshift, mul
+from typing import Sequence
 
 from .errors import NotSquare, Singular
+from .permgroup import _Record
+
+# the width of the packed columns a Nonsingular keeps
+WIDTH = 64
 
 
 def _order(rows: Sequence[Sequence[int]]) -> int:
@@ -70,11 +88,39 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return _forward([list(row) for row in rows], _order(rows))
 
 
-class Nonsingular(NamedTuple):
-    """A square integer matrix with its determinant, which is nonzero."""
+def _pack(values: Sequence[int], width: int) -> int:
+    """sum_i values[i] 2^(width i)."""
+    return sum(map(lshift, values, range(0, width * len(values), width)))
 
-    rows: tuple[tuple[int, ...], ...]
-    det: int
+
+def _packed_columns(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    return tuple(_pack(col, width) for col in zip(*rows))
+
+
+class Nonsingular(_Record):
+    """A square integer matrix with its determinant, which is nonzero.
+
+    It compares and prints by its fields, rows and det. Built, it also
+    keeps ``columns``, column j packed as sum_i rows[i][j] 2^(WIDTH i),
+    and ``norm``, the row norm max_i sum_j |rows[i][j]|: the O(n^2)
+    set-up by which ``solve`` decides A y == d b in one packed comparison,
+    exact by the bound in the module docstring. They are derived from the
+    rows, so a copy with rows changed (``_replace``) packs them again.
+    """
+
+    __slots__ = ("rows", "det", "columns", "norm")
+    _fields = ("rows", "det")
+
+    def __init__(self, rows: Sequence[Sequence[int]], det: int):
+        rows = tuple(tuple(row) for row in rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "columns", _packed_columns(rows, WIDTH))
+        object.__setattr__(self, "norm", max((sum(map(abs, row)) for row in rows), default=0))
+
+    def _replace(self, **changes) -> Nonsingular:
+        """A copy with the given fields changed, like a NamedTuple's."""
+        return Nonsingular(**{"rows": self.rows, "det": self.det, **changes})
 
 
 def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
@@ -83,7 +129,19 @@ def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
     det = determinant(rows)
     if not det:
         raise Singular(f"{len(rows)}x{len(rows)} matrix is singular")
-    return Nonsingular(rows=tuple(tuple(row) for row in rows), det=det)
+    return Nonsingular(rows, det)
+
+
+def _satisfies(m: Nonsingular, y: Sequence[int], d: int, b: Sequence[int]) -> bool:
+    """A y == d b for the matrix A of m, by one packed comparison at the
+    least width w >= WIDTH with the bound B < 2^(w - 1) (module docstring)."""
+    bound = m.norm * max(map(abs, y), default=0) + abs(d) * max(map(abs, b), default=0)
+    width = bound.bit_length() + 1
+    if width <= WIDTH:
+        width, columns = WIDTH, m.columns
+    else:
+        columns = _packed_columns(m.rows, width)
+    return sum(map(mul, columns, y)) == d * _pack(b, width)
 
 
 def solve(
@@ -107,7 +165,7 @@ def solve(
         y, d = candidate
         if len(y) != n:
             raise ValueError("candidate length mismatch")
-        if d and all(sum(map(mul, row, y)) == d * v for row, v in zip(rows, b)):
+        if d and _satisfies(m, y, d, b):
             return list(y), d
     a = [list(row) + [v] for row, v in zip(rows, b)]
     d = _forward(a, n)
@@ -119,7 +177,6 @@ def solve(
     for i in range(n - 1, -1, -1):
         ai = a[i]
         y[i] = (d * ai[n] - sum(map(mul, ai[i + 1 : n], y[i + 1 :]))) // ai[i]
-    for row, v in zip(rows, b):
-        if sum(map(mul, row, y)) != d * v:
-            raise AssertionError("solve verification failed")
+    if not _satisfies(m, y, d, b):
+        raise AssertionError("solve verification failed")
     return y, d

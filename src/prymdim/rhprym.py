@@ -6,26 +6,33 @@ genus of every quotient curve X/H_i,
 
     g_i = 1 + [G:H_i](g-1) + sum_k ([G:H_i] - #(H_k\\G/H_i)) R_k / 2,
 
-and one function computes it: the total space is X/H_0 for the trivial
-class H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into
-deg(R)/2. Inversion maps H_k g H_i onto H_i g^-1 H_k, so the double-coset
-matrix is symmetric and its row i holds every #(H_k\\G/H_i). The
-ramification sums of all quotients thus come from one vector, the R_k-weighted
-sum of the rows k of that matrix over the spec's branch classes, formed
-once per spec. The quotient genera determine the isotypic dimensions
-dim V_j through the invertible fixed-subspace dimension matrix. The same
+and ``_riemann_hurwitz`` computes it for ``genus_quotient`` and
+``genus_total``: the total space is X/H_0 for the trivial class
+H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into deg(R)/2.
+Inversion maps H_k g H_i onto H_i g^-1 H_k, so the double-coset matrix
+is symmetric and its row i holds every #(H_k\\G/H_i). The ramification
+sums of all quotients thus come from one vector, the R_k-weighted sum of
+the rows k of that matrix over the spec's branch classes, formed once
+per spec, and ``validate`` reads every genus off it in one
+comprehension; ``_genus_fault`` names a parity or sign failure for
+both. The quotient genera determine the isotypic dimensions dim V_j
+through the invertible fixed-subspace dimension matrix. The same
 dimensions also come out of the closed form
 
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
-for nontrivial irreps (dim V_1 = g for the trivial one). All arithmetic
+for nontrivial irreps (dim V_1 = g for the trivial one), which
+``prym_dim_formula`` sums for the one irrep asked. All arithmetic
 is in integers. The fixed-dim matrix A is certified once per group by
 its nonzero determinant, so A x = g has exactly one solution.
-``validate`` sums the closed form first, doubled, irrep by irrep, and
-hands it to ``exactla.solve`` as its candidate over d = 2: one exact
-product A (2x) == 2 g accepts it as the solve's answer, half-integral
-or not, so both routes agree and the solve's NonIntegerSolution text comes
-from the same fractions. Only a failed check takes an elimination, whose
+``validate`` sums the closed form first, doubled, for every irrep at
+once: with R = sum_k R_k and w the R_k-weighted sum of the fixed-dim
+rows k, a vector of the same shape as the ramification sums,
+2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j. It hands that vector to
+``exactla.solve`` as its candidate over d = 2: one exact packed product
+A (2x) == 2 g accepts it as the solve's answer, half-integral or not,
+so both routes agree and the solve's NonIntegerSolution text comes from
+the same fractions. Only a failed check takes an elimination, whose
 dimensions or NonIntegerSolution text are then reported beside the
 closed form's. ``isotypic_dims_solve``, the reference route, always
 eliminates: one Bareiss pass over [A | g] gives the numerators over
@@ -36,6 +43,7 @@ IndexError.
 from __future__ import annotations
 
 import random
+from operator import mul
 from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla
@@ -113,17 +121,28 @@ class DimensionReport(NamedTuple):
     diagnostics: tuple[str, ...]
 
 
-def _riemann_hurwitz(spec: CoverSpec, i: int | None, index: int, ram: int) -> int:
-    """Genus of X/H_i, H_i of the given index, from its ramification degree
-    ram; i is None for the total space X = X/H_0, which only changes the
-    names in the parity and sign diagnostics."""
+def _genus_fault(
+    i: int | None, ram: int, genus: int
+) -> OddRamificationDegree | NegativeGenus | None:
+    """What is wrong with the genus of X/H_i from its ramification degree
+    ram, or None; i is None for the total space X = X/H_0, which only
+    changes the names in the parity and sign texts."""
     if ram % 2:
         name = "total" if i is None else f"quotient H{i + 1}"
-        raise OddRamificationDegree(f"{name} ramification degree {ram} is odd")
-    g_h = 1 + index * (spec.base_genus - 1) + ram // 2
-    if g_h < 0:
+        return OddRamificationDegree(f"{name} ramification degree {ram} is odd")
+    if genus < 0:
         name = "total-space" if i is None else f"quotient H{i + 1}"
-        raise NegativeGenus(f"{name} genus {g_h} is negative")
+        return NegativeGenus(f"{name} genus {genus} is negative")
+    return None
+
+
+def _riemann_hurwitz(spec: CoverSpec, i: int | None, index: int, ram: int) -> int:
+    """Genus of X/H_i, H_i of the given index, from its ramification degree
+    ram; i is None for the total space. Raises the fault it has."""
+    g_h = 1 + index * (spec.base_genus - 1) + ram // 2
+    fault = _genus_fault(i, ram, g_h)
+    if fault is not None:
+        raise fault
     return g_h
 
 
@@ -133,22 +152,27 @@ def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
     return sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
 
 
-def _ramifications(spec: CoverSpec) -> list[tuple[int, int]]:
-    """(index, ramification degree) of every quotient X/H_i.
+def _weighted_rows(rows: Sequence[Sequence[int]], counts: Mapping[int, int]) -> list[int]:
+    """sum_k R_k rows[k] over the branch classes k, R_k = counts[k]."""
+    total = [0] * len(rows[0])
+    for k, r in counts.items():
+        total = [w + r * v for w, v in zip(total, rows[k])]
+    return total
 
-    The degree is [G:H_i] R - w_i with R = sum_k R_k and w the R_k-weighted
-    sum of the rows k of the symmetric double-coset matrix, summed once for
-    all i over the spec's branch classes.
+
+def _ramifications(spec: CoverSpec) -> tuple[list[int], list[int]]:
+    """The indices [G:H_i] and ramification degrees of every quotient X/H_i.
+
+    The degree is [G:H_i] R - w_i with R = sum_k R_k and w the
+    R_k-weighted sum of the rows k of the symmetric double-coset matrix,
+    summed once for all i over the spec's branch classes.
     """
     G = spec.group
-    dcm = G.double_coset_matrix()
     counts = spec.ramification.counts
     points = sum(counts.values())
-    weighted = [0] * len(dcm)
-    for k, r in counts.items():
-        weighted = [w + r * v for w, v in zip(weighted, dcm[k])]
     indices = [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
-    return [(index, index * points - w) for index, w in zip(indices, weighted)]
+    weighted = _weighted_rows(G.double_coset_matrix(), counts)
+    return indices, [index * points - w for index, w in zip(indices, weighted)]
 
 
 def genus_total(spec: CoverSpec) -> int:
@@ -185,23 +209,26 @@ def _solve_from_genera(
 
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     """Isotypic dimensions from the linear system over all quotient genera."""
-    rams = _ramifications(spec)
-    genera = [_riemann_hurwitz(spec, i, *ram) for i, ram in enumerate(rams)]
+    indices, rams = _ramifications(spec)
+    genera = [_riemann_hurwitz(spec, i, *ram) for i, ram in enumerate(zip(indices, rams))]
     return _solve_from_genera(fixed_dim_matrix(spec.group), genera)
 
 
 def _closed_form_doubled(
-    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular, j: int
-) -> int:
-    """2 dim V_j by the closed form for the one irrep j."""
+    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular
+) -> list[int]:
+    """2 dim V_j by the closed form for every irrep j at once: with R =
+    sum_k R_k and w the R_k-weighted sum of the fixed-dim rows k,
+
+        2 deg_j (g - 1) + sum_k (deg_j - rows[k][j]) R_k = deg_j (2g - 2 + R) - w_j,
+
+    and 2g for the trivial irrep."""
     g = spec.base_genus
-    if j == 0:
-        return 2 * g
-    deg = table.degrees[j]
-    rows = fdm.rows
-    twice = 2 * deg * (g - 1)
-    for k, r in spec.ramification.counts.items():  # a loop: no generator per irrep
-        twice += (deg - rows[k][j]) * r
+    counts = spec.ramification.counts
+    scale = 2 * g - 2 + sum(counts.values())
+    fixed = _weighted_rows(fdm.rows, counts)
+    twice = [deg * scale - w for deg, w in zip(table.degrees, fixed)]
+    twice[0] = 2 * g
     return twice
 
 
@@ -211,6 +238,13 @@ def _halve(twice: int) -> int:
     return twice // 2
 
 
+def _halved(twice: Sequence[int]) -> tuple[int, ...]:
+    """Each doubled dimension halved; ``_halve`` raises at the first odd one."""
+    if any(v % 2 for v in twice):
+        return tuple(map(_halve, twice))
+    return tuple(v // 2 for v in twice)
+
+
 def prym_dim_formula(spec: CoverSpec, j: int) -> int:
     """Closed-form dimension of the j-th isotypic piece (= g for the trivial
     irrep, j = 0)."""
@@ -218,7 +252,19 @@ def prym_dim_formula(spec: CoverSpec, j: int) -> int:
     table = character_table(G)
     if not 0 <= j < table.n:
         raise IndexError(f"irrep index {j} is not in 0..{table.n - 1}")
-    return _halve(_closed_form_doubled(spec, table, fixed_dim_matrix(G), j))
+    g = spec.base_genus
+    if j == 0:
+        return g
+    deg = table.degrees[j]
+    rows = fixed_dim_matrix(G).rows
+    twice = 2 * deg * (g - 1)
+    for k, r in spec.ramification.counts.items():
+        twice += (deg - rows[k][j]) * r
+    return _halve(twice)
+
+
+def _diagnostic(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def validate(spec: CoverSpec) -> DimensionReport:
@@ -236,23 +282,31 @@ def validate(spec: CoverSpec) -> DimensionReport:
     def attempt(fn, *args):
         try:
             return fn(*args)
-        except (
-            OddRamificationDegree, NegativeGenus, NonIntegerSolution, NonIntegerDimension
-        ) as exc:
-            diags.append(f"{type(exc).__name__}: {exc}")
+        except (NonIntegerSolution, NonIntegerDimension) as exc:
+            diags.append(_diagnostic(exc))
             return None
 
-    rams = _ramifications(spec)
-    # the total space is the quotient by H_0: same index and degree, own names
-    g_total = attempt(_riemann_hurwitz, spec, None, *rams[0])
-    genera = [attempt(_riemann_hurwitz, spec, i, *ram) for i, ram in enumerate(rams)]
-    twice = [_closed_form_doubled(spec, table, fdm, j) for j in range(table.n)]
+    indices, rams = _ramifications(spec)
+    g1 = spec.base_genus - 1
+    genera: list[int | None] = [1 + index * g1 + ram // 2 for index, ram in zip(indices, rams)]
+    g_total = genera[0]
+    bad = [i for i, (ram, g_h) in enumerate(zip(rams, genera)) if ram % 2 or g_h < 0]
+    if bad:
+        # no cover has this branch data; the total space X = X/H_0 has the
+        # degree and genus of H_0's quotient, under its own names, first
+        if bad[0] == 0:
+            diags.append(_diagnostic(_genus_fault(None, rams[0], g_total)))
+            g_total = None
+        for i in bad:
+            diags.append(_diagnostic(_genus_fault(i, rams[i], genera[i])))
+            genera[i] = None
+    twice = _closed_form_doubled(spec, table, fdm)
     dims: tuple[int, ...] | None = None
-    if g_total is not None and None not in genera:
+    if not bad:
         # the doubled closed form is the solve's candidate: only a failed
         # check A (2x) == 2 genera pays for an elimination
         dims = attempt(_solve_from_genera, fdm, genera, (twice, 2))
-    closed = attempt(tuple, map(_halve, twice))
+    closed = attempt(_halved, twice)
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:
@@ -260,7 +314,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
 
     final = dims if dims is not None else closed
     if final is not None:
-        if any(v < 0 for v in final):
+        if min(final) < 0:
             diags.append(f"NegativeDimension: {final}")
         if final[0] != spec.base_genus:
             diags.append(
@@ -268,7 +322,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
                 f"{final[0]} != base genus {spec.base_genus}"
             )
         if g_total is not None:
-            weighted = sum(d * v for d, v in zip(table.degrees, final))
+            weighted = sum(map(mul, table.degrees, final))
             if weighted != g_total:
                 diags.append(
                     f"DimensionSum: sum(deg_j * dim V_j) = {weighted} != g_X = {g_total}"

@@ -630,10 +630,10 @@ def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     sampler keeps specs on which the two routes disagree."""
     real = rhprym._closed_form_doubled
 
-    def broken(spec, table, fdm, j):
-        twice = real(spec, table, fdm, j)
-        if spec.base_genus == 3 and j == 1:
-            twice += 2
+    def broken(spec, table, fdm):
+        twice = real(spec, table, fdm)
+        if spec.base_genus == 3:
+            twice[1] += 2
         return twice
 
     monkeypatch.setattr(rhprym, "_closed_form_doubled", broken)

@@ -221,7 +221,8 @@ def test_inverse_matches_cofactor_oracle(rows):
         with pytest.raises(Singular):
             nonsingular(rows)
         return
-    assert nonsingular(rows) == (tuple(tuple(r) for r in rows), det)
+    m = nonsingular(rows)
+    assert (m.rows, m.det) == (tuple(tuple(r) for r in rows), det)
     adj, d = _inverse(rows)
     assert d == det
     product = [mat_vec(rows, col) for col in zip(*adj)]
@@ -229,7 +230,8 @@ def test_inverse_matches_cofactor_oracle(rows):
 
 
 def test_inverse_examples():
-    assert nonsingular([]) == ((), 1) and _inverse([]) == ((), 1)
+    m = nonsingular([])
+    assert (m.rows, m.det) == ((), 1) and _inverse([]) == ((), 1)
     assert solve(nonsingular([]), []) == ([], 1)
     assert _inverse([[1, 1], [1, 0]]) == (((0, -1), (-1, 1)), -1)
     for rows in ([[1, 2], [2, 4]], [[0, 0], [0, 0]], [[0]]):
@@ -314,3 +316,161 @@ def test_solve_check_survives_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "AssertionError"]
+
+
+def _row_by_row(rows, y, d, b):
+    return mat_vec(rows, y) == [d * v for v in b]
+
+
+def _count_wide_packs(monkeypatch):
+    """Record the width of every column packing made after construction."""
+    pack = exactla._packed_columns
+    widths = []
+
+    def counted(rows, width):
+        widths.append(width)
+        return pack(rows, width)
+
+    monkeypatch.setattr(exactla, "_packed_columns", counted)
+    return widths
+
+
+wide_entries = st.one_of(small_entries, st.integers(min_value=-2**70, max_value=2**70))
+packed_offsets = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**63, -2**63, 2**64, -2**64, 2**64 - 1, 2**128]),
+)
+
+
+@given(st.data())
+def test_packed_check_matches_the_row_by_row_product(data):
+    """The packed decision A y == d b equals the n dot products on random
+    integer matrices, n = 0 and n = 1 included, entries up to 2^70 in
+    absolute value, for candidates that pass and the same ones with one
+    coordinate of y or b moved."""
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    entries = data.draw(st.sampled_from([small_entries, wide_entries]))
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    # the check reads only the rows, so the record need not be certified
+    m = exactla.Nonsingular(rows, det=1)
+    x = data.draw(st.lists(entries, min_size=n, max_size=n))
+    d = data.draw(st.integers(min_value=-3, max_value=3))
+    y, b = [d * v for v in x], mat_vec(rows, x)
+    assert exactla._satisfies(m, y, d, b)
+    if n:
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        delta = data.draw(packed_offsets)
+        moved_y = [v + delta * (k == i) for k, v in enumerate(y)]
+        moved_b = [v + delta * (k == i) for k, v in enumerate(b)]
+        for yy, bb in ((moved_y, b), (y, moved_b)):
+            assert exactla._satisfies(m, yy, d, bb) == _row_by_row(rows, yy, d, bb)
+    other = data.draw(st.lists(entries, min_size=n, max_size=n))
+    assert exactla._satisfies(m, other, d, b) == _row_by_row(rows, other, d, b)
+
+
+def test_packed_check_at_the_bound(monkeypatch):
+    """Below B = 2^63 the check uses the stored 64-bit columns; at 2^63 it
+    packs them again, wider; both agree with the row-by-row product."""
+    m = nonsingular([[1, 0], [0, 1]])
+    widths = _count_wide_packs(monkeypatch)
+    cases = [
+        # (y, d, b, B = |A| max|y| + |d| max|b|, A y == d b)
+        ([2**62 - 1, -5], 1, [2**62 - 1, -5], 2**63 - 2, True),
+        ([2**62, 3], 1, [2**62 - 1, 3], 2**63 - 1, False),
+        ([2**62, 7], 1, [2**62, 7], 2**63, True),
+        ([2**62, 7], 1, [2**62, 6], 2**63, False),
+        ([-2**62, 7], -1, [2**62, -7], 2**63, True),
+    ]
+    for y, d, b, bound, holds in cases:
+        assert max(map(abs, y)) + abs(d) * max(map(abs, b)) == bound
+        assert exactla._satisfies(m, y, d, b) is holds is _row_by_row(m.rows, y, d, b)
+    assert widths == [65, 65, 65]
+
+
+def test_packed_check_never_accepts_a_wrong_candidate(monkeypatch):
+    """e = A y - d b = (2^64, -1) packs to 0 at width 64, so the bound
+    sends it to a wider packing; a candidate off by 2^64 in one coordinate
+    is refused, and solve answers by elimination instead."""
+    eye = nonsingular([[1, 0], [0, 1]])
+    assert (2**64) + (-1 << 64) == 0
+    assert not exactla._satisfies(eye, [2**64, -1], 1, [0, 0])
+    m = nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]])
+    x = [1, 1, 2]
+    b = mat_vec(m.rows, x)
+    passes = []
+    forward = exactla._forward
+
+    def counted(a, n):
+        passes.append(n)
+        return forward(a, n)
+
+    monkeypatch.setattr(exactla, "_forward", counted)
+    for i in range(3):
+        for offset in (2**64, -2**64, 2**63):
+            wrong = [v + offset * (k == i) for k, v in enumerate(x)]
+            assert not exactla._satisfies(m, wrong, 1, b)
+            y, d = solve(m, b, (wrong, 1))
+            assert (d, [v // d for v in y]) == (m.det, x)
+    assert passes == [3] * 9
+
+
+def test_packed_check_refuses_a_faulty_elimination_under_python_O():
+    """A faulty elimination is refused at both widths, the stored one (a
+    3x3 system with small numerators) and a wider one (W(B5), det -2^71),
+    when -O strips assert statements."""
+    snippet = textwrap.dedent(
+        """
+        import sys
+        from prymdim import exactla
+        from prymdim.chartable import fixed_dim_matrix
+        from prymdim.weyl import weyl_group
+
+        forward, pack = exactla._forward, exactla._packed_columns
+        widths = []
+
+        def faulty(m, n):
+            d = forward(m, n)
+            m[n - 1][n] += 1
+            return d
+
+        def counted(rows, width):
+            widths.append(width)
+            return pack(rows, width)
+
+        ms = (exactla.nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
+              fixed_dim_matrix(weyl_group("B", 5).group))
+        exactla._forward, exactla._packed_columns = faulty, counted
+        print(sys.flags.optimize)
+        for m in ms:
+            del widths[:]
+            try:
+                exactla.solve(m, [1] * len(m.rows))
+            except AssertionError as exc:
+                print(exc.args[0].replace(" ", "_"), bool(widths))
+        """
+    )
+    src = str(Path(prymdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "1", "solve_verification_failed", "False", "solve_verification_failed", "True",
+    ]
+
+
+def test_nonsingular_packs_its_columns_and_repacks_a_copy():
+    """Column j is packed as sum_i a_ij 2^(64 i), the norm is the largest
+    absolute row sum, and a copy with other rows packs those rows."""
+    m = nonsingular([[1, -2], [3, 4]])
+    assert m.columns == (1 + (3 << 64), -2 + (4 << 64)) and m.norm == 7
+    swapped = m._replace(rows=((3, 4), (1, -2)), det=-m.det)
+    assert swapped == exactla.Nonsingular(((3, 4), (1, -2)), -10)
+    assert swapped.columns == (3 + (1 << 64), 4 + (-2 << 64)) and swapped.norm == 7
+    assert solve(swapped, [3, 1], ([1, 0], 1)) == ([1, 0], 1)
+    assert solve(m, [3, 1], ([1, 0], 1)) != ([1, 0], 1)
+    assert repr(m) == "Nonsingular(rows=((1, -2), (3, 4)), det=10)"

@@ -132,21 +132,26 @@ def test_sample_tuple_rejects_bad_branch_count(s4, count):
 
 def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
     """verify_tuple builds one full left-multiplication row per distinct
-    branch element and reuses it for every quotient and every later call."""
+    branch element and reuses it for every quotient and every later call.
+    The count is patched on the class, so the session groups keep no
+    instance attribute once it is undone."""
+    left_row = PermGroup.left_row
     for G, t in ((z2, sample_tuple(z2, 0, 4, random.Random(1))),
                  (s4, sample_tuple(s4, 1, 3, random.Random(8)))):
-        left_row = G.left_row
         full: list[int] = []
 
-        def counting(x):
-            full.append(x)
-            return left_row(x)
+        def counting(self, x, G=G, full=full):
+            if self is G:
+                full.append(x)
+            return left_row(self, x)
 
-        monkeypatch.setattr(G, "left_row", counting)
+        monkeypatch.setattr(PermGroup, "left_row", counting)
         assert verify_tuple(t).ok
         assert verify_tuple(t).ok
         assert sorted(full) == sorted(set(t.branch_elements))
         monkeypatch.undo()
+        assert "left_row" not in vars(G)
+    assert PermGroup.left_row is left_row
 
 
 def test_verify_tuple_asks_oracle_genus_once_per_class(monkeypatch, s4):

@@ -298,8 +298,8 @@ def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
     solved = isotypic_dims_solve(spec)
     closed_form = rhprym._closed_form_doubled
 
-    def off_by_one(spec, table, fdm, j):
-        return closed_form(spec, table, fdm, j) + 2 * (j == 3)
+    def off_by_one(spec, table, fdm):
+        return [v + 2 * (j == 3) for j, v in enumerate(closed_form(spec, table, fdm))]
 
     monkeypatch.setattr(rhprym, "_closed_form_doubled", off_by_one)
     calls = _count_solves(monkeypatch)

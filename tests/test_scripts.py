@@ -7,7 +7,8 @@ warm stages run on W(A1), so the calls they time do too; its cold
 stages and processes are not run; each warm stage reports its wall and
 its CPU seconds. Its paired mode runs against HEAD on the closure stage
 of its five groups, in a temporary git worktree that it removes, and
-refuses `--stages` without `--against`.
+refuses `--stages` without `--against`; one process of that mode times
+two warm stages.
 """
 
 import json
@@ -119,10 +120,32 @@ def test_stage_times_pairs_against_head_and_removes_its_worktree():
     for rows in report["groups"].values():
         assert list(rows) == ["closure"]
         row = rows["closure"]
-        assert sorted(row) == sorted(["rev", "this", "ratio", "rev_cpu", "this_cpu", "ratio_cpu"])
+        assert sorted(row) == sorted(["rev", "this", "ratio", "rev_cpu", "this_cpu", "ratio_cpu",
+                                      "ratio_q1", "ratio_q3", "ratio_q1_cpu", "ratio_q3_cpu"])
         assert all(v > 0 for v in row.values())
         assert row["ratio"] == round(row["this"] / row["rev"], 3)
+        assert row["ratio_q1"] <= row["ratio_q3"] and row["ratio_q1_cpu"] <= row["ratio_q3_cpu"]
     assert after == before
+
+
+def test_stage_times_pass_times_the_chosen_warm_stages():
+    """One process of the paired mode on warm stages alone: each group
+    reports [wall, cpu] per call for the stages chosen, in their order."""
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "stage_times.py"), "--pass",
+         "--stages", "warm_validate,closed_form_check"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert list(report) == ["D5", "F4", "B5", "A6", "A7"]
+    for rows in report.values():
+        assert list(rows) == ["warm_validate", "closed_form_check"]
+        for wall, cpu in rows.values():
+            assert 0 < wall < 0.01 and 0 < cpu < 0.01
 
 
 def test_stage_times_refuses_stages_without_against(capsys):
