@@ -133,8 +133,8 @@ def test_sample_tuple_rejects_bad_branch_count(s4, count):
 def test_verify_tuple_builds_each_row_once(monkeypatch, z2, s4):
     """verify_tuple builds one full left-multiplication row per distinct
     branch element and reuses it for every quotient and every later call.
-    The count is patched on the class, so the session groups keep no
-    instance attribute once it is undone."""
+    The count is patched on the class, so the shared fixture groups keep
+    no instance attribute once it is undone."""
     left_row = PermGroup.left_row
     for G, t in ((z2, sample_tuple(z2, 0, 4, random.Random(1))),
                  (s4, sample_tuple(s4, 1, 3, random.Random(8)))):
