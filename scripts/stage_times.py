@@ -52,9 +52,9 @@ Schema of the printed object:
     groups                   {label: {order, class_count, STAGE,
                              STAGE_cpu, ...}} for every stage above
 
-Every figure is in seconds. STAGE is the wall-clock figure and
-STAGE_cpu the CPU seconds of the same run (the best one by wall
-clock): `time.process_time()` for a stage run in this process, and the
+Every figure is in seconds, to the nanosecond. STAGE is the wall-clock
+figure and STAGE_cpu the CPU seconds of the same run (the best one by
+wall clock): `time.process_time()` for a stage run in this process, and the
 children's user plus system time from `resource.getrusage` for a fresh
 process. A CPU figure well below its wall figure means the run waited,
 for example on a loaded machine; the load averages say how loaded.
@@ -70,8 +70,9 @@ record the revision as dirty):
     mv stages.json BENCH_stages.json
 
 Paired mode compares this tree with a git revision REV on chosen cold
-in-process stages (closure through generation above) and warm stages
-(warm_validate through solve), on the five groups:
+in-process stages (closure through generation above), process stages
+(`cli_cold` and `verify_cold`) and warm stages (warm_validate through
+solve), on the five groups:
 
     PYTHONPATH=src python3 scripts/stage_times.py --against HEAD \
         --stages table,table_split,warm_validate
@@ -81,7 +82,8 @@ Each of PAIRS pairs runs one fresh process of this script on each tree,
 the order alternating from pair to pair; a process imports its tree's
 `src` and, on each group, runs the cold stages REPEATS times in order up
 to the last one chosen, reporting the best run of each chosen stage,
-then times each chosen warm stage as above. So both trees are timed by
+then the best of REPEATS fresh processes of each chosen process stage on
+that tree, then times each chosen warm stage as above. So both trees are timed by
 this script's code, and REV must have the package names it imports.
 `--stages` (default: every cold in-process stage) is refused without
 `--against`. The printed object:
@@ -140,6 +142,7 @@ COLD_STAGES = (
     "oracle_warm", "generation",
 )
 WARM_STAGES = ("warm_validate", "quotient_genera", "closed_form", "closed_form_check", "solve")
+PROCESS_STAGES = ("cli_cold", "verify_cold")
 REPEATS = 3
 PAIRS = 10
 SEED_SETS = 100
@@ -203,10 +206,11 @@ def _cold(*args: str) -> tuple[float, float]:
 
 
 def _pairs(figures: dict[str, tuple[float, float]]) -> dict[str, float]:
-    """{STAGE: wall, STAGE_cpu: cpu}, each rounded to the microsecond."""
+    """{STAGE: wall, STAGE_cpu: cpu}, each rounded to the nanosecond (a
+    warm stage takes some microseconds)."""
     out = {}
     for k, (wall, cpu) in figures.items():
-        out[k], out[f"{k}_cpu"] = round(wall, 6), round(cpu, 6)
+        out[k], out[f"{k}_cpu"] = round(wall, 9), round(cpu, 9)
     return out
 
 
@@ -300,26 +304,32 @@ def _cold_best(W, last=COLD_STAGES[-1]) -> dict[str, tuple[float, float]]:
     return {k: _best(run[k] for run in passes) for k in passes[0]}
 
 
-def _stages(W) -> dict[str, float]:
-    best = _cold_best(W)
-    cold = {
+def _process_figures(W, stages) -> dict[str, tuple[float, float]]:
+    """{STAGE: (wall, cpu)} for the chosen PROCESS_STAGES on W, each the
+    best of REPEATS fresh processes on this source tree."""
+    args = {
         "cli_cold": ("preset", "hitchin", W.letter, str(W.rank)),
         "verify_cold": ("verify", "--weyl", W.label),
     }
-    for k, args in cold.items():
-        best[k] = _best(_cold(*args) for _ in range(REPEATS))
+    return {k: _best(_cold(*args[k]) for _ in range(REPEATS)) for k in stages}
+
+
+def _stages(W) -> dict[str, float]:
+    best = {**_cold_best(W), **_process_figures(W, PROCESS_STAGES)}
     return {**_pairs(best), **_warm_stages(W)}
 
 
 def _pass_report(stages) -> dict:
-    """{label: {STAGE: [wall, cpu]}}: the chosen cold stages' best runs and
-    the chosen warm stages' figures."""
+    """{label: {STAGE: [wall, cpu]}}: the chosen cold stages' best runs,
+    the chosen process stages' best processes and the chosen warm stages'
+    figures."""
     cold = [k for k in stages if k in COLD_STAGES]
     warm = [k for k in stages if k in WARM_STAGES]
     report = {}
     for letter, rank in GROUPS:
         W = weyl_group(letter, rank)
         best = _cold_best(W, max(cold, key=COLD_STAGES.index)) if cold else {}
+        best.update(_process_figures(W, [k for k in stages if k in PROCESS_STAGES]))
         if warm:
             best.update(_warm_figures(W, warm))
         report[W.label] = {k: best[k] for k in stages}
@@ -393,8 +403,8 @@ def _parse(argv):
     ap.add_argument("--against", metavar="REV",
                     help="compare this tree with git revision REV, in pairs")
     ap.add_argument("--stages",
-                    help="paired mode: comma-separated cold in-process or warm stages"
-                    " (default: every cold in-process stage)")
+                    help="paired mode: comma-separated cold in-process, process or warm"
+                    " stages (default: every cold in-process stage)")
     ap.add_argument("--pass", dest="one_pass", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.stages is None:
@@ -403,9 +413,10 @@ def _parse(argv):
         ap.error("--stages applies only with --against")
     else:
         args.stages = args.stages.split(",")
-    unknown = sorted(set(args.stages) - set(COLD_STAGES + WARM_STAGES))
+    known = COLD_STAGES + PROCESS_STAGES + WARM_STAGES
+    unknown = sorted(set(args.stages) - set(known))
     if unknown:
-        ap.error(f"unknown stages {unknown}; choose from {', '.join(COLD_STAGES + WARM_STAGES)}")
+        ap.error(f"unknown stages {unknown}; choose from {', '.join(known)}")
     return args
 
 

@@ -26,8 +26,11 @@ integer c_j = sum_i a_ij 2^(w i), and the row norm |A| = max_i sum_j
 and each |e_i| is at most B = |A| max|y| + |d| max|b|. While
 B < 2^(w - 1), a nonzero e cannot pack to 0, since its lowest nonzero
 e_i would have to be a multiple of 2^w. So A y == d b exactly when the
-two packed sides are equal. For B >= 2^63 the columns are packed on the
-fly at width w = B.bit_length() + 1: the same comparison, wider.
+two packed sides are equal. For B >= 2^63 the columns are packed at the
+least multiple w of 64 with B < 2^(w - 1): the same comparison, wider.
+A record packs at each such width once, on the first check that needs
+it, so every later check at that width (each post-elimination check on
+W(B5), whose numerators reach about 2^80) reuses the packing.
 """
 
 from __future__ import annotations
@@ -104,19 +107,24 @@ class Nonsingular(_Record):
     keeps ``columns``, column j packed as sum_i rows[i][j] 2^(WIDTH i),
     and ``norm``, the row norm max_i sum_j |rows[i][j]|: the O(n^2)
     set-up by which ``solve`` decides A y == d b in one packed comparison,
-    exact by the bound in the module docstring. They are derived from the
-    rows, so a copy with rows changed (``_replace``) packs them again.
+    exact by the bound in the module docstring. ``packed`` maps each width
+    a check has used, a multiple of WIDTH, to the columns packed at it:
+    WIDTH from the start, a wider one filled on the first check that needs
+    it. All are derived from the rows, so a copy (``_replace``) packs its
+    own, starting again from WIDTH alone.
     """
 
-    __slots__ = ("rows", "det", "columns", "norm")
+    __slots__ = ("rows", "det", "columns", "norm", "packed")
     _fields = ("rows", "det")
 
     def __init__(self, rows: Sequence[Sequence[int]], det: int):
         rows = tuple(tuple(row) for row in rows)
+        columns = _packed_columns(rows, WIDTH)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "columns", _packed_columns(rows, WIDTH))
+        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "norm", max((sum(map(abs, row)) for row in rows), default=0))
+        object.__setattr__(self, "packed", {WIDTH: columns})
 
     def _replace(self, **changes) -> Nonsingular:
         """A copy with the given fields changed, like a NamedTuple's."""
@@ -134,13 +142,13 @@ def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
 
 def _satisfies(m: Nonsingular, y: Sequence[int], d: int, b: Sequence[int]) -> bool:
     """A y == d b for the matrix A of m, by one packed comparison at the
-    least width w >= WIDTH with the bound B < 2^(w - 1) (module docstring)."""
+    least multiple w of WIDTH with the bound B < 2^(w - 1) (module
+    docstring), the columns packed at w once per record."""
     bound = m.norm * max(map(abs, y), default=0) + abs(d) * max(map(abs, b), default=0)
-    width = bound.bit_length() + 1
-    if width <= WIDTH:
-        width, columns = WIDTH, m.columns
-    else:
-        columns = _packed_columns(m.rows, width)
+    width = -(-(bound.bit_length() + 1) // WIDTH) * WIDTH
+    columns = m.packed.get(width)
+    if columns is None:
+        columns = m.packed[width] = _packed_columns(m.rows, width)
     return sum(map(mul, columns, y)) == d * _pack(b, width)
 
 

@@ -11,20 +11,26 @@ The count over a branch point with monodromy g on X/H is the number of
 double cosets #(<g>\\G/H), which can be taken from either side: as the
 orbits of <g> on the |G|/|H| left cosets xH, or as the orbits of H on
 the |G|/ord(g) right cosets <g>y. Given a generator h of H,
-``oracle_genus`` walks the right cosets when ord(g) > |H|, under h's
+``oracle_genus`` first reads the count off Lagrange's theorem where it
+can: the stabilizer of xH in <g> is <g> meet xHx^-1, whose order divides
+both d = ord(g) and m = |H|, so for gcd(d, m) = 1 (the trivial H
+included) <g> acts freely and the count is |G|/(d m), with no walk. It
+walks only for gcd(d, m) > 1: the right cosets when d > m, under h's
 right-multiplication row (y -> y*h, ``PermGroup.right_row``), and the
-left cosets otherwise; for the trivial H the count is the number of
-right cosets, with no walk. Each distinct branch element's
-left-multiplication row (``PermGroup.left_row``) is built once per tuple,
-by |G| list lookups along the group's Schreier tree with no composition,
-and read by every left walk, and, the first time some class needs it,
-labelled into the right cosets of <g>, its cycles. The tree is built
-once per group; right rows are built per group, once per generator
-asked for, and only when a right walk needs one.
+left cosets otherwise. The rule reads only d and m, no class data, so
+the oracle stays independent of the formula route. Each distinct branch
+element's left-multiplication row (``PermGroup.left_row``) is built once
+per tuple, by |G| list lookups along the group's Schreier tree with no
+composition, and read by every left walk, and, the first time some class
+needs it, labelled into the right cosets of <g>, its cycles. The tree
+is built once per group; right rows are built per group, once per
+generator asked for, and only when a right walk needs one: for the
+classes with 1 < m < d and gcd(d, m) > 1 for some branch element.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -87,9 +93,10 @@ class BranchTuple(_Record):
             reps: list[int] = []
             for y in range(len(row)):
                 if coset_of[y] < 0:
-                    c, z = len(reps), y
+                    c = len(reps)
                     reps.append(y)
-                    while coset_of[z] < 0:
+                    coset_of[y], z = c, row[y]
+                    while z != y:  # the cycle of g's row through y closes at y
                         coset_of[z] = c
                         z = row[z]
             act = self._right_cosets[g] = CosetAction(tuple(reps), tuple(coset_of))
@@ -158,12 +165,14 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int], generator: int | None 
     Over a branch point with monodromy g, the fiber of X/H -> Y has one
     point per cycle of g on the cosets, ramified with index the cycle
     length; Riemann-Hurwitz then gives the genus directly. With a
-    ``generator`` h of H, the count #(<g>\\G/H) for ord(g) > |H| is taken
-    on the smaller side, the orbits of <h> on the right cosets <g>y (see
-    the module docstring); a generator whose powers are not exactly
-    ``subgroup`` raises NotASubgroup, as does a ``subgroup`` that is not
-    one. Raises OddRamificationDegree or NegativeGenus when the tuple
-    defines no surface.
+    ``generator`` h of H, the count #(<g>\\G/H) is |G|/(ord(g) |H|) with
+    no walk when gcd(ord(g), |H|) = 1, since <g> then acts freely, and
+    otherwise is walked on the smaller side: for ord(g) > |H| the orbits
+    of <h> on the right cosets <g>y (see the module docstring). Without
+    a generator every count is a walk of the left cosets. A generator
+    whose powers are not exactly ``subgroup`` raises NotASubgroup, as
+    does a ``subgroup`` that is not one. Raises OddRamificationDegree or
+    NegativeGenus when the tuple defines no surface.
     """
     G = t.group
     H = frozenset(subgroup)
@@ -173,9 +182,10 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int], generator: int | None 
         if G.powers(generator) != H:
             raise NotASubgroup(f"element {generator} does not generate the {m} given elements")
         for g, d in t.orders.items():
-            if d > m:  # fewer right cosets <g>y than left cosets xH
-                orbits[g] = (G.order // d if m == 1
-                             else t.right_cosets(g).cycle_count(G.right_row(generator)))
+            if math.gcd(d, m) == 1:  # <g> acts freely: orbits of d cosets
+                orbits[g] = G.order // (d * m)
+            elif d > m:  # fewer right cosets <g>y than left cosets xH
+                orbits[g] = t.right_cosets(g).cycle_count(G.right_row(generator))
     if generator is None or len(orbits) < len(t.rows):
         act = G.coset_action(H)
         for g, row in t.rows.items():

@@ -36,15 +36,17 @@ the rationality test and the cyclic-subgroup classes share one walk of
 the powers rep^t per class, so no power list is stored. A coset action
 stores only the coset of each element; an element acts on it through a
 row of element indices, so counting orbits is list indexing with no
-composition. The monodromy oracle counts #(<g>\\G/H) on the smaller
-side: the orbits of <g> on the left cosets xH under g's
-left-multiplication row (``left_row``, row[y] the index of g*y), one row
-for every H, or the orbits of H = <h> on the right cosets <g>y under h's
-right-multiplication row (``right_row``, row[y] the index of y*h), one
-row per generator, built only when asked for. A left row takes no
-composition: it is read off a breadth-first Schreier tree of G, built
-once per group from the right rows of the generators, since x*(y*s) =
-(x*y)*s along each tree edge y -> y*s.
+composition. The monodromy oracle counts #(<g>\\G/H) with no walk when
+gcd(ord(g), |H|) = 1, as |G|/(ord(g) |H|), since <g> then acts freely
+(Lagrange), and otherwise walks the smaller side: the orbits of <g> on
+the left cosets xH under g's left-multiplication row (``left_row``,
+row[y] the index of g*y), one row for every H, or the orbits of H = <h>
+on the right cosets <g>y under h's right-multiplication row
+(``right_row``, row[y] the index of y*h), one row per generator, built
+only when asked for. A left row takes no composition: it is read off a
+breadth-first Schreier tree of G, built once per group from the right
+rows of the generators, since x*(y*s) = (x*y)*s along each tree edge
+y -> y*s.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -304,8 +306,8 @@ class CosetAction(NamedTuple):
             if seen[c]:
                 continue
             n += 1
-            j = c
-            while not seen[j]:
+            j = coset_of[row[cosets[c]]]
+            while j != c:  # the orbit is a cycle closing at c; the loop is past c
                 seen[j] = True
                 j = coset_of[row[cosets[j]]]
         return n

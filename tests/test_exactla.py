@@ -370,7 +370,8 @@ def test_packed_check_matches_the_row_by_row_product(data):
 
 def test_packed_check_at_the_bound(monkeypatch):
     """Below B = 2^63 the check uses the stored 64-bit columns; at 2^63 it
-    packs them again, wider; both agree with the row-by-row product."""
+    packs them again, at 128 bits, once for the three checks that need
+    it; both agree with the row-by-row product."""
     m = nonsingular([[1, 0], [0, 1]])
     widths = _count_wide_packs(monkeypatch)
     cases = [
@@ -384,7 +385,7 @@ def test_packed_check_at_the_bound(monkeypatch):
     for y, d, b, bound, holds in cases:
         assert max(map(abs, y)) + abs(d) * max(map(abs, b)) == bound
         assert exactla._satisfies(m, y, d, b) is holds is _row_by_row(m.rows, y, d, b)
-    assert widths == [65, 65, 65]
+    assert widths == [128]
 
 
 def test_packed_check_never_accepts_a_wrong_candidate(monkeypatch):
@@ -461,6 +462,31 @@ def test_packed_check_refuses_a_faulty_elimination_under_python_O():
     assert proc.stdout.split() == [
         "1", "solve_verification_failed", "False", "solve_verification_failed", "True",
     ]
+
+
+def test_wide_packing_is_made_once_per_record_and_width(monkeypatch):
+    """A wider width is a multiple of 64, packed on the first check that
+    needs it and kept on the record: later checks at that width, passing
+    or not, reuse it, a still wider bound packs once more, and a copy
+    starts again from the 64-bit columns alone."""
+    m = nonsingular([[1, 2], [3, 4]])
+    assert m.packed == {64: m.columns}
+    packed_128 = exactla._packed_columns(m.rows, 128)
+    widths = _count_wide_packs(monkeypatch)
+    x = [2**70, -(2**70)]
+    b = mat_vec(m.rows, x)
+    for wrong in (0, 1, 2**64):
+        assert exactla._satisfies(m, [x[0] + wrong, x[1]], 1, b) is (wrong == 0)
+    assert widths == [128] and m.packed[128] == packed_128
+    assert exactla._satisfies(m, [2**130, 0], 1, [2**130, 3 * 2**130])
+    assert widths == [128, 192] and sorted(m.packed) == [64, 128, 192]
+    assert solve(m, b) == ([-2 * v for v in x], -2)
+    assert widths == [128, 192]  # the elimination's check reuses 128
+    copy = m._replace(det=m.det)
+    assert copy == m and copy.packed == {64: m.columns}
+    del widths[:]  # the copy's own 64-bit packing
+    assert exactla._satisfies(copy, x, 1, b)
+    assert widths == [128]
 
 
 def test_nonsingular_packs_its_columns_and_repacks_a_copy():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -24,7 +25,7 @@ from prymdim.monodromy import (
     spec_from_tuple,
     verify_tuple,
 )
-from prymdim.permgroup import PermGroup
+from prymdim.permgroup import CosetAction, PermGroup
 from prymdim.rhprym import genus_total, validate
 from prymdim.weyl import weyl_group
 
@@ -173,32 +174,102 @@ def test_verify_tuple_asks_oracle_genus_once_per_class(monkeypatch, s4):
                          for K in H.cyclic_subgroup_classes()]
 
 
+def _walked(G, t):
+    """The pairs (branch element g, generator h of a cyclic class K) whose
+    count oracle_genus walks, gcd(ord(g), |K|) > 1, and of those the ones
+    it walks on the right cosets of g, 1 < |K| < ord(g)."""
+    walked = {(g, K.generator, K.subgroup_order) for g, d in t.orders.items()
+              for K in G.cyclic_subgroup_classes() if math.gcd(d, K.subgroup_order) > 1}
+    return walked, {(g, h) for g, h, m in walked if 1 < m < t.orders[g]}
+
+
 def test_right_rows_are_built_lazily_and_once():
-    """On a fresh W(F4), verify_tuple builds a right row only for the
-    classes 1 < |H| < ord(g) of some branch element g, and a second warm
-    call builds no right row and labels no right cosets."""
-    G = PermGroup(weyl_group("F", 4).group.generators)
-    assert G._right_rows == {}  # none at construction
-    rng = random.Random(12)
-    t = sample_tuple(G, 0, 4, rng)
-    top = max(t.orders.values())
-    assert top > 2  # so some right row is needed
-    assert verify_tuple(t).ok
-    built = dict(G._right_rows)
-    assert set(built) == {K.generator for K in G.cyclic_subgroup_classes()
-                          if 1 < K.subgroup_order < top}
-    labelled = dict(t._right_cosets)
-    assert set(labelled) == {g for g, d in t.orders.items() if d > 2}
-    assert verify_tuple(t).ok
-    assert G._right_rows.keys() == built.keys()
-    assert all(G._right_rows[h] is row for h, row in built.items())
-    assert t._right_cosets == labelled
+    """On a fresh W(F4), verify_tuple builds a right row exactly for the
+    classes K with 1 < |K| < ord(g) and gcd(ord(g), |K|) > 1 for some
+    branch element g, and labels the right cosets of exactly those g; a
+    second warm call builds no right row and labels no right cosets. The
+    second tuple's branch elements have order 3, so the rule excludes the
+    order-2 classes and no right walk is left."""
+    for genus, count, seed, needed in ((0, 4, 12, True), (1, 2, 90, False)):
+        G = PermGroup(weyl_group("F", 4).group.generators)
+        assert G._right_rows == {}  # none at construction
+        t = sample_tuple(G, genus, count, random.Random(seed))
+        _, right = _walked(G, t)
+        assert bool(right) is needed
+        if not needed:
+            assert set(t.orders.values()) == {3}
+        assert verify_tuple(t).ok
+        built = dict(G._right_rows)
+        assert set(built) == {h for _, h in right}
+        labelled = dict(t._right_cosets)
+        assert set(labelled) == {g for g, _ in right}
+        assert verify_tuple(t).ok
+        assert G._right_rows.keys() == built.keys()
+        assert all(G._right_rows[h] is row for h, row in built.items())
+        assert t._right_cosets == labelled
+
+
+def test_warm_verify_tuple_walks_once_per_pair_with_a_common_factor(monkeypatch):
+    """A warm verify_tuple on W(F4) walks a coset space (one
+    CosetAction.cycle_count call) exactly once per distinct branch element
+    g and cyclic class K with gcd(ord(g), |K|) > 1, and reads every other
+    count off |G|/(ord(g) |K|)."""
+    G = weyl_group("F", 4).group
+    cycle_count = CosetAction.cycle_count
+    for seed in range(4):
+        t = sample_tuple(G, 0, 4, random.Random(seed))
+        assert verify_tuple(t).ok  # rows, coset actions and right cosets built
+        walked, _ = _walked(G, t)
+        free = len(t.orders) * len(G.cyclic_subgroup_classes()) - len(walked)
+        assert walked and free
+        calls = []
+
+        def counting(self, row):
+            calls.append(len(self.cosets))
+            return cycle_count(self, row)
+
+        monkeypatch.setattr(CosetAction, "cycle_count", counting)
+        assert verify_tuple(t).ok
+        monkeypatch.undo()
+        assert len(calls) == len(walked), seed
+    assert CosetAction.cycle_count is cycle_count
+
+
+def test_free_counts_match_both_walks_on_fleet_tuples():
+    """On sampled tuples of every fleet group of order <= 5000, each pair
+    (g, K) with gcd(ord(g), |K|) = 1 has |G|/(ord(g) |K|) orbits on both
+    sides: <g> on the left cosets of K, and <h> on the right cosets of g,
+    h the generator of K."""
+    rng = random.Random(43)
+    seen: set[int] = set()
+    pairs = 0
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        if G.order > 5000 or id(G) in seen:  # B and C share the group instance
+            continue
+        seen.add(id(G))
+        for g, b in ((0, 3), (1, 2)):
+            try:
+                t = sample_tuple(G, g, b, rng)
+            except SamplingExhausted:
+                continue
+            for K in G.cyclic_subgroup_classes():
+                m = K.subgroup_order
+                for x, d in t.orders.items():
+                    if math.gcd(d, m) != 1:
+                        continue
+                    free = G.order // (d * m)
+                    assert G.coset_action(K.subgroup_elements).cycle_count(t.rows[x]) == free
+                    assert t.right_cosets(x).cycle_count(G.right_row(K.generator)) == free
+                    pairs += 1
+    assert pairs
 
 
 def test_both_sides_agree_on_fleet_tuples():
     """On sampled tuples of every fleet group of order <= 5000, the genus
-    from the smaller side of each count (given the generator) equals the
-    genus from the left cosets alone, and both sides were walked."""
+    from the free-action rule and the smaller side of each count (given
+    the generator) equals the genus from the left cosets alone; some
+    counts were free, and both sides were walked."""
     rng = random.Random(41)
     sides: set[str] = set()
     seen: set[int] = set()
@@ -217,9 +288,9 @@ def test_both_sides_agree_on_fleet_tuples():
                 assert (oracle_genus(t, K.subgroup_elements, K.generator)
                         == oracle_genus(t, K.subgroup_elements)), (letter, rank, K.generator)
                 m = K.subgroup_order
-                sides.update("right" if d > m > 1 else "trivial" if d > m else "left"
+                sides.update("free" if math.gcd(d, m) == 1 else "right" if d > m else "left"
                              for d in t.orders.values())
-    assert sides == {"left", "right", "trivial"}
+    assert sides == {"free", "left", "right"}
 
 
 def _guard_cases(G):

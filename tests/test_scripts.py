@@ -8,7 +8,7 @@ stages and processes are not run; each warm stage reports its wall and
 its CPU seconds. Its paired mode runs against HEAD on the closure stage
 of its five groups, in a temporary git worktree that it removes, and
 refuses `--stages` without `--against`; one process of that mode times
-two warm stages.
+two warm stages, and one the `cli_cold` process stage on W(A1) alone.
 """
 
 import json
@@ -146,6 +146,38 @@ def test_stage_times_pass_times_the_chosen_warm_stages():
         assert list(rows) == ["warm_validate", "closed_form_check"]
         for wall, cpu in rows.values():
             assert 0 < wall < 0.01 and 0 < cpu < 0.01
+
+
+def test_stage_times_parses_the_process_stages(capsys):
+    """`cli_cold` and `verify_cold` are stages of the paired mode, in the
+    order given, beside cold in-process and warm ones; like them they are
+    refused without `--against`, and an unknown stage names them."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    parse = module["_parse"]
+    assert module["PROCESS_STAGES"] == ("cli_cold", "verify_cold")
+    args = parse(["--against", "HEAD", "--stages", "verify_cold,closure,cli_cold,solve"])
+    assert args.stages == ["verify_cold", "closure", "cli_cold", "solve"]
+    assert parse(["--pass", "--stages", "cli_cold"]).stages == ["cli_cold"]
+    for argv, text in ((["--stages", "cli_cold"], "--stages applies only with --against"),
+                       (["--pass", "--stages", "cli_warm"], "cli_cold, verify_cold")):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        assert exit_info.value.code == 2
+        assert text in capsys.readouterr().err
+
+
+def test_stage_times_pass_times_a_process_stage(monkeypatch, capsys):
+    """One process of the paired mode on `cli_cold` alone, with W(A1) as
+    its only group: the best of REPEATS fresh preset processes on this
+    tree, as [wall, cpu]."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    main = module["main"]
+    monkeypatch.setitem(main.__globals__, "GROUPS", [("A", 1)])
+    assert main(["--pass", "--stages", "cli_cold"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert list(report) == ["A1"] and list(report["A1"]) == ["cli_cold"]
+    wall, cpu = report["A1"]["cli_cold"]
+    assert 0 < wall < 30 and 0 < cpu < 30
 
 
 def test_stage_times_refuses_stages_without_against(capsys):
