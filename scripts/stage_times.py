@@ -54,9 +54,9 @@ Schema of the printed object:
 
 Every figure is in seconds, to the nanosecond. STAGE is the wall-clock
 figure and STAGE_cpu the CPU seconds of the same run (the best one by
-wall clock): `time.process_time()` for a stage run in this process, and the
-children's user plus system time from `resource.getrusage` for a fresh
-process. A CPU figure well below its wall figure means the run waited,
+wall clock): `time.process_time()` for a stage run in this process, and
+the children's user plus system time from `resource.getrusage` for a
+fresh process. A CPU figure well below its wall figure means the run waited,
 for example on a loaded machine; the load averages say how loaded.
 
 Cold processes read bytecode from `__pycache__` when it is there and
@@ -83,8 +83,9 @@ the order alternating from pair to pair; a process imports its tree's
 `src` and, on each group, runs the cold stages REPEATS times in order up
 to the last one chosen, reporting the best run of each chosen stage,
 then the best of REPEATS fresh processes of each chosen process stage on
-that tree, then times each chosen warm stage as above. So both trees are timed by
-this script's code, and REV must have the package names it imports.
+that tree, then times each chosen warm stage as above. So both trees are
+timed by this script's code, and REV must have the package names it
+imports.
 `--stages` (default: every cold in-process stage) is refused without
 `--against`. The printed object:
 

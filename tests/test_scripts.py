@@ -3,12 +3,14 @@
 No other test imports them, so a public name they use could be removed
 without any failure. ``fleet_report.py`` is run in full (well under a
 second). ``stage_times.py`` is loaded, so its imports resolve, and its
-warm stages run on W(A1), so the calls they time do too; its cold
-stages and processes are not run; each warm stage reports its wall and
-its CPU seconds. Its paired mode runs against HEAD on the closure stage
-of its five groups, in a temporary git worktree that it removes, and
-refuses `--stages` without `--against`; one process of that mode times
-two warm stages, and one the `cli_cold` process stage on W(A1) alone.
+warm stages run on W(A1), so the calls they time do too; its full
+report (every cold stage and process on five groups) is not made; each
+warm stage reports its wall and its CPU seconds. Its paired mode runs
+against HEAD on the closure stage of its five groups, in a temporary
+git worktree that it removes, parses the process stages and refuses
+`--stages` without `--against`; one process of that mode times two warm
+stages, and one, run in-process with W(A1) as its only group, the
+`cli_cold` process stage.
 """
 
 import json
