@@ -112,6 +112,11 @@ class BranchTuple(_Record):
         return acc
 
     def is_valid(self) -> bool:
+        """Whether the tuple defines a connected G-cover: the relation
+        product is the identity, no branch element is the identity, and
+        the handles and branch elements generate G (``PermGroup.generates``,
+        a Schreier-Sims chain of their point images, which reads no class
+        data and enumerates no subgroup)."""
         G = self.group
         if self.relation_product() != G.identity_index:
             return False

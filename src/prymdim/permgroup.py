@@ -8,15 +8,19 @@ sorted lexicographically (so index 0 is the identity). One loop,
 generator as a union of cosets of the span before it (Dimino's
 algorithm), and it stops before the coset that would bring the span to
 a size limit. There are three limits: cap + 1 for a group (so an order
-equal to the cap passes); |G|//2 + 1 for the span of some elements and
-for the test whether they generate G, since a subgroup of more than
-|G|/2 elements is G; and |S| + 1 for the test whether a set S of
-elements is a subgroup, since the span of S contains S and so equals it
-exactly when it stops short of |S| + 1. Every subgroup question reaches
-``_close`` through ``PermGroup._span``, which raises IndexError for an
-element index outside 0..|G|-1 before it reads any image; a span's
-images are mapped to indices only once it is complete, and only when
-the caller needs them.
+equal to the cap passes); |G|//2 + 1 for the span of some elements,
+since a subgroup of more than |G|/2 elements is G; and |S| + 1 for the
+test whether a set S of elements is a subgroup, since the span of S
+contains S and so equals it exactly when it stops short of |S| + 1.
+Those questions reach ``_close`` through ``PermGroup._span``, which
+raises IndexError for an element index outside 0..|G|-1 before it reads
+any image; a span's images are mapped to indices only once it is
+complete, and only when the caller needs them. The test whether some
+elements generate G enumerates no span: ``_chain_order`` grows a
+stabilizer chain of them by deterministic Schreier-Sims, reading point
+images only, until the product of its basic orbit lengths, a lower
+bound on the order of their span, passes |G|/2, or until the chain is
+complete and the product is that order.
 
 For degree n <= 256 each element's images are stored as ``bytes``, and
 every composition is one ``bytes.translate`` call: with ``a`` padded
@@ -54,8 +58,8 @@ Double cosets are counted from class data alone, by Burnside's lemma,
 where pA[c] is the number of elements of A in class c. Every quantity is
 exact and reproducible across runs.
 
-``mul``, ``inv``, ``class_of``, ``element_order`` and ``left_row`` check
-an element index by the same rule as ``_span``.
+``mul``, ``inv``, ``class_of``, ``element_order``, ``left_row`` and
+``generates`` check an element index by the same rule as ``_span``.
 The records here are ``typing.NamedTuple``s (copy one with ``_replace``,
 not ``dataclasses.replace``), except ``Permutation``, which validates its
 images on the ``_Record`` base.
@@ -358,8 +362,8 @@ def _close(ident, gens: Sequence, pad: Callable, compose: Callable, limit: int) 
     the identity, by every generator s so far; a new coset x*K costs
     |K| - 1 compositions with x padded once, as x*1 = x. Returns None
     instead of adding a coset that would bring the span to ``limit``
-    elements: cap + 1 for a group, |G|//2 + 1 for a span or a generation
-    test, and |S| + 1 for the subgroup test of a set S.
+    elements: cap + 1 for a group, |G|//2 + 1 for a span, and |S| + 1
+    for the subgroup test of a set S.
     """
     span, seen, pads = [ident], {ident}, []
     for g in gens:
@@ -379,6 +383,123 @@ def _close(ident, gens: Sequence, pad: Callable, compose: Callable, limit: int) 
                     seen.update(coset)
                     reps.append(x)
     return span
+
+
+def _chain_order(ident, gens: Sequence, kernel: _Kernel, order: int) -> int:
+    """Product of the basic orbit lengths of a stabilizer chain of the
+    stored images ``gens``, grown by deterministic Schreier-Sims (Seress,
+    *Permutation Group Algorithms*, 4.2) until it passes ``order // 2``.
+
+    ``order`` is the order of a group that contains ``gens``. Level l of
+    the chain has a base point b_l moved by its first generator, its
+    strong generators (all of them fix b_0..b_{l-1}), the orbit of b_l
+    under them with a transversal u and the padded inverses of u, and a
+    count per generator of the orbit points whose Schreier generator has
+    been tested: the orbit only grows at its end, so the tested pairs of
+    (orbit point, generator) are those counts' prefixes. The product is a
+    lower bound on |<gens>| at every step, so once it passes
+    ``order // 2``, <gens> is the whole group (Lagrange) and the product
+    is returned at once. Otherwise the chain is run to completion and the
+    product is exactly |<gens>|; so it is for an ``order`` of at least
+    2|<gens>|. A first phase sifts the products g_0 g_1 ... g_k of the
+    generators, cyclically for k = 1..12, to fill the lower levels before
+    the Schreier generators are tested; it draws on no random source. A
+    product past ``order`` raises AssertionError. Only point images
+    ``g[i]`` are read, and every product goes through ``kernel``.
+    """
+    _, pad, compose, invert = kernel
+    half = order // 2
+    # per level: base point, generators, padded generators, transversal,
+    # padded inverses of the transversal, orbit, tested counts
+    bases, strong, pads, trans, invs, orbits, tested = [], [], [], [], [], [], []
+    size = 1
+
+    def grow(l: int, h) -> None:
+        """Add h to the strong generators of level l, a new level past the
+        last, and close that level's orbit."""
+        nonlocal size
+        if l == len(bases):
+            b = next(i for i, x in enumerate(h) if x != i)
+            bases.append(b)
+            strong.append([])
+            pads.append([])
+            trans.append({b: ident})
+            invs.append({b: pad(ident)})
+            orbits.append([b])
+            tested.append([])
+        gs, ps, u, ui, orbit = strong[l], pads[l], trans[l], invs[l], orbits[l]
+        hp = pad(h)
+        gs.append(h)
+        ps.append(hp)
+        tested[l].append(0)
+        old = len(orbit)
+        k = 0
+        while k < len(orbit):  # h on the old points, every generator on new ones
+            d = orbit[k]
+            for s, sp in zip(gs, ps) if k >= old else ((h, hp),):
+                c = s[d]
+                if c not in u:
+                    u[c] = x = compose(u[d], sp)
+                    ui[c] = pad(invert(x))
+                    orbit.append(c)
+            k += 1
+        if len(orbit) > old:
+            size = size // old * len(orbit)
+            if size > order:
+                raise AssertionError(f"orbit product {size} is past the group order {order}")
+
+    def sift(h, l: int):
+        """(residue, level it stopped at) of h sifted from level l down."""
+        while l < len(bases):
+            b = bases[l]
+            c = h[b]
+            if c != b:
+                x = invs[l].get(c)
+                if x is None:
+                    break
+                h = compose(h, x)
+            l += 1
+        return h, l
+
+    for g in gens:
+        if g != ident and not (bases and g in strong[0]):
+            grow(0, g)
+    if not bases or size > half:
+        return size
+    w, ps0 = strong[0][0], pads[0]
+    for k in range(1, 13):
+        w = compose(w, ps0[k % len(ps0)])
+        h, j = sift(w, 0)  # j >= 1: orbit 0 is closed under every product
+        if h != ident:
+            for l in range(1, j + 1):
+                grow(l, h)
+            if size > half:
+                return size
+    i = len(bases) - 1
+    while i >= 0:
+        gs, ps, u, ui, orbit, done = strong[i], pads[i], trans[i], invs[i], orbits[i], tested[i]
+        found = None
+        for si, sp in enumerate(ps):
+            s = gs[si]
+            while found is None and done[si] < len(orbit):
+                d = orbit[done[si]]
+                done[si] += 1
+                c = s[d]
+                t = compose(u[d], sp)  # s*u_d, which sends b_i to c
+                if t != u[c]:
+                    h, j = sift(compose(t, ui[c]), i + 1)
+                    if h != ident:
+                        found = h, j
+        if found is None:
+            i -= 1
+            continue
+        h, j = found
+        for l in range(i + 1, j + 1):
+            grow(l, h)
+        if size > half:
+            return size
+        i = j
+    return size
 
 
 class _ElementView(Sequence):
@@ -544,12 +665,15 @@ class PermGroup:
         return frozenset(map(self._index.__getitem__, span))
 
     def generates(self, seeds: Iterable[int]) -> bool:
-        """Whether the given element indices generate G: one closure with
-        limit |G|//2 + 1, which gives up once the span passes |G|/2 (only
-        the trivial group spans all of G below the limit); no index set is
-        built."""
-        span = self._span(seeds, self.order // 2 + 1)
-        return span is None or len(span) == self.order
+        """Whether the given element indices generate G: a Schreier-Sims
+        chain of the seeds (``_chain_order``), stopped once the product of
+        its basic orbit lengths, a lower bound on the order of their span,
+        passes |G|/2. It reads point images only: no element is enumerated
+        and no class data is read. Raises IndexError for an index outside
+        0..|G|-1 before it reads any image."""
+        images = self._images
+        seeds = [images[self._checked(s)] for s in seeds]
+        return _chain_order(images[0], seeds, self._kernel, self.order) > self.order // 2
 
     def is_subgroup(self, elems: frozenset[int]) -> bool:
         """Exact test. A set without the identity, or whose size does not

@@ -343,6 +343,25 @@ def test_oracle_genus_guard_survives_python_O():
     assert proc.stdout.split() == ["1"] + ["NotASubgroup"] * 3
 
 
+def test_sample_tuple_closes_no_span(monkeypatch):
+    """The generation test enumerates no subgroup: with the closure loop
+    ``permgroup._close`` refusing every call, the sampler still draws
+    tuples of W(F4) that satisfy the relation and generate G by a plain
+    G.mul closure."""
+    G = weyl_group("F", 4).group
+
+    def refuse(*args):
+        raise AssertionError("_close was called")
+
+    monkeypatch.setattr("prymdim.permgroup._close", refuse)
+    rng = random.Random(3)
+    for g, b in ((0, 3), (1, 2), (2, 2)):
+        t = sample_tuple(G, g, b, rng)
+        assert t.relation_product() == G.identity_index
+        seeds = [x for ab in t.handles for x in ab] + list(t.branch_elements)
+        assert len(closure_by_mul(G, seeds)) == G.order
+
+
 def test_sample_tuple_needs_no_subgroup_closure(monkeypatch, s4):
     """The sampler asks ``PermGroup.generates`` whether a tuple generates G
     and never builds the span's index set: with ``subgroup_closure``

@@ -1,5 +1,6 @@
 import ast
 import copy
+import functools
 import itertools
 import os
 import random
@@ -29,6 +30,7 @@ from prymdim.permgroup import (
     parse_permutation,
 )
 from prymdim.monodromy import BranchTuple, sample_tuple, verify_tuple
+from prymdim import weyl
 from prymdim.weyl import weyl_group
 
 from conftest import SMALL_WEYL, WEYL_FLEET, closure_by_mul, left_row
@@ -536,28 +538,54 @@ def test_subgroup_closure_matches_mul_bfs(s4):
         assert 0 < generating < G.order ** 2
 
 
+@functools.lru_cache(maxsize=None)
+def _seed_sets():
+    """(group, seed sets, their G.mul closures) for every distinct fleet
+    group of order <= 5000 and for S4 re-embedded at degree 300 (the tuple
+    store), 200 seeded sets of 1-4 seeds each, and for W(A7), 20 sets. The
+    last entries are the {Coxeter element, s_(r-2)} pairs of W(F4) and
+    W(D4), which span subgroups of index 2 and 4, so ``weyl_group`` closes
+    both from their simple reflections instead."""
+    s4_tuples = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"], degree=300))
+    groups = {id(G): G for G in (weyl_group(*t).group for t in WEYL_FLEET)
+              if G.order <= 5000 or G.order == 40320}
+    rng = random.Random(0)
+    out = []
+    for G in (*groups.values(), s4_tuples):
+        n = 20 if G.order > 5000 else 200
+        sets = [[rng.randrange(G.order) for _ in range(rng.randint(1, 4))] for _ in range(n)]
+        out.append((G, sets, [closure_by_mul(G, seeds) for seeds in sets]))
+    for letter, rank in (("F", 4), ("D", 4)):
+        G = weyl_group(letter, rank).group
+        simple = weyl._simple_reflections(weyl._realization(letter, rank))
+        pair = [G.index_of(weyl._coxeter_element(simple)), G.index_of(simple[-2])]
+        out.append((G, [pair], [closure_by_mul(G, pair)]))
+    return out
+
+
 def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
     """The coset-by-coset closure, which returns G once its span passes
-    |G|/2, equals a plain G.mul closure on 200 seeded sets of 1-4 seeds
-    in W(F4), W(D5), W(B3) and S4 re-embedded at degree 300 (the tuple
-    store), on empty, identity and repeated seeds, on the trivial group
-    and Z2 (limits 1 and 2), and at index 2: two 3-cycles of S4 close to
-    A4, not S4. ``generates`` answers true exactly when that plain
-    closure is G, on every one of those seed sets."""
-    s4_tuples = group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"], degree=300))
-    rng = random.Random(0)
+    |G|/2, equals a plain G.mul closure on the seed sets of
+    ``_seed_sets`` (every fleet group of order <= 5000, W(A7) and S4 in
+    the tuple store), on empty, identity and repeated seeds, on the
+    trivial group and Z2 (limits 1 and 2), and at index 2: two 3-cycles of
+    S4 close to A4, not S4. ``generates`` answers true exactly when that
+    plain closure is G, on every one of those seed sets, the Coxeter pairs
+    of W(F4) (index 2) and W(D4) (index 4) included."""
 
     def generates_by_mul(G, seeds):
         return len(closure_by_mul(G, seeds)) == G.order
 
-    for G in (*(weyl_group(*t).group for t in [("F", 4), ("D", 5), ("B", 3)]), s4_tuples):
-        sets = [[rng.randrange(G.order) for _ in range(rng.randint(1, 4))] for _ in range(200)]
+    for G, sets, closures in _seed_sets():
         generating = 0
-        for seeds in sets:
+        for seeds, closure in zip(sets, closures):
             span = G.subgroup_closure(seeds)
-            assert span == closure_by_mul(G, seeds), seeds
-            assert G.generates(seeds) == generates_by_mul(G, seeds), seeds
+            assert span == closure, seeds
+            assert G.generates(seeds) == (len(closure) == G.order), seeds
             generating += len(span) == G.order
+        if len(sets) == 1:  # a Coxeter pair
+            assert generating == 0 and G.order // len(closures[0]) in (2, 4)
+            continue
         assert 0 < generating < len(sets)
         x, y = sets[0][0], sets[1][0]
         assert G.subgroup_closure([]) == G.subgroup_closure([0]) == {0}
@@ -581,12 +609,26 @@ def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
     assert len(a4) == s4.order // 2 and a4 == even
 
 
+def test_chain_run_to_completion_gives_the_span_order():
+    """Given twice |G| as the order of a group holding the seeds, the
+    Schreier-Sims chain never passes half of it, so it runs to completion,
+    and the product of its basic orbit lengths is the order of the span,
+    exactly, on every seed set of ``_seed_sets``."""
+    for G, sets, closures in _seed_sets():
+        images = G._images
+        for seeds, closure in zip(sets, closures):
+            order = prymdim.permgroup._chain_order(
+                images[0], [images[s] for s in seeds], G._kernel, 2 * G.order)
+            assert order == len(closure), seeds
+
+
 @pytest.mark.parametrize("label", [("F", 4), ("D", 5)])
 def test_generation_test_costs_under_one_composition_per_element(monkeypatch, label):
-    """A generating set of 4 seeds costs fewer than |G| compositions: each
-    new generator's span is a union of cosets of the previous one, and the
-    closure stops at the coset that would take it past |G|/2. A
-    breadth-first closure makes about 4 per element."""
+    """``subgroup_closure`` of a generating set of 4 seeds costs fewer
+    than |G| compositions: each new generator's span is a union of cosets
+    of the previous one, and the closure stops at the coset that would
+    take it past |G|/2. A breadth-first closure makes about 4 per
+    element."""
     G = weyl_group(*label).group
     calls = 0
     compose = G._kernel.compose
@@ -605,6 +647,72 @@ def test_generation_test_costs_under_one_composition_per_element(monkeypatch, la
         if len(G.subgroup_closure(seeds)) == G.order:
             assert calls < G.order, (seeds, calls)
             checked += 1
+
+
+@pytest.mark.parametrize("label", [("A", 7), ("D", 5)])
+def test_generation_test_costs_under_a_thousand_compositions(monkeypatch, label):
+    """``generates`` on a generating set of 4 seeds costs fewer than 1,000
+    compositions through the group's kernel: the Schreier-Sims chain stops
+    once its orbit product passes |G|/2, and a level holds at most the
+    degree's points. A closure pays at least |G|/2 (20,160 on W(A7))."""
+    G = weyl_group(*label).group
+    calls = 0
+    compose = G._kernel.compose
+
+    def counted(b, a):
+        nonlocal calls
+        calls += 1
+        return compose(b, a)
+
+    rng = random.Random(1)
+    sets = [rng.sample(range(G.order), 4) for _ in range(12)]
+    sets = [seeds for seeds in sets if len(G.subgroup_closure(seeds)) == G.order]
+    assert len(sets) >= 8
+    monkeypatch.setattr(G, "_kernel", G._kernel._replace(compose=counted))
+    for seeds in sets:
+        calls = 0
+        assert G.generates(seeds)
+        assert 0 < calls < 1000, (seeds, calls)
+
+
+def _forged_order_z5():
+    """Z5 from the 5-cycle, with its order forged down to 2: the first
+    level of a chain of the 5-cycle (index 1) has an orbit of 5 points."""
+    G = group_from_generators(parse_generators(["(0 1 2 3 4)"]))
+    G.order = 2
+    return G
+
+
+def test_orbit_product_past_the_group_order_raises():
+    with pytest.raises(AssertionError, match="orbit product 5 is past the group order 2"):
+        _forged_order_z5().generates([1])
+
+
+def test_orbit_product_check_survives_python_O():
+    """The chain's order check is an explicit raise, so it holds under -O."""
+    snippet = textwrap.dedent(
+        """
+        import sys
+        from test_permgroup import _forged_order_z5
+
+        print(sys.flags.optimize)
+        try:
+            _forged_order_z5().generates([1])
+        except AssertionError as exc:
+            print(exc)
+        """
+    )
+    paths = [str(Path(prymdim.permgroup.__file__).resolve().parents[1]),
+             str(Path(__file__).parent)]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\norbit product 5 is past the group order 2\n"
 
 
 def test_subgroup_test_stops_at_one_more_than_the_set(monkeypatch):
