@@ -401,9 +401,10 @@ def _chain_order(ident, gens: Sequence, kernel: _Kernel, order: int) -> int:
     ``order // 2``, <gens> is the whole group (Lagrange) and the product
     is returned at once. Otherwise the chain is run to completion and the
     product is exactly |<gens>|; so it is for an ``order`` of at least
-    2|<gens>|. A first phase sifts the products g_0 g_1 ... g_k of the
-    generators, cyclically for k = 1..12, to fill the lower levels before
-    the Schreier generators are tested; it draws on no random source. A
+    2|<gens>|. A first phase sifts, for k = 1..12, the product of g_0,
+    g_1, ..., g_k applied in turn, the distinct generators other than the
+    identity taken cyclically, to fill the lower levels before the
+    Schreier generators are tested; it draws on no random source. A
     product past ``order`` raises AssertionError. Only point images
     ``g[i]`` are read, and every product goes through ``kernel``.
     """
@@ -415,8 +416,8 @@ def _chain_order(ident, gens: Sequence, kernel: _Kernel, order: int) -> int:
     size = 1
 
     def grow(l: int, h) -> None:
-        """Add h to the strong generators of level l, a new level past the
-        last, and close that level's orbit."""
+        """Add h to the strong generators of level l (a new level when l is
+        one past the last) and close that level's orbit under them."""
         nonlocal size
         if l == len(bases):
             b = next(i for i, x in enumerate(h) if x != i)
@@ -670,7 +671,7 @@ class PermGroup:
         its basic orbit lengths, a lower bound on the order of their span,
         passes |G|/2. It reads point images only: no element is enumerated
         and no class data is read. Raises IndexError for an index outside
-        0..|G|-1 before it reads any image."""
+        0..|G|-1 before any composition."""
         images = self._images
         seeds = [images[self._checked(s)] for s in seeds]
         return _chain_order(images[0], seeds, self._kernel, self.order) > self.order // 2
