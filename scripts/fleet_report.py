@@ -6,12 +6,16 @@ dimension next to the expected value for each preset. Everything is
 exact; a MISMATCH anywhere is a bug.
 
 Usage: python scripts/fleet_report.py [--genus G] [--degD D]
+
+A genus or degD outside the presets' regime (genus < 2, degD < 0) is
+refused before any row is printed, with one error line and exit code 2.
 """
 
 import argparse
 import sys
 import time
 
+from prymdim.errors import OutOfRegime
 from prymdim.rhprym import isotypic_dims_solve, prym_dim_formula
 from prymdim.weyl import (
     SUPPORTED,
@@ -30,6 +34,15 @@ def main() -> int:
     args = ap.parse_args()
 
     fleet = [(letter, rank) for letter in "ABCDGF" for rank in SUPPORTED[letter]]
+    # the presets' regime does not depend on the group: refuse an
+    # out-of-regime genus or degD on the first one, before any row
+    try:
+        first = weyl_group(*fleet[0])
+        hitchin_preset(first, args.genus)
+        markman_preset(first, args.genus, args.deg_d)
+    except OutOfRegime as exc:
+        print(f"error: OutOfRegime: {exc}", file=sys.stderr)
+        return 2
     header = (
         f"{'group':>6} {'|W|':>6} {'N':>3} {'dimG':>5} "
         f"{'toda':>10} {'hitchin':>12} {'markman':>12} {'time':>7}"

@@ -140,6 +140,10 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
     if not isinstance(gdoc, dict):
         raise ParseError('cover spec needs a "group" object')
     if "weyl" in gdoc:
+        extra = " and ".join(f'"{key}"' for key in ("generators", "degree") if key in gdoc)
+        if extra:
+            raise ParseError(f'group object has "weyl" and {extra}: give exactly one of '
+                             '"weyl" and "generators" (with an optional "degree")')
         wdoc = gdoc["weyl"]
         if not isinstance(wdoc, dict):
             raise ParseError('"weyl" must be an object with "type" and "rank"')

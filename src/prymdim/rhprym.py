@@ -11,40 +11,60 @@ and ``_riemann_hurwitz`` computes it for ``genus_quotient`` and
 H_0 = {1}, where #(H_k\\G/H_0) = |G|/|H_k| turns the sum into deg(R)/2.
 Inversion maps H_k g H_i onto H_i g^-1 H_k, so the double-coset matrix
 is symmetric and its row i holds every #(H_k\\G/H_i). The ramification
-sums of all quotients thus come from one vector, the R_k-weighted sum of
-the rows k of that matrix over the spec's branch classes, formed once
-per spec, and ``validate`` reads every genus off it in one
-comprehension; ``_genus_fault`` names a parity or sign failure for
-both. The quotient genera determine the isotypic dimensions dim V_j
-through the invertible fixed-subspace dimension matrix. The same
-dimensions also come out of the closed form
+degrees of all quotients thus come from one vector, [G:H_i] R - w_i with
+R = sum_k R_k and w the R_k-weighted sum of the rows k of that matrix
+over the spec's branch classes; ``_genus_fault`` names a parity or sign
+failure for ``validate`` and the one-quantity functions alike. The
+quotient genera determine the isotypic dimensions dim V_j through the
+invertible fixed-subspace dimension matrix. The same dimensions also
+come out of the closed form
 
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one), which
-``prym_dim_formula`` sums for the one irrep asked. All arithmetic
-is in integers. The fixed-dim matrix A is certified once per group by
-its nonzero determinant, so A x = g has exactly one solution.
-``validate`` sums the closed form first, doubled, for every irrep at
-once: with R = sum_k R_k and w the R_k-weighted sum of the fixed-dim
-rows k, a vector of the same shape as the ramification sums,
-2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j. It hands that vector to
-``exactla.solve`` as its candidate over d = 2: one exact packed product
-A (2x) == 2 g accepts it as the solve's answer, half-integral or not,
-so both routes agree and the solve's NonIntegerSolution text comes from
-the same fractions. Only a failed check takes an elimination, whose
-dimensions or NonIntegerSolution text are then reported beside the
-closed form's. ``isotypic_dims_solve``, the reference route, always
-eliminates: one Bareiss pass over [A | g] gives the numerators over
-d = det A. An index outside 0..n-1, negative ones included, raises
-IndexError.
+``prym_dim_formula`` sums for the one irrep asked. ``validate`` forms
+it doubled for every irrep at once: with w the R_k-weighted sum of the
+fixed-dim rows k, 2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j.
+
+All arithmetic is in integers. ``validate`` forms its vectors on packed
+rows (Kronecker substitution, as in ``exactla``): each row it weights
+by R_k, every double-coset row and every fixed-dim row, and the index
+and degree vectors are packed once per group as one int with one lane
+of ``LANE`` = 64 bits per cyclic class or irrep, and kept with the
+group. A vector is then a handful of big-int operations for any n: the
+weighted sums are one multiply-add per branch class, every parity is
+one AND with the lane ones, and each vector is read back once, by
+adding 2^63 to every lane, which makes each a digit in [0, 2^64) so no
+lane borrows from the next, XORing the same constant, and casting the
+bytes to signed words. No lane of any of these vectors exceeds
+(2g + 2R + 4)|G| in absolute value; when that bound reaches 2^62,
+which unbounded counts and genera allow, the same arithmetic runs at
+the least multiple of 64 bits that keeps it below 2^(width - 2), the
+rows packed at that width on first use. ``_lane_kernel`` is the only
+place that branches on the width.
+
+The fixed-dim matrix A is certified once per group by its nonzero
+determinant, so A x = g has exactly one solution. ``validate`` hands
+its doubled closed form to ``exactla.solve`` as the candidate over
+d = 2: one exact packed product A (2x) == 2 g accepts it as the solve's
+answer, half-integral or not, so both routes agree and the solve's
+NonIntegerSolution text comes from the same fractions. Only a failed
+check takes an elimination, whose dimensions or NonIntegerSolution text
+are then reported beside the closed form's. ``isotypic_dims_solve``,
+the reference route, takes every genus from ``genus_quotient``, row by
+row with no packing, and always eliminates: one Bareiss pass over
+[A | g] gives the numerators over d = det A. An index outside 0..n-1,
+negative ones included, raises IndexError.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import weakref
+from array import array
 from operator import mul
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from . import exactla
 from .chartable import CharacterTable, character_table, fixed_dim_matrix
@@ -71,6 +91,12 @@ BRANCH_DATA_DIAGNOSTICS = (
 # sample_cover_specs draws base genera and per-class branch counts up to these.
 SAMPLE_MAX_GENUS = 5
 SAMPLE_MAX_COUNT = 10
+
+# the narrowest lane width of the packed rows, one machine word
+LANE = 64
+
+# each group's packed rows by width, dropped with their group
+_packed: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class RamificationSpec(_Record):
@@ -152,27 +178,110 @@ def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
     return sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
 
 
-def _weighted_rows(rows: Sequence[Sequence[int]], counts: Mapping[int, int]) -> list[int]:
-    """sum_k R_k rows[k] over the branch classes k, R_k = counts[k]."""
-    total = [0] * len(rows[0])
-    for k, r in counts.items():
-        total = [w + r * v for w, v in zip(total, rows[k])]
-    return total
+class _LaneKernel(NamedTuple):
+    """Packing of n signed lanes of ``width`` bits into one int. Lane l
+    sits at bit width*l, except at LANE on a big-endian machine, where
+    the native words put the lanes in reverse order; every operation on
+    the packed ints is lane by lane, so the order does not show.
+
+    ``pack`` packs a row of nonnegative entries below 2^width; ``read``
+    reads back a packed int whose lanes lie in [-2^(width-1),
+    2^(width-1)): adding 2^(width-1) to every lane makes each a digit in
+    [0, 2^width), so no lane borrows from the next, and an XOR with the
+    same constant leaves each digit the two's complement of its lane.
+    ``ones`` holds 1 in every lane."""
+
+    pack: Callable[[Sequence[int]], int]
+    read: Callable[[int], list[int]]
+    ones: int
 
 
-def _ramifications(spec: CoverSpec) -> tuple[list[int], list[int]]:
-    """The indices [G:H_i] and ramification degrees of every quotient X/H_i.
+def _lane_kernel(n: int, width: int) -> _LaneKernel:
+    """``array('Q')`` bytes and a ``memoryview`` cast at LANE, one
+    little-endian ``to_bytes`` slice per lane above it."""
+    size = n * width // 8
+    if width == LANE:
+        order = sys.byteorder
 
-    The degree is [G:H_i] R - w_i with R = sum_k R_k and w the
-    R_k-weighted sum of the rows k of the symmetric double-coset matrix,
-    summed once for all i over the spec's branch classes.
-    """
+        def pack(row: Sequence[int]) -> int:
+            return int.from_bytes(array("Q", row).tobytes(), order)
+
+        def read_digits(x: int) -> list[int]:
+            return memoryview(x.to_bytes(size, order)).cast("q").tolist()
+    else:
+        step = width // 8
+
+        def pack(row: Sequence[int]) -> int:
+            return int.from_bytes(b"".join(v.to_bytes(step, "little") for v in row), "little")
+
+        def read_digits(x: int) -> list[int]:
+            data = x.to_bytes(size, "little")
+            return [int.from_bytes(data[i : i + step], "little", signed=True)
+                    for i in range(0, size, step)]
+
+    ones = pack([1] * n)
+    bias = ones << (width - 1)
+    return _LaneKernel(pack, lambda x: read_digits((x + bias) ^ bias), ones)
+
+
+def _width(bound: int) -> int:
+    """The least multiple of LANE with bound < 2^(width - 2)."""
+    return -(-(bound.bit_length() + 2) // LANE) * LANE
+
+
+class _Lanes(NamedTuple):
+    """A group's rows that ``validate`` weights by R_k, packed at one width:
+    ``cosets[k]`` row k of the double-coset matrix (lane i #(H_k\\G/H_i)),
+    ``fixed[k]`` row k of the fixed-dim matrix (lane j dim rho_j^{H_k}),
+    ``index`` the indices [G:H_i] and ``degrees`` the irrep degrees."""
+
+    kernel: _LaneKernel
+    cosets: tuple[int, ...]
+    fixed: tuple[int, ...]
+    index: int
+    degrees: int
+
+
+def _lanes(
+    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular
+) -> tuple[_Lanes, int]:
+    """The spec's group's packed rows at the width its lanes need, with
+    R = sum_k R_k.
+
+    Every lane of every vector formed from them is at most
+    (2g + 2R + 4)|G| in absolute value, since each index, double-coset
+    count, degree and fixed dimension is at most |G|, so the width is the
+    least multiple of LANE above that bound by two bits. ``table`` and
+    ``fdm`` are the group's; the rows are packed on the first spec that
+    needs their width and kept with the group."""
     G = spec.group
-    counts = spec.ramification.counts
-    points = sum(counts.values())
-    indices = [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
-    weighted = _weighted_rows(G.double_coset_matrix(), counts)
-    return indices, [index * points - w for index, w in zip(indices, weighted)]
+    points = sum(spec.ramification.counts.values())
+    width = _width((2 * spec.base_genus + 2 * points + 4) * G.order)
+    packed = _packed.get(G)
+    if packed is None:
+        packed = _packed[G] = {}
+    lanes = packed.get(width)
+    if lanes is None:
+        lanes = packed[width] = _pack_lanes(G, table, fdm, width)
+    return lanes, points
+
+
+def _pack_lanes(G: PermGroup, table: CharacterTable, fdm: exactla.Nonsingular,
+                width: int) -> _Lanes:
+    cyclic = G.cyclic_subgroup_classes()
+    kernel = _lane_kernel(len(cyclic), width)
+    return _Lanes(
+        kernel,
+        cosets=tuple(map(kernel.pack, G.double_coset_matrix())),
+        fixed=tuple(map(kernel.pack, fdm.rows)),
+        index=kernel.pack([G.order // K.subgroup_order for K in cyclic]),
+        degrees=kernel.pack(table.degrees),
+    )
+
+
+def _weighted(rows: Sequence[int], counts: Mapping[int, int]) -> int:
+    """sum_k R_k rows[k] over the branch classes k, R_k = counts[k]."""
+    return sum(map(mul, counts.values(), map(rows.__getitem__, counts)))
 
 
 def genus_total(spec: CoverSpec) -> int:
@@ -208,9 +317,10 @@ def _solve_from_genera(
 
 
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
-    """Isotypic dimensions from the linear system over all quotient genera."""
-    indices, rams = _ramifications(spec)
-    genera = [_riemann_hurwitz(spec, i, *ram) for i, ram in enumerate(zip(indices, rams))]
+    """Isotypic dimensions from the linear system over all quotient genera,
+    each from ``genus_quotient``; raises the first quotient's fault."""
+    n = len(spec.group.cyclic_subgroup_classes())
+    genera = [genus_quotient(spec, i) for i in range(n)]
     return _solve_from_genera(fixed_dim_matrix(spec.group), genera)
 
 
@@ -222,12 +332,13 @@ def _closed_form_doubled(
 
         2 deg_j (g - 1) + sum_k (deg_j - rows[k][j]) R_k = deg_j (2g - 2 + R) - w_j,
 
-    and 2g for the trivial irrep."""
+    formed on the packed rows and read back once, and 2g for the trivial
+    irrep."""
+    lanes, points = _lanes(spec, table, fdm)
     g = spec.base_genus
-    counts = spec.ramification.counts
-    scale = 2 * g - 2 + sum(counts.values())
-    fixed = _weighted_rows(fdm.rows, counts)
-    twice = [deg * scale - w for deg, w in zip(table.degrees, fixed)]
+    twice = lanes.kernel.read(
+        (2 * g - 2 + points) * lanes.degrees - _weighted(lanes.fixed, spec.ramification.counts)
+    )
     twice[0] = 2 * g
     return twice
 
@@ -286,12 +397,22 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(_diagnostic(exc))
             return None
 
-    indices, rams = _ramifications(spec)
-    g1 = spec.base_genus - 1
-    genera: list[int | None] = [1 + index * g1 + ram // 2 for index, ram in zip(indices, rams)]
+    # the ramification degree of X/H_i is [G:H_i] R - w_i, w the
+    # R_k-weighted sum of the rows k of the symmetric double-coset matrix;
+    # no lane of it is negative, so one AND with the lane ones leaves each
+    # lane's parity, and taking the parities off halves every lane
+    # exactly: the genus 1 + [G:H_i](g - 1) + floor(ram_i / 2) of every
+    # quotient is read back at once
+    lanes, points = _lanes(spec, table, fdm)
+    kernel = lanes.kernel
+    ram = points * lanes.index - _weighted(lanes.cosets, spec.ramification.counts)
+    odd = ram & kernel.ones
+    genera = kernel.read(kernel.ones + (spec.base_genus - 1) * lanes.index + ((ram - odd) >> 1))
     g_total = genera[0]
-    bad = [i for i, (ram, g_h) in enumerate(zip(rams, genera)) if ram % 2 or g_h < 0]
-    if bad:
+    bad = []
+    if odd or min(genera) < 0:
+        rams = kernel.read(ram)
+        bad = [i for i, (r, g_h) in enumerate(zip(rams, genera)) if r % 2 or g_h < 0]
         # no cover has this branch data; the total space X = X/H_0 has the
         # degree and genus of H_0's quotient, under its own names, first
         if bad[0] == 0:

@@ -11,8 +11,10 @@ function reads off every simple reflection by reflecting each point, and
 one formula gives the trace on the Cartan: sum_i (w a_i)_i / c - t.
 Each group is closed from two generators, the Coxeter element and the
 simple reflection s_{r-2}, where they generate it (every supported type
-but D4 and F4), else from the simple reflections; the classes and every
-element index do not depend on that choice.
+but D4 and F4), else from the simple reflections; a Schreier-Sims chain
+of the pair against the known |W| decides which, so only one set is
+closed. The classes and every element index do not depend on that
+choice.
 
 Each group carries the data the branched-cover presets need: the
 reflection representation (located in the character table by its trace),
@@ -39,7 +41,7 @@ from typing import NamedTuple
 
 from .chartable import character_table
 from .errors import OutOfRegime, UnsupportedType
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup, Permutation, _chain_order, _kernel
 from .rhprym import CoverSpec, RamificationSpec
 
 SUPPORTED = {
@@ -163,16 +165,23 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
     The classification pass costs one composition per element and
     generator, so two generators beat r of them; the closure, coset by
     coset, costs about one composition per element plus one per coset
-    representative and generator. The pair lies in W, so
-    it generates W exactly when its closure has order |W| = prod d_i; it
-    does for A1-A7, B2-B5 = C2-C5, D5 and G2, not for D4 or F4.
+    representative and generator. The pair lies in W, so it generates W
+    exactly when a Schreier-Sims chain of it (``_chain_order``, on point
+    images only) passes |W|/2, |W| = prod d_i; it does for A1-A7,
+    B2-B5 = C2-C5, D5 and G2, not for D4 or F4. Only the generating set
+    is closed.
 
     Cached on the simple reflections, so B_n and C_n, which have the same
     ones, share one group.
     """
     cox = _coxeter_element(simple)
-    G = PermGroup([cox] if len(simple) == 1 else [cox, simple[-2]])
-    return G if G.order == order else PermGroup(simple)
+    pair = [cox] if len(simple) == 1 else [cox, simple[-2]]
+    degree = cox.degree()
+    kernel = _kernel(degree)
+    images = [kernel.key(g.images) for g in pair]
+    if _chain_order(kernel.key(range(degree)), images, kernel, order) > order // 2:
+        return PermGroup(pair)
+    return PermGroup(simple)
 
 
 def _supported(letter: str, rank: int) -> str:

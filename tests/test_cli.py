@@ -216,8 +216,15 @@ def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
         ({"group": {"weyl": {"type": 1, "rank": 2}}, "base_genus": 1}, 1),
         ({"group": {"weyl": {"type": ["A"], "rank": 2}}, "base_genus": 1}, 1),
         ({"group": {"weyl": {"rank": 2}}, "base_genus": 1}, 1),
+        # a second group beside "weyl" is refused, not dropped
+        ({"group": {"weyl": {"type": "A", "rank": 2}, "generators": ["(0 1 2 3)"]},
+          "base_genus": 1}, 1),
+        ({"group": {"weyl": {"type": "A", "rank": 2}, "degree": 3}, "base_genus": 1}, 1),
+        ({"group": {"weyl": {"type": "A", "rank": 2}, "generators": ["(0 1 2)"],
+                    "degree": 3}, "base_genus": 1}, 1),
     ],
-    ids=["weyl_not_object", "superscript_digit", "type_int", "type_list", "type_missing"],
+    ids=["weyl_not_object", "superscript_digit", "type_int", "type_list", "type_missing",
+         "weyl_and_generators", "weyl_and_degree", "weyl_generators_and_degree"],
 )
 def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     f = tmp_path / "weyl.json"
@@ -227,6 +234,9 @@ def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+    for key in ("generators", "degree"):
+        if key in doc["group"]:
+            assert '"weyl"' in err and f'"{key}"' in err
 
 
 # each case needs degree MAX_DEGREE + 1 and no more, so nothing large is

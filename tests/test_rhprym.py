@@ -2,6 +2,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prymdim import exactla, rhprym
 from prymdim.chartable import character_table, fixed_dim_matrix
@@ -14,6 +16,7 @@ from prymdim.errors import (
 )
 from prymdim.rhprym import (
     BRANCH_DATA_DIAGNOSTICS,
+    DimensionReport,
     CoverSpec,
     RamificationSpec,
     genus_quotient,
@@ -354,8 +357,9 @@ def test_warm_validate_looks_up_each_table_once(monkeypatch):
 
 
 def test_warm_validate_reads_cyclic_classes_and_double_cosets_once(monkeypatch):
-    """validate looks up the cyclic classes and the double-coset matrix
-    once per spec for all n + 1 genera, not once per quotient."""
+    """validate looks up the cyclic classes and the double-coset matrix at
+    most once per spec for all n + 1 genera, not once per quotient: a warm
+    spec reads neither, since the group's packed rows hold them."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 11, random.Random(9))]
     validate(specs[0])
@@ -374,7 +378,7 @@ def test_warm_validate_reads_cyclic_classes_and_double_cosets_once(monkeypatch):
     counted("cyclic_subgroup_classes")
     counted("double_coset_matrix")
     reports = [validate(spec) for spec in specs[1:]]
-    assert calls == {"cyclic_subgroup_classes": 10, "double_coset_matrix": 10}
+    assert calls == {"cyclic_subgroup_classes": 0, "double_coset_matrix": 0}
     monkeypatch.undo()
     for spec, report in zip(specs[1:], reports):
         n = len(G.cyclic_subgroup_classes())
@@ -452,3 +456,171 @@ def test_index_outside_range_raises(s3, index):
         prym_dim_formula(spec, index)
     with pytest.raises(IndexError):
         genus_quotient(spec, index)
+
+
+# -- packed lanes ------------------------------------------------------------
+
+
+def _fault_text(exc):
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _validate_by_rows(spec):
+    """validate's report with every vector formed row by row: the
+    R_k-weighted sums of the double-coset and fixed-dim rows entry by
+    entry, then the genera, their faults and the doubled closed form from
+    them, as validate formed them before the rows were packed."""
+    G = spec.group
+    table = character_table(G)
+    fdm = fixed_dim_matrix(G)
+    counts = spec.ramification.counts
+    points = sum(counts.values())
+
+    def weighted_rows(rows):
+        total = [0] * len(rows[0])
+        for k, r in counts.items():
+            total = [w + r * v for w, v in zip(total, rows[k])]
+        return total
+
+    diags = []
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except (NonIntegerSolution, NonIntegerDimension) as exc:
+            diags.append(f"{type(exc).__name__}: {exc}")
+            return None
+
+    indices = [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
+    rams = [index * points - w
+            for index, w in zip(indices, weighted_rows(G.double_coset_matrix()))]
+    g1 = spec.base_genus - 1
+    genera = [1 + index * g1 + ram // 2 for index, ram in zip(indices, rams)]
+    g_total = genera[0]
+    bad = [i for i, (ram, g_h) in enumerate(zip(rams, genera)) if ram % 2 or g_h < 0]
+    if bad:
+        if bad[0] == 0:
+            diags.append(_fault_text(rhprym._genus_fault(None, rams[0], g_total)))
+            g_total = None
+        for i in bad:
+            diags.append(_fault_text(rhprym._genus_fault(i, rams[i], genera[i])))
+            genera[i] = None
+    scale = 2 * spec.base_genus - 2 + points
+    twice = [deg * scale - w for deg, w in zip(table.degrees, weighted_rows(fdm.rows))]
+    twice[0] = 2 * spec.base_genus
+    dims = None
+    if not bad:
+        dims = attempt(rhprym._solve_from_genera, fdm, genera, (twice, 2))
+    closed = attempt(rhprym._halved, twice)
+    if dims is not None and closed is not None and dims != closed:
+        diags.append(f"MethodDisagreement: solver {dims} != closed form {closed}")
+    final = dims if dims is not None else closed
+    if final is not None:
+        if min(final) < 0:
+            diags.append(f"NegativeDimension: {final}")
+        if final[0] != spec.base_genus:
+            diags.append("TrivialDimension: trivial isotypic dimension "
+                         f"{final[0]} != base genus {spec.base_genus}")
+        if g_total is not None:
+            weighted = sum(d * v for d, v in zip(table.degrees, final))
+            if weighted != g_total:
+                diags.append(
+                    f"DimensionSum: sum(deg_j * dim V_j) = {weighted} != g_X = {g_total}")
+    return DimensionReport(
+        g_total=g_total,
+        quotient_genera=tuple(genera),
+        dims=dims,
+        dims_closed_form=closed,
+        method_agreement=dims is not None and closed is not None and dims == closed,
+        diagnostics=tuple(diags),
+    )
+
+
+# S3, S4, W(B3) and W(F4)
+_LANE_GROUPS = ("A2", "A3", "B3", "F4")
+
+# small counts, counts and genera on both sides of the 64-bit lanes' bound
+# (2^62 over |G|) and of 2^64, and 2^200 ones
+_WIDE = st.one_of(
+    st.integers(0, 9),
+    st.integers(2**61, 2**64),
+    st.integers(2**200 - 2, 2**200 + 2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("label", _LANE_GROUPS)
+def test_validate_matches_row_by_row_reference(label, data):
+    """validate's packed vectors give the row-by-row report, field by field
+    and diagnostic by diagnostic, with counts and genera on both sides of
+    the lane bound."""
+    G = weyl_group(label[0], int(label[1])).group
+    n = len(G.cyclic_subgroup_classes())
+    counts = data.draw(st.dictionaries(st.integers(1, n - 1), _WIDE, max_size=6))
+    genus = data.draw(st.one_of(st.integers(0, 3), _WIDE))
+    spec = CoverSpec(G, genus, RamificationSpec(counts))
+    assert validate(spec) == _validate_by_rows(spec)
+
+
+def test_validate_matches_row_by_row_reference_on_every_diagnostic():
+    """Seeded specs over S3, S4, W(B3) and W(F4), odd counts and base genus
+    0 among them, small and wide: every branch-data diagnostic comes up,
+    at both widths, and each report equals the row-by-row one."""
+    kinds = {False: set(), True: set()}
+    for label in _LANE_GROUPS:
+        G = weyl_group(label[0], int(label[1])).group
+        n = len(G.cyclic_subgroup_classes())
+        rng = random.Random(f"lanes:{label}")
+        for t in range(240):
+            wide = t % 2
+            keys = rng.sample(range(1, n), rng.randint(0, min(5, n - 1)))
+            counts = {k: rng.randint(0, 9) for k in keys}
+            genus = rng.randint(0, 3)
+            if wide:
+                counts = {k: c + 2**rng.choice((61, 63, 64, 200)) for k, c in counts.items()}
+                genus += 2**rng.choice((0, 62, 64, 200)) * rng.randint(0, 1)
+            spec = CoverSpec(G, genus, RamificationSpec(counts))
+            rep = validate(spec)
+            assert rep == _validate_by_rows(spec), (label, genus, counts)
+            kinds[bool(wide)].update(d.split(":", 1)[0] for d in rep.diagnostics)
+    assert kinds[False] >= set(BRANCH_DATA_DIAGNOSTICS)
+    assert kinds[True] >= set(BRANCH_DATA_DIAGNOSTICS) - {"NegativeGenus", "NegativeDimension"}
+
+
+@pytest.mark.parametrize("width", [rhprym.LANE, 3 * rhprym.LANE])
+def test_lane_read_round_trips(width):
+    """A packed difference of nonnegative rows reads back lane by lane, at
+    the extremes -2^(w-1) + 1 and 2^(w-1) - 1 of a lane and at 0."""
+    top = 2 ** (width - 1) - 1
+    values = [-top, 0, top, -1, 1, top, -top]
+    kernel = rhprym._lane_kernel(len(values), width)
+    positive = kernel.pack([max(v, 0) for v in values])
+    negative = kernel.pack([max(-v, 0) for v in values])
+    assert kernel.read(positive - negative) == values
+    assert kernel.read(kernel.ones) == [1] * len(values)
+    assert kernel.read(0) == [0] * len(values)
+
+
+def test_warm_validate_packs_the_group_rows_once(monkeypatch):
+    """50 warm W(F4) validate calls pack the group's rows once, at 64-bit
+    lanes; a spec past the lane bound packs them once more, at its width,
+    and later ones at that width reuse them."""
+    G = weyl_group("F", 4).group
+    specs = [spec for spec, _ in sample_cover_specs(G, 50, random.Random(11))]
+    packs = []
+    pack_lanes = rhprym._pack_lanes
+
+    def counted(G, table, fdm, width):
+        packs.append(width)
+        return pack_lanes(G, table, fdm, width)
+
+    monkeypatch.setattr(rhprym, "_pack_lanes", counted)
+    monkeypatch.delitem(rhprym._packed, G, raising=False)
+    for spec in specs:
+        validate(spec)
+    assert packs == [rhprym.LANE]
+    wide = [CoverSpec(G, 2**62 + t, RamificationSpec({1: 2})) for t in range(3)]
+    for spec in wide:
+        validate(spec)
+    assert packs == [rhprym.LANE, 2 * rhprym.LANE]

@@ -2,10 +2,11 @@
 
 No other test imports them, so a public name they use could be removed
 without any failure. ``fleet_report.py`` is run in full (well under a
-second). ``stage_times.py`` is loaded, so its imports resolve, and its
-warm stages run on W(A1), so the calls they time do too; its full
-report (every cold stage and process on five groups) is not made; each
-warm stage reports its wall and its CPU seconds. Its paired mode runs
+second), and refuses an out-of-regime genus or degD before any row.
+``stage_times.py`` is loaded, so its imports resolve, and its warm
+stages run on W(A1), so the calls they time do too; its full report
+(every cold stage and process on five groups) is not made; each warm
+stage reports its wall and its CPU seconds. Its paired mode runs
 against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
 `--stages` without `--against`; one process of that mode times two warm
@@ -41,6 +42,23 @@ def test_fleet_report_runs_and_matches():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "all presets match"
+
+
+@pytest.mark.parametrize("args", [["--genus", "1"], ["--degD", "-3"], ["--genus", "0"]],
+                         ids=lambda a: " ".join(a))
+def test_fleet_report_refuses_out_of_regime_values(args):
+    """An out-of-regime genus or degD ends in one error line, before any
+    row (the header included) and with no traceback."""
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "fleet_report.py"), *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: OutOfRegime: ") and proc.stderr.count("\n") == 1
 
 
 def test_stage_times_imports_resolve():

@@ -338,3 +338,29 @@ def test_short_generating_set_gives_the_simple_reflection_group(letter, rank):
     for a, b in zip(ref.conjugacy_classes(), W.group.conjugacy_classes(), strict=True):
         assert a == b, W.label
     assert weyl._weyl_data(letter, rank, ref, real)._replace(group=W.group) == W
+
+
+@pytest.mark.parametrize("letter, rank", [("F", 4), ("D", 4), ("B", 3), ("A", 1)],
+                         ids=lambda v: str(v))
+def test_closure_builds_one_group(monkeypatch, letter, rank):
+    """_closure decides whether {Coxeter element, s_(r-2)} generates W by a
+    Schreier-Sims chain against |W|, so it builds exactly one PermGroup:
+    from the simple reflections on W(F4) and W(D4), where the pair does
+    not generate, from the pair (the Coxeter element in rank 1) elsewhere."""
+    simple = tuple(weyl._simple_reflections(weyl._realization(letter, rank)))
+    built = []
+    init = PermGroup.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counted)
+    G = weyl._closure.__wrapped__(simple, weyl.weyl_order(letter, rank))
+    assert built == [G]
+    assert G.order == weyl.weyl_order(letter, rank)
+    cox = weyl._coxeter_element(list(simple))
+    if (letter, rank) in (("F", 4), ("D", 4)):
+        assert list(G.generators) == list(simple)
+    else:
+        assert list(G.generators) == [cox, *simple[-2:-1]]
