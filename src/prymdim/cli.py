@@ -132,13 +132,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _known_keys(obj: dict, keys: tuple[str, ...], name: str) -> None:
+    """Refuse a key of the JSON object ``obj`` that its schema lacks."""
+    for key in obj:
+        if key not in keys:
+            raise ParseError(f"unknown key {json.dumps(key)} in {name}")
+
+
 def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
     """Build a CoverSpec from the JSON schema; raises ParseError on bad input."""
     if not isinstance(doc, dict):
         raise ParseError("cover spec must be a JSON object")
+    _known_keys(doc, ("group", "base_genus", "ramification"), "cover spec")
     gdoc = doc.get("group")
     if not isinstance(gdoc, dict):
         raise ParseError('cover spec needs a "group" object')
+    _known_keys(gdoc, ("weyl", "generators", "degree"), "group object")
     if "weyl" in gdoc:
         extra = " and ".join(f'"{key}"' for key in ("generators", "degree") if key in gdoc)
         if extra:
@@ -147,6 +156,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
         wdoc = gdoc["weyl"]
         if not isinstance(wdoc, dict):
             raise ParseError('"weyl" must be an object with "type" and "rank"')
+        _known_keys(wdoc, ("type", "rank"), '"weyl" object')
         letter, rank = wdoc.get("type"), wdoc.get("rank")
         if not _is_int(rank):
             raise ParseError('weyl group needs an integer "rank"')
@@ -184,6 +194,7 @@ def _spec_from_document(doc: dict, cap: int) -> tuple[rhprym.CoverSpec, dict]:
     for entry in ram:
         if not isinstance(entry, dict) or "inertia_generator" not in entry:
             raise ParseError(f"bad ramification entry {entry!r}")
+        _known_keys(entry, ("inertia_generator", "count"), f"ramification entry {entry!r}")
         text = entry["inertia_generator"]
         count = entry.get("count")
         if not _is_int(count) or count < 0:
@@ -332,9 +343,18 @@ def _render_dims_tsv(doc: dict) -> str:
 
 
 def _cmd_dims(args):
+    def unique(pairs: list) -> dict:
+        """A JSON object with each key once; a repeated key is refused."""
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"repeated key {json.dumps(key)} in {args.specfile}")
+            obj[key] = value
+        return obj
+
     try:
         with open(args.specfile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique)
     except (OSError, UnicodeDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {args.specfile}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -15,34 +15,42 @@ costs one elimination over [A | b]: its last column, back-substituted,
 gives the Cramer numerators y = adj(A) b over d = det(A), checked by
 A y == d b. Callers decide integrality with a divisibility test.
 
-Both checks of A y == d b are one packed comparison (Kronecker
-substitution; von zur Gathen and Gerhard, Modern Computer Algebra). A
-``Nonsingular`` also keeps each column j packed at width w = 64 as the
-integer c_j = sum_i a_ij 2^(w i), and the row norm |A| = max_i sum_j
-|a_ij|. With e = A y - d b,
+Integer vectors are formed on packed lanes (Kronecker substitution; von
+zur Gathen and Gerhard, Modern Computer Algebra), here and in
+``rhprym.validate``. ``lanes(n, w)``, w a multiple of 64, packs n signed
+entries v_i into the one int sum_i v_i 2^(w i). Packing is linear, so a
+weighted sum of packed rows is the packed weighted sum of the rows, at
+the cost of a handful of big-int operations for any n. A packed int
+whose every lane lies in [-2^(w - 1), 2^(w - 1)) reads back exactly:
+adding bias = sum_i 2^(w - 1) 2^(w i) makes each lane a digit in
+[0, 2^w), so no lane borrows from the next, and an XOR with the same
+bias leaves each digit the two's complement of its lane, which is cast
+back to signed words. ``pack`` runs the trick the other way, (words ^
+bias) - bias, on the two's-complement words of the entries. The words
+are in native byte order, so at w = 64 they read back as one cast to
+machine words; on a big-endian machine that puts the lanes in reverse
+order, which no lane-by-lane operation can tell. ``lane_width(B)`` is
+the least w with B < 2^(w - 1), so every entry up to B in absolute value
+fits its lane.
 
-    sum_j c_j y_j - d sum_i b_i 2^(w i) = sum_i e_i 2^(w i),
-
-and each |e_i| is at most B = |A| max|y| + |d| max|b|. While
-B < 2^(w - 1), a nonzero e cannot pack to 0, since its lowest nonzero
-e_i would have to be a multiple of 2^w. So A y == d b exactly when the
-two packed sides are equal. For B >= 2^63 the columns are packed at the
-least multiple w of 64 with B < 2^(w - 1): the same comparison, wider.
-A record packs at each such width once, on the first check that needs
-it, so every later check at that width (each post-elimination check on
-W(B5), whose numerators reach about 2^80) reuses the packing.
+The check A y == d b is one packed product. With column j of A packed
+as c_j at w = lane_width(|A| max(1, max|y|)), |A| = max_i sum_j |a_ij|
+the row norm, sum_j c_j y_j packs A y, whose every entry is at most
+|A| max|y| in absolute value, so it reads back exactly and is compared
+with d b entry by entry. A record packs its columns at each width once,
+on the first check that needs it, so every later check at that width
+(each post-elimination check on W(B5), whose numerators reach about
+2^80) reuses the packing.
 """
 
 from __future__ import annotations
 
-from operator import lshift, mul
-from typing import Sequence
+import sys
+from operator import mul
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import NotSquare, Singular
 from .permgroup import _Record
-
-# the width of the packed columns a Nonsingular keeps
-WIDTH = 64
 
 
 def _order(rows: Sequence[Sequence[int]]) -> int:
@@ -91,40 +99,66 @@ def determinant(rows: Sequence[Sequence[int]]) -> int:
     return _forward([list(row) for row in rows], _order(rows))
 
 
-def _pack(values: Sequence[int], width: int) -> int:
-    """sum_i values[i] 2^(width i)."""
-    return sum(map(lshift, values, range(0, width * len(values), width)))
+class LaneKernel(NamedTuple):
+    """n signed lanes of one width (module docstring). ``pack`` packs a row
+    of entries in [-2^(width-1), 2^(width-1)); ``read`` reads back a
+    packed int whose lanes lie there; ``ones`` holds 1 in every lane."""
+
+    pack: Callable[[Sequence[int]], int]
+    read: Callable[[int], list[int]]
+    ones: int
 
 
-def _packed_columns(rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
-    return tuple(_pack(col, width) for col in zip(*rows))
+def lanes(n: int, width: int) -> LaneKernel:
+    """The kernel of n lanes of ``width`` bits, a multiple of 64, in native
+    byte order: a ``memoryview`` cast to machine words reads them at 64,
+    one ``from_bytes`` slice per lane above it."""
+    step = width // 8
+    order = sys.byteorder
+
+    def words(row: Sequence[int]) -> int:
+        return int.from_bytes(b"".join(v.to_bytes(step, order, signed=True) for v in row), order)
+
+    if width == 64:
+        def digits(x: int) -> list[int]:
+            return memoryview(x.to_bytes(8 * n, order)).cast("q").tolist()
+    else:
+        def digits(x: int) -> list[int]:
+            data = x.to_bytes(n * step, order)
+            return [int.from_bytes(data[i : i + step], order, signed=True)
+                    for i in range(0, len(data), step)]
+
+    ones = words([1] * n)
+    bias = ones << (width - 1)
+    return LaneKernel(lambda row: (words(row) ^ bias) - bias,
+                      lambda x: digits((x + bias) ^ bias), ones)
+
+
+def lane_width(bound: int) -> int:
+    """The least multiple w of 64 with bound < 2^(w - 1)."""
+    return -(-(bound.bit_length() + 1) // 64) * 64
 
 
 class Nonsingular(_Record):
     """A square integer matrix with its determinant, which is nonzero.
 
     It compares and prints by its fields, rows and det. Built, it also
-    keeps ``columns``, column j packed as sum_i rows[i][j] 2^(WIDTH i),
-    and ``norm``, the row norm max_i sum_j |rows[i][j]|: the O(n^2)
-    set-up by which ``solve`` decides A y == d b in one packed comparison,
-    exact by the bound in the module docstring. ``packed`` maps each width
-    a check has used, a multiple of WIDTH, to the columns packed at it:
-    WIDTH from the start, a wider one filled on the first check that needs
-    it. All are derived from the rows, so a copy (``_replace``) packs its
-    own, starting again from WIDTH alone.
+    keeps ``norm``, the row norm max_i sum_j |rows[i][j]|, and ``packed``,
+    which maps each lane width a check of ``solve`` has used to its
+    (kernel, columns), the columns packed on the first check at that
+    width (module docstring). Both are derived from the rows, so a copy
+    (``_replace``) starts again with nothing packed.
     """
 
-    __slots__ = ("rows", "det", "columns", "norm", "packed")
+    __slots__ = ("rows", "det", "norm", "packed")
     _fields = ("rows", "det")
 
     def __init__(self, rows: Sequence[Sequence[int]], det: int):
         rows = tuple(tuple(row) for row in rows)
-        columns = _packed_columns(rows, WIDTH)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "det", det)
-        object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "norm", max((sum(map(abs, row)) for row in rows), default=0))
-        object.__setattr__(self, "packed", {WIDTH: columns})
+        object.__setattr__(self, "packed", {})
 
     def _replace(self, **changes) -> Nonsingular:
         """A copy with the given fields changed, like a NamedTuple's."""
@@ -141,15 +175,14 @@ def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
 
 
 def _satisfies(m: Nonsingular, y: Sequence[int], d: int, b: Sequence[int]) -> bool:
-    """A y == d b for the matrix A of m, by one packed comparison at the
-    least multiple w of WIDTH with the bound B < 2^(w - 1) (module
-    docstring), the columns packed at w once per record."""
-    bound = m.norm * max(map(abs, y), default=0) + abs(d) * max(map(abs, b), default=0)
-    width = -(-(bound.bit_length() + 1) // WIDTH) * WIDTH
-    columns = m.packed.get(width)
-    if columns is None:
-        columns = m.packed[width] = _packed_columns(m.rows, width)
-    return sum(map(mul, columns, y)) == d * _pack(b, width)
+    """A y == d b for the matrix A of m: A y packed as one product of the
+    columns, read back and compared with d b (module docstring)."""
+    width = lane_width(m.norm * max(1, max(map(abs, y), default=0)))
+    if width not in m.packed:
+        kernel = lanes(len(m.rows), width)
+        m.packed[width] = kernel, tuple(map(kernel.pack, zip(*m.rows)))
+    kernel, columns = m.packed[width]
+    return kernel.read(sum(map(mul, columns, y))) == [d * v for v in b]
 
 
 def solve(

@@ -27,28 +27,25 @@ it doubled for every irrep at once: with w the R_k-weighted sum of the
 fixed-dim rows k, 2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j.
 
 All arithmetic is in integers. ``validate`` forms its vectors on packed
-rows (Kronecker substitution, as in ``exactla``): each row it weights
-by R_k, every double-coset row and every fixed-dim row, and the index
-and degree vectors are packed once per group as one int with one lane
-of ``LANE`` = 64 bits per cyclic class or irrep, and kept with the
-group. A vector is then a handful of big-int operations for any n: the
-weighted sums are one multiply-add per branch class, every parity is
-one AND with the lane ones, and each vector is read back once, by
-adding 2^63 to every lane, which makes each a digit in [0, 2^64) so no
-lane borrows from the next, XORing the same constant, and casting the
-bytes to signed words. No lane of any of these vectors exceeds
-(2g + 2R + 4)|G| in absolute value; when that bound reaches 2^62,
-which unbounded counts and genera allow, the same arithmetic runs at
-the least multiple of 64 bits that keeps it below 2^(width - 2), the
-rows packed at that width on first use. ``_lane_kernel`` is the only
-place that branches on the width.
+rows, in ``exactla``'s lane format (see its module docstring): each row
+it weights by R_k, every double-coset row and every fixed-dim row, and
+the index and degree vectors are packed once per group with one lane per
+cyclic class or irrep, and kept with the group. A vector is then a
+handful of big-int operations for any n: the weighted sums are one
+multiply-add per branch class, every parity is one AND with the lane
+ones, and each vector is read back once. No lane of any of these vectors
+exceeds (2g + 2R + 4)|G| in absolute value, so the rows are packed at
+``exactla.lane_width`` of twice that bound, a bit to spare: 64 bits
+until the bound reaches 2^62, which unbounded counts and genera allow,
+and each wider width packed on first use.
 
 The fixed-dim matrix A is certified once per group by its nonzero
 determinant, so A x = g has exactly one solution. ``validate`` hands
 its doubled closed form to ``exactla.solve`` as the candidate over
 d = 2: one exact packed product A (2x) == 2 g accepts it as the solve's
-answer, half-integral or not, so both routes agree and the solve's
-NonIntegerSolution text comes from the same fractions. Only a failed
+answer, half-integral or not, so both routes agree, their dimensions
+halved once, and the solve's NonIntegerSolution text comes from the
+same fractions. Only a failed
 check takes an elimination, whose dimensions or NonIntegerSolution text
 are then reported beside the closed form's. ``isotypic_dims_solve``,
 the reference route, takes every genus from ``genus_quotient``, row by
@@ -60,11 +57,9 @@ negative ones included, raises IndexError.
 from __future__ import annotations
 
 import random
-import sys
 import weakref
-from array import array
 from operator import mul
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import exactla
 from .chartable import CharacterTable, character_table, fixed_dim_matrix
@@ -91,9 +86,6 @@ BRANCH_DATA_DIAGNOSTICS = (
 # sample_cover_specs draws base genera and per-class branch counts up to these.
 SAMPLE_MAX_GENUS = 5
 SAMPLE_MAX_COUNT = 10
-
-# the narrowest lane width of the packed rows, one machine word
-LANE = 64
 
 # each group's packed rows by width, dropped with their group
 _packed: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -178,64 +170,13 @@ def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
     return sum((index - dc[k]) * r for k, r in spec.ramification.counts.items())
 
 
-class _LaneKernel(NamedTuple):
-    """Packing of n signed lanes of ``width`` bits into one int. Lane l
-    sits at bit width*l, except at LANE on a big-endian machine, where
-    the native words put the lanes in reverse order; every operation on
-    the packed ints is lane by lane, so the order does not show.
-
-    ``pack`` packs a row of nonnegative entries below 2^width; ``read``
-    reads back a packed int whose lanes lie in [-2^(width-1),
-    2^(width-1)): adding 2^(width-1) to every lane makes each a digit in
-    [0, 2^width), so no lane borrows from the next, and an XOR with the
-    same constant leaves each digit the two's complement of its lane.
-    ``ones`` holds 1 in every lane."""
-
-    pack: Callable[[Sequence[int]], int]
-    read: Callable[[int], list[int]]
-    ones: int
-
-
-def _lane_kernel(n: int, width: int) -> _LaneKernel:
-    """``array('Q')`` bytes and a ``memoryview`` cast at LANE, one
-    little-endian ``to_bytes`` slice per lane above it."""
-    size = n * width // 8
-    if width == LANE:
-        order = sys.byteorder
-
-        def pack(row: Sequence[int]) -> int:
-            return int.from_bytes(array("Q", row).tobytes(), order)
-
-        def read_digits(x: int) -> list[int]:
-            return memoryview(x.to_bytes(size, order)).cast("q").tolist()
-    else:
-        step = width // 8
-
-        def pack(row: Sequence[int]) -> int:
-            return int.from_bytes(b"".join(v.to_bytes(step, "little") for v in row), "little")
-
-        def read_digits(x: int) -> list[int]:
-            data = x.to_bytes(size, "little")
-            return [int.from_bytes(data[i : i + step], "little", signed=True)
-                    for i in range(0, size, step)]
-
-    ones = pack([1] * n)
-    bias = ones << (width - 1)
-    return _LaneKernel(pack, lambda x: read_digits((x + bias) ^ bias), ones)
-
-
-def _width(bound: int) -> int:
-    """The least multiple of LANE with bound < 2^(width - 2)."""
-    return -(-(bound.bit_length() + 2) // LANE) * LANE
-
-
 class _Lanes(NamedTuple):
     """A group's rows that ``validate`` weights by R_k, packed at one width:
     ``cosets[k]`` row k of the double-coset matrix (lane i #(H_k\\G/H_i)),
     ``fixed[k]`` row k of the fixed-dim matrix (lane j dim rho_j^{H_k}),
     ``index`` the indices [G:H_i] and ``degrees`` the irrep degrees."""
 
-    kernel: _LaneKernel
+    kernel: exactla.LaneKernel
     cosets: tuple[int, ...]
     fixed: tuple[int, ...]
     index: int
@@ -250,26 +191,23 @@ def _lanes(
 
     Every lane of every vector formed from them is at most
     (2g + 2R + 4)|G| in absolute value, since each index, double-coset
-    count, degree and fixed dimension is at most |G|, so the width is the
-    least multiple of LANE above that bound by two bits. ``table`` and
-    ``fdm`` are the group's; the rows are packed on the first spec that
-    needs their width and kept with the group."""
+    count, degree and fixed dimension is at most |G|; the lanes are wide
+    enough for twice that bound. ``table`` and ``fdm`` are the group's;
+    the rows are packed on the first spec that needs their width and kept
+    with the group."""
     G = spec.group
     points = sum(spec.ramification.counts.values())
-    width = _width((2 * spec.base_genus + 2 * points + 4) * G.order)
-    packed = _packed.get(G)
-    if packed is None:
-        packed = _packed[G] = {}
-    lanes = packed.get(width)
-    if lanes is None:
-        lanes = packed[width] = _pack_lanes(G, table, fdm, width)
-    return lanes, points
+    width = exactla.lane_width(2 * (2 * spec.base_genus + 2 * points + 4) * G.order)
+    packed = _packed.setdefault(G, {})
+    if width not in packed:
+        packed[width] = _pack_lanes(G, table, fdm, width)
+    return packed[width], points
 
 
 def _pack_lanes(G: PermGroup, table: CharacterTable, fdm: exactla.Nonsingular,
                 width: int) -> _Lanes:
     cyclic = G.cyclic_subgroup_classes()
-    kernel = _lane_kernel(len(cyclic), width)
+    kernel = exactla.lanes(len(cyclic), width)
     return _Lanes(
         kernel,
         cosets=tuple(map(kernel.pack, G.double_coset_matrix())),
@@ -302,18 +240,18 @@ def genus_quotient(spec: CoverSpec, i: int) -> int:
     return _riemann_hurwitz(spec, i, index, ram)
 
 
-def _solve_from_genera(
-    fdm: exactla.Nonsingular,
-    genera: Sequence[int],
-    candidate: tuple[Sequence[int], int] | None = None,
-) -> tuple[int, ...]:
-    y, d = exactla.solve(fdm, genera, candidate)
+def _exact(y: Sequence[int], d: int) -> tuple[int, ...] | None:
+    """y / d as integers, or None when d does not divide every y_i."""
     if any(v % d for v in y):
-        from fractions import Fraction  # only for the diagnostic text
-
-        x = [Fraction(v, d) for v in y]
-        raise NonIntegerSolution(f"isotypic dimensions are not integers: {x}")
+        return None
     return tuple(v // d for v in y)
+
+
+def _non_integer(y: Sequence[int], d: int) -> NonIntegerSolution:
+    from fractions import Fraction  # only for the diagnostic text
+
+    return NonIntegerSolution(
+        f"isotypic dimensions are not integers: {[Fraction(v, d) for v in y]}")
 
 
 def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
@@ -321,7 +259,11 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     each from ``genus_quotient``; raises the first quotient's fault."""
     n = len(spec.group.cyclic_subgroup_classes())
     genera = [genus_quotient(spec, i) for i in range(n)]
-    return _solve_from_genera(fixed_dim_matrix(spec.group), genera)
+    y, d = exactla.solve(fixed_dim_matrix(spec.group), genera)
+    dims = _exact(y, d)
+    if dims is None:
+        raise _non_integer(y, d)
+    return dims
 
 
 def _closed_form_doubled(
@@ -343,17 +285,14 @@ def _closed_form_doubled(
     return twice
 
 
+def _odd_dimension(twice: int) -> NonIntegerDimension:
+    return NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
+
+
 def _halve(twice: int) -> int:
     if twice % 2:
-        raise NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
+        raise _odd_dimension(twice)
     return twice // 2
-
-
-def _halved(twice: Sequence[int]) -> tuple[int, ...]:
-    """Each doubled dimension halved; ``_halve`` raises at the first odd one."""
-    if any(v % 2 for v in twice):
-        return tuple(map(_halve, twice))
-    return tuple(v // 2 for v in twice)
 
 
 def prym_dim_formula(spec: CoverSpec, j: int) -> int:
@@ -390,13 +329,6 @@ def validate(spec: CoverSpec) -> DimensionReport:
     fdm = fixed_dim_matrix(G)
     diags: list[str] = []
 
-    def attempt(fn, *args):
-        try:
-            return fn(*args)
-        except (NonIntegerSolution, NonIntegerDimension) as exc:
-            diags.append(_diagnostic(exc))
-            return None
-
     # the ramification degree of X/H_i is [G:H_i] R - w_i, w the
     # R_k-weighted sum of the rows k of the symmetric double-coset matrix;
     # no lane of it is negative, so one AND with the lane ones leaves each
@@ -422,12 +354,19 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(_diagnostic(_genus_fault(i, rams[i], genera[i])))
             genera[i] = None
     twice = _closed_form_doubled(spec, table, fdm)
+    closed = _exact(twice, 2)
     dims: tuple[int, ...] | None = None
     if not bad:
         # the doubled closed form is the solve's candidate: only a failed
-        # check A (2x) == 2 genera pays for an elimination
-        dims = attempt(_solve_from_genera, fdm, genera, (twice, 2))
-    closed = attempt(_halved, twice)
+        # check A (2x) == 2 genera pays for an elimination, and only its
+        # numerators need dividing, an accepted candidate's halves being
+        # the closed form's
+        y, d = exactla.solve(fdm, genera, (twice, 2))
+        dims = closed if d == 2 and y == twice else _exact(y, d)
+        if dims is None:
+            diags.append(_diagnostic(_non_integer(y, d)))
+    if closed is None:
+        diags.append(_diagnostic(_odd_dimension(next(v for v in twice if v % 2))))
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:

@@ -100,8 +100,14 @@ def test_dims_diagnostics_exit_code(capsys, tmp_path):
         (b"[" * 100_000, "cannot read"),
         (None, "cannot read"),
         ("directory", "cannot read"),
+        # the last value would have won
+        (b'{"group": {"weyl": {"type": "A", "rank": 2}}, "base_genus": 2, "base_genus": 3}',
+         'repeated key "base_genus" in'),
+        (b'{"group": {"weyl": {"type": "A", "rank": 2, "rank": 3}}, "base_genus": 2}',
+         'repeated key "rank" in'),
     ],
-    ids=["syntax", "not_utf8", "nested_past_recursion_limit", "missing_path", "directory"],
+    ids=["syntax", "not_utf8", "nested_past_recursion_limit", "missing_path", "directory",
+         "repeated_key", "repeated_nested_key"],
 )
 def test_dims_malformed_json(capsys, tmp_path, content, message):
     f = tmp_path / "bad.json"
@@ -222,9 +228,19 @@ def test_dims_rejects_bool_for_int(capsys, tmp_path, doc):
         ({"group": {"weyl": {"type": "A", "rank": 2}, "degree": 3}, "base_genus": 1}, 1),
         ({"group": {"weyl": {"type": "A", "rank": 2}, "generators": ["(0 1 2)"],
                     "degree": 3}, "base_genus": 1}, 1),
+        # a key the schema lacks is refused, not dropped: a misspelled
+        # "ramification" was read as an unramified cover
+        ({"group": {"weyl": {"type": "A", "rank": 2}}, "base_genus": 2,
+          "ramificaton": [{"inertia_generator": "(0 1)", "count": 2}]}, 1),
+        ({"group": {"weyl": {"type": "A", "rank": 2}, "wyel": {}}, "base_genus": 1}, 1),
+        ({"group": {"weyl": {"type": "A", "rank": 2, "rnak": 3}}, "base_genus": 1}, 1),
+        ({"group": {"weyl": {"type": "A", "rank": 2}}, "base_genus": 2,
+          "ramification": [{"inertia_generator": "(0 1)", "count": 2, "cuont": 4}]}, 1),
     ],
     ids=["weyl_not_object", "superscript_digit", "type_int", "type_list", "type_missing",
-         "weyl_and_generators", "weyl_and_degree", "weyl_generators_and_degree"],
+         "weyl_and_generators", "weyl_and_degree", "weyl_generators_and_degree",
+         "unknown_top_level_key", "unknown_group_key", "unknown_weyl_key",
+         "unknown_entry_key"],
 )
 def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     f = tmp_path / "weyl.json"
@@ -237,6 +253,10 @@ def test_dims_rejects_malformed_weyl(capsys, tmp_path, doc, exit_code):
     for key in ("generators", "degree"):
         if key in doc["group"]:
             assert '"weyl"' in err and f'"{key}"' in err
+    for key, where in (("ramificaton", "cover spec"), ("wyel", "group object"),
+                       ("rnak", '"weyl" object'), ("cuont", "ramification entry")):
+        if f'"{key}"' in f.read_text():
+            assert err.startswith(f'error: unknown key "{key}" in {where}')
 
 
 # each case needs degree MAX_DEGREE + 1 and no more, so nothing large is

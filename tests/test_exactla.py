@@ -322,17 +322,40 @@ def _row_by_row(rows, y, d, b):
     return mat_vec(rows, y) == [d * v for v in b]
 
 
-def _count_wide_packs(monkeypatch):
-    """Record the width of every column packing made after construction."""
-    pack = exactla._packed_columns
+def _count_packings(monkeypatch):
+    """Record the width of every lane kernel made from now on."""
+    make = exactla.lanes
     widths = []
 
-    def counted(rows, width):
+    def counted(n, width):
         widths.append(width)
-        return pack(rows, width)
+        return make(n, width)
 
-    monkeypatch.setattr(exactla, "_packed_columns", counted)
+    monkeypatch.setattr(exactla, "lanes", counted)
     return widths
+
+
+@pytest.mark.parametrize("width", [64, 192])
+def test_lane_read_round_trips(width):
+    """Signed entries pack and read back lane by lane at the extremes
+    -2^(w-1) + 1 and 2^(w-1) - 1 of a lane, at 0 and at -1 and 1; entry i
+    sits at bit w i on a little-endian machine (the lanes are in native
+    byte order); a difference of packed nonnegative rows reads back as
+    the difference of the rows."""
+    top = 2 ** (width - 1) - 1
+    values = [-top, 0, top, -1, 1, top, -top]
+    kernel = exactla.lanes(len(values), width)
+    packed = kernel.pack(values)
+    if sys.byteorder == "little":
+        assert packed == sum(v << (width * i) for i, v in enumerate(values))
+    assert kernel.read(packed) == values
+    positive = kernel.pack([max(v, 0) for v in values])
+    negative = kernel.pack([max(-v, 0) for v in values])
+    assert positive - negative == packed
+    assert kernel.read(kernel.ones) == [1] * len(values)
+    assert kernel.read(0) == [0] * len(values)
+    empty = exactla.lanes(0, width)
+    assert (empty.pack([]), empty.read(0), empty.ones) == (0, [], 0)
 
 
 wide_entries = st.one_of(small_entries, st.integers(min_value=-2**70, max_value=2**70))
@@ -369,23 +392,28 @@ def test_packed_check_matches_the_row_by_row_product(data):
 
 
 def test_packed_check_at_the_bound(monkeypatch):
-    """Below B = 2^63 the check uses the stored 64-bit columns; at 2^63 it
-    packs them again, at 128 bits, once for the three checks that need
-    it; both agree with the row-by-row product."""
-    m = nonsingular([[1, 0], [0, 1]])
-    widths = _count_wide_packs(monkeypatch)
+    """While |A| max|y| < 2^63 the check packs at 64 bits, whatever d and b
+    are; at 2^63 it packs at 128 bits, once for the checks that need it;
+    every answer agrees with the row-by-row product."""
+    eye, cross = nonsingular([[1, 0], [0, 1]]), nonsingular([[1, 1], [1, -1]])
+    widths = _count_packings(monkeypatch)
     cases = [
-        # (y, d, b, B = |A| max|y| + |d| max|b|, A y == d b)
-        ([2**62 - 1, -5], 1, [2**62 - 1, -5], 2**63 - 2, True),
-        ([2**62, 3], 1, [2**62 - 1, 3], 2**63 - 1, False),
-        ([2**62, 7], 1, [2**62, 7], 2**63, True),
-        ([2**62, 7], 1, [2**62, 6], 2**63, False),
-        ([-2**62, 7], -1, [2**62, -7], 2**63, True),
+        # (A, y, d, b, |A| max|y|, A y == d b)
+        (eye, [2**63 - 1, -5], 1, [2**63 - 1, -5], 2**63 - 1, True),
+        (eye, [2**63 - 1, 3], 1, [2**63 - 2, 3], 2**63 - 1, False),
+        (eye, [-(2**63 - 1), 0], 2**70, [1, 0], 2**63 - 1, False),
+        (eye, [2**63, 7], 1, [2**63, 7], 2**63, True),
+        (eye, [2**63, 7], 1, [2**63, 6], 2**63, False),
+        (eye, [-(2**63), 7], -1, [2**63, -7], 2**63, True),
+        (cross, [2**62 - 1, 2**62 - 1], 1, [2**63 - 2, 0], 2**63 - 2, True),
+        (cross, [2**62, -(2**62)], 2, [0, 2**62], 2**63, True),
+        (cross, [2**62, -(2**62)], 2, [2**62, 0], 2**63, False),
     ]
-    for y, d, b, bound, holds in cases:
-        assert max(map(abs, y)) + abs(d) * max(map(abs, b)) == bound
+    for m, y, d, b, bound, holds in cases:
+        assert m.norm * max(map(abs, y)) == bound
         assert exactla._satisfies(m, y, d, b) is holds is _row_by_row(m.rows, y, d, b)
-    assert widths == [128]
+        assert max(m.packed) == (64 if bound < 2**63 else 128)
+    assert widths == [64, 128, 64, 128]
 
 
 def test_packed_check_never_accepts_a_wrong_candidate(monkeypatch):
@@ -416,9 +444,9 @@ def test_packed_check_never_accepts_a_wrong_candidate(monkeypatch):
 
 
 def test_packed_check_refuses_a_faulty_elimination_under_python_O():
-    """A faulty elimination is refused at both widths, the stored one (a
-    3x3 system with small numerators) and a wider one (W(B5), det -2^71),
-    when -O strips assert statements."""
+    """A faulty elimination is refused at both widths, 64 bits (a 3x3
+    system with small numerators) and a wider one (W(B5), det -2^71), each
+    check packing its columns once, when -O strips assert statements."""
     snippet = textwrap.dedent(
         """
         import sys
@@ -426,7 +454,7 @@ def test_packed_check_refuses_a_faulty_elimination_under_python_O():
         from prymdim.chartable import fixed_dim_matrix
         from prymdim.weyl import weyl_group
 
-        forward, pack = exactla._forward, exactla._packed_columns
+        forward, lanes = exactla._forward, exactla.lanes
         widths = []
 
         def faulty(m, n):
@@ -434,20 +462,20 @@ def test_packed_check_refuses_a_faulty_elimination_under_python_O():
             m[n - 1][n] += 1
             return d
 
-        def counted(rows, width):
+        def counted(n, width):
             widths.append(width)
-            return pack(rows, width)
+            return lanes(n, width)
 
         ms = (exactla.nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
               fixed_dim_matrix(weyl_group("B", 5).group))
-        exactla._forward, exactla._packed_columns = faulty, counted
+        exactla._forward, exactla.lanes = faulty, counted
         print(sys.flags.optimize)
         for m in ms:
             del widths[:]
             try:
                 exactla.solve(m, [1] * len(m.rows))
             except AssertionError as exc:
-                print(exc.args[0].replace(" ", "_"), bool(widths))
+                print(exc.args[0].replace(" ", "_"), *widths)
         """
     )
     src = str(Path(prymdim.__file__).resolve().parents[1])
@@ -460,43 +488,50 @@ def test_packed_check_refuses_a_faulty_elimination_under_python_O():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [
-        "1", "solve_verification_failed", "False", "solve_verification_failed", "True",
+        "1", "solve_verification_failed", "64", "solve_verification_failed", "128",
     ]
 
 
 def test_wide_packing_is_made_once_per_record_and_width(monkeypatch):
-    """A wider width is a multiple of 64, packed on the first check that
-    needs it and kept on the record: later checks at that width, passing
-    or not, reuse it, a still wider bound packs once more, and a copy
-    starts again from the 64-bit columns alone."""
+    """Nothing is packed when a record is built. Each width a check needs,
+    a multiple of 64, gets one (kernel, columns) on the first check at it,
+    kept on the record: later checks at that width, passing or not, reuse
+    it, another width packs once more, and a copy starts empty."""
+    widths = _count_packings(monkeypatch)
     m = nonsingular([[1, 2], [3, 4]])
-    assert m.packed == {64: m.columns}
-    packed_128 = exactla._packed_columns(m.rows, 128)
-    widths = _count_wide_packs(monkeypatch)
+    assert m.packed == {} and widths == []
     x = [2**70, -(2**70)]
     b = mat_vec(m.rows, x)
     for wrong in (0, 1, 2**64):
         assert exactla._satisfies(m, [x[0] + wrong, x[1]], 1, b) is (wrong == 0)
-    assert widths == [128] and m.packed[128] == packed_128
+    assert widths == [128] and list(m.packed) == [128]
+    kernel, columns = wide = m.packed[128]
+    assert [kernel.read(c) for c in columns] == [[1, 3], [2, 4]]
+    assert exactla._satisfies(m, [2, -1], 1, [0, 2])
     assert exactla._satisfies(m, [2**130, 0], 1, [2**130, 3 * 2**130])
-    assert widths == [128, 192] and sorted(m.packed) == [64, 128, 192]
+    assert widths == [128, 64, 192] and sorted(m.packed) == [64, 128, 192]
     assert solve(m, b) == ([-2 * v for v in x], -2)
-    assert widths == [128, 192]  # the elimination's check reuses 128
+    assert widths == [128, 64, 192] and m.packed[128] is wide  # the elimination's check
     copy = m._replace(det=m.det)
-    assert copy == m and copy.packed == {64: m.columns}
-    del widths[:]  # the copy's own 64-bit packing
+    assert copy == m and copy.packed == {}
     assert exactla._satisfies(copy, x, 1, b)
-    assert widths == [128]
+    assert widths == [128, 64, 192, 128] and list(copy.packed) == [128]
 
 
 def test_nonsingular_packs_its_columns_and_repacks_a_copy():
-    """Column j is packed as sum_i a_ij 2^(64 i), the norm is the largest
-    absolute row sum, and a copy with other rows packs those rows."""
+    """Nothing is packed at construction; the first check packs column j,
+    signed entries included, and reads it back as the column. The norm is
+    the largest absolute row sum, and a copy with other rows packs those
+    rows on its own first check."""
     m = nonsingular([[1, -2], [3, 4]])
-    assert m.columns == (1 + (3 << 64), -2 + (4 << 64)) and m.norm == 7
+    assert m.norm == 7 and m.packed == {}
+    assert solve(m, [3, 1], ([1, 0], 1)) != ([1, 0], 1)
+    kernel, columns = m.packed[64]
+    assert [kernel.read(c) for c in columns] == [[1, 3], [-2, 4]]
     swapped = m._replace(rows=((3, 4), (1, -2)), det=-m.det)
     assert swapped == exactla.Nonsingular(((3, 4), (1, -2)), -10)
-    assert swapped.columns == (3 + (1 << 64), 4 + (-2 << 64)) and swapped.norm == 7
+    assert swapped.norm == 7 and swapped.packed == {}
     assert solve(swapped, [3, 1], ([1, 0], 1)) == ([1, 0], 1)
-    assert solve(m, [3, 1], ([1, 0], 1)) != ([1, 0], 1)
+    kernel, columns = swapped.packed[64]
+    assert [kernel.read(c) for c in columns] == [[3, 1], [4, -2]]
     assert repr(m) == "Nonsingular(rows=((1, -2), (3, 4)), det=10)"

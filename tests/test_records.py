@@ -7,6 +7,7 @@ classes on ``permgroup._Record``. Every record compares field by field
 and refuses attribute assignment with AttributeError.
 """
 
+import ast
 import os
 import random
 import subprocess
@@ -47,6 +48,40 @@ def test_cli_import_loads_no_reflection_or_fraction_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _lane_format_uses(tree: ast.AST) -> list[str]:
+    """The imports of ``array`` and the reads of ``sys.byteorder`` in a
+    module's syntax tree."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if a.name.split(".")[0] == "array"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "array":
+                uses.append("from array")
+            elif node.module == "sys" and any(a.name == "byteorder" for a in node.names):
+                uses.append("from sys import byteorder")
+        elif (isinstance(node, ast.Attribute) and node.attr == "byteorder"
+              and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+            uses.append("sys.byteorder")
+    return uses
+
+
+def test_only_exactla_packs_lanes():
+    """``exactla`` owns the packed-lane format: no other module of the
+    package imports ``array`` or reads ``sys.byteorder``, so a second
+    packing cannot appear unnoticed; ``exactla`` reads the byte order."""
+    found = {}
+    for path in sorted(Path(prymdim.__file__).parent.glob("*.py")):
+        uses = _lane_format_uses(ast.parse(path.read_text(encoding="utf-8")))
+        if uses:
+            found[path.name] = sorted(set(uses))
+    assert found == {"exactla.py": ["sys.byteorder"]}
+    # the guard sees each spelling
+    for text in ("import array", "import array as a", "from array import array",
+                 "from sys import byteorder", "import sys\nsys.byteorder"):
+        assert _lane_format_uses(ast.parse(text)), text
 
 
 def _records():

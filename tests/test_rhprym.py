@@ -1,5 +1,6 @@
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -135,9 +136,12 @@ def test_validate_negative_genus(s3):
 
 def test_validate_non_integer_diagnostics():
     """Both integrality diagnostics keep their exact text: the solve prints
-    the reduced fractions, the closed form prints the half-integer."""
+    the reduced fractions, the closed form prints the half-integer. The
+    one-quantity routes raise the same texts: the reference solve over
+    d = det A, the closed form for irrep 1."""
     G = weyl_group("B", 3).group
-    rep = validate(CoverSpec(G, 1, RamificationSpec({7: 3})))
+    spec = CoverSpec(G, 1, RamificationSpec({7: 3}))
+    rep = validate(spec)
     assert rep.dims is None and rep.dims_closed_form is None
     assert rep.diagnostics == (
         "NonIntegerSolution: isotypic dimensions are not integers: "
@@ -146,6 +150,12 @@ def test_validate_non_integer_diagnostics():
         "Fraction(3, 1), Fraction(9, 2)]",
         "NonIntegerDimension: closed-form dimension 3/2 is not an integer",
     )
+    with pytest.raises(NonIntegerSolution) as solved:
+        isotypic_dims_solve(spec)
+    with pytest.raises(NonIntegerDimension) as closed:
+        prym_dim_formula(spec, 1)
+    assert tuple(f"{type(e).__name__}: {e}" for e in (solved.value, closed.value)) \
+        == rep.diagnostics
 
 
 def test_validate_trivial_group(trivial):
@@ -484,13 +494,6 @@ def _validate_by_rows(spec):
 
     diags = []
 
-    def attempt(fn, *args):
-        try:
-            return fn(*args)
-        except (NonIntegerSolution, NonIntegerDimension) as exc:
-            diags.append(f"{type(exc).__name__}: {exc}")
-            return None
-
     indices = [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
     rams = [index * points - w
             for index, w in zip(indices, weighted_rows(G.double_coset_matrix()))]
@@ -510,8 +513,19 @@ def _validate_by_rows(spec):
     twice[0] = 2 * spec.base_genus
     dims = None
     if not bad:
-        dims = attempt(rhprym._solve_from_genera, fdm, genera, (twice, 2))
-    closed = attempt(rhprym._halved, twice)
+        y, d = exactla.solve(fdm, genera, (twice, 2))
+        x = [Fraction(v, d) for v in y]
+        if all(q.denominator == 1 for q in x):
+            dims = tuple(map(int, x))
+        else:
+            diags.append(f"NonIntegerSolution: isotypic dimensions are not integers: {x}")
+    halves = [Fraction(v, 2) for v in twice]
+    closed = None
+    if all(q.denominator == 1 for q in halves):
+        closed = tuple(map(int, halves))
+    else:
+        odd = next(v for v in twice if v % 2)
+        diags.append(f"NonIntegerDimension: closed-form dimension {odd}/2 is not an integer")
     if dims is not None and closed is not None and dims != closed:
         diags.append(f"MethodDisagreement: solver {dims} != closed form {closed}")
     final = dims if dims is not None else closed
@@ -588,20 +602,6 @@ def test_validate_matches_row_by_row_reference_on_every_diagnostic():
     assert kinds[True] >= set(BRANCH_DATA_DIAGNOSTICS) - {"NegativeGenus", "NegativeDimension"}
 
 
-@pytest.mark.parametrize("width", [rhprym.LANE, 3 * rhprym.LANE])
-def test_lane_read_round_trips(width):
-    """A packed difference of nonnegative rows reads back lane by lane, at
-    the extremes -2^(w-1) + 1 and 2^(w-1) - 1 of a lane and at 0."""
-    top = 2 ** (width - 1) - 1
-    values = [-top, 0, top, -1, 1, top, -top]
-    kernel = rhprym._lane_kernel(len(values), width)
-    positive = kernel.pack([max(v, 0) for v in values])
-    negative = kernel.pack([max(-v, 0) for v in values])
-    assert kernel.read(positive - negative) == values
-    assert kernel.read(kernel.ones) == [1] * len(values)
-    assert kernel.read(0) == [0] * len(values)
-
-
 def test_warm_validate_packs_the_group_rows_once(monkeypatch):
     """50 warm W(F4) validate calls pack the group's rows once, at 64-bit
     lanes; a spec past the lane bound packs them once more, at its width,
@@ -619,8 +619,8 @@ def test_warm_validate_packs_the_group_rows_once(monkeypatch):
     monkeypatch.delitem(rhprym._packed, G, raising=False)
     for spec in specs:
         validate(spec)
-    assert packs == [rhprym.LANE]
+    assert packs == [64]
     wide = [CoverSpec(G, 2**62 + t, RamificationSpec({1: 2})) for t in range(3)]
     for spec in wide:
         validate(spec)
-    assert packs == [rhprym.LANE, 2 * rhprym.LANE]
+    assert packs == [64, 128]
