@@ -8,13 +8,16 @@ the character table, and two of its sub-stages timed apart on the same
 group: the eigenspace split (`table_split`, `_central_characters` on
 the class matrices it consumes, built beforehand) and the row
 orthogonality check (`table_orthogonality`); then the fixed-dimension
-matrix with its determinant, the double-coset matrix, the coset action
-of every cyclic subgroup, the monodromy oracle on those built actions
+matrix with its determinant, the double-coset matrix, what the oracle
+builds once per cyclic class (`coset_actions`: the right-multiplication
+row of the class's generator and its cycles, the left cosets, by
+`PermGroup.cyclic_cosets`), the monodromy oracle on those built rows
 (`oracle`: `monodromy.sample_tuple` of a genus-1 tuple with two branch
 points, then `verify_tuple`, on the fresh group, so it pays for the
-rows its walks build once per group, the Schreier tree that its
-left-multiplication rows are read off included), a second seeded tuple
-on the same group (`oracle_warm`), the generation test
+Schreier tree, built once per group, that its left-multiplication rows
+are read off, and for the rows and right cosets it builds once per
+tuple), a second seeded tuple on the same group (`oracle_warm`), the
+generation test
 (`PermGroup.generates` on 100 seeded sets of 4 random elements, the
 question `BranchTuple.is_valid` asks), and, on a warm hitchin genus-2
 spec, one `rhprym.validate`, all n quotient genera (`genus_quotient`),
@@ -287,7 +290,7 @@ def _cold_pass(W, seed_sets, last=COLD_STAGES[-1]) -> dict[str, tuple[float, flo
         stage("fixed_dim_matrix", lambda: fixed_dim_matrix(G))
         stage("double_coset_matrix", G.double_coset_matrix)
         stage("coset_actions", lambda: [
-            G.coset_action(K.subgroup_elements) for K in G.cyclic_subgroup_classes()
+            G.cyclic_cosets(K.generator) for K in G.cyclic_subgroup_classes()
         ])
         stage("oracle", lambda: _oracle(G, 0, W.label))
         stage("oracle_warm", lambda: _oracle(G, 1, W.label))

@@ -10,28 +10,36 @@ makes it an independent check of the Riemann-Hurwitz pipeline.
 The count over a branch point with monodromy g on X/H is the number of
 double cosets #(<g>\\G/H), which can be taken from either side: as the
 orbits of <g> on the |G|/|H| left cosets xH, or as the orbits of H on
-the |G|/ord(g) right cosets <g>y. Given a generator h of H,
-``oracle_genus`` first reads the count off Lagrange's theorem where it
-can: the stabilizer of xH in <g> is <g> meet xHx^-1, whose order divides
-both d = ord(g) and m = |H|, so for gcd(d, m) = 1 (the trivial H
-included) <g> acts freely and the count is |G|/(d m), with no walk. It
-walks only for gcd(d, m) > 1: the right cosets when d > m, under h's
+the |G|/ord(g) right cosets <g>y. Both sides of a cyclic H = <h> are
+labelled one way, ``CosetAction.of_cycles``, as the cycles of a row of
+element indices: the left cosets xH are the cycles of h's
 right-multiplication row (y -> y*h, ``PermGroup.right_row``), and the
-left cosets otherwise. The rule reads only d and m, no class data, so
-the oracle stays independent of the formula route. Each distinct branch
-element's left-multiplication row (``PermGroup.left_row``) is built once
+right cosets <g>y the cycles of g's left-multiplication row (y -> g*y,
+``PermGroup.left_row``). Given h, ``oracle_genus`` reads only rows: H
+is checked against the identity's cycle 0 -> h -> h*h -> ... in h's
+right row, and a count is read off Lagrange's theorem where it can: the
+stabilizer of xH in <g> is <g> meet xHx^-1, whose order divides both d
+= ord(g) and m = |H|, so for gcd(d, m) = 1 (the trivial H included) <g>
+acts freely and the count is |G|/(d m), with no walk. It walks only for
+gcd(d, m) > 1: the right cosets of g under h's right row when d > m,
+and the left cosets of H under g's left row otherwise. The rule reads
+only d and m, no class data, so the oracle stays independent of the
+formula route. Each distinct branch element's left row is built once
 per tuple, by |G| list lookups along the group's Schreier tree with no
-composition, and read by every left walk, and, the first time some class
-needs it, labelled into the right cosets of <g>, its cycles. The tree
-is built once per group; right rows are built per group, once per
-generator asked for, and only when a right walk needs one: for the
-classes with 1 < m < d and gcd(d, m) > 1 for some branch element.
+composition, and its cycles are labelled the first time some class
+walks right. The tree is built once per group, and h's right row and
+its cycles once per group and generator, the cycles only when a left
+walk needs them. Without a generator, ``oracle_genus`` walks the left
+cosets of any subgroup, closed and labelled by ``PermGroup.coset_action``
+for every branch element: the general-subgroup route, and an
+independent reference for the cyclic one.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -41,6 +49,16 @@ from .rhprym import CoverSpec, RamificationSpec, genus_quotient
 
 # rejection draws per sample_tuple call before it raises SamplingExhausted
 SAMPLE_ATTEMPTS = 500
+
+
+def _powers(row) -> list[int]:
+    """The identity's cycle 0 -> x -> x*x -> ... in the row of x, left or
+    right: the powers of x."""
+    powers, y = [0], row[0]
+    while y:  # the identity is index 0
+        powers.append(y)
+        y = row[y]
+    return powers
 
 
 class BranchTuple(_Record):
@@ -67,39 +85,22 @@ class BranchTuple(_Record):
 
     @cached_property
     def orders(self) -> dict[int, int]:
-        """Order of each distinct branch element g, read off the identity's
-        cycle 0 -> g -> g*g -> ... in its row."""
-        orders = {}
-        for g, row in self.rows.items():
-            n, y = 1, row[0]
-            while y:  # the identity is index 0
-                n, y = n + 1, row[y]
-            orders[g] = n
-        return orders
+        """Order of each distinct branch element g, the length of the
+        identity's cycle in its row."""
+        return {g: len(_powers(row)) for g, row in self.rows.items()}
 
     @cached_property
     def _right_cosets(self) -> dict[int, CosetAction]:
         return {}
 
     def right_cosets(self, g: int) -> CosetAction:
-        """The right cosets <g>y of the branch element g, on which <h> acts
-        through h's right row ``PermGroup.right_row(h)``. They are the
-        cycles of g's row, so one walk of it labels them; labelled on first
-        use and cached, once per distinct branch element."""
+        """The right cosets <g>y of the branch element g, the cycles of
+        g's row (``CosetAction.of_cycles``), on which <h> acts through
+        h's right row ``PermGroup.right_row(h)``; labelled on first use
+        and cached, once per distinct branch element."""
         act = self._right_cosets.get(g)
         if act is None:
-            row = self.rows[g]
-            coset_of = [-1] * len(row)
-            reps: list[int] = []
-            for y in range(len(row)):
-                if coset_of[y] < 0:
-                    c = len(reps)
-                    reps.append(y)
-                    coset_of[y], z = c, row[y]
-                    while z != y:  # the cycle of g's row through y closes at y
-                        coset_of[z] = c
-                        z = row[z]
-            act = self._right_cosets[g] = CosetAction(tuple(reps), tuple(coset_of))
+            act = self._right_cosets[g] = CosetAction.of_cycles(self.rows[g])
         return act
 
     def relation_product(self) -> int:
@@ -170,32 +171,35 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int], generator: int | None 
     Over a branch point with monodromy g, the fiber of X/H -> Y has one
     point per cycle of g on the cosets, ramified with index the cycle
     length; Riemann-Hurwitz then gives the genus directly. With a
-    ``generator`` h of H, the count #(<g>\\G/H) is |G|/(ord(g) |H|) with
-    no walk when gcd(ord(g), |H|) = 1, since <g> then acts freely, and
-    otherwise is walked on the smaller side: for ord(g) > |H| the orbits
-    of <h> on the right cosets <g>y (see the module docstring). Without
-    a generator every count is a walk of the left cosets. A generator
-    whose powers are not exactly ``subgroup`` raises NotASubgroup, as
-    does a ``subgroup`` that is not one. Raises OddRamificationDegree or
+    ``generator`` h of H, every count reads rows only (see the module
+    docstring): #(<g>\\G/H) is |G|/(ord(g) |H|) with no walk when
+    gcd(ord(g), |H|) = 1, since <g> then acts freely, and otherwise is
+    walked on the smaller side, the right cosets <g>y for ord(g) > |H|
+    and the left cosets x<h>, the cycles of h's right row, else. A
+    generator whose powers are not exactly ``subgroup`` raises
+    NotASubgroup. Without a generator every count is a walk of
+    ``PermGroup.coset_action(subgroup)``, which raises NotASubgroup for
+    a set that is not a subgroup. Raises OddRamificationDegree or
     NegativeGenus when the tuple defines no surface.
     """
     G = t.group
     H = frozenset(subgroup)
     m = len(H)
-    orbits: dict[int, int] = {}  # by distinct branch element
-    if generator is not None:
-        if G.powers(generator) != H:
+    if generator is None:
+        act = G.coset_action(H)
+        orbits = {g: act.cycle_count(row) for g, row in t.rows.items()}
+    else:
+        right = G.right_row(generator)
+        if frozenset(_powers(right)) != H:
             raise NotASubgroup(f"element {generator} does not generate the {m} given elements")
+        orbits = {}
         for g, d in t.orders.items():
             if math.gcd(d, m) == 1:  # <g> acts freely: orbits of d cosets
                 orbits[g] = G.order // (d * m)
             elif d > m:  # fewer right cosets <g>y than left cosets xH
-                orbits[g] = t.right_cosets(g).cycle_count(G.right_row(generator))
-    if generator is None or len(orbits) < len(t.rows):
-        act = G.coset_action(H)
-        for g, row in t.rows.items():
-            if g not in orbits:
-                orbits[g] = act.cycle_count(row)
+                orbits[g] = t.right_cosets(g).cycle_count(right)
+            else:
+                orbits[g] = G.cyclic_cosets(generator).cycle_count(t.rows[g])
     n = G.order // m
     ram = sum(n - orbits[g] for g in t.branch_elements)
     if ram % 2:
@@ -209,10 +213,7 @@ def oracle_genus(t: BranchTuple, subgroup: Iterable[int], generator: int | None 
 def spec_from_tuple(t: BranchTuple) -> CoverSpec:
     """Tally branch elements into per-cyclic-class counts."""
     G = t.group
-    counts: dict[int, int] = {}
-    for g in t.branch_elements:
-        k = G.cyclic_class_of_element(g)
-        counts[k] = counts.get(k, 0) + 1
+    counts = Counter(map(G.cyclic_class_of_element, t.branch_elements))
     return CoverSpec(G, t.base_genus, RamificationSpec(counts))
 
 
@@ -231,13 +232,9 @@ class TupleVerification(NamedTuple):
 def verify_tuple(t: BranchTuple) -> TupleVerification:
     """Compare the orbit-counting genus with the character-free formula
     genus for X itself and every quotient X/H_i; report any mismatches."""
-    G = t.group
     spec = spec_from_tuple(t)
-    cyclic = G.cyclic_subgroup_classes()
-    oracle = []
-    formula = []
-    for i, K in enumerate(cyclic):
-        oracle.append(oracle_genus(t, K.subgroup_elements, K.generator))
-        formula.append(genus_quotient(spec, i))
+    cyclic = t.group.cyclic_subgroup_classes()
+    oracle = tuple(oracle_genus(t, K.subgroup_elements, K.generator) for K in cyclic)
+    formula = tuple(genus_quotient(spec, i) for i in range(len(cyclic)))
     mism = tuple(i for i, (a, b) in enumerate(zip(oracle, formula)) if a != b)
-    return TupleVerification(tuple(oracle), tuple(formula), mism)
+    return TupleVerification(oracle, formula, mism)

@@ -20,7 +20,8 @@ elements generate G enumerates no span: ``_chain_order`` grows a
 stabilizer chain of them by deterministic Schreier-Sims, reading point
 images only, until the product of its basic orbit lengths, a lower
 bound on the order of their span, passes |G|/2, or until the chain is
-complete and the product is that order.
+complete and the product is that order. ``generates_group`` asks the
+same of permutations and a known group order, with no group built.
 
 For degree n <= 256 each element's images are stored as ``bytes``, and
 every composition is one ``bytes.translate`` call: with ``a`` padded
@@ -40,17 +41,21 @@ the rationality test and the cyclic-subgroup classes share one walk of
 the powers rep^t per class, so no power list is stored. A coset action
 stores only the coset of each element; an element acts on it through a
 row of element indices, so counting orbits is list indexing with no
-composition. The monodromy oracle counts #(<g>\\G/H) with no walk when
-gcd(ord(g), |H|) = 1, as |G|/(ord(g) |H|), since <g> then acts freely
-(Lagrange), and otherwise walks the smaller side: the orbits of <g> on
-the left cosets xH under g's left-multiplication row (``left_row``,
-row[y] the index of g*y), one row for every H, or the orbits of H = <h>
-on the right cosets <g>y under h's right-multiplication row
-(``right_row``, row[y] the index of y*h), one row per generator, built
-only when asked for. A left row takes no composition: it is read off a
-breadth-first Schreier tree of G, built once per group from the right
-rows of the generators, since x*(y*s) = (x*y)*s along each tree edge
-y -> y*s.
+composition. The monodromy oracle counts #(<g>\\G/H) for a cyclic H =
+<h> with no walk when gcd(ord(g), |H|) = 1, as |G|/(ord(g) |H|), since
+<g> then acts freely (Lagrange), and otherwise walks the smaller side.
+Both sides are labelled one way, ``CosetAction.of_cycles``, as the
+cycles of a row: the left cosets xH are the cycles of h's
+right-multiplication row (``right_row``, row[y] the index of y*h), on
+which <g> acts through its left-multiplication row (``left_row``, row[y]
+the index of g*y), and the right cosets <g>y are the cycles of g's left
+row, on which H acts through h's right row. One right row per
+generator, built on first use, also gives H itself, the identity's
+cycle, so that route closes no span and tests no subgroup;
+``coset_action`` closes and labels the left cosets of any subgroup. A
+left row takes no composition: it is read off a breadth-first Schreier
+tree of G, built once per group from the right rows of the generators,
+since x*(y*s) = (x*y)*s along each tree edge y -> y*s.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -58,8 +63,9 @@ Double cosets are counted from class data alone, by Burnside's lemma,
 where pA[c] is the number of elements of A in class c. Every quantity is
 exact and reproducible across runs.
 
-``mul``, ``inv``, ``class_of``, ``element_order``, ``left_row`` and
-``generates`` check an element index by the same rule as ``_span``.
+``mul``, ``inv``, ``class_of``, ``element_order``, ``left_row``,
+``right_row`` and ``generates`` check an element index by the same rule
+as ``_span``.
 The records here are ``typing.NamedTuple``s (copy one with ``_replace``,
 not ``dataclasses.replace``), except ``Permutation``, which validates its
 images on the ``_Record`` base.
@@ -281,24 +287,45 @@ class CyclicClass(NamedTuple):
 class CosetAction(NamedTuple):
     """Action of a group element on a partition of G into cosets.
 
-    ``cosets`` holds the least element index of each coset, in discovery
+    ``cosets`` holds the least element index of each coset, in increasing
     order; ``coset_of[x]`` is the coset index of element ``x``. An element
     acts through a row of element indices that maps cosets to cosets: it
     sends coset j to ``coset_of[row[cosets[j]]]``. The monodromy oracle
-    walks both sides of a double-coset count #(<g>\\G/H) with it:
-    - the left cosets xH (``PermGroup.coset_action``) under g's
-      left-multiplication row, ``row[y]`` the index of g*y
-      (``PermGroup.left_row``, read off the group's Schreier tree), and
-    - the right cosets <g>y (``BranchTuple.right_cosets``) under the
-      right-multiplication row of a generator h of H, ``row[y]`` the index
-      of y*h (``PermGroup.right_row``).
-    Both counts are element arithmetic; the dimension pipeline counts
-    double cosets from class data instead (``PermGroup.double_coset_matrix``),
-    so the two stay independent.
+    walks both sides of a double-coset count #(<g>\\G/H) with it, and
+    labels both coset spaces of a cyclic group the same way
+    (``of_cycles``), as the cycles of a row:
+    - the left cosets x<h> are the cycles of h's right-multiplication
+      row, ``row[y]`` the index of y*h (``PermGroup.right_row``), and g
+      acts on them through its left-multiplication row, ``row[y]`` the
+      index of g*y (``PermGroup.left_row``, read off the group's
+      Schreier tree);
+    - the right cosets <g>y are the cycles of g's left row, and h acts on
+      them through its right row.
+    ``PermGroup.coset_action`` labels the left cosets of any subgroup,
+    closed from its elements. Both counts are element arithmetic; the
+    dimension pipeline counts double cosets from class data instead
+    (``PermGroup.double_coset_matrix``), so the two stay independent.
     """
 
     cosets: tuple[int, ...]
     coset_of: tuple[int, ...]
+
+    @classmethod
+    def of_cycles(cls, row: Sequence[int]) -> "CosetAction":
+        """The cycles of a row of element indices (a permutation of
+        0..|G|-1), numbered by least member: one pass, since the first
+        unlabelled index is the least member of its cycle."""
+        coset_of = [-1] * len(row)
+        reps: list[int] = []
+        for y in range(len(row)):
+            if coset_of[y] < 0:
+                c = len(reps)
+                reps.append(y)
+                coset_of[y], z = c, row[y]
+                while z != y:  # the cycle through y closes at y
+                    coset_of[z] = c
+                    z = row[z]
+        return cls(tuple(reps), tuple(coset_of))
 
     def cycle_count(self, row: Sequence[int]) -> int:
         """Number of orbits on the cosets of the cyclic group generated by
@@ -503,6 +530,20 @@ def _chain_order(ident, gens: Sequence, kernel: _Kernel, order: int) -> int:
     return size
 
 
+def generates_group(gens: Sequence[Permutation], order: int) -> bool:
+    """Whether permutations of one degree that lie in a group of order
+    ``order`` generate all of it, with no group built: the Schreier-Sims
+    chain of ``PermGroup.generates`` (``_chain_order``) on their point
+    images passes ``order // 2``. Raises DegreeMismatch for mixed
+    degrees."""
+    degree = gens[0].degree() if gens else 1
+    if any(g.degree() != degree for g in gens):
+        raise DegreeMismatch("cannot test generation by permutations of different degree")
+    kernel = _kernel(degree)
+    images = [kernel.key(g.images) for g in gens]
+    return _chain_order(kernel.key(range(degree)), images, kernel, order) > order // 2
+
+
 class _ElementView(Sequence):
     """The elements of a group in index order, each Permutation built when read."""
 
@@ -560,8 +601,8 @@ class PermGroup:
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._coset_actions: dict[frozenset[int], CosetAction] = {}
         # the monodromy oracle's per-generator caches, filled on first use
-        self._powers: dict[int, frozenset[int]] = {}
         self._right_rows: dict[int, tuple[int, ...]] = {}
+        self._cyclic_cosets: dict[int, CosetAction] = {}
         self._tree: list[tuple[int, int, list[int]]] | None = None
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
 
@@ -831,27 +872,29 @@ class PermGroup:
         self._coset_actions[H] = act
         return act
 
-    def powers(self, h: int) -> frozenset[int]:
-        """The cyclic subgroup <h> as element indices, so its size is the
-        order of h: closed on first use, with a limit it cannot reach, and
-        cached per element. It reads no class data."""
-        cached = self._powers.get(h)
-        if cached is None:
-            span = self._span([h], self.order + 1)
-            cached = self._powers[h] = frozenset(map(self._index.__getitem__, span))
-        return cached
-
     def right_row(self, h: int) -> tuple[int, ...]:
         """Right-multiplication row of element h, ``row[y]`` the index of
         y*h; built on first use and cached. The monodromy oracle asks for
-        the generator of a cyclic class H only when it walks the right
-        cosets <g>y of some branch element g under H."""
+        the generator h of each cyclic class H it counts on: the
+        identity's cycle 0 -> h -> h*h -> ... is H, the row's cycles are
+        the left cosets xH (``cyclic_cosets``), and h acts through it on
+        the right cosets <g>y of a branch element g."""
         cached = self._right_rows.get(h)
         if cached is None:
             index, images = self._index, self._images
             _, pad, compose, _ = self._kernel
             hi = images[self._checked(h)]
             cached = self._right_rows[h] = tuple([index[compose(hi, pad(y))] for y in images])
+        return cached
+
+    def cyclic_cosets(self, h: int) -> CosetAction:
+        """The left cosets x<h> of the cyclic subgroup generated by h: the
+        cycles of h's right row (``CosetAction.of_cycles``), labelled on
+        first use and cached per h. They equal ``coset_action`` of <h>
+        field by field, with no closure and no subgroup test."""
+        cached = self._cyclic_cosets.get(h)
+        if cached is None:
+            cached = self._cyclic_cosets[h] = CosetAction.of_cycles(self.right_row(h))
         return cached
 
     def _profile(self, x) -> tuple[Mapping[int, int], int]:

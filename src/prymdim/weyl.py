@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .chartable import character_table
 from .errors import OutOfRegime, UnsupportedType
-from .permgroup import PermGroup, Permutation, _chain_order, _kernel
+from .permgroup import PermGroup, Permutation, generates_group
 from .rhprym import CoverSpec, RamificationSpec
 
 SUPPORTED = {
@@ -166,8 +166,8 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
     generator, so two generators beat r of them; the closure, coset by
     coset, costs about one composition per element plus one per coset
     representative and generator. The pair lies in W, so it generates W
-    exactly when a Schreier-Sims chain of it (``_chain_order``, on point
-    images only) passes |W|/2, |W| = prod d_i; it does for A1-A7,
+    exactly when a Schreier-Sims chain of it (``generates_group``, on
+    point images only) passes |W|/2, |W| = prod d_i; it does for A1-A7,
     B2-B5 = C2-C5, D5 and G2, not for D4 or F4. Only the generating set
     is closed.
 
@@ -176,12 +176,7 @@ def _closure(simple: tuple[Permutation, ...], order: int) -> PermGroup:
     """
     cox = _coxeter_element(simple)
     pair = [cox] if len(simple) == 1 else [cox, simple[-2]]
-    degree = cox.degree()
-    kernel = _kernel(degree)
-    images = [kernel.key(g.images) for g in pair]
-    if _chain_order(kernel.key(range(degree)), images, kernel, order) > order // 2:
-        return PermGroup(pair)
-    return PermGroup(simple)
+    return PermGroup(pair if generates_group(pair, order) else simple)
 
 
 def _supported(letter: str, rank: int) -> str:

@@ -184,29 +184,37 @@ def _walked(G, t):
 
 
 def test_right_rows_are_built_lazily_and_once():
-    """On a fresh W(F4), verify_tuple builds a right row exactly for the
-    classes K with 1 < |K| < ord(g) and gcd(ord(g), |K|) > 1 for some
-    branch element g, and labels the right cosets of exactly those g; a
-    second warm call builds no right row and labels no right cosets. The
-    second tuple's branch elements have order 3, so the rule excludes the
-    order-2 classes and no right walk is left."""
+    """On a fresh W(F4) no right row exists at construction or after
+    sampling. verify_tuple builds one right row for each cyclic class it
+    asks oracle_genus about, since the generator check reads the
+    identity's cycle in it; it labels the right cosets of exactly the
+    branch elements g that walk right (1 < |K| < ord(g), gcd(ord(g), |K|)
+    > 1 for some class K), and the left cosets, the cycles of a right
+    row, of exactly the classes some g walks on the left. A second call
+    builds no row and labels nothing. The second tuple's branch elements
+    have order 3, so the rule excludes the order-2 classes and no right
+    walk is left."""
     for genus, count, seed, needed in ((0, 4, 12, True), (1, 2, 90, False)):
         G = PermGroup(weyl_group("F", 4).group.generators)
         assert G._right_rows == {}  # none at construction
         t = sample_tuple(G, genus, count, random.Random(seed))
-        _, right = _walked(G, t)
+        assert G._right_rows == {} and G._cyclic_cosets == {}  # none from sampling
+        walked, right = _walked(G, t)
         assert bool(right) is needed
         if not needed:
             assert set(t.orders.values()) == {3}
         assert verify_tuple(t).ok
         built = dict(G._right_rows)
-        assert set(built) == {h for _, h in right}
+        assert set(built) == {K.generator for K in G.cyclic_subgroup_classes()}
         labelled = dict(t._right_cosets)
         assert set(labelled) == {g for g, _ in right}
+        left = dict(G._cyclic_cosets)
+        assert left and set(left) == {h for g, h, _ in walked if (g, h) not in right}
         assert verify_tuple(t).ok
-        assert G._right_rows.keys() == built.keys()
-        assert all(G._right_rows[h] is row for h, row in built.items())
-        assert t._right_cosets == labelled
+        for cache, before in ((G._right_rows, built), (t._right_cosets, labelled),
+                              (G._cyclic_cosets, left)):
+            assert cache.keys() == before.keys()
+            assert all(cache[k] is v for k, v in before.items())
 
 
 def test_warm_verify_tuple_walks_once_per_pair_with_a_common_factor(monkeypatch):
@@ -268,8 +276,10 @@ def test_free_counts_match_both_walks_on_fleet_tuples():
 def test_both_sides_agree_on_fleet_tuples():
     """On sampled tuples of every fleet group of order <= 5000, the genus
     from the free-action rule and the smaller side of each count (given
-    the generator) equals the genus from the left cosets alone; some
-    counts were free, and both sides were walked."""
+    the generator, so read off rows alone) equals the genus from the left
+    cosets that ``coset_action`` closes and labels (no generator), a
+    route that shares no labelling with it; some counts were free, and
+    both sides were walked."""
     rng = random.Random(41)
     sides: set[str] = set()
     seen: set[int] = set()
@@ -311,6 +321,17 @@ def test_oracle_genus_refuses_a_wrong_generator(s4):
             oracle_genus(t, H, h)
 
 
+def test_oracle_genus_refuses_an_index_outside_the_group(s4):
+    """With a generator, a subgroup holding an index outside 0..|G|-1,
+    negative ones included, is refused like any other wrong set."""
+    t = sample_tuple(s4, 1, 2, random.Random(6))
+    K = next(K for K in s4.cyclic_subgroup_classes() if K.subgroup_order == 2)
+    for bad in (-1, s4.order):
+        for H in ((*K.subgroup_elements, bad), (0, bad)):
+            with pytest.raises(NotASubgroup, match=f"element {K.generator} does not generate"):
+                oracle_genus(t, H, K.generator)
+
+
 def test_oracle_genus_guard_survives_python_O():
     """The generator guard is an explicit raise, so it holds under -O."""
     snippet = textwrap.dedent(
@@ -344,22 +365,81 @@ def test_oracle_genus_guard_survives_python_O():
 
 
 def test_sample_tuple_closes_no_span(monkeypatch):
-    """The generation test enumerates no subgroup: with the closure loop
-    ``permgroup._close`` refusing every call, the sampler still draws
-    tuples of W(F4) that satisfy the relation and generate G by a plain
-    G.mul closure."""
-    G = weyl_group("F", 4).group
+    """The generation test and the oracle's generator route enumerate no
+    subgroup: with the closure loop ``permgroup._close``, and
+    ``coset_action``, ``is_subgroup`` and ``_span``, refusing every
+    call, the sampler still draws tuples of W(F4) that satisfy the
+    relation and generate G by a plain G.mul closure, and each passes
+    verify_tuple, whose oracle checks every cyclic class on rows alone.
+    The group is built afresh, so no earlier call has filled its caches."""
+    G = PermGroup(weyl_group("F", 4).group.generators)
 
     def refuse(*args):
-        raise AssertionError("_close was called")
+        raise AssertionError("a span was closed or a subgroup tested")
 
     monkeypatch.setattr("prymdim.permgroup._close", refuse)
+    for name in ("coset_action", "is_subgroup", "_span"):
+        monkeypatch.setattr(PermGroup, name, refuse)
     rng = random.Random(3)
     for g, b in ((0, 3), (1, 2), (2, 2)):
         t = sample_tuple(G, g, b, rng)
         assert t.relation_product() == G.identity_index
         seeds = [x for ab in t.handles for x in ab] + list(t.branch_elements)
         assert len(closure_by_mul(G, seeds)) == G.order
+        assert verify_tuple(t).ok
+
+
+def test_oracle_is_independent_of_the_classification(monkeypatch):
+    """The oracle reads no class data. W(F4), W(D5) and W(A5), built
+    afresh from the classified groups' generators, are never classified:
+    their ``conjugacy_classes`` refuses every call. There ``sample_tuple``
+    draws tuples, ``BranchTuple.is_valid`` accepts them, and
+    ``oracle_genus`` over every cyclic class, each read from the
+    classified group, gives the formula genera that ``verify_tuple``
+    compares on that group."""
+
+    def refuse(*args):
+        raise AssertionError("conjugacy_classes was called")
+
+    rng = random.Random(7)
+    for letter, rank in (("F", 4), ("D", 5), ("A", 5)):
+        W = weyl_group(letter, rank)
+        G = PermGroup(W.group.generators)
+        monkeypatch.setattr(G, "conjugacy_classes", refuse)
+        for g, b in ((0, 3), (0, 4), (1, 2), (1, 1), (2, 1)):
+            t = sample_tuple(G, g, b, rng)
+            assert t.is_valid()
+            oracle = tuple(oracle_genus(t, K.subgroup_elements, K.generator)
+                           for K in W.group.cyclic_subgroup_classes())
+            classified = BranchTuple(W.group, g, t.handles, t.branch_elements)
+            assert oracle == verify_tuple(classified).formula, (letter, rank, g, b)
+        assert "_class_of" not in vars(G)  # no classification pass ran
+
+
+def test_oracle_without_a_generator_walks_coset_action_only(monkeypatch, s4):
+    """Without a generator, oracle_genus walks the left cosets that
+    ``coset_action`` labels, once per call, and labels no cycles of a
+    row (``CosetAction.of_cycles`` refuses every call); its genera equal
+    those of the generator route, taken first."""
+    t = sample_tuple(s4, 1, 3, random.Random(9))
+    cyclic = s4.cyclic_subgroup_classes()
+    expected = [oracle_genus(t, K.subgroup_elements, K.generator) for K in cyclic]
+
+    def refuse(*args):
+        raise AssertionError("of_cycles was called")
+
+    calls = []
+    coset_action = PermGroup.coset_action
+
+    def counting(self, subgroup):
+        calls.append(frozenset(subgroup))
+        return coset_action(self, subgroup)
+
+    monkeypatch.setattr(CosetAction, "of_cycles", refuse)
+    monkeypatch.setattr(PermGroup, "coset_action", counting)
+    fresh = BranchTuple(s4, t.base_genus, t.handles, t.branch_elements)  # no cached cosets
+    assert [oracle_genus(fresh, K.subgroup_elements) for K in cyclic] == expected
+    assert calls == [frozenset(K.subgroup_elements) for K in cyclic]
 
 
 def test_sample_tuple_needs_no_subgroup_closure(monkeypatch, s4):

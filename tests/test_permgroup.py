@@ -23,8 +23,10 @@ from prymdim.errors import (
 )
 import prymdim.permgroup
 from prymdim.permgroup import (
+    CosetAction,
     Permutation,
     PermGroup,
+    generates_group,
     group_from_generators,
     parse_generators,
     parse_permutation,
@@ -571,7 +573,8 @@ def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
     trivial group and Z2 (limits 1 and 2), and at index 2: two 3-cycles of
     S4 close to A4, not S4. ``generates`` answers true exactly when that
     plain closure is G, on every one of those seed sets, the Coxeter pairs
-    of W(F4) (index 2) and W(D4) (index 4) included."""
+    of W(F4) (index 2) and W(D4) (index 4) included, and so does
+    ``generates_group`` on the seeds' permutations and |G|."""
 
     def generates_by_mul(G, seeds):
         return len(closure_by_mul(G, seeds)) == G.order
@@ -582,6 +585,8 @@ def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
             span = G.subgroup_closure(seeds)
             assert span == closure, seeds
             assert G.generates(seeds) == (len(closure) == G.order), seeds
+            perms = [G.elements[s] for s in seeds]
+            assert generates_group(perms, G.order) == G.generates(seeds), seeds
             generating += len(span) == G.order
         if len(sets) == 1:  # a Coxeter pair
             assert generating == 0
@@ -608,6 +613,17 @@ def test_subgroup_closure_matches_mul_bfs_on_seed_sets(trivial, z2, s4):
     even = {x for x in range(s4.order)
             if sum(len(c) - 1 for c in s4.elements[x].cycles()) % 2 == 0}
     assert len(a4) == s4.order // 2 and a4 == even
+
+
+def test_generates_group_refuses_mixed_degrees():
+    """``generates_group`` keys every permutation in one store, so
+    permutations of two degrees are refused before any chain is grown."""
+    with pytest.raises(DegreeMismatch):
+        generates_group([Permutation.from_cycles("(0 1)"),
+                         Permutation.from_cycles("(0 1 2)")], 6)
+    assert generates_group([Permutation.from_cycles("(0 1)", degree=3),
+                            Permutation.from_cycles("(0 1 2)")], 6)
+    assert not generates_group([Permutation.from_cycles("(0 1 2)")], 6)
 
 
 def test_chain_run_to_completion_gives_the_span_order():
@@ -848,7 +864,8 @@ def test_double_coset_routes_fleet_under_5000():
     """Burnside's class count, the orbits of <a> on the left cosets G/B,
     the orbits of B = <b> on the right cosets <a>\\G and the direct
     partition of G into AxB sets agree, for every pair of cyclic classes
-    in every fleet group of order <= 5000."""
+    in every fleet group of order <= 5000; and the cycles of b's right
+    row label the left cosets G/B exactly as ``coset_action`` does."""
     from conftest import WEYL_FLEET
 
     seen: set[int] = set()
@@ -865,6 +882,7 @@ def test_double_coset_routes_fleet_under_5000():
         for B in cyclic:
             act = G.coset_action(B.subgroup_elements)
             b_row = G.right_row(B.generator)
+            assert CosetAction.of_cycles(b_row) == act, (letter, rank, B.generator)
             for A, row, a_right in zip(cyclic, rows, right):
                 burnside_route = G.double_coset_count(A, B)
                 orbit_route = act.cycle_count(row)

@@ -3,10 +3,10 @@
 No other test imports them, so a public name they use could be removed
 without any failure. ``fleet_report.py`` is run in full (well under a
 second), and refuses an out-of-regime genus or degD before any row.
-``stage_times.py`` is loaded, so its imports resolve, and its warm
-stages run on W(A1), so the calls they time do too; its full report
-(every cold stage and process on five groups) is not made; each warm
-stage reports its wall and its CPU seconds. Its paired mode runs
+``stage_times.py`` is loaded, so its imports resolve, its warm
+stages run on W(A1) and one cold pass on W(B3), so the calls they time
+do too; its full report (every cold stage and process on five groups)
+is not made; each warm stage reports its wall and its CPU seconds. Its paired mode runs
 against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
 `--stages` without `--against`; one process of that mode times two warm
@@ -99,6 +99,16 @@ def test_stage_times_split_input_and_oracles_run_on_a_small_group():
     assert chartable._central_characters(n, used, p) == chartable._central_characters(n, stream, p)
     module["_oracle"](G, 0, "B3")
     module["_oracle"](G, 1, "B3")
+
+
+def test_stage_times_cold_pass_runs_on_a_small_group():
+    """One cold pass on W(B3) times every cold stage, so each call it
+    makes resolves, the `coset_actions` stage's right rows and their
+    cycles included."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    times = module["_cold_pass"](weyl_group("B", 3), [[1, 2, 3, 4]])
+    assert tuple(times) == module["COLD_STAGES"]
+    assert all(wall >= 0 and cpu >= 0 for wall, cpu in times.values())
 
 
 def _worktrees():
