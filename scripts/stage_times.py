@@ -23,9 +23,9 @@ question `BranchTuple.is_valid` asks), and, on a warm hitchin genus-2
 spec, one `rhprym.validate`, all n quotient genera (`genus_quotient`),
 the closed form for every irrep (`prym_dim_formula`), one
 `exactla.solve` of the fixed-dim system on the spec's quotient genera
-with those dimensions, doubled over d = 2, as its candidate
-(`closed_form_check`, the one product A (2x) == 2 genera by which
-`validate` accepts the closed form) and one `exactla.solve` without a
+with those dimensions over d = 1 as its candidate (`closed_form_check`,
+the one product A x == genera by which `validate` accepts the closed
+form's halves, the candidate it passes) and one `exactla.solve` without a
 candidate (`solve`, the one elimination of the reference route, which
 `validate` takes only when that check fails). Every repetition of the
 cold stages rebuilds the group from `W.group.generators`, so each of
@@ -81,14 +81,15 @@ solve), on the five groups:
         --stages table,table_split,warm_validate
 
 REV is checked out into a temporary `git worktree`, removed afterwards.
-Each of PAIRS pairs runs one fresh process of this script on each tree,
-the order alternating from pair to pair; a process imports its tree's
-`src` and, on each group, runs the cold stages REPEATS times in order up
-to the last one chosen, reporting the best run of each chosen stage,
-then the best of REPEATS fresh processes of each chosen process stage on
-that tree, then times each chosen warm stage as above. So both trees are
-timed by this script's code, and REV must have the package names it
-imports.
+Each of PAIRS pairs runs one fresh `scripts/stage_times.py --pass`
+process of each tree, its own script on its own `src`, the order
+alternating from pair to pair; a process, on each group, runs the cold
+stages REPEATS times in order up to the last one chosen, reporting the
+best run of each chosen stage, then the best of REPEATS fresh processes
+of each chosen process stage on that tree, then times each chosen warm
+stage as above. So each tree times its own definition of every stage. A
+REV whose script lacks `--pass` or a chosen stage, or a pass that fails
+on either tree, ends the run with one `error:` line and exit 2.
 `--stages` (default: every cold in-process stage) is refused without
 `--against`. The printed object:
 
@@ -229,14 +230,14 @@ def _warm_figures(W, stages) -> dict[str, tuple[float, float]]:
     W's hitchin genus-2 spec, caches filled first."""
     spec = hitchin_preset(W, 2)
     report = validate(spec)
-    genera, twice = report.quotient_genera, [2 * v for v in report.dims]
+    genera, dims = report.quotient_genera, report.dims
     fdm = fixed_dim_matrix(W.group)
     n = len(W.group.cyclic_subgroup_classes())
     warm = {
         "warm_validate": lambda: validate(spec),
         "quotient_genera": lambda: [genus_quotient(spec, i) for i in range(n)],
         "closed_form": lambda: [prym_dim_formula(spec, j) for j in range(n)],
-        "closed_form_check": lambda: exactla.solve(fdm, genera, (twice, 2)),
+        "closed_form_check": lambda: exactla.solve(fdm, genera, (dims, 1)),
         "solve": lambda: exactla.solve(fdm, genera),
     }
     return {k: _warm(warm[k]) for k in stages}
@@ -265,6 +266,10 @@ def _oracle(G, seed: int, label: str):
 
 class _PassDone(Exception):
     """Raised by a cold pass after the last stage it was asked for."""
+
+
+class _Refused(Exception):
+    """A paired run that cannot go on, with the reason for its error line."""
 
 
 def _cold_pass(W, seed_sets, last=COLD_STAGES[-1]) -> dict[str, tuple[float, float]]:
@@ -348,19 +353,28 @@ def _paired(rev: str, stages) -> dict:
     git = ["git", "-C", str(Path(__file__).resolve().parent)]
     runs: dict[str, list] = {"rev": [], "this": []}
     try:
-        subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), rev],
-                       check=True)
-        sides = [("rev", tree / "src"), ("this", here)]
+        added = subprocess.run([*git, "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                               capture_output=True, text=True)
+        if added.returncode != 0:
+            raise _Refused(f"cannot check out {rev}: {_last_line(added.stderr)}")
+        sides = [("rev", tree / "scripts" / "stage_times.py", tree / "src"),
+                 ("this", Path(__file__).resolve(), here)]
         for i in range(PAIRS):
-            for side, src in sides if i % 2 == 0 else sides[::-1]:
-                argv = [sys.executable, __file__, "--pass", "--stages", ",".join(stages)]
+            for side, script, src in sides if i % 2 == 0 else sides[::-1]:
+                name = rev if side == "rev" else "this tree"
+                argv = [sys.executable, str(script), "--pass", "--stages", ",".join(stages)]
                 done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": str(src)},
                                       capture_output=True, text=True)
                 if done.returncode != 0:
-                    raise RuntimeError(f"{side} pass exited {done.returncode}:\n{done.stderr}")
-                runs[side].append(json.loads(done.stdout))
+                    raise _Refused(f"stage_times.py --pass of {name} exited {done.returncode}:"
+                                   f" {_last_line(done.stderr)}")
+                report = json.loads(done.stdout)
+                missing = [k for k in stages if any(k not in rows for rows in report.values())]
+                if missing:
+                    raise _Refused(f"stage_times.py --pass of {name} reported no {missing}")
+                runs[side].append(report)
     finally:
-        subprocess.run([*git, "worktree", "remove", "--force", str(tree)], check=False)
+        subprocess.run([*git, "worktree", "remove", "--force", str(tree)], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
 
     def median(side, label, k, i):
@@ -400,6 +414,11 @@ def _paired(rev: str, stages) -> dict:
         " ratio = this / rev, ratio_q1 and ratio_q3 the quartiles of the per-pair ratios",
         "groups": groups,
     }
+
+
+def _last_line(text: str) -> str:
+    lines = text.strip().splitlines()
+    return lines[-1] if lines else "no message"
 
 
 def _parse(argv):
@@ -453,7 +472,11 @@ def main(argv=None) -> int:
     if args.one_pass:
         report = _pass_report(args.stages)
     elif args.against:
-        report = _paired(args.against, args.stages)
+        try:
+            report = _paired(args.against, args.stages)
+        except _Refused as exc:
+            sys.stderr.write(f"error: {exc}\n")
+            return 2
     else:
         report = _full_report()
     json.dump(report, sys.stdout, indent=2)

@@ -10,7 +10,9 @@ A matrix is certified once, by its determinant: a ``Nonsingular`` keeps
 the rows with their nonzero det. Then A x = b has exactly one solution,
 so one product decides whether a candidate is it. ``solve`` takes a
 candidate (y, d) and returns it when A y == d b: ``rhprym.validate``
-passes its doubled closed form over d = 2. A missing or failed candidate
+passes its closed form's halves over d = 1, taken off the packed doubled
+form by one shift once one AND with the lane ones finds no odd lane, and
+the doubled form over d = 2 otherwise. A missing or failed candidate
 costs one elimination over [A | b]: its last column, back-substituted,
 gives the Cramer numerators y = adj(A) b over d = det(A), checked by
 A y == d b. Callers decide integrality with a divisibility test.

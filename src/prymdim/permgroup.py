@@ -55,7 +55,9 @@ cycle, so that route closes no span and tests no subgroup;
 ``coset_action`` closes and labels the left cosets of any subgroup. A
 left row takes no composition: it is read off a breadth-first Schreier
 tree of G, built once per group from the right rows of the generators,
-since x*(y*s) = (x*y)*s along each tree edge y -> y*s.
+since x*(y*s) = (x*y)*s along each tree edge y -> y*s. Nor does a right
+row: y*h = (h^-1 * y^-1)^-1 is read through the left row of h^-1 and the
+inverse row, built once per group along the same tree.
 Double cosets are counted from class data alone, by Burnside's lemma,
 
     #(A\\G/B) = |G|/(|A||B|) * sum_c pA[c] pB[c] / |c|,
@@ -604,6 +606,7 @@ class PermGroup:
         self._right_rows: dict[int, tuple[int, ...]] = {}
         self._cyclic_cosets: dict[int, CosetAction] = {}
         self._tree: list[tuple[int, int, list[int]]] | None = None
+        self._inverses: list[int] | None = None
         self._dc_matrix: tuple[tuple[int, ...], ...] | None = None
 
     # -- element arithmetic -------------------------------------------------
@@ -620,11 +623,32 @@ class PermGroup:
         each edge (y, y*s, r) of the Schreier tree, r the right row of the
         generator s. The monodromy oracle walks these rows on G/H and
         labels the right cosets <g>y by them."""
+        return self._left_row(self._checked(x))
+
+    def _left_row(self, x: int) -> list[int]:
+        """``left_row`` of an index already checked, for the rows the group
+        reads for itself."""
         row = [0] * self.order
-        row[0] = self._checked(x)
+        row[0] = x
         for y, z, r in self._schreier_tree():
             row[z] = r[row[y]]
         return row
+
+    def _inverse_row(self) -> list[int]:
+        """``row[y]`` the index of y^-1, with no composition: built on
+        first use, once per group, along the Schreier tree, since
+        (y*s)^-1 = s^-1 * y^-1 on each edge (y, y*s, r), read off the left
+        row of s^-1; s is r[0], the identity's image."""
+        if self._inverses is None:
+            inverses = [0] * self.order
+            lefts: dict[int, list[int]] = {}
+            for y, z, r in self._schreier_tree():
+                left = lefts.get(r[0])
+                if left is None:
+                    left = lefts[r[0]] = self._left_row(self.inv(r[0]))
+                inverses[z] = left[inverses[y]]
+            self._inverses = inverses
+        return self._inverses
 
     def _schreier_tree(self) -> list[tuple[int, int, list[int]]]:
         """Breadth-first spanning tree of G from the identity, grown by
@@ -878,13 +902,15 @@ class PermGroup:
         the generator h of each cyclic class H it counts on: the
         identity's cycle 0 -> h -> h*h -> ... is H, the row's cycles are
         the left cosets xH (``cyclic_cosets``), and h acts through it on
-        the right cosets <g>y of a branch element g."""
+        the right cosets <g>y of a branch element g. It takes no
+        composition: y*h = (h^-1 * y^-1)^-1, so with inv the inverse row
+        and L the left row of h^-1, both read off the Schreier tree,
+        row[y] = inv[L[inv[y]]]."""
         cached = self._right_rows.get(h)
         if cached is None:
-            index, images = self._index, self._images
-            _, pad, compose, _ = self._kernel
-            hi = images[self._checked(h)]
-            cached = self._right_rows[h] = tuple([index[compose(hi, pad(y))] for y in images])
+            inv = self._inverse_row()
+            left = self._left_row(inv[self._checked(h)])
+            cached = self._right_rows[h] = tuple(map(inv.__getitem__, map(left.__getitem__, inv)))
         return cached
 
     def cyclic_cosets(self, h: int) -> CosetAction:

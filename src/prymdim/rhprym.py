@@ -24,7 +24,8 @@ come out of the closed form
 for nontrivial irreps (dim V_1 = g for the trivial one), which
 ``prym_dim_formula`` sums for the one irrep asked. ``validate`` forms
 it doubled for every irrep at once: with w the R_k-weighted sum of the
-fixed-dim rows k, 2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j.
+fixed-dim rows k, 2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j, plus 2 for
+the trivial irrep, whose w is R.
 
 All arithmetic is in integers. ``validate`` forms its vectors on packed
 rows, in ``exactla``'s lane format (see its module docstring): each row
@@ -33,25 +34,29 @@ the index and degree vectors are packed once per group with one lane per
 cyclic class or irrep, and kept with the group. A vector is then a
 handful of big-int operations for any n: the weighted sums are one
 multiply-add per branch class, every parity is one AND with the lane
-ones, and each vector is read back once. No lane of any of these vectors
-exceeds (2g + 2R + 4)|G| in absolute value, so the rows are packed at
-``exactla.lane_width`` of twice that bound, a bit to spare: 64 bits
-until the bound reaches 2^62, which unbounded counts and genera allow,
-and each wider width packed on first use.
+ones, every halving one shift, and each vector is read back once. No
+lane of any of these vectors exceeds (2g + 2R + 4)|G| in absolute value,
+so the rows are packed at ``exactla.lane_width`` of twice that bound, a
+bit to spare: 64 bits until the bound reaches 2^62, which unbounded
+counts and genera allow, and each wider width packed on first use.
 
 The fixed-dim matrix A is certified once per group by its nonzero
-determinant, so A x = g has exactly one solution. ``validate`` hands
-its doubled closed form to ``exactla.solve`` as the candidate over
-d = 2: one exact packed product A (2x) == 2 g accepts it as the solve's
-answer, half-integral or not, so both routes agree, their dimensions
-halved once, and the solve's NonIntegerSolution text comes from the
-same fractions. Only a failed
-check takes an elimination, whose dimensions or NonIntegerSolution text
-are then reported beside the closed form's. ``isotypic_dims_solve``,
-the reference route, takes every genus from ``genus_quotient``, row by
-row with no packing, and always eliminates: one Bareiss pass over
-[A | g] gives the numerators over d = det A. An index outside 0..n-1,
-negative ones included, raises IndexError.
+determinant, so A x = g has exactly one solution. The doubled closed
+form has, lane by lane, the parity of R deg + w, which has no negative
+lane, so one AND with the lane ones finds its odd lanes. With none, one
+shift of the packed closed form gives its halves x, read back once, and
+``validate`` hands them to ``exactla.solve`` as the candidate over
+d = 1: one exact packed product A x == g accepts them as the solve's
+answer, so both routes agree with no division. A closed form with an
+odd lane is read back doubled and passed over d = 2, so a half-integral
+one is accepted as well and the solve's NonIntegerSolution text comes
+from the same fractions. Only a failed check takes an elimination, whose
+dimensions or NonIntegerSolution text are then reported beside the
+closed form's. ``isotypic_dims_solve``, the reference route, takes every
+genus from ``genus_quotient``, row by row with no packing, and always
+eliminates: one Bareiss pass over [A | g] gives the numerators over
+d = det A. An index outside 0..n-1, negative ones included, raises
+IndexError.
 """
 
 from __future__ import annotations
@@ -266,23 +271,16 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     return dims
 
 
-def _closed_form_doubled(
-    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular
-) -> list[int]:
-    """2 dim V_j by the closed form for every irrep j at once: with R =
-    sum_k R_k and w the R_k-weighted sum of the fixed-dim rows k,
+def _closed_form(spec: CoverSpec, lanes: _Lanes, points: int, fixed: int) -> int:
+    """2 dim V_j by the closed form for every irrep j at once, packed: with
+    R = ``points`` and w = ``fixed`` the R_k-weighted sum of the packed
+    fixed-dim rows k,
 
         2 deg_j (g - 1) + sum_k (deg_j - rows[k][j]) R_k = deg_j (2g - 2 + R) - w_j,
 
-    formed on the packed rows and read back once, and 2g for the trivial
-    irrep."""
-    lanes, points = _lanes(spec, table, fdm)
-    g = spec.base_genus
-    twice = lanes.kernel.read(
-        (2 * g - 2 + points) * lanes.degrees - _weighted(lanes.fixed, spec.ramification.counts)
-    )
-    twice[0] = 2 * g
-    return twice
+    plus 2 in lane 0, which makes it 2g: every rows[k][0] is 1
+    (``fixed_dim_matrix`` checks it), so w_0 = R."""
+    return (2 * spec.base_genus - 2 + points) * lanes.degrees - fixed + 2
 
 
 def _odd_dimension(twice: int) -> NonIntegerDimension:
@@ -337,7 +335,8 @@ def validate(spec: CoverSpec) -> DimensionReport:
     # quotient is read back at once
     lanes, points = _lanes(spec, table, fdm)
     kernel = lanes.kernel
-    ram = points * lanes.index - _weighted(lanes.cosets, spec.ramification.counts)
+    counts = spec.ramification.counts
+    ram = points * lanes.index - _weighted(lanes.cosets, counts)
     odd = ram & kernel.ones
     genera = kernel.read(kernel.ones + (spec.base_genus - 1) * lanes.index + ((ram - odd) >> 1))
     g_total = genera[0]
@@ -353,16 +352,23 @@ def validate(spec: CoverSpec) -> DimensionReport:
         for i in bad:
             diags.append(_diagnostic(_genus_fault(i, rams[i], genera[i])))
             genera[i] = None
-    twice = _closed_form_doubled(spec, table, fdm)
-    closed = _exact(twice, 2)
+    # lane by lane the closed form has the parity of R deg + w, which has
+    # no negative lane, so one AND with the lane ones finds any odd lane;
+    # with none, one shift halves every lane exactly and the halves are
+    # the solve's candidate over d = 1: only a failed check A x == genera
+    # pays for an elimination, and only its numerators need dividing
+    fixed = _weighted(lanes.fixed, counts)
+    packed = _closed_form(spec, lanes, points, fixed)
+    if (points * lanes.degrees + fixed) & kernel.ones:
+        twice = kernel.read(packed)
+        closed, candidate = None, (twice, 2)
+    else:
+        closed = tuple(kernel.read(packed >> 1))
+        candidate = closed, 1
     dims: tuple[int, ...] | None = None
     if not bad:
-        # the doubled closed form is the solve's candidate: only a failed
-        # check A (2x) == 2 genera pays for an elimination, and only its
-        # numerators need dividing, an accepted candidate's halves being
-        # the closed form's
-        y, d = exactla.solve(fdm, genera, (twice, 2))
-        dims = closed if d == 2 and y == twice else _exact(y, d)
+        y, d = exactla.solve(fdm, genera, candidate)
+        dims = tuple(y) if d == 1 else _exact(y, d)
         if dims is None:
             diags.append(_diagnostic(_non_integer(y, d)))
     if closed is None:

@@ -658,15 +658,16 @@ def test_verify_weyl(capsys):
 def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     """A closed form that is wrong on genus-3 specs must fail verify: the
     sampler keeps specs on which the two routes disagree."""
-    real = rhprym._closed_form_doubled
+    real = rhprym._closed_form
 
-    def broken(spec, table, fdm):
-        twice = real(spec, table, fdm)
+    def broken(spec, lanes, points, fixed):
+        packed = real(spec, lanes, points, fixed)
         if spec.base_genus == 3:
-            twice[1] += 2
-        return twice
+            n = len(spec.group.cyclic_subgroup_classes())
+            packed += lanes.kernel.pack([2 * (j == 1) for j in range(n)])
+        return packed
 
-    monkeypatch.setattr(rhprym, "_closed_form_doubled", broken)
+    monkeypatch.setattr(rhprym, "_closed_form", broken)
     code, out, _ = run(capsys, ["verify", "--weyl", "A2", "--format", "json"])
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert code == 2

@@ -358,6 +358,26 @@ def test_lane_read_round_trips(width):
     assert (empty.pack([]), empty.read(0), empty.ones) == (0, [], 0)
 
 
+@pytest.mark.parametrize("width", [64, 128, 192])
+@given(data=st.data())
+def test_packed_halves_and_parities(width, data):
+    """One shift halves a packed vector of even lanes exactly, negative
+    lanes and the extremes of a lane included, and one AND with the lane
+    ones leaves the parity of every lane of a nonnegative one: how
+    ``rhprym.validate`` halves its closed form and finds its odd lanes."""
+    half = 2 ** (width - 2)
+    lane = st.one_of(st.integers(-3, 3), st.sampled_from([-half, half - 1]),
+                     st.integers(-half, half - 1))
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    kernel = exactla.lanes(n, width)
+    v = [2 * k for k in data.draw(st.lists(lane, min_size=n, max_size=n))]
+    assert kernel.read(kernel.pack(v) >> 1) == [x // 2 for x in v]
+    top = 2 ** (width - 1) - 1
+    u = data.draw(st.lists(st.one_of(st.integers(0, 5), st.sampled_from([top - 1, top]),
+                                     st.integers(0, top)), min_size=n, max_size=n))
+    assert kernel.read(kernel.pack(u) & kernel.ones) == [x % 2 for x in u]
+
+
 wide_entries = st.one_of(small_entries, st.integers(min_value=-2**70, max_value=2**70))
 packed_offsets = st.one_of(
     st.integers(min_value=-3, max_value=3),

@@ -426,6 +426,45 @@ def test_left_row_matches_mul(s4):
             assert G.left_row(x) == _row_by_mul(G, x), (letter, rank, x)
 
 
+def _right_row_by_mul(G, h):
+    return tuple(G.mul(y, h) for y in range(G.order))
+
+
+def test_right_row_matches_mul(s4):
+    """``right_row(h)``, read through the inverse row and the left row of
+    h^-1, is the G.mul row y -> y*h for every h of S4 and W(B3), and for
+    20 seeded h of every fleet group of order <= 5000; the inverse row is
+    ``inv`` element by element."""
+    for G in (s4, weyl_group("B", 3).group):
+        assert G._inverse_row() == [G.inv(x) for x in range(G.order)]
+        for h in range(G.order):
+            assert G.right_row(h) == _right_row_by_mul(G, h), h
+    rng = random.Random(15)
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        if G.order > 5000:
+            continue
+        for h in rng.sample(range(G.order), min(20, G.order)):
+            assert G.right_row(h) == _right_row_by_mul(G, h), (letter, rank, h)
+
+
+def test_right_row_composes_nothing_once_the_tree_is_built(monkeypatch):
+    """With the tree built, the inverse row and every right row are list
+    lookups only: a kernel whose compose raises does not stop
+    ``right_row`` on fresh copies of S4 and W(D4)."""
+
+    def refuse(b, a):
+        raise AssertionError("right_row composed")
+
+    for H in (group_from_generators(parse_generators(["(0 1)", "(0 1 2 3)"])),
+              PermGroup(weyl_group("D", 4).group.generators)):
+        expected = [_right_row_by_mul(H, h) for h in range(H.order)]
+        H.left_row(0)  # builds the tree
+        assert H._right_rows == {} and H._inverses is None
+        monkeypatch.setattr(H, "_kernel", H._kernel._replace(compose=refuse))
+        assert [H.right_row(h) for h in range(H.order)] == expected
+
+
 def test_left_row_on_tuple_store_trivial_group_and_redundant_generators(trivial):
     """The tree rows match G.mul in the tuple store (the 257-cycle), on the
     order-1 group, whose tree has no edge, and on S4 generated by a set

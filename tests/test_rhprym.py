@@ -243,8 +243,8 @@ def _count_solves(monkeypatch):
 
 def test_warm_validate_makes_no_elimination(monkeypatch):
     """The fixed-dim matrix is certified once per group: once it is built,
-    a spec whose doubled closed form passes solve's check
-    A (2x) == 2 genera needs no Bareiss pass."""
+    a spec whose closed form passes solve's check A x == genera needs no
+    Bareiss pass."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
@@ -287,14 +287,17 @@ HALF_INTEGRAL_F4_SHA256 = "3dcae9af23251bc74de2e70e894001f7664d5734373fe5f27d95f
 
 
 def test_warm_validate_settles_half_integral_specs_without_elimination(monkeypatch):
-    """A half-integral closed form passes the check over d = 2 as well, so
-    validate reports NonIntegerSolution with no Bareiss pass, in the very
-    text the adjugate solve printed."""
+    """A half-integral closed form, passed doubled over d = 2, passes the
+    check as well, so validate reports NonIntegerSolution with no Bareiss
+    pass, in the very text the adjugate solve printed."""
     G = weyl_group("F", 4).group
     specs = _half_integral_specs(G, 20, random.Random(7))
     passes = _count_eliminations(monkeypatch)
+    calls = _count_solves(monkeypatch)
     reports = [validate(spec) for spec, _ in specs]
     assert passes == []
+    # an odd lane keeps the doubled closed form over d = 2 as the candidate
+    assert [d for _, _, (_, d) in calls] == [2] * len(specs)
     texts = [text for _, text in specs]
     assert texts[0] == HALF_INTEGRAL_F4_FIRST
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == HALF_INTEGRAL_F4_SHA256
@@ -303,30 +306,57 @@ def test_warm_validate_settles_half_integral_specs_without_elimination(monkeypat
 
 
 def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
-    """A closed form that fails A (2x) == 2 genera sends validate's solve
-    to one elimination, whose dimensions it reports against the closed
+    """A closed form that fails A x == genera sends validate's solve to
+    one elimination, whose dimensions it reports against the closed
     form's."""
     G = weyl_group("F", 4).group
     spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
     solved = isotypic_dims_solve(spec)
-    closed_form = rhprym._closed_form_doubled
+    n = len(solved)
+    closed_form = rhprym._closed_form
 
-    def off_by_one(spec, table, fdm):
-        return [v + 2 * (j == 3) for j, v in enumerate(closed_form(spec, table, fdm))]
+    def off_by_one(spec, lanes, points, fixed):
+        return closed_form(spec, lanes, points, fixed) + lanes.kernel.pack(
+            [2 * (j == 3) for j in range(n)])
 
-    monkeypatch.setattr(rhprym, "_closed_form_doubled", off_by_one)
+    monkeypatch.setattr(rhprym, "_closed_form", off_by_one)
     calls = _count_solves(monkeypatch)
     passes = _count_eliminations(monkeypatch)
     rep = validate(spec)
     closed = tuple(v + (j == 3) for j, v in enumerate(solved))
-    n = len(solved)
     assert len(calls) == 1
-    twice, d = calls[0][2]
-    assert (list(twice), d) == ([2 * v for v in closed], 2)
+    y, d = calls[0][2]
+    assert (tuple(y), d) == (closed, 1)
     assert passes == [(n, n + 1)]
     assert (rep.dims, rep.dims_closed_form) == (solved, closed)
     assert not rep.method_agreement
     assert rep.diagnostics == (f"MethodDisagreement: solver {solved} != closed form {closed}",)
+
+
+def test_warm_validate_reads_its_lanes_once_and_halves_on_the_packed_int(monkeypatch):
+    """50 warm W(F4) specs: each validate looks its packed rows up once,
+    divides nothing with ``_exact``, and calls solve once, with the
+    closed form's halves over d = 1 as its candidate."""
+    G = weyl_group("F", 4).group
+    specs = [spec for spec, _ in sample_cover_specs(G, 50, random.Random(11))]
+    counted = {}
+    for name in ("_lanes", "_exact"):
+        real = getattr(rhprym, name)
+
+        def counting(*args, name=name, real=real):
+            counted[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(rhprym, name, counting)
+    calls = _count_solves(monkeypatch)
+    for spec in specs:
+        counted.update(_lanes=0, _exact=0)
+        calls.clear()
+        rep = validate(spec)
+        assert counted == {"_lanes": 1, "_exact": 0}
+        assert len(calls) == 1
+        y, d = calls[0][2]
+        assert (list(y), d) == (list(rep.dims_closed_form), 1)
 
 
 def test_cold_fixed_dim_matrix_runs_one_pass_of_width_n(monkeypatch):

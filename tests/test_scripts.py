@@ -9,7 +9,8 @@ do too; its full report (every cold stage and process on five groups)
 is not made; each warm stage reports its wall and its CPU seconds. Its paired mode runs
 against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
-`--stages` without `--against`; one process of that mode times two warm
+`--stages` without `--against`, and a revision whose own script lacks
+`--pass` or a chosen stage; one process of that mode times two warm
 stages, and one, run in-process with W(A1) as its only group, the
 `cli_cold` process stage.
 """
@@ -20,6 +21,7 @@ import runpy
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -156,6 +158,56 @@ def test_stage_times_pairs_against_head_and_removes_its_worktree():
         assert row["ratio"] == round(row["this"] / row["rev"], 3)
         assert row["ratio_q1"] <= row["ratio_q3"] and row["ratio_q1_cpu"] <= row["ratio_q3_cpu"]
     assert after == before
+
+
+# Two scripts a revision may hold in place of the paired mode's own: one
+# from before `--pass`, and one whose `--pass` knows no `closure` stage.
+_OLD_SCRIPTS = {
+    "no --pass": "import argparse\nargparse.ArgumentParser().parse_args()\n",
+    "no closure stage": textwrap.dedent("""\
+        import argparse
+        ap = argparse.ArgumentParser()
+        ap.add_argument("--pass", action="store_true")
+        ap.add_argument("--stages")
+        args = ap.parse_args()
+        unknown = sorted(set(args.stages.split(",")) - {"table"})
+        if unknown:
+            ap.error(f"unknown stages {unknown}")
+        """),
+}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="paired mode needs git")
+@pytest.mark.parametrize("old", sorted(_OLD_SCRIPTS))
+def test_stage_times_refuses_a_revision_whose_script_cannot_pass(tmp_path, old):
+    """Paired mode runs each tree's own script: against a revision of a
+    scratch repository whose script lacks `--pass`, or lacks the stage
+    asked for, it prints one `error:` line naming the refusal, exits 2
+    with no traceback and removes its worktree."""
+    repo = tmp_path / "repo"
+    (repo / "scripts").mkdir(parents=True)
+    script = repo / "scripts" / "stage_times.py"
+    script.write_text(_OLD_SCRIPTS[old])
+    env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@example.org",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@example.org"}
+    for argv in (["init", "--quiet"], ["add", "."], ["commit", "--quiet", "-m", "old"]):
+        subprocess.run(["git", "-C", str(repo), *argv], check=True, env=env)
+    shutil.copy(_ROOT / "scripts" / "stage_times.py", script)
+    proc = subprocess.run(
+        [sys.executable, str(script), "--against", "HEAD", "--stages", "closure"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": _SRC},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: stage_times.py --pass of HEAD exited 2: ")
+    assert proc.stderr.count("\n") == 1
+    assert ("unrecognized arguments: --pass" if old == "no --pass"
+            else "unknown stages ['closure']") in proc.stderr
+    listed = subprocess.run(["git", "-C", str(repo), "worktree", "list", "--porcelain"],
+                            capture_output=True, text=True, check=True).stdout
+    assert listed.count("worktree ") == 1
 
 
 def test_stage_times_pass_times_the_chosen_warm_stages():
