@@ -25,7 +25,7 @@ the closed form for every irrep (`prym_dim_formula`), one
 `exactla.solve` of the fixed-dim system on the spec's quotient genera
 with those dimensions over d = 1 as its candidate (`closed_form_check`,
 the one product A x == genera by which `validate` accepts the closed
-form's halves, the candidate it passes) and one `exactla.solve` without a
+form's dimensions, the candidate it passes) and one `exactla.solve` without a
 candidate (`solve`, the one elimination of the reference route, which
 `validate` takes only when that check fails). Every repetition of the
 cold stages rebuilds the group from `W.group.generators`, so each of

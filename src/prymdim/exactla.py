@@ -10,9 +10,10 @@ A matrix is certified once, by its determinant: a ``Nonsingular`` keeps
 the rows with their nonzero det. Then A x = b has exactly one solution,
 so one product decides whether a candidate is it. ``solve`` takes a
 candidate (y, d) and returns it when A y == d b: ``rhprym.validate``
-passes its closed form's halves over d = 1, taken off the packed doubled
-form by one shift once one AND with the lane ones finds no odd lane, and
-the doubled form over d = 2 otherwise. A missing or failed candidate
+passes its closed form's dimensions over d = 1, read off the one packed
+vector that also gives the quotient genera b once one AND with the lane
+ones finds no odd lane, and the doubled form over d = 2 otherwise; over
+d = 1 the read-back A y is compared with b itself. A missing or failed candidate
 costs one elimination over [A | b]: its last column, back-substituted,
 gives the Cramer numerators y = adj(A) b over d = det(A), checked by
 A y == d b. Callers decide integrality with a divisibility test.
@@ -178,13 +179,15 @@ def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
 
 def _satisfies(m: Nonsingular, y: Sequence[int], d: int, b: Sequence[int]) -> bool:
     """A y == d b for the matrix A of m: A y packed as one product of the
-    columns, read back and compared with d b (module docstring)."""
+    columns, read back and compared with d b, with b itself at d = 1
+    (module docstring)."""
     width = lane_width(m.norm * max(1, max(map(abs, y), default=0)))
     if width not in m.packed:
         kernel = lanes(len(m.rows), width)
         m.packed[width] = kernel, tuple(map(kernel.pack, zip(*m.rows)))
     kernel, columns = m.packed[width]
-    return kernel.read(sum(map(mul, columns, y))) == [d * v for v in b]
+    # the read is a list, and a list never equals a tuple b
+    return kernel.read(sum(map(mul, columns, y))) == (list(b) if d == 1 else [d * v for v in b])
 
 
 def solve(

@@ -22,35 +22,39 @@ come out of the closed form
     dim V_j = (dim rho_j)(g-1) + sum_k (dim rho_j - dim rho_j^{H_k}) R_k / 2
 
 for nontrivial irreps (dim V_1 = g for the trivial one), which
-``prym_dim_formula`` sums for the one irrep asked. ``validate`` forms
-it doubled for every irrep at once: with w the R_k-weighted sum of the
-fixed-dim rows k, 2 dim V_j = (dim rho_j)(2g - 2 + R) - w_j, plus 2 for
-the trivial irrep, whose w is R.
+``prym_dim_formula`` sums for the one irrep asked. With w the
+R_k-weighted sum of the fixed-dim rows k it reads
+2 dim V_j = (dim rho_j)(2g - 2) + R dim rho_j - w_j for every
+nontrivial irrep, and the trivial one, whose w is R, takes 2 more.
 
-All arithmetic is in integers. ``validate`` forms its vectors on packed
-rows, in ``exactla``'s lane format (see its module docstring): each row
-it weights by R_k, every double-coset row and every fixed-dim row, and
-the index and degree vectors are packed once per group with one lane per
-cyclic class or irrep, and kept with the group. A vector is then a
-handful of big-int operations for any n: the weighted sums are one
-multiply-add per branch class, every parity is one AND with the lane
-ones, every halving one shift, and each vector is read back once. No
-lane of any of these vectors exceeds (2g + 2R + 4)|G| in absolute value,
-so the rows are packed at ``exactla.lane_width`` of twice that bound, a
-bit to spare: 64 bits until the bound reaches 2^62, which unbounded
-counts and genera allow, and each wider width packed on first use.
+All arithmetic is in integers. ``validate`` forms both routes' inputs
+as one vector on packed rows, in ``exactla``'s lane format (see its
+module docstring). Each branch class k is one row of 2n lanes, packed
+once per group and kept with it: double-coset row k in lanes 0..n-1
+beside fixed-dim row k in lanes n..2n-1; beside them the indices
+[G:H_i] next to the irrep degrees, and a base of 1 in every genus lane
+and in lane n, the trivial irrep's. The one R_k-weighted sum
+v = R (indices, degrees) - sum_k R_k rows[k], one multiply-add per
+branch class for any n, holds every ramification degree beside every
+R dim rho_j - w_j. No lane of v is negative, so one AND with the lane
+ones finds every odd lane of both routes, and one read of
+base + (g - 1)(indices, degrees) + (v - odd)/2, the halving one shift,
+gives every quotient genus beside every closed-form dimension. No lane
+of any vector formed this way exceeds (2g + 2R + 4)|G| in absolute
+value, so the rows are packed at ``exactla.lane_width`` of twice that
+bound, a bit to spare: 64 bits until the bound reaches 2^62, which
+unbounded counts and genera allow, and each wider width packed on first
+use.
 
 The fixed-dim matrix A is certified once per group by its nonzero
-determinant, so A x = g has exactly one solution. The doubled closed
-form has, lane by lane, the parity of R deg + w, which has no negative
-lane, so one AND with the lane ones finds its odd lanes. With none, one
-shift of the packed closed form gives its halves x, read back once, and
-``validate`` hands them to ``exactla.solve`` as the candidate over
-d = 1: one exact packed product A x == g accepts them as the solve's
-answer, so both routes agree with no division. A closed form with an
-odd lane is read back doubled and passed over d = 2, so a half-integral
-one is accepted as well and the solve's NonIntegerSolution text comes
-from the same fractions. Only a failed check takes an elimination, whose
+determinant, so A x = g has exactly one solution. With no odd
+closed-form lane ``validate`` hands the closed form's dimensions x to
+``exactla.solve`` as the candidate over d = 1: one exact packed product
+A x == g accepts them as the solve's answer, so both routes agree with
+no division. A closed form with an odd lane is doubled back, twice the
+read plus the odd bit, and passed over d = 2, so a half-integral one is
+accepted as well and the solve's NonIntegerSolution text comes from the
+same fractions. Only a failed check takes an elimination, whose
 dimensions or NonIntegerSolution text are then reported beside the
 closed form's. ``isotypic_dims_solve``, the reference route, takes every
 genus from ``genus_quotient``, row by row with no packing, and always
@@ -176,16 +180,18 @@ def _ramification(spec: CoverSpec, index: int, dc: Sequence[int]) -> int:
 
 
 class _Lanes(NamedTuple):
-    """A group's rows that ``validate`` weights by R_k, packed at one width:
-    ``cosets[k]`` row k of the double-coset matrix (lane i #(H_k\\G/H_i)),
-    ``fixed[k]`` row k of the fixed-dim matrix (lane j dim rho_j^{H_k}),
-    ``index`` the indices [G:H_i] and ``degrees`` the irrep degrees."""
+    """A group's rows that ``validate`` weights by R_k, packed at one width
+    as 2n lanes, the genus half 0..n-1 beside the closed-form half
+    n..2n-1: ``rows[k]`` row k of the double-coset matrix (lane i
+    #(H_k\\G/H_i)) beside row k of the fixed-dim matrix (lane n + j
+    dim rho_j^{H_k}), ``weights`` the indices [G:H_i] beside the irrep
+    degrees, and ``base`` 1 in every genus lane and in lane n, the
+    trivial irrep's."""
 
     kernel: exactla.LaneKernel
-    cosets: tuple[int, ...]
-    fixed: tuple[int, ...]
-    index: int
-    degrees: int
+    rows: tuple[int, ...]
+    weights: int
+    base: int
 
 
 def _lanes(
@@ -212,19 +218,25 @@ def _lanes(
 def _pack_lanes(G: PermGroup, table: CharacterTable, fdm: exactla.Nonsingular,
                 width: int) -> _Lanes:
     cyclic = G.cyclic_subgroup_classes()
-    kernel = exactla.lanes(len(cyclic), width)
+    n = len(cyclic)
+    kernel = exactla.lanes(2 * n, width)
     return _Lanes(
         kernel,
-        cosets=tuple(map(kernel.pack, G.double_coset_matrix())),
-        fixed=tuple(map(kernel.pack, fdm.rows)),
-        index=kernel.pack([G.order // K.subgroup_order for K in cyclic]),
-        degrees=kernel.pack(table.degrees),
+        rows=tuple(map(kernel.pack, map(tuple.__add__, G.double_coset_matrix(), fdm.rows))),
+        weights=kernel.pack([G.order // K.subgroup_order for K in cyclic] + list(table.degrees)),
+        base=kernel.pack([1] * (n + 1) + [0] * (n - 1)),
     )
 
 
-def _weighted(rows: Sequence[int], counts: Mapping[int, int]) -> int:
-    """sum_k R_k rows[k] over the branch classes k, R_k = counts[k]."""
-    return sum(map(mul, counts.values(), map(rows.__getitem__, counts)))
+def _vector(spec: CoverSpec, lanes: _Lanes, points: int) -> int:
+    """v = R weights - sum_k R_k rows[k] over the spec's branch classes k,
+    packed, R = ``points``: lane i is the ramification degree
+    [G:H_i] R - w_i of X/H_i and lane n + j is R deg_j - w_j, so that
+    2 dim V_j = deg_j (2g - 2) + v_{n+j} by the closed form for every
+    nontrivial irrep j. No lane is negative."""
+    counts = spec.ramification.counts
+    weighted = sum(map(mul, counts.values(), map(lanes.rows.__getitem__, counts)))
+    return points * lanes.weights - weighted
 
 
 def genus_total(spec: CoverSpec) -> int:
@@ -271,18 +283,6 @@ def isotypic_dims_solve(spec: CoverSpec) -> tuple[int, ...]:
     return dims
 
 
-def _closed_form(spec: CoverSpec, lanes: _Lanes, points: int, fixed: int) -> int:
-    """2 dim V_j by the closed form for every irrep j at once, packed: with
-    R = ``points`` and w = ``fixed`` the R_k-weighted sum of the packed
-    fixed-dim rows k,
-
-        2 deg_j (g - 1) + sum_k (deg_j - rows[k][j]) R_k = deg_j (2g - 2 + R) - w_j,
-
-    plus 2 in lane 0, which makes it 2g: every rows[k][0] is 1
-    (``fixed_dim_matrix`` checks it), so w_0 = R."""
-    return (2 * spec.base_genus - 2 + points) * lanes.degrees - fixed + 2
-
-
 def _odd_dimension(twice: int) -> NonIntegerDimension:
     return NonIntegerDimension(f"closed-form dimension {twice}/2 is not an integer")
 
@@ -327,52 +327,51 @@ def validate(spec: CoverSpec) -> DimensionReport:
     fdm = fixed_dim_matrix(G)
     diags: list[str] = []
 
-    # the ramification degree of X/H_i is [G:H_i] R - w_i, w the
-    # R_k-weighted sum of the rows k of the symmetric double-coset matrix;
-    # no lane of it is negative, so one AND with the lane ones leaves each
-    # lane's parity, and taking the parities off halves every lane
-    # exactly: the genus 1 + [G:H_i](g - 1) + floor(ram_i / 2) of every
-    # quotient is read back at once
+    # v holds every ramification degree [G:H_i] R - w_i beside every
+    # R deg_j - w_j, none negative, so one AND with the lane ones leaves
+    # each lane's parity and taking the parities off halves every lane
+    # exactly: one read gives each quotient's genus
+    # 1 + [G:H_i](g - 1) + floor(ram_i / 2) beside each closed-form
+    # dim V_j = deg_j (g - 1) + floor(v_{n+j} / 2), plus 1 for the trivial
+    # irrep, whose v is 0
     lanes, points = _lanes(spec, table, fdm)
     kernel = lanes.kernel
-    counts = spec.ramification.counts
-    ram = points * lanes.index - _weighted(lanes.cosets, counts)
-    odd = ram & kernel.ones
-    genera = kernel.read(kernel.ones + (spec.base_genus - 1) * lanes.index + ((ram - odd) >> 1))
+    v = _vector(spec, lanes, points)
+    odd = v & kernel.ones
+    values = kernel.read(lanes.base + (spec.base_genus - 1) * lanes.weights + ((v - odd) >> 1))
+    n = len(fdm.rows)
+    genera, closed = values[:n], tuple(values[n:])
     g_total = genera[0]
     bad = []
+    twice = None
     if odd or min(genera) < 0:
-        rams = kernel.read(ram)
-        bad = [i for i, (r, g_h) in enumerate(zip(rams, genera)) if r % 2 or g_h < 0]
-        # no cover has this branch data; the total space X = X/H_0 has the
-        # degree and genus of H_0's quotient, under its own names, first
-        if bad[0] == 0:
-            diags.append(_diagnostic(_genus_fault(None, rams[0], g_total)))
-            g_total = None
-        for i in bad:
-            diags.append(_diagnostic(_genus_fault(i, rams[i], genera[i])))
-            genera[i] = None
-    # lane by lane the closed form has the parity of R deg + w, which has
-    # no negative lane, so one AND with the lane ones finds any odd lane;
-    # with none, one shift halves every lane exactly and the halves are
-    # the solve's candidate over d = 1: only a failed check A x == genera
-    # pays for an elimination, and only its numerators need dividing
-    fixed = _weighted(lanes.fixed, counts)
-    packed = _closed_form(spec, lanes, points, fixed)
-    if (points * lanes.degrees + fixed) & kernel.ones:
-        twice = kernel.read(packed)
-        closed, candidate = None, (twice, 2)
-    else:
-        closed = tuple(kernel.read(packed >> 1))
-        candidate = closed, 1
+        v_lanes = kernel.read(v)
+        bad = [i for i, (r, g_h) in enumerate(zip(v_lanes, genera)) if r % 2 or g_h < 0]
+        if bad:
+            # no cover has this branch data; the total space X = X/H_0 has
+            # the degree and genus of H_0's quotient, under its own names,
+            # first
+            if bad[0] == 0:
+                diags.append(_diagnostic(_genus_fault(None, v_lanes[0], g_total)))
+                g_total = None
+            for i in bad:
+                diags.append(_diagnostic(_genus_fault(i, v_lanes[i], genera[i])))
+                genera[i] = None
+        if any(r % 2 for r in v_lanes[n:]):
+            # a half-integral closed form, passed doubled over d = 2
+            twice = [2 * h + r % 2 for h, r in zip(closed, v_lanes[n:])]
+            closed = None
+    # with no odd closed-form lane the dimensions read are the solve's
+    # candidate over d = 1: only a failed check A x == genera pays for an
+    # elimination, and only its numerators need dividing
     dims: tuple[int, ...] | None = None
     if not bad:
-        y, d = exactla.solve(fdm, genera, candidate)
+        y, d = exactla.solve(fdm, genera, (closed, 1) if twice is None else (twice, 2))
         dims = tuple(y) if d == 1 else _exact(y, d)
         if dims is None:
             diags.append(_diagnostic(_non_integer(y, d)))
-    if closed is None:
-        diags.append(_diagnostic(_odd_dimension(next(v for v in twice if v % 2))))
+    if twice is not None:
+        diags.append(_diagnostic(_odd_dimension(next(t for t in twice if t % 2))))
 
     agreement = dims is not None and closed is not None and dims == closed
     if dims is not None and closed is not None and dims != closed:

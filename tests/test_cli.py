@@ -658,16 +658,17 @@ def test_verify_weyl(capsys):
 def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     """A closed form that is wrong on genus-3 specs must fail verify: the
     sampler keeps specs on which the two routes disagree."""
-    real = rhprym._closed_form
+    real = rhprym._vector
 
-    def broken(spec, lanes, points, fixed):
-        packed = real(spec, lanes, points, fixed)
+    def broken(spec, lanes, points):
+        packed = real(spec, lanes, points)
         if spec.base_genus == 3:
+            # +2 in lane n + 1 of v: +1 in the closed-form dimension of irrep 1
             n = len(spec.group.cyclic_subgroup_classes())
-            packed += lanes.kernel.pack([2 * (j == 1) for j in range(n)])
+            packed += lanes.kernel.pack([2 * (j == n + 1) for j in range(2 * n)])
         return packed
 
-    monkeypatch.setattr(rhprym, "_closed_form", broken)
+    monkeypatch.setattr(rhprym, "_vector", broken)
     code, out, _ = run(capsys, ["verify", "--weyl", "A2", "--format", "json"])
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert code == 2

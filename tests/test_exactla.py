@@ -115,6 +115,37 @@ def test_solve_accepts_a_candidate_that_passes_the_check():
         solve(m, [1, 1])
 
 
+def test_solve_accepts_a_right_candidate_over_one_with_no_elimination(monkeypatch):
+    """Over d = 1 the check compares A y with b itself, a list or a tuple
+    alike (the quotient genera of a report are a tuple): the right
+    candidate makes no Bareiss pass, on a small system and on W(F4)'s
+    fixed-dim matrix, and a wrong one still eliminates, once."""
+    small = nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]])
+    big = fixed_dim_matrix(weyl_group("F", 4).group)
+    passes = []
+    forward = exactla._forward
+
+    def counted(a, n):
+        passes.append(n)
+        return forward(a, n)
+
+    monkeypatch.setattr(exactla, "_forward", counted)
+    for m in (small, big):
+        n = len(m.rows)
+        x = [2**70 * (j % 3) + j for j in range(n)]
+        b = mat_vec(m.rows, x)
+        for bb in (b, tuple(b)):
+            assert solve(m, bb, (x, 1)) == (x, 1)
+            assert solve(m, bb, (tuple(x), 1)) == (x, 1)
+        assert passes == []
+        for bb in (b, tuple(b)):
+            wrong = [v + (j == n - 1) for j, v in enumerate(x)]
+            y, d = solve(m, bb, (wrong, 1))
+            assert (d, [Fraction(v, d) for v in y]) == (m.det, x)
+        assert passes == [n, n]
+        passes.clear()
+
+
 @given(st.data())
 def test_solve_candidate_matches_the_adjugate(data):
     """On random nonsingular systems, a candidate (y, d) is accepted iff
@@ -364,7 +395,8 @@ def test_packed_halves_and_parities(width, data):
     """One shift halves a packed vector of even lanes exactly, negative
     lanes and the extremes of a lane included, and one AND with the lane
     ones leaves the parity of every lane of a nonnegative one: how
-    ``rhprym.validate`` halves its closed form and finds its odd lanes."""
+    ``rhprym.validate`` finds the odd lanes of its one packed vector and
+    halves it."""
     half = 2 ** (width - 2)
     lane = st.one_of(st.integers(-3, 3), st.sampled_from([-half, half - 1]),
                      st.integers(-half, half - 1))

@@ -313,13 +313,14 @@ def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
     spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
     solved = isotypic_dims_solve(spec)
     n = len(solved)
-    closed_form = rhprym._closed_form
+    vector = rhprym._vector
 
-    def off_by_one(spec, lanes, points, fixed):
-        return closed_form(spec, lanes, points, fixed) + lanes.kernel.pack(
-            [2 * (j == 3) for j in range(n)])
+    def off_by_one(spec, lanes, points):
+        # +2 in lane n + 3 of v is +1 in the closed-form dimension of irrep 3
+        return vector(spec, lanes, points) + lanes.kernel.pack(
+            [2 * (j == n + 3) for j in range(2 * n)])
 
-    monkeypatch.setattr(rhprym, "_closed_form", off_by_one)
+    monkeypatch.setattr(rhprym, "_vector", off_by_one)
     calls = _count_solves(monkeypatch)
     passes = _count_eliminations(monkeypatch)
     rep = validate(spec)
@@ -654,3 +655,88 @@ def test_warm_validate_packs_the_group_rows_once(monkeypatch):
     for spec in wide:
         validate(spec)
     assert packs == [64, 128]
+
+
+# counts and genera from 0 to 2^70, small ones often
+_TO_2_70 = st.one_of(st.integers(0, 9), st.integers(0, 2**70))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("label", _LANE_GROUPS)
+def test_one_packed_vector_reads_back_both_routes(label, data):
+    """The one packed vector v of a spec, halved and read back once, holds
+    genus_quotient row by row in its genus half and prym_dim_formula irrep
+    by irrep in its closed-form half, or half of the doubled closed form
+    less its odd bit where that lane is odd. One AND with the lane ones
+    finds both halves' odd lanes: the odd genus lanes are exactly those
+    validate reports OddRamificationDegree for, and an odd closed-form
+    lane is what makes it report NonIntegerDimension."""
+    G = weyl_group(label[0], int(label[1])).group
+    n = len(G.cyclic_subgroup_classes())
+    counts = data.draw(st.dictionaries(st.integers(1, n - 1), _TO_2_70, max_size=6))
+    genus = data.draw(_TO_2_70)
+    spec = CoverSpec(G, genus, RamificationSpec(counts))
+    lanes, points = rhprym._lanes(spec, character_table(G), fixed_dim_matrix(G))
+    kernel = lanes.kernel
+    v = rhprym._vector(spec, lanes, points)
+    odd = v & kernel.ones
+    values = kernel.read(lanes.base + (genus - 1) * lanes.weights + ((v - odd) >> 1))
+    parity = kernel.read(odd)
+    assert len(values) == len(parity) == 2 * n
+    assert min(kernel.read(v)) >= 0
+    for i in range(n):
+        try:
+            assert (values[i], parity[i]) == (genus_quotient(spec, i), 0)
+        except OddRamificationDegree:
+            assert parity[i] == 1
+        except NegativeGenus as exc:
+            assert parity[i] == 0
+            assert str(exc) == f"quotient H{i + 1} genus {values[i]} is negative"
+    for j in range(n):
+        try:
+            assert (values[n + j], parity[n + j]) == (prym_dim_formula(spec, j), 0)
+        except NonIntegerDimension as exc:
+            assert parity[n + j] == 1
+            assert str(exc) == f"closed-form dimension {2 * values[n + j] + 1}/2 is not an integer"
+    rep = validate(spec)
+    assert all(g_h in (None, value) for g_h, value in zip(rep.quotient_genera, values))
+    assert rep.dims_closed_form in (None, tuple(values[n:]))
+    diags = rep.diagnostics
+    odd_quotients = {i for i in range(n) if parity[i]}
+    assert {i for i in range(n)
+            if any(d.startswith(f"OddRamificationDegree: quotient H{i + 1} ") for d in diags)
+            } == odd_quotients
+    assert any(d.startswith("OddRamificationDegree: total ") for d in diags) == (0 in odd_quotients)
+    assert any(d.startswith("NonIntegerDimension: ") for d in diags) == any(parity[n:])
+
+
+@pytest.mark.parametrize("label", _LANE_GROUPS + ("B2",))
+def test_both_halves_pack_at_one_width_either_side_of_the_lane_bound(label, monkeypatch):
+    """A spec whose lane bound (2g + 2R + 4)|G| is just below 2^62 packs
+    the 2n lanes of both halves at 64 bits; the next genus, whose bound is
+    at 2^62 or just past it (exactly at it on W(B2), of order 8), packs
+    them at 128. Both reports equal the row-by-row one."""
+    G = weyl_group(label[0], int(label[1])).group
+    n = len(G.cyclic_subgroup_classes())
+    widths = []
+    pack_lanes = rhprym._pack_lanes
+
+    def counted(G, table, fdm, width):
+        widths.append(width)
+        return pack_lanes(G, table, fdm, width)
+
+    monkeypatch.setattr(rhprym, "_pack_lanes", counted)
+    monkeypatch.delitem(rhprym._packed, G, raising=False)
+    # R = 2, so the bound is 2|G|(g + 4)
+    below = (2**62 - 1) // (2 * G.order) - 4
+    for genus in (below, below + 1):
+        spec = CoverSpec(G, genus, RamificationSpec({1: 2}))
+        bound = (2 * genus + 2 * 2 + 4) * G.order
+        lanes, _ = rhprym._lanes(spec, character_table(G), fixed_dim_matrix(G))
+        assert len(lanes.kernel.read(lanes.weights)) == 2 * n
+        assert validate(spec) == _validate_by_rows(spec)
+        assert widths[-1] == (64 if bound < 2**62 else 128)
+    assert widths == [64, 128]
+    if label == "B2":
+        assert bound == 2**62

@@ -5,9 +5,10 @@ without any failure. ``fleet_report.py`` is run in full (well under a
 second), and refuses an out-of-regime genus or degD before any row.
 ``stage_times.py`` is loaded, so its imports resolve, its warm
 stages run on W(A1) and one cold pass on W(B3), so the calls they time
-do too; its full report (every cold stage and process on five groups)
-is not made; each warm stage reports its wall and its CPU seconds. Its paired mode runs
-against HEAD on the closure stage of its five groups, in a temporary
+do too, and its `closed_form_check` stage accepts its candidate with no
+elimination on W(A1) and W(B3); its full report (every cold stage and
+process on five groups) is not made; each warm stage reports its wall
+and its CPU seconds. Its paired mode runs against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
 `--stages` without `--against`, and a revision whose own script lacks
 `--pass` or a chosen stage; one process of that mode times two warm
@@ -87,6 +88,29 @@ def test_stage_times_warm_stages_run_on_a_tiny_group(monkeypatch):
     assert sorted(stages) == sorted(names + [f"{k}_cpu" for k in names])
     assert all(v > 0 for v in stages.values())
     assert len(passes) == module["REPEATS"] * module["WARM_CALLS"]
+
+
+def test_stage_times_closed_form_check_accepts_its_candidate(monkeypatch):
+    """The `closed_form_check` stage passes the report's quotient genera,
+    a tuple, with its dimensions over d = 1: solve accepts the candidate
+    on every call with no elimination, so the stage times the check and
+    not a solve."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    forward = exactla._forward
+    passes = []
+
+    def counted(m, n):
+        passes.append(n)
+        return forward(m, n)
+
+    monkeypatch.setattr(exactla, "_forward", counted)
+    monkeypatch.setitem(module["_warm_figures"].__globals__, "WARM_CALLS", 5)
+    for W in (weyl_group("A", 1), weyl_group("B", 3)):
+        module["validate"](module["hitchin_preset"](W, 2))  # fill the caches first
+        passes.clear()
+        figures = module["_warm_figures"](W, ["closed_form_check"])
+        assert list(figures) == ["closed_form_check"]
+        assert passes == []
 
 
 def test_stage_times_split_input_and_oracles_run_on_a_small_group():
