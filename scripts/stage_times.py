@@ -24,10 +24,11 @@ spec, one `rhprym.validate`, all n quotient genera (`genus_quotient`),
 the closed form for every irrep (`prym_dim_formula`), one
 `exactla.solve` of the fixed-dim system on the spec's quotient genera
 with those dimensions over d = 1 as its candidate (`closed_form_check`,
-the one product A x == genera by which `validate` accepts the closed
-form's dimensions, the candidate it passes) and one `exactla.solve` without a
-candidate (`solve`, the one elimination of the reference route, which
-`validate` takes only when that check fails). Every repetition of the
+the one packed product A x == genera, which `validate` no longer makes
+per spec since each group's identities are certified once, each of them
+a check of this kind) and one `exactla.solve` without a candidate
+(`solve`, the one elimination of the reference route, which `verify`
+takes on every sampled spec). Every repetition of the
 cold stages rebuilds the group from `W.group.generators`, so each of
 them starts cold. Those are the generators `weyl_group` closed the
 group from: the pair {Coxeter element, s_(r-2)} where it generates W
@@ -104,11 +105,13 @@ on either tree, ends the run with one `error:` line and exit 2.
 
 where rev and this are the median over the pairs of each tree's wall
 seconds, to the nanosecond, rev_cpu and this_cpu the same for CPU
-seconds, and each ratio this / rev, so a ratio below 1 means this tree
-is faster. ratio_q1 and ratio_q3 are the lower and upper quartiles of
-the PAIRS per-pair ratios this / rev (`statistics.quantiles`), and the
-_cpu ones the same for CPU seconds: a stage whose quartiles straddle 1
-did not move beyond the noise of its pairs.
+seconds. ratio is the median of the PAIRS per-pair ratios this / rev,
+so a ratio below 1 means this tree is faster, and ratio_q1 and ratio_q3
+are their lower and upper quartiles (`statistics.quantiles`); the _cpu
+ones are the same for CPU seconds. The ratio is taken pair by pair, not
+as the ratio of the two medians, which load shared by the two processes
+of a pair can push outside the quartiles. A stage whose quartiles
+straddle 1 did not move beyond the noise of its pairs.
 """
 
 import argparse
@@ -376,31 +379,6 @@ def _paired(rev: str, stages) -> dict:
     finally:
         subprocess.run([*git, "worktree", "remove", "--force", str(tree)], capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-
-    def median(side, label, k, i):
-        return statistics.median(run[label][k][i] for run in runs[side])
-
-    def ratio_quartiles(label, k, i):
-        ratios = [new[label][k][i] / old[label][k][i]
-                  for old, new in zip(runs["rev"], runs["this"]) if old[label][k][i]]
-        if len(ratios) < 2:
-            return None, None
-        q1, _, q3 = statistics.quantiles(ratios, n=4)
-        return round(q1, 3), round(q3, 3)
-
-    groups = {}
-    for label in runs["this"][0]:
-        groups[label] = {}
-        for k in stages:
-            row = {}
-            for suffix, i in (("", 0), ("_cpu", 1)):
-                # to the nanosecond: a warm stage takes some microseconds
-                old = round(median("rev", label, k, i), 9)
-                new = round(median("this", label, k, i), 9)
-                row[f"rev{suffix}"], row[f"this{suffix}"] = old, new
-                row[f"ratio{suffix}"] = round(new / old, 3) if old else None
-                row[f"ratio_q1{suffix}"], row[f"ratio_q3{suffix}"] = ratio_quartiles(label, k, i)
-            groups[label][k] = row
     return {
         "git": _git_revision(),
         "against": rev,
@@ -411,9 +389,36 @@ def _paired(rev: str, stages) -> dict:
         "warm_calls": WARM_CALLS,
         "unit": "s, median over pairs of each tree's best of repeats by wall clock"
         " (warm stages: the mean of warm_calls calls), with the CPU s of the same run;"
-        " ratio = this / rev, ratio_q1 and ratio_q3 the quartiles of the per-pair ratios",
-        "groups": groups,
+        " ratio the median and ratio_q1 and ratio_q3 the quartiles of the per-pair"
+        " ratios this / rev",
+        "groups": _summary(runs, stages),
     }
+
+
+def _summary(runs: dict[str, list], stages) -> dict:
+    """{label: {STAGE: row}} from the paired passes ``runs`` ({"rev": [...],
+    "this": [...]}, pair i of each side a --pass report): each side's
+    median seconds and the median and quartiles of the per-pair ratios
+    this / rev, wall and CPU."""
+    groups = {}
+    for label in runs["this"][0]:
+        groups[label] = {}
+        for k in stages:
+            row = {}
+            for suffix, i in (("", 0), ("_cpu", 1)):
+                for side in ("rev", "this"):
+                    # to the nanosecond: a warm stage takes some microseconds
+                    row[f"{side}{suffix}"] = round(
+                        statistics.median(run[label][k][i] for run in runs[side]), 9)
+                ratios = [new[label][k][i] / old[label][k][i]
+                          for old, new in zip(runs["rev"], runs["this"]) if old[label][k][i]]
+                row[f"ratio{suffix}"] = round(statistics.median(ratios), 3) if ratios else None
+                q1 = q3 = None
+                if len(ratios) >= 2:
+                    q1, _, q3 = (round(q, 3) for q in statistics.quantiles(ratios, n=4))
+                row[f"ratio_q1{suffix}"], row[f"ratio_q3{suffix}"] = q1, q3
+            groups[label][k] = row
+    return groups
 
 
 def _last_line(text: str) -> str:

@@ -526,9 +526,9 @@ def fixed_dim_matrix(G: PermGroup) -> exactla.Nonsingular:
     integer in [0, deg], raises NonIntegerFixedDim.
 
     The matrix is certified here, once per group, by its exact nonzero
-    determinant, so each spec's ``exactla.solve`` can accept a candidate
-    with one product; a singular matrix would contradict the
-    rational-character assumption.
+    determinant, so ``exactla.solve`` can accept a candidate with one
+    product; a singular matrix would contradict the rational-character
+    assumption.
     """
     result = _fixed_dims.get(G)
     if result is not None:

@@ -527,8 +527,11 @@ def _verify_checks(G: PermGroup, args) -> list[tuple[str, bool, str]]:
 
     rng = random.Random(args.seed)
     sampled = rhprym.sample_cover_specs(G, args.specs, rng)
-    # the sampler drops only unrealizable branch data; any diagnostic left is a fault
-    agree = all(r.method_agreement and not r.diagnostics for _, r in sampled)
+    # the sampler drops only unrealizable branch data; any diagnostic left is
+    # a fault, and so are dimensions that the reference route, which always
+    # eliminates, does not give
+    agree = all(not r.diagnostics and r.dims == rhprym.isotypic_dims_solve(spec)
+                for spec, r in sampled)
     checks.append(("two_route_dimensions", agree, f"{len(sampled)} sampled cover specs"))
 
     mism = 0

@@ -9,14 +9,16 @@ division in it is exact, so every intermediate entry is an integer.
 A matrix is certified once, by its determinant: a ``Nonsingular`` keeps
 the rows with their nonzero det. Then A x = b has exactly one solution,
 so one product decides whether a candidate is it. ``solve`` takes a
-candidate (y, d) and returns it when A y == d b: ``rhprym.validate``
-passes its closed form's dimensions over d = 1, read off the one packed
-vector that also gives the quotient genera b once one AND with the lane
-ones finds no odd lane, and the doubled form over d = 2 otherwise; over
-d = 1 the read-back A y is compared with b itself. A missing or failed candidate
-costs one elimination over [A | b]: its last column, back-substituted,
-gives the Cramer numerators y = adj(A) b over d = det(A), checked by
-A y == d b. Callers decide integrality with a divisibility test.
+candidate (y, d) and returns it when A y == d b: ``rhprym``'s group
+certificate passes each identity it checks once per group as a candidate
+over d = 1, where the read-back A y is compared with b itself. A missing
+or failed candidate costs one elimination over [A | b]: its last column,
+back-substituted, gives the Cramer numerators y = adj(A) b over
+d = det(A), checked by A y == d b. Callers decide integrality with a
+divisibility test. ``_satisfies`` runs only on the certificate's
+candidates and after an elimination, which the reference route
+``rhprym.isotypic_dims_solve`` always takes; ``rhprym.validate`` calls
+no ``solve`` per spec.
 
 Integer vectors are formed on packed lanes (Kronecker substitution; von
 zur Gathen and Gerhard, Modern Computer Algebra), here and in

@@ -47,20 +47,26 @@ unbounded counts and genera allow, and each wider width packed on first
 use.
 
 The fixed-dim matrix A is certified once per group by its nonzero
-determinant, so A x = g has exactly one solution. With no odd
-closed-form lane ``validate`` hands the closed form's dimensions x to
-``exactla.solve`` as the candidate over d = 1: one exact packed product
-A x == g accepts them as the solve's answer, so both routes agree with
-no division. A closed form with an odd lane is doubled back, twice the
-read plus the odd bit, and passed over d = 2, so a half-integral one is
-accepted as well and the solve's NonIntegerSolution text comes from the
-same fractions. Only a failed check takes an elimination, whose
-dimensions or NonIntegerSolution text are then reported beside the
-closed form's. ``isotypic_dims_solve``, the reference route, takes every
-genus from ``genus_quotient``, row by row with no packing, and always
-eliminates: one Bareiss pass over [A | g] gives the numerators over
-d = det A. An index outside 0..n-1, negative ones included, raises
-IndexError.
+determinant, so A x = g has exactly one solution. On the first spec of
+a group ``_lanes`` also certifies three identities of the group, each
+as a candidate that ``exactla.solve`` must return as its answer:
+(I1) A deg = idx, since sum_j dim rho_j^H deg_j = [G:H]; (I2)
+A A[k] = D[k] for every cyclic class k, D the double-coset matrix, by
+Mackey's <1_{H_i}^G, 1_{H_k}^G> = #(H_i\\G/H_k); and (I3) A e_0 = 1.
+With them, A times the doubled closed form
+(2g - 2 + R) deg - sum_k R_k A[k] + 2 e_0 is
+2 + 2(g - 1) idx + R idx - sum_k R_k D[k], twice the quotient genera,
+whenever every ramification degree is even: the paper's proof, run once
+per group instead of once per spec. So ``validate`` reports the closed
+form's dimensions as the solution with no solve, and a closed form with
+an odd lane, doubled back as twice the read plus the odd bit, gives the
+NonIntegerSolution text over d = 2. A failed identity raises
+AssertionError, also under ``python -O``. ``isotypic_dims_solve``, the
+reference route, takes every genus from ``genus_quotient``, row by row
+with no packing, and always eliminates: one Bareiss pass over [A | g]
+gives the numerators over d = det A; ``verify`` compares it with
+``validate`` on sampled specs. An index outside 0..n-1, negative ones
+included, raises IndexError.
 """
 
 from __future__ import annotations
@@ -78,12 +84,13 @@ from .errors import (
     NonIntegerSolution,
     NotRationalGroup,
     OddRamificationDegree,
+    Singular,
 )
 from .permgroup import PermGroup, _Record
 
 # Diagnostics that say the branch data belongs to no cover. The others
-# (MethodDisagreement, DimensionSum, TrivialDimension) are identities that
-# hold for any branch data, so reporting one of them is a fault of the program.
+# (DimensionSum, TrivialDimension) are identities that hold for any branch
+# data, so reporting one of them is a fault of the program.
 BRANCH_DATA_DIAGNOSTICS = (
     "OddRamificationDegree",
     "NegativeGenus",
@@ -96,7 +103,7 @@ BRANCH_DATA_DIAGNOSTICS = (
 SAMPLE_MAX_GENUS = 5
 SAMPLE_MAX_COUNT = 10
 
-# each group's packed rows by width, dropped with their group
+# each certified group's packed rows by width, dropped with their group
 _packed: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -204,26 +211,56 @@ def _lanes(
     (2g + 2R + 4)|G| in absolute value, since each index, double-coset
     count, degree and fixed dimension is at most |G|; the lanes are wide
     enough for twice that bound. ``table`` and ``fdm`` are the group's;
-    the rows are packed on the first spec that needs their width and kept
-    with the group."""
+    the group is certified on its first spec, and the rows are packed on
+    the first spec that needs their width and kept with the group."""
     G = spec.group
     points = sum(spec.ramification.counts.values())
     width = exactla.lane_width(2 * (2 * spec.base_genus + 2 * points + 4) * G.order)
-    packed = _packed.setdefault(G, {})
-    if width not in packed:
-        packed[width] = _pack_lanes(G, table, fdm, width)
-    return packed[width], points
+    packed = _packed.get(G)
+    if packed is None:
+        _certify(fdm, G.double_coset_matrix(), _indices(G), table.degrees)
+        packed = _packed[G] = {}
+    lanes = packed.get(width)
+    if lanes is None:
+        lanes = packed[width] = _pack_lanes(G, table, fdm, width)
+    return lanes, points
+
+
+def _indices(G: PermGroup) -> list[int]:
+    return [G.order // K.subgroup_order for K in G.cyclic_subgroup_classes()]
+
+
+def _certify(fdm: exactla.Nonsingular, double_cosets: Sequence[Sequence[int]],
+             indices: Sequence[int], degrees: Sequence[int]) -> None:
+    """Certify the identities that make the closed form solve A x = genera
+    for every spec of a group (module docstring): I1 A deg = idx, I2
+    A A[k] = D[k] for every cyclic class k and I3 A e_0 = 1, each an
+    ``exactla.solve`` whose answer must be its candidate. Raises
+    AssertionError naming the first that fails; rows that are singular,
+    whose elimination after a failed candidate raises Singular, fail it
+    too."""
+    n = len(fdm.rows)
+    checks = [("I1: A deg != idx", degrees, indices)]
+    checks += ((f"I2: A A[{k}] != D[{k}]", row, dc)
+               for k, (row, dc) in enumerate(zip(fdm.rows, double_cosets)))
+    checks.append(("I3: A e_0 != 1", [1] + [0] * (n - 1), [1] * n))
+    for name, x, b in checks:
+        try:
+            ok = exactla.solve(fdm, b, (x, 1)) == (list(x), 1)
+        except Singular:
+            ok = False
+        if not ok:
+            raise AssertionError(f"group certificate failed: {name}")
 
 
 def _pack_lanes(G: PermGroup, table: CharacterTable, fdm: exactla.Nonsingular,
                 width: int) -> _Lanes:
-    cyclic = G.cyclic_subgroup_classes()
-    n = len(cyclic)
+    n = len(fdm.rows)
     kernel = exactla.lanes(2 * n, width)
     return _Lanes(
         kernel,
         rows=tuple(map(kernel.pack, map(tuple.__add__, G.double_coset_matrix(), fdm.rows))),
-        weights=kernel.pack([G.order // K.subgroup_order for K in cyclic] + list(table.degrees)),
+        weights=kernel.pack(_indices(G) + list(table.degrees)),
         base=kernel.pack([1] * (n + 1) + [0] * (n - 1)),
     )
 
@@ -358,36 +395,27 @@ def validate(spec: CoverSpec) -> DimensionReport:
                 diags.append(_diagnostic(_genus_fault(i, v_lanes[i], genera[i])))
                 genera[i] = None
         if any(r % 2 for r in v_lanes[n:]):
-            # a half-integral closed form, passed doubled over d = 2
+            # a half-integral closed form, doubled back for its texts
             twice = [2 * h + r % 2 for h, r in zip(closed, v_lanes[n:])]
             closed = None
-    # with no odd closed-form lane the dimensions read are the solve's
-    # candidate over d = 1: only a failed check A x == genera pays for an
-    # elimination, and only its numerators need dividing
-    dims: tuple[int, ...] | None = None
-    if not bad:
-        y, d = exactla.solve(fdm, genera, (closed, 1) if twice is None else (twice, 2))
-        dims = tuple(y) if d == 1 else _exact(y, d)
-        if dims is None:
-            diags.append(_diagnostic(_non_integer(y, d)))
+    # with every ramification degree even the group's certificate makes the
+    # closed form, or (twice, 2), the solution of A x = genera
+    dims = None if bad else closed
     if twice is not None:
+        if not bad:
+            diags.append(_diagnostic(_non_integer(twice, 2)))
         diags.append(_diagnostic(_odd_dimension(next(t for t in twice if t % 2))))
 
-    agreement = dims is not None and closed is not None and dims == closed
-    if dims is not None and closed is not None and dims != closed:
-        diags.append(f"MethodDisagreement: solver {dims} != closed form {closed}")
-
-    final = dims if dims is not None else closed
-    if final is not None:
-        if min(final) < 0:
-            diags.append(f"NegativeDimension: {final}")
-        if final[0] != spec.base_genus:
+    if closed is not None:
+        if min(closed) < 0:
+            diags.append(f"NegativeDimension: {closed}")
+        if closed[0] != spec.base_genus:
             diags.append(
                 "TrivialDimension: trivial isotypic dimension "
-                f"{final[0]} != base genus {spec.base_genus}"
+                f"{closed[0]} != base genus {spec.base_genus}"
             )
         if g_total is not None:
-            weighted = sum(map(mul, table.degrees, final))
+            weighted = sum(map(mul, table.degrees, closed))
             if weighted != g_total:
                 diags.append(
                     f"DimensionSum: sum(deg_j * dim V_j) = {weighted} != g_X = {g_total}"
@@ -398,7 +426,7 @@ def validate(spec: CoverSpec) -> DimensionReport:
         quotient_genera=tuple(genera),
         dims=dims,
         dims_closed_form=closed,
-        method_agreement=agreement,
+        method_agreement=dims is not None,
         diagnostics=tuple(diags),
     )
 
@@ -410,8 +438,8 @@ def sample_cover_specs(
     each with the ``validate`` report that admitted it.
 
     A spec is rejected only for a diagnostic in ``BRANCH_DATA_DIAGNOSTICS``,
-    so a spec on which the two routes disagree is kept, with its report,
-    for the caller to catch. Half the attempts round all branch counts
+    so a spec whose report shows a fault of the program is kept, with its
+    report, for the caller to catch. Half the attempts round all branch counts
     down to even numbers (always parity-clean for positive base genus),
     the rest stay raw so odd counts that happen to satisfy all parity
     constraints appear too.

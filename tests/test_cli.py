@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prymdim import rhprym, weyl
+from prymdim.chartable import character_table
 from prymdim.cli import FORMATS, build_parser, main
 from prymdim.permgroup import MAX_DEGREE, Permutation
 
@@ -673,6 +675,55 @@ def test_verify_two_route_check_can_fail(capsys, monkeypatch):
     checks = {c["name"]: c["ok"] for c in json.loads(out)["checks"]}
     assert code == 2
     assert checks["two_route_dimensions"] is False
+
+
+def _verify_f4_text(capsys):
+    code, out, _ = run(capsys, ["verify", "--weyl", "F4", "--tuples", "0"])
+    return code, out.splitlines()
+
+
+def test_verify_fails_on_a_closed_form_one_off_in_irrep_3(capsys, monkeypatch):
+    """+1 in the closed-form dimension of irrep 3 of every W(F4) spec fails
+    the two-route check: verify compares each report with the reference
+    route, which eliminates."""
+    real = rhprym._vector
+
+    def off_by_one(spec, lanes, points):
+        # +2 in lane n + 3 of v is +1 in the closed-form dimension of irrep 3
+        n = len(spec.group.cyclic_subgroup_classes())
+        return real(spec, lanes, points) + lanes.kernel.pack(
+            [2 * (j == n + 3) for j in range(2 * n)])
+
+    monkeypatch.setattr(rhprym, "_vector", off_by_one)
+    code, lines = _verify_f4_text(capsys)
+    assert code == 2
+    assert "two_route_dimensions: FAIL (25 sampled cover specs)" in lines
+
+
+def test_verify_fails_on_a_unit_moved_between_equal_degree_irreps(capsys, monkeypatch):
+    """One unit moved from one nontrivial W(F4) irrep to another of the same
+    degree in the closed-form read keeps sum(deg_j * dim V_j) and the
+    trivial dimension, so neither DimensionSum nor TrivialDimension can
+    see it; the reference route does, and verify fails."""
+    G = weyl.weyl_group("F", 4).group
+    degrees = character_table(G).degrees
+    a, b = next((a, b) for a in range(1, len(degrees)) for b in range(a + 1, len(degrees))
+                if degrees[a] == degrees[b])
+    real = rhprym._lanes
+
+    def moved(spec, table, fdm):
+        lanes, points = real(spec, table, fdm)
+        n = len(fdm.rows)
+        shift = lanes.kernel.pack([(j == n + a) - (j == n + b) for j in range(2 * n)])
+        return lanes._replace(base=lanes.base + shift), points
+
+    monkeypatch.setattr(rhprym, "_lanes", moved)
+    code, lines = _verify_f4_text(capsys)
+    assert code == 2
+    assert "two_route_dimensions: FAIL (25 sampled cover specs)" in lines
+    reports = rhprym.sample_cover_specs(G, 25, random.Random(1))
+    assert not any(d.startswith(("DimensionSum", "TrivialDimension"))
+                   for _, r in reports for d in r.diagnostics)
 
 
 def test_verify_validates_each_sampled_spec_once(capsys, monkeypatch):

@@ -1,11 +1,17 @@
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prymdim
 from prymdim import exactla, rhprym
 from prymdim.chartable import character_table, fixed_dim_matrix
 from prymdim.errors import (
@@ -242,9 +248,8 @@ def _count_solves(monkeypatch):
 
 
 def test_warm_validate_makes_no_elimination(monkeypatch):
-    """The fixed-dim matrix is certified once per group: once it is built,
-    a spec whose closed form passes solve's check A x == genera needs no
-    Bareiss pass."""
+    """The group is certified once, on its first spec: after it, 50 warm
+    specs need neither a Bareiss pass nor a solve."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 51, random.Random(9))]
     validate(specs[0])
@@ -252,7 +257,7 @@ def test_warm_validate_makes_no_elimination(monkeypatch):
     calls = _count_solves(monkeypatch)
     for spec in specs[1:]:
         validate(spec)
-    assert (len(passes), len(calls)) == (0, 50)
+    assert (len(passes), len(calls)) == (0, 0)
 
 
 def _half_integral_specs(G, count, rng):
@@ -287,17 +292,16 @@ HALF_INTEGRAL_F4_SHA256 = "3dcae9af23251bc74de2e70e894001f7664d5734373fe5f27d95f
 
 
 def test_warm_validate_settles_half_integral_specs_without_elimination(monkeypatch):
-    """A half-integral closed form, passed doubled over d = 2, passes the
-    check as well, so validate reports NonIntegerSolution with no Bareiss
-    pass, in the very text the adjugate solve printed."""
+    """A half-integral closed form, doubled back over d = 2, is the
+    solution of the certified group's system as well, so validate reports
+    NonIntegerSolution with no Bareiss pass and no solve, in the very text
+    the adjugate solve printed."""
     G = weyl_group("F", 4).group
     specs = _half_integral_specs(G, 20, random.Random(7))
     passes = _count_eliminations(monkeypatch)
     calls = _count_solves(monkeypatch)
     reports = [validate(spec) for spec, _ in specs]
-    assert passes == []
-    # an odd lane keeps the doubled closed form over d = 2 as the candidate
-    assert [d for _, _, (_, d) in calls] == [2] * len(specs)
+    assert (passes, calls) == ([], [])
     texts = [text for _, text in specs]
     assert texts[0] == HALF_INTEGRAL_F4_FIRST
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == HALF_INTEGRAL_F4_SHA256
@@ -305,39 +309,10 @@ def test_warm_validate_settles_half_integral_specs_without_elimination(monkeypat
         assert rep.dims is None and text in rep.diagnostics
 
 
-def test_validate_solves_when_the_closed_form_fails_the_check(monkeypatch):
-    """A closed form that fails A x == genera sends validate's solve to
-    one elimination, whose dimensions it reports against the closed
-    form's."""
-    G = weyl_group("F", 4).group
-    spec = sample_cover_specs(G, 1, random.Random(9))[0][0]
-    solved = isotypic_dims_solve(spec)
-    n = len(solved)
-    vector = rhprym._vector
-
-    def off_by_one(spec, lanes, points):
-        # +2 in lane n + 3 of v is +1 in the closed-form dimension of irrep 3
-        return vector(spec, lanes, points) + lanes.kernel.pack(
-            [2 * (j == n + 3) for j in range(2 * n)])
-
-    monkeypatch.setattr(rhprym, "_vector", off_by_one)
-    calls = _count_solves(monkeypatch)
-    passes = _count_eliminations(monkeypatch)
-    rep = validate(spec)
-    closed = tuple(v + (j == 3) for j, v in enumerate(solved))
-    assert len(calls) == 1
-    y, d = calls[0][2]
-    assert (tuple(y), d) == (closed, 1)
-    assert passes == [(n, n + 1)]
-    assert (rep.dims, rep.dims_closed_form) == (solved, closed)
-    assert not rep.method_agreement
-    assert rep.diagnostics == (f"MethodDisagreement: solver {solved} != closed form {closed}",)
-
-
 def test_warm_validate_reads_its_lanes_once_and_halves_on_the_packed_int(monkeypatch):
     """50 warm W(F4) specs: each validate looks its packed rows up once,
-    divides nothing with ``_exact``, and calls solve once, with the
-    closed form's halves over d = 1 as its candidate."""
+    divides nothing with ``_exact``, calls no solve, and reports the
+    closed form's halves as its dimensions."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 50, random.Random(11))]
     counted = {}
@@ -355,9 +330,8 @@ def test_warm_validate_reads_its_lanes_once_and_halves_on_the_packed_int(monkeyp
         calls.clear()
         rep = validate(spec)
         assert counted == {"_lanes": 1, "_exact": 0}
-        assert len(calls) == 1
-        y, d = calls[0][2]
-        assert (list(y), d) == (list(rep.dims_closed_form), 1)
+        assert calls == []
+        assert rep.dims is not None and rep.dims == rep.dims_closed_form
 
 
 def test_cold_fixed_dim_matrix_runs_one_pass_of_width_n(monkeypatch):
@@ -740,3 +714,144 @@ def test_both_halves_pack_at_one_width_either_side_of_the_lane_bound(label, monk
     assert widths == [64, 128]
     if label == "B2":
         assert bound == 2**62
+
+
+# -- group certificate -------------------------------------------------------
+
+
+def _certificate_inputs(G):
+    """The fixed-dim record, double-coset rows, indices and degrees that
+    ``_lanes`` certifies G by."""
+    return (fixed_dim_matrix(G), G.double_coset_matrix(), rhprym._indices(G),
+            character_table(G).degrees)
+
+
+def _one_off(rows, k, j):
+    out = [list(row) for row in rows]
+    out[k][j] += 1
+    return out
+
+
+def _certificate_refusals(label):
+    """Certify W(label) with each entry of A, of D, of the indices and of
+    the degrees one off in turn: {(what was off, the certificate's
+    text)}, "passed" in place of a text that does not come."""
+    fdm, dc, idx, deg = _certificate_inputs(weyl_group(label[0], int(label[1])).group)
+    n = len(fdm.rows)
+    cases = []
+    for k in range(n):
+        for j in range(n):
+            cases.append((f"A[{k}][{j}]", (fdm._replace(rows=_one_off(fdm.rows, k, j)),
+                                          dc, idx, deg)))
+            cases.append((f"D[{k}][{j}]", (fdm, _one_off(dc, k, j), idx, deg)))
+        cases.append((f"idx[{k}]", (fdm, dc, _one_off([idx], 0, k)[0], deg)))
+        cases.append((f"deg[{k}]", (fdm, dc, idx, _one_off([deg], 0, k)[0])))
+    out = set()
+    for what, args in cases:
+        try:
+            rhprym._certify(*args)
+            out.add((what, "passed"))
+        except AssertionError as exc:
+            out.add((what, str(exc)))
+    return out
+
+
+def _expected_refusals(n):
+    """An entry of A, of the indices or of the degrees breaks I1 in the
+    row it sits in, which is checked first; D[k][j] breaks I2 in row k."""
+    i1 = "group certificate failed: I1: A deg != idx"
+    out = {(f"A[{k}][{j}]", i1) for k in range(n) for j in range(n)}
+    out |= {(f"D[{k}][{j}]", f"group certificate failed: I2: A A[{k}] != D[{k}]")
+            for k in range(n) for j in range(n)}
+    return out | {(f"{v}[{k}]", i1) for v in ("idx", "deg") for k in range(n)}
+
+
+# S3, whose A has an entry that leaves it singular one off, and W(B3)
+_CERTIFIED = ("A2", "B3")
+
+
+def test_certificate_holds_on_every_fleet_group(monkeypatch):
+    """I1-I3 hold on every supported Weyl group, each checked by one solve
+    whose candidate is its answer, with no elimination."""
+    for letter, rank in WEYL_FLEET:
+        G = weyl_group(letter, rank).group
+        args = _certificate_inputs(G)
+        passes = _count_eliminations(monkeypatch)
+        calls = _count_solves(monkeypatch)
+        rhprym._certify(*args)
+        n = len(args[0].rows)
+        assert passes == [] and len(calls) == n + 2
+        assert all(d == 1 for _, _, (_, d) in calls)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("label", _CERTIFIED)
+def test_certificate_refuses_every_entry_one_off(label):
+    """Each entry of A, D, the indices and the degrees one off is refused
+    by the certificate, with the identity it breaks named."""
+    n = len(weyl_group(label[0], int(label[1])).group.cyclic_subgroup_classes())
+    assert _certificate_refusals(label) == _expected_refusals(n)
+
+
+def test_certificate_refuses_a_trivial_column_that_keeps_i1_and_i2():
+    """A column 0 of A other than 1, with D and the indices recomputed
+    from that A so that I1 and I2 hold, fails I3."""
+    fdm, _, _, deg = _certificate_inputs(weyl_group("B", 3).group)
+    rows = [(2,) + row[1:] for row in fdm.rows]
+    dc = [[sum(x * y for x, y in zip(a, b)) for b in rows] for a in rows]
+    idx = [sum(x * d for x, d in zip(row, deg)) for row in rows]
+    with pytest.raises(AssertionError, match=r"^group certificate failed: I3: A e_0 != 1$"):
+        rhprym._certify(exactla.nonsingular(rows), dc, idx, deg)
+
+
+def test_certificate_refusals_survive_python_O():
+    """The certificate raises explicitly, so every one-off entry is still
+    refused when -O strips assert statements."""
+    snippet = (
+        "import sys, json\n"
+        "from test_rhprym import _certificate_refusals\n"
+        "print(sys.flags.optimize)\n"
+        f"print(json.dumps([sorted(_certificate_refusals(label)) for label in {_CERTIFIED}]))\n"
+    )
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(prymdim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", snippet],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, tests))},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    flag, refusals = proc.stdout.splitlines()
+    assert flag == "1"
+    for label, got in zip(_CERTIFIED, json.loads(refusals)):
+        n = len(weyl_group(label[0], int(label[1])).group.cyclic_subgroup_classes())
+        assert {tuple(pair) for pair in got} == _expected_refusals(n)
+
+
+def test_first_validate_of_a_group_certifies_it_once(monkeypatch):
+    """A fresh group's first validate runs the certificate, n + 2 solves
+    over d = 1 and no elimination; its later specs run none. A group whose
+    fixed-dim rows are one entry off is refused on its first spec, and
+    nothing of it is kept."""
+    G = PermGroup(weyl_group("B", 3).group.generators)
+    n = len(G.cyclic_subgroup_classes())
+    spec = CoverSpec(G, 2, RamificationSpec({1: 2, 3: 4}))
+    fixed_dim_matrix(G)
+    passes = _count_eliminations(monkeypatch)
+    calls = _count_solves(monkeypatch)
+    validate(spec)
+    assert (passes, [d for _, _, (_, d) in calls]) == ([], [1] * (n + 2))
+    validate(spec)
+    assert len(calls) == n + 2
+    monkeypatch.undo()
+
+    H = PermGroup(weyl_group("B", 3).group.generators)
+    fdm = fixed_dim_matrix(H)
+    bad = fdm._replace(rows=_one_off(fdm.rows, n - 1, n - 1))
+    monkeypatch.setattr(rhprym, "fixed_dim_matrix", lambda _: bad)
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="^group certificate failed: I1: "):
+            validate(CoverSpec(H, 2, RamificationSpec({1: 2})))
+        assert H not in rhprym._packed

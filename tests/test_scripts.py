@@ -11,7 +11,8 @@ process on five groups) is not made; each warm stage reports its wall
 and its CPU seconds. Its paired mode runs against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
 `--stages` without `--against`, and a revision whose own script lacks
-`--pass` or a chosen stage; one process of that mode times two warm
+`--pass` or a chosen stage; its ratio is the median of the per-pair
+ratios, not the ratio of the two sides' medians; one process of that mode times two warm
 stages, and one, run in-process with W(A1) as its only group, the
 `cli_cold` process stage.
 """
@@ -179,9 +180,34 @@ def test_stage_times_pairs_against_head_and_removes_its_worktree():
         assert sorted(row) == sorted(["rev", "this", "ratio", "rev_cpu", "this_cpu", "ratio_cpu",
                                       "ratio_q1", "ratio_q3", "ratio_q1_cpu", "ratio_q3_cpu"])
         assert all(v > 0 for v in row.values())
-        assert row["ratio"] == round(row["this"] / row["rev"], 3)
-        assert row["ratio_q1"] <= row["ratio_q3"] and row["ratio_q1_cpu"] <= row["ratio_q3_cpu"]
+        assert row["ratio_q1"] <= row["ratio"] <= row["ratio_q3"]
+        assert row["ratio_q1_cpu"] <= row["ratio_cpu"] <= row["ratio_q3_cpu"]
     assert after == before
+
+
+def test_stage_times_ratio_is_the_median_of_the_per_pair_ratios():
+    """Five pairs whose per-pair ratios this / rev are 1, 1, 2, 1, 1, with
+    median 1 and quartiles 1 and 1.5, while the two sides' medians, 1 and
+    2, give 2, outside those quartiles: the reported ratio is the paired
+    one, for wall and CPU seconds alike. A pair whose REV figure is 0 is
+    left out."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "stage_times.py"), run_name="stage_times")
+    summary = module["_summary"]
+
+    def row(rev, this):
+        def passes(figures):
+            return [{"D5": {"warm_validate": [t, 3 * t]}} for t in figures]
+
+        runs = {"rev": passes(rev), "this": passes(this)}
+        return summary(runs, ["warm_validate"])["D5"]["warm_validate"]
+
+    paired = row([1.0, 1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0, 2.0])
+    assert (paired["rev"], paired["this"], paired["rev_cpu"], paired["this_cpu"]) == (1, 2, 3, 6)
+    for suffix in ("", "_cpu"):
+        assert (paired[f"ratio{suffix}"], paired[f"ratio_q1{suffix}"],
+                paired[f"ratio_q3{suffix}"]) == (1.0, 1.0, 1.5)
+    zero = row([0.0, 1.0], [1.0, 3.0])
+    assert (zero["ratio"], zero["ratio_q1"], zero["ratio_q3"]) == (3.0, None, None)
 
 
 # Two scripts a revision may hold in place of the paired mode's own: one
