@@ -24,9 +24,10 @@ spec, one `rhprym.validate`, all n quotient genera (`genus_quotient`),
 the closed form for every irrep (`prym_dim_formula`), one
 `exactla.solve` of the fixed-dim system on the spec's quotient genera
 with those dimensions over d = 1 as its candidate (`closed_form_check`,
-the one packed product A x == genera, which `validate` no longer makes
-per spec since each group's identities are certified once, each of them
-a check of this kind) and one `exactla.solve` without a candidate
+the plain product A x == genera, one dot product per row, which
+`validate` no longer makes per spec since each group's identities are
+certified once, each of them a check of this kind) and one
+`exactla.solve` without a candidate
 (`solve`, the one elimination of the reference route, which `verify`
 takes on every sampled spec). Every repetition of the
 cold stages rebuilds the group from `W.group.generators`, so each of

@@ -9,21 +9,19 @@ division in it is exact, so every intermediate entry is an integer.
 A matrix is certified once, by its determinant: a ``Nonsingular`` keeps
 the rows with their nonzero det. Then A x = b has exactly one solution,
 so one product decides whether a candidate is it. ``solve`` takes a
-candidate (y, d) and returns it when A y == d b: ``rhprym``'s group
-certificate passes each identity it checks once per group as a candidate
-over d = 1, where the read-back A y is compared with b itself. A missing
-or failed candidate costs one elimination over [A | b]: its last column,
-back-substituted, gives the Cramer numerators y = adj(A) b over
-d = det(A), checked by A y == d b. Callers decide integrality with a
-divisibility test. ``_satisfies`` runs only on the certificate's
-candidates and after an elimination, which the reference route
-``rhprym.isotypic_dims_solve`` always takes; ``rhprym.validate`` calls
-no ``solve`` per spec.
+candidate (y, d) and returns it when A y == d b, one plain dot product
+per row: ``rhprym``'s group certificate passes each identity it checks
+once per group as a candidate over d = 1. A missing or failed candidate
+costs one elimination over [A | b]: its last column, back-substituted,
+gives the Cramer numerators y = adj(A) b over d = det(A), checked by the
+same product. Callers decide integrality with a divisibility test.
+``rhprym.validate`` calls no ``solve``; the reference route
+``rhprym.isotypic_dims_solve`` always eliminates.
 
-Integer vectors are formed on packed lanes (Kronecker substitution; von
-zur Gathen and Gerhard, Modern Computer Algebra), here and in
-``rhprym.validate``. ``lanes(n, w)``, w a multiple of 64, packs n signed
-entries v_i into the one int sum_i v_i 2^(w i). Packing is linear, so a
+``rhprym.validate`` forms its integer vectors on packed lanes (Kronecker
+substitution; von zur Gathen and Gerhard, Modern Computer Algebra).
+``lanes(n, w)``, w a multiple of 64, packs n signed entries v_i into the
+one int sum_i v_i 2^(w i). Packing is linear, so a
 weighted sum of packed rows is the packed weighted sum of the rows, at
 the cost of a handful of big-int operations for any n. A packed int
 whose every lane lies in [-2^(w - 1), 2^(w - 1)) reads back exactly:
@@ -37,15 +35,6 @@ machine words; on a big-endian machine that puts the lanes in reverse
 order, which no lane-by-lane operation can tell. ``lane_width(B)`` is
 the least w with B < 2^(w - 1), so every entry up to B in absolute value
 fits its lane.
-
-The check A y == d b is one packed product. With column j of A packed
-as c_j at w = lane_width(|A| max(1, max|y|)), |A| = max_i sum_j |a_ij|
-the row norm, sum_j c_j y_j packs A y, whose every entry is at most
-|A| max|y| in absolute value, so it reads back exactly and is compared
-with d b entry by entry. A record packs its columns at each width once,
-on the first check that needs it, so every later check at that width
-(each post-elimination check on W(B5), whose numerators reach about
-2^80) reuses the packing.
 """
 
 from __future__ import annotations
@@ -55,7 +44,6 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import NotSquare, Singular
-from .permgroup import _Record
 
 
 def _order(rows: Sequence[Sequence[int]]) -> int:
@@ -144,30 +132,12 @@ def lane_width(bound: int) -> int:
     return -(-(bound.bit_length() + 1) // 64) * 64
 
 
-class Nonsingular(_Record):
-    """A square integer matrix with its determinant, which is nonzero.
+class Nonsingular(NamedTuple):
+    """A square integer matrix, its rows as tuples, with its determinant,
+    which is nonzero."""
 
-    It compares and prints by its fields, rows and det. Built, it also
-    keeps ``norm``, the row norm max_i sum_j |rows[i][j]|, and ``packed``,
-    which maps each lane width a check of ``solve`` has used to its
-    (kernel, columns), the columns packed on the first check at that
-    width (module docstring). Both are derived from the rows, so a copy
-    (``_replace``) starts again with nothing packed.
-    """
-
-    __slots__ = ("rows", "det", "norm", "packed")
-    _fields = ("rows", "det")
-
-    def __init__(self, rows: Sequence[Sequence[int]], det: int):
-        rows = tuple(tuple(row) for row in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "norm", max((sum(map(abs, row)) for row in rows), default=0))
-        object.__setattr__(self, "packed", {})
-
-    def _replace(self, **changes) -> Nonsingular:
-        """A copy with the given fields changed, like a NamedTuple's."""
-        return Nonsingular(**{"rows": self.rows, "det": self.det, **changes})
+    rows: tuple[tuple[int, ...], ...]
+    det: int
 
 
 def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
@@ -176,20 +146,12 @@ def nonsingular(rows: Sequence[Sequence[int]]) -> Nonsingular:
     det = determinant(rows)
     if not det:
         raise Singular(f"{len(rows)}x{len(rows)} matrix is singular")
-    return Nonsingular(rows, det)
+    return Nonsingular(tuple(map(tuple, rows)), det)
 
 
 def _satisfies(m: Nonsingular, y: Sequence[int], d: int, b: Sequence[int]) -> bool:
-    """A y == d b for the matrix A of m: A y packed as one product of the
-    columns, read back and compared with d b, with b itself at d = 1
-    (module docstring)."""
-    width = lane_width(m.norm * max(1, max(map(abs, y), default=0)))
-    if width not in m.packed:
-        kernel = lanes(len(m.rows), width)
-        m.packed[width] = kernel, tuple(map(kernel.pack, zip(*m.rows)))
-    kernel, columns = m.packed[width]
-    # the read is a list, and a list never equals a tuple b
-    return kernel.read(sum(map(mul, columns, y))) == (list(b) if d == 1 else [d * v for v in b])
+    """A y == d b for the matrix A of m, one dot product per row."""
+    return all(sum(map(mul, row, y)) == d * v for row, v in zip(m.rows, b))
 
 
 def solve(

@@ -60,7 +60,10 @@ whenever every ramification degree is even: the paper's proof, run once
 per group instead of once per spec. So ``validate`` reports the closed
 form's dimensions as the solution with no solve, and a closed form with
 an odd lane, doubled back as twice the read plus the odd bit, gives the
-NonIntegerSolution text over d = 2. A failed identity raises
+NonIntegerSolution text over d = 2. The same identities give the
+trivial dimension g (lane n of v is R - sum_k R_k A[k][0] = 0 by I3) and
+sum_j deg_j dim V_j = g_X, row 0 of A being the degrees (I1-I3), so
+``validate`` checks neither per spec. A failed identity raises
 AssertionError, also under ``python -O``. ``isotypic_dims_solve``, the
 reference route, takes every genus from ``genus_quotient``, row by row
 with no packing, and always eliminates: one Bareiss pass over [A | g]
@@ -88,9 +91,9 @@ from .errors import (
 )
 from .permgroup import PermGroup, _Record
 
-# Diagnostics that say the branch data belongs to no cover. The others
-# (DimensionSum, TrivialDimension) are identities that hold for any branch
-# data, so reporting one of them is a fault of the program.
+# Diagnostics that say the branch data belongs to no cover, the only ones
+# validate reports: the group certificate proves the identities that
+# would make any other.
 BRANCH_DATA_DIAGNOSTICS = (
     "OddRamificationDegree",
     "NegativeGenus",
@@ -201,28 +204,27 @@ class _Lanes(NamedTuple):
     base: int
 
 
-def _lanes(
-    spec: CoverSpec, table: CharacterTable, fdm: exactla.Nonsingular
-) -> tuple[_Lanes, int]:
+def _lanes(spec: CoverSpec) -> tuple[_Lanes, int]:
     """The spec's group's packed rows at the width its lanes need, with
     R = sum_k R_k.
 
     Every lane of every vector formed from them is at most
     (2g + 2R + 4)|G| in absolute value, since each index, double-coset
     count, degree and fixed dimension is at most |G|; the lanes are wide
-    enough for twice that bound. ``table`` and ``fdm`` are the group's;
-    the group is certified on its first spec, and the rows are packed on
-    the first spec that needs their width and kept with the group."""
+    enough for twice that bound. The group is certified on its first
+    spec, and the rows are packed on the first spec that needs their
+    width and kept with the group; only then are the character table and
+    the fixed-dim matrix looked up."""
     G = spec.group
     points = sum(spec.ramification.counts.values())
     width = exactla.lane_width(2 * (2 * spec.base_genus + 2 * points + 4) * G.order)
-    packed = _packed.get(G)
-    if packed is None:
-        _certify(fdm, G.double_coset_matrix(), _indices(G), table.degrees)
-        packed = _packed[G] = {}
-    lanes = packed.get(width)
+    lanes = _packed.get(G, {}).get(width)
     if lanes is None:
-        lanes = packed[width] = _pack_lanes(G, table, fdm, width)
+        table, fdm = character_table(G), fixed_dim_matrix(G)
+        if G not in _packed:
+            _certify(fdm, G.double_coset_matrix(), _indices(G), table.degrees)
+            _packed[G] = {}
+        lanes = _packed[G][width] = _pack_lanes(G, table, fdm, width)
     return lanes, points
 
 
@@ -359,9 +361,6 @@ def validate(spec: CoverSpec) -> DimensionReport:
     to no actual cover; they are reported rather than raised so callers
     can show all of them at once.
     """
-    G = spec.group
-    table = character_table(G)
-    fdm = fixed_dim_matrix(G)
     diags: list[str] = []
 
     # v holds every ramification degree [G:H_i] R - w_i beside every
@@ -371,12 +370,12 @@ def validate(spec: CoverSpec) -> DimensionReport:
     # 1 + [G:H_i](g - 1) + floor(ram_i / 2) beside each closed-form
     # dim V_j = deg_j (g - 1) + floor(v_{n+j} / 2), plus 1 for the trivial
     # irrep, whose v is 0
-    lanes, points = _lanes(spec, table, fdm)
+    lanes, points = _lanes(spec)
     kernel = lanes.kernel
     v = _vector(spec, lanes, points)
     odd = v & kernel.ones
     values = kernel.read(lanes.base + (spec.base_genus - 1) * lanes.weights + ((v - odd) >> 1))
-    n = len(fdm.rows)
+    n = len(lanes.rows)
     genera, closed = values[:n], tuple(values[n:])
     g_total = genera[0]
     bad = []
@@ -406,20 +405,10 @@ def validate(spec: CoverSpec) -> DimensionReport:
             diags.append(_diagnostic(_non_integer(twice, 2)))
         diags.append(_diagnostic(_odd_dimension(next(t for t in twice if t % 2))))
 
-    if closed is not None:
-        if min(closed) < 0:
-            diags.append(f"NegativeDimension: {closed}")
-        if closed[0] != spec.base_genus:
-            diags.append(
-                "TrivialDimension: trivial isotypic dimension "
-                f"{closed[0]} != base genus {spec.base_genus}"
-            )
-        if g_total is not None:
-            weighted = sum(map(mul, table.degrees, closed))
-            if weighted != g_total:
-                diags.append(
-                    f"DimensionSum: sum(deg_j * dim V_j) = {weighted} != g_X = {g_total}"
-                )
+    # the certificate also gives closed[0] = g (I3) and, with g_total not
+    # None, sum_j deg_j closed_j = g_total (I1-I3)
+    if closed is not None and min(closed) < 0:
+        diags.append(f"NegativeDimension: {closed}")
 
     return DimensionReport(
         g_total=g_total,

@@ -711,9 +711,9 @@ def test_verify_fails_on_a_unit_moved_between_equal_degree_irreps(capsys, monkey
                 if degrees[a] == degrees[b])
     real = rhprym._lanes
 
-    def moved(spec, table, fdm):
-        lanes, points = real(spec, table, fdm)
-        n = len(fdm.rows)
+    def moved(spec):
+        lanes, points = real(spec)
+        n = len(lanes.rows)
         shift = lanes.kernel.pack([(j == n + a) - (j == n + b) for j in range(2 * n)])
         return lanes._replace(base=lanes.base + shift), points
 

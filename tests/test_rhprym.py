@@ -348,8 +348,9 @@ def test_cold_fixed_dim_matrix_runs_one_pass_of_width_n(monkeypatch):
 
 
 def test_warm_validate_looks_up_each_table_once(monkeypatch):
-    """validate reads the character table and the fixed-dim matrix once
-    per spec and takes the closed form for every irrep from them."""
+    """The group's packed rows hold both routes' inputs, so a warm spec
+    looks up neither the character table nor the fixed-dim matrix; the
+    miss path of ``_lanes`` reads each once, to certify and to pack."""
     G = weyl_group("F", 4).group
     specs = [spec for spec, _ in sample_cover_specs(G, 11, random.Random(9))]
     validate(specs[0])
@@ -368,7 +369,12 @@ def test_warm_validate_looks_up_each_table_once(monkeypatch):
     counted("fixed_dim_matrix")
     for spec in specs[1:]:
         validate(spec)
-    assert calls == {"character_table": 10, "fixed_dim_matrix": 10}
+    assert calls == {"character_table": 0, "fixed_dim_matrix": 0}
+    monkeypatch.delitem(rhprym._packed, G)
+    wide = CoverSpec(G, 2**62, RamificationSpec({1: 2}))
+    for spec, once in ((specs[1], 1), (specs[2], 1), (wide, 2), (wide, 2)):
+        validate(spec)
+        assert calls == {"character_table": once, "fixed_dim_matrix": once}
 
 
 def test_warm_validate_reads_cyclic_classes_and_double_cosets_once(monkeypatch):
@@ -484,7 +490,10 @@ def _validate_by_rows(spec):
     """validate's report with every vector formed row by row: the
     R_k-weighted sums of the double-coset and fixed-dim rows entry by
     entry, then the genera, their faults and the doubled closed form from
-    them, as validate formed them before the rows were packed."""
+    them, as validate formed them before the rows were packed. It still
+    checks TrivialDimension and DimensionSum, which the group certificate
+    proves and validate no longer checks, so every comparison with it
+    asserts that neither fires."""
     G = spec.group
     table = character_table(G)
     fdm = fixed_dim_matrix(G)
@@ -651,7 +660,7 @@ def test_one_packed_vector_reads_back_both_routes(label, data):
     counts = data.draw(st.dictionaries(st.integers(1, n - 1), _TO_2_70, max_size=6))
     genus = data.draw(_TO_2_70)
     spec = CoverSpec(G, genus, RamificationSpec(counts))
-    lanes, points = rhprym._lanes(spec, character_table(G), fixed_dim_matrix(G))
+    lanes, points = rhprym._lanes(spec)
     kernel = lanes.kernel
     v = rhprym._vector(spec, lanes, points)
     odd = v & kernel.ones
@@ -707,7 +716,7 @@ def test_both_halves_pack_at_one_width_either_side_of_the_lane_bound(label, monk
     for genus in (below, below + 1):
         spec = CoverSpec(G, genus, RamificationSpec({1: 2}))
         bound = (2 * genus + 2 * 2 + 4) * G.order
-        lanes, _ = rhprym._lanes(spec, character_table(G), fixed_dim_matrix(G))
+        lanes, _ = rhprym._lanes(spec)
         assert len(lanes.kernel.read(lanes.weights)) == 2 * n
         assert validate(spec) == _validate_by_rows(spec)
         assert widths[-1] == (64 if bound < 2**62 else 128)

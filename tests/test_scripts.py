@@ -5,8 +5,8 @@ without any failure. ``fleet_report.py`` is run in full (well under a
 second), and refuses an out-of-regime genus or degD before any row.
 ``stage_times.py`` is loaded, so its imports resolve, its warm
 stages run on W(A1) and one cold pass on W(B3), so the calls they time
-do too, and its `closed_form_check` stage accepts its candidate with no
-elimination on W(A1) and W(B3); its full report (every cold stage and
+do too, and its `closed_form_check` stage, a plain product, accepts its
+candidate with no elimination on W(A1) and W(B3); its full report (every cold stage and
 process on five groups) is not made; each warm stage reports its wall
 and its CPU seconds. Its paired mode runs against HEAD on the closure stage of its five groups, in a temporary
 git worktree that it removes, parses the process stages and refuses
