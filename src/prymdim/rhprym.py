@@ -218,13 +218,14 @@ def _lanes(spec: CoverSpec) -> tuple[_Lanes, int]:
     G = spec.group
     points = sum(spec.ramification.counts.values())
     width = exactla.lane_width(2 * (2 * spec.base_genus + 2 * points + 4) * G.order)
-    lanes = _packed.get(G, {}).get(width)
+    packed = _packed.get(G)
+    lanes = None if packed is None else packed.get(width)
     if lanes is None:
         table, fdm = character_table(G), fixed_dim_matrix(G)
-        if G not in _packed:
+        if packed is None:
             _certify(fdm, G.double_coset_matrix(), _indices(G), table.degrees)
-            _packed[G] = {}
-        lanes = _packed[G][width] = _pack_lanes(G, table, fdm, width)
+            packed = _packed[G] = {}
+        lanes = packed[width] = _pack_lanes(G, table, fdm, width)
     return lanes, points
 
 
