@@ -316,11 +316,11 @@ def test_solve_rejects_a_faulty_elimination(monkeypatch):
             solve(m, [1] * len(m.rows))
 
 
-def test_solve_check_survives_python_O():
-    """The A y == d b check is an explicit raise, so a faulty elimination
-    is refused when -O strips assert statements, on a 3x3 system with
-    small numerators and on W(B5), det -2^71, whose numerators reach
-    about 2^80."""
+def _faulty_solves_under_O(systems):
+    """Run solve on each of `systems` (a Python expression for a tuple of
+    Nonsingular records) under python -O with every elimination faulty, and
+    return the printed words: the optimize flag, then, per refused system,
+    its determinant and the refusal message."""
     snippet = textwrap.dedent(
         """
         import sys
@@ -328,8 +328,7 @@ def test_solve_check_survives_python_O():
         from prymdim.chartable import fixed_dim_matrix
         from prymdim.weyl import weyl_group
 
-        ms = (exactla.nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),
-              fixed_dim_matrix(weyl_group("B", 5).group))
+        ms = %s
         forward = exactla._forward
 
         def faulty(m, n):
@@ -345,7 +344,7 @@ def test_solve_check_survives_python_O():
             except AssertionError as exc:
                 print(m.det, exc.args[0].replace(" ", "_"))
         """
-    )
+    ) % systems
     src = str(Path(prymdim.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-O", "-c", snippet],
@@ -355,7 +354,26 @@ def test_solve_check_survives_python_O():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [
+    return proc.stdout.split()
+
+
+def test_solve_check_survives_python_O():
+    """The A y == d b check is an explicit raise, so a faulty elimination
+    is caught when -O strips assert statements."""
+    assert _faulty_solves_under_O(
+        '(fixed_dim_matrix(weyl_group("B", 5).group),)'
+    ) == ["1", str(-2**71), "solve_verification_failed"]
+
+
+def test_packed_check_refuses_a_faulty_elimination_under_python_O():
+    """A faulty elimination is refused under -O at both sizes the packed
+    check once split into lane widths, and the plain per-row check now
+    covers alike: a 3x3 system with small numerators and W(B5), det
+    -2^71, whose numerators reach about 2^80."""
+    assert _faulty_solves_under_O(
+        "(exactla.nonsingular([[1, 1, 2], [1, 0, 1], [1, 1, 0]]),"
+        ' fixed_dim_matrix(weyl_group("B", 5).group))'
+    ) == [
         "1", "2", "solve_verification_failed", str(-2**71), "solve_verification_failed",
     ]
 
