@@ -7,20 +7,23 @@ byte-stable across runs for identical input and seed. Exit codes: 0
 clean, 1 input error (usage errors included), 2 mathematical
 diagnostics, 3 internal assertion failure.
 
-One render path: each subcommand builds its report once as a JSON-ready
-document and returns it with its exit code and a renderer per text
-format (elapsed seconds -> text); ``main`` alone times the command,
-writes the JSON or the rendered text, and reports every error.
+One table holds the command-line grammar; ``parse_args`` and ``--help``
+read it. One render path: each subcommand builds its report once as a
+JSON-ready document and returns it with its exit code and a renderer
+per text format (elapsed seconds -> text); ``main`` alone times the
+command, writes the JSON or the rendered text, and reports every error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
+import re
 import sys
 import time
 from operator import mul
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import chartable, monodromy, rhprym, weyl
 from .errors import (
@@ -39,78 +42,352 @@ EXIT_INTERNAL = 3
 FORMATS = ("text", "json", "tsv")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ParseError (exit 1); sub-parsers inherit the class."""
-
-    def error(self, message):
-        raise ParseError(f"{self.prog}: {message}")
-
-
-class _StoreOnce(argparse.Action):
-    """Store the option's value, refusing a second occurrence: argparse
-    would keep only the last one and silently drop the first. The options
-    given are tracked on the namespace, so an option with a default is
-    refused too."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        given = vars(namespace).setdefault("_given", set())
-        if self.dest in given:
-            raise argparse.ArgumentError(self, "given more than once")
-        given.add(self.dest)
-        setattr(namespace, self.dest, values)
+# -- the command line ------------------------------------------------------------
+#
+# One table, _GRAMMAR, holds the grammar of the README's "Command line"
+# block; parse_args and --help both read it. Parsing keeps argparse's
+# rules and wording: a long option may be shortened to a unique prefix and
+# written --flag=VALUE, "--" ends the options, a negative number is a
+# value, and usage errors come in argparse's order (those met while
+# scanning, then missing arguments, then unrecognized ones). Two things
+# differ: each option may be given once, where argparse kept the last,
+# and a "--" after "=" or after the "--" that ends the options is a
+# value, where argparse dropped it and stored an empty list.
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Each subcommand accepts exactly the options it reads."""
-    ap = _Parser(
-        prog="prymdim",
-        description="Exact dimensions of generalized Prym varieties of tame Galois covers",
+class _Arg(NamedTuple):
+    """A positional argument (no ``flag``) or an option of one command."""
+
+    dest: str
+    metavar: str
+    help: str
+    flag: str | None = None
+    convert: object = None  # int, or None for the text as given
+    choices: tuple | None = None
+    default: object = None
+    nargs: object = 1  # 1, "+" (one or more), 0 (-h/--help) or "..." (a subcommand)
+    least: int | None = None  # value rule: the smallest value accepted
+
+
+class _Command(NamedTuple):
+    """A command with its arguments, or a choice of subcommands named under ``dest``."""
+
+    help: str
+    positionals: tuple = ()
+    options: tuple = ()  # in the order a prefix is matched against them
+    one_of: tuple = ()  # options of which exactly one must be given
+    dest: str | None = None
+    commands: dict | None = None
+
+
+_HELP = _Arg("help", "", "print this help and exit", "-h/--help", nargs=0)
+_WEYL = _Arg("weyl", "LABEL", "Weyl group label like A3 or G2", "--weyl")
+_GENERATORS = _Arg("generators", "PERM", "cycle strings or image arrays", "--generators",
+                   nargs="+")
+_CAP = _Arg("cap", "N", "largest group order accepted, for Weyl labels and generators",
+            "--cap", int, default=DEFAULT_CAP, least=1)
+_GENUS = _Arg("genus", "G", "base genus", "--genus", int, default=2)
+_SPLIT = _Arg("reflection_split", "long|short|even",
+              "where non-simply-laced presets place reflection branch points",
+              "--reflection-split", choices=("long", "short", "even"), default="long")
+
+
+def _format(choices: tuple[str, ...]) -> _Arg:
+    return _Arg("format", "|".join(choices), "report format", "--format", choices=choices,
+                default="text")
+
+
+def _group_command(help: str, *options: _Arg, formats=FORMATS) -> _Command:
+    """A command on the group of ``--weyl`` or of ``--generators``."""
+    one_of = (_WEYL, _GENERATORS)
+    return _Command(help, options=(*one_of, _format(formats), _CAP, *options), one_of=one_of)
+
+
+def _preset(help: str, *options: _Arg) -> _Command:
+    return _Command(
+        help,
+        positionals=(_Arg("type", "TYPE", "Weyl type letter A/B/C/D/G/F"),
+                     _Arg("rank", "RANK", "Weyl rank", convert=int)),
+        options=(*options, _format(FORMATS), _SPLIT),
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("dims", "run the dimension pipeline on a cover-spec file"),
-        ("verify", "run the full invariant suite on a group"),
-        ("chartable", "print the character table of a group"),
-        ("group-info", "print order, classes and cyclic classes"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        if name == "dims":
-            p.add_argument("specfile", help="JSON cover spec (see README for the schema)")
+
+
+_GRAMMAR = _Command(
+    "Exact dimensions of generalized Prym varieties of tame Galois covers.",
+    dest="command",
+    commands={
+        "dims": _Command(
+            "run the dimension pipeline on a cover-spec file",
+            positionals=(_Arg("specfile", "SPECFILE",
+                              "JSON cover spec (see README for the schema)"),),
+            options=(_format(FORMATS), _CAP),
+        ),
+        "verify": _group_command(
+            "run the full invariant suite on a group",
+            _Arg("seed", "S", "seed of the sampled specs and tuples", "--seed", int, default=0),
+            _Arg("specs", "N", "sampled cover specs for the two-route check", "--specs", int,
+                 default=25, least=0),
+            _Arg("tuples", "N", "sampled branch tuples for the oracle check", "--tuples", int,
+                 default=50, least=0),
+            formats=FORMATS[:2],
+        ),
+        "chartable": _group_command("print the character table of a group"),
+        "group-info": _group_command("print order, classes and cyclic classes"),
+        "preset": _Command(
+            "run a named integrable-system preset",
+            dest="kind",
+            commands={
+                "toda": _preset("Toda system: expects the rank"),
+                "hitchin": _preset("Hitchin system: expects dim(g)(genus - 1)", _GENUS),
+                "markman": _preset(
+                    "Markman system: the Hitchin count twisted by a divisor of degree D",
+                    _GENUS, _Arg("deg_d", "D", "twist degree", "--degD", int, default=1)),
+            },
+        ),
+    },
+)
+
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a value, not an option
+_WIDTH = 79
+_SYNTAX = ("An option may be shortened to any unique prefix and written --flag VALUE\n"
+           "or --flag=VALUE; every argument after -- is a value.\n")
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The command line as one attribute per argument of the command given.
+
+    A usage error raises ParseError; -h or --help prints the help of the
+    command it follows and raises SystemExit(0).
+    """
+    values, extras, command = _parse(_GRAMMAR, "prymdim", list(argv))
+    if extras:
+        raise ParseError(f"prymdim: unrecognized arguments: {' '.join(extras)}")
+    for arg in command.options:
+        if arg.least is not None and values[arg.dest] < arg.least:
+            kind = "positive" if arg.least else "nonnegative"
+            raise ParseError(f"{arg.flag} must be a {kind} integer, got {values[arg.dest]}")
+    return SimpleNamespace(**values)
+
+
+def _run(text: str, start: int, char: str) -> int:
+    """How many ``char`` open ``text[start:]``."""
+    rest = text[start:]
+    return len(rest) - len(rest.lstrip(char))
+
+
+def _option_at(flags: dict, arg: str, prog: str):
+    """(option, or None for an unknown one; its flag; the text after "=",
+    or None) if ``arg`` reads as an option, else None."""
+    if not arg.startswith("-"):
+        return None
+    if arg in flags:
+        return flags[arg], arg, None
+    if len(arg) == 1:
+        return None
+    flag, eq, explicit = arg.partition("=")
+    if eq and flag in flags:
+        return flags[flag], flag, explicit
+    if arg[1] == "-":
+        hits = [(flags[f], f, explicit if eq else None) for f in flags if f.startswith(flag)]
+    else:  # -h with text attached; -h is the one single-dash flag
+        hits = [(flags[f], f, arg[2:]) for f in flags if f == arg[:2]]
+    if len(hits) > 1:
+        matches = ", ".join(f for _, f, _ in hits)
+        raise ParseError(f"{prog}: ambiguous option: {arg} could match {matches}")
+    if hits:
+        return hits[0]
+    if _NEGATIVE.match(arg) or " " in arg:
+        return None
+    return None, arg, None
+
+
+def _parse(command: _Command, prog: str, argv: list[str]):
+    """(values, unrecognized arguments, the command reached) of ``argv``
+    read against ``command`` by argparse's rules."""
+    flags = {f: arg for arg in (_HELP, *command.options) for f in arg.flag.split("/")}
+    values = {arg.dest: arg.default for arg in (*command.positionals, *command.options)}
+    waiting = list(command.positionals)
+    if command.commands:
+        values[command.dest] = None
+        waiting.append(_Arg(command.dest, "", "", nargs="..."))
+    # one letter per argument: O an option, A a value, - the first "--",
+    # the one that ends the options
+    found, letters, marker = {}, [], None
+    for i, arg in enumerate(argv):
+        if arg == "--":
+            letters.append("-" + "A" * (len(argv) - i - 1))
+            marker = i
+            break
+        option = _option_at(flags, arg, prog)
+        if option is not None:
+            found[i] = option
+        letters.append("A" if option is None else "O")
+    pattern = "".join(letters)
+    extras, nested, given = [], [], set()
+    reached = command
+
+    def refuse(arg: _Arg, message: str) -> ParseError:
+        return ParseError(f"{prog}: argument {arg.flag or arg.dest}: {message}")
+
+    def value_of(arg: _Arg, text: str):
+        value = text
+        if arg.convert is not None:
+            try:
+                value = arg.convert(text)
+            except ValueError:
+                raise refuse(arg, f"invalid {arg.convert.__name__} value: {text!r}") from None
+        if arg.choices is not None and value not in arg.choices:
+            choices = ", ".join(map(repr, arg.choices))
+            raise refuse(arg, f"invalid choice: {value!r} (choose from {choices})")
+        return value
+
+    def take(arg: _Arg, texts: list[str]) -> None:
+        nonlocal reached
+        if arg.nargs == 0:
+            sys.stdout.write(_help(command, prog))
+            raise SystemExit(0)
+        if arg.nargs == "...":
+            name = texts[0]
+            if name not in command.commands:
+                choices = ", ".join(map(repr, command.commands))
+                raise refuse(arg, f"invalid choice: {name!r} (choose from {choices})")
+            values[command.dest] = name
+            sub, sub_extras, reached = _parse(command.commands[name], f"{prog} {name}", texts[1:])
+            values.update(sub)
+            nested.extend(sub_extras)
+            return
+        value = [value_of(arg, t) for t in texts] if arg.nargs == "+" else value_of(arg, texts[0])
+        if arg in command.one_of:
+            for other in command.one_of:
+                if other is not arg and other.dest in given:
+                    raise refuse(arg, f"not allowed with argument {other.flag}")
+        if arg.flag is not None:
+            if arg.dest in given:
+                raise refuse(arg, "given more than once")
+            given.add(arg.dest)
+        values[arg.dest] = value
+
+    def positionals(start: int) -> int:
+        # as many waiting positionals as match, by argparse's patterns:
+        # -*A-* for one value, -*A[-AO]* for a subcommand and all after it
+        matched = []
+        for arg in waiting:
+            i = start + _run(pattern, start, "-")
+            if pattern[i:i + 1] != "A":
+                break
+            if arg.nargs == "...":  # a subcommand reads the "--" itself
+                stop = len(pattern)
+                matched.append((arg, argv[start:]))
+            else:
+                stop = i + 1 + _run(pattern, i + 1, "-")
+                matched.append((arg, [argv[j] for j in range(start, stop) if j != marker]))
+            start = stop
+        del waiting[:len(matched)]
+        for arg, texts in matched:
+            take(arg, texts)
+        return start
+
+    def optional(i: int) -> int:
+        arg, flag, explicit = found[i]
+        taken = []
+        while True:
+            if arg is None:
+                extras.append(argv[i])
+                return i + 1
+            if explicit is None:
+                stop = i + 1
+                if arg.nargs != 0:
+                    run = _run(pattern, stop, "A")
+                    if not run:
+                        raise refuse(arg, "expected one argument" if arg.nargs == 1
+                                     else "expected at least one argument")
+                    stop += 1 if arg.nargs == 1 else run
+                taken.append((arg, argv[i + 1:stop]))
+                break
+            if arg.nargs != 0:
+                stop = i + 1
+                taken.append((arg, [explicit]))
+                break
+            if flag[1] == "-" or explicit == "" or "-" + explicit[0] not in flags:
+                raise refuse(arg, f"ignored explicit argument {explicit!r}")
+            # -hh: the letters after a flag that takes no value are flags too
+            taken.append((arg, []))
+            flag = "-" + explicit[0]
+            arg, explicit = flags[flag], explicit[1:] or None
+        for arg, texts in taken:
+            take(arg, texts)
+        return stop
+
+    start, last = 0, max(found, default=-1)
+    while start <= last:
+        after = min(i for i in found if i >= start)
+        if start != after:
+            end = positionals(start)
+            if end > start:
+                start = end
+                continue
+            extras += argv[start:after]
+            start = after
+        start = optional(start)
+    stop = positionals(start)
+    extras += argv[stop:]
+    if waiting:
+        missing = ", ".join(arg.dest for arg in waiting)
+        raise ParseError(f"{prog}: the following arguments are required: {missing}")
+    if command.one_of and not given.intersection(arg.dest for arg in command.one_of):
+        names = " ".join(arg.flag for arg in command.one_of)
+        raise ParseError(f"{prog}: one of the arguments {names} is required")
+    return values, extras + nested, reached
+
+
+def _shown(arg: _Arg) -> str:
+    return f"{arg.flag} {arg.metavar}" + ("..." if arg.nargs == "+" else "")
+
+
+def _usage(command: _Command, prog: str) -> list[str]:
+    """The usage lines of every command under ``command``, wrapped at
+    _WIDTH columns with the continuation lines aligned after its name."""
+    if command.commands:
+        return [line for name, sub in command.commands.items()
+                for line in _usage(sub, f"{prog} {name}")]
+    items = [arg.metavar for arg in command.positionals]
+    if command.one_of:
+        items.append("(" + " | ".join(map(_shown, command.one_of)) + ")")
+    items += [f"[{_shown(arg)}]" for arg in command.options if arg not in command.one_of]
+    lines = [prog]
+    for item in items:
+        if len(lines[-1]) + 1 + len(item) > _WIDTH:
+            lines.append(" " * len(prog) + " " + item)
         else:
-            g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--weyl", metavar="LABEL", action=_StoreOnce,
-                           help="Weyl group label like A3 or G2")
-            g.add_argument("--generators", nargs="+", metavar="PERM", action=_StoreOnce,
-                           help="cycle strings or image arrays")
-        p.add_argument("--format", choices=FORMATS[:2] if name == "verify" else FORMATS,
-                       default="text", action=_StoreOnce)
-        p.add_argument("--cap", type=int, default=DEFAULT_CAP, action=_StoreOnce,
-                       help="largest group order accepted, for Weyl labels and generators")
-        if name == "verify":
-            p.add_argument("--seed", type=int, default=0, action=_StoreOnce)
-            p.add_argument("--specs", type=int, default=25, action=_StoreOnce,
-                           help="sampled cover specs for the two-route check")
-            p.add_argument("--tuples", type=int, default=50, action=_StoreOnce,
-                           help="sampled branch tuples for the oracle check")
+            lines[-1] += " " + item
+    return lines
 
-    p = sub.add_parser("preset", help="run a named integrable-system preset")
-    kinds = p.add_subparsers(dest="kind", required=True)
-    for kind in ("toda", "hitchin", "markman"):
-        p = kinds.add_parser(kind)
-        p.add_argument("type", help="Weyl type letter A/B/C/D/G/F")
-        p.add_argument("rank", type=int)
-        if kind != "toda":
-            p.add_argument("--genus", type=int, default=2, action=_StoreOnce,
-                           help="base genus")
-        if kind == "markman":
-            p.add_argument("--degD", dest="deg_d", type=int, default=1, action=_StoreOnce,
-                           help="twist degree")
-        p.add_argument("--format", choices=FORMATS, default="text", action=_StoreOnce)
-        p.add_argument("--reflection-split", choices=("long", "short", "even"), default="long",
-                       action=_StoreOnce,
-                       help="where non-simply-laced presets place reflection branch points")
-    return ap
 
+def _help(command: _Command, prog: str) -> str:
+    """The usage lines, what the command does, and each argument with its default."""
+    if command.commands:
+        rows = [(name, sub.help) for name, sub in command.commands.items()]
+    else:
+        rows = [(_shown(arg) if arg.flag else arg.metavar,
+                 arg.help if arg.default is None else f"{arg.help} (default {arg.default})")
+                for arg in (*command.positionals, *command.options)]
+    rows.append(("-h, --help", _HELP.help))
+    width = min(max(len(name) for name, _ in rows), 24)
+    lines = [*_usage(command, prog), "", command.help, ""]
+    pad = width + 4
+    for name, text in rows:
+        if len(name) > width:
+            lines.append(f"  {name}")
+            name = ""
+        line = f"  {name:{width}}  "
+        for word in text.split():
+            if len(line) > pad and len(line) + 1 + len(word) > _WIDTH:
+                lines.append(line)
+                line = " " * pad + word
+            else:
+                line += (" " if len(line) > pad else "") + word
+        lines.append(line)
+    return "\n".join(lines) + "\n\n" + _SYNTAX
 
 def _build_group(cap: int, label: str | None = None, generators=None,
                  degree: int | None = None) -> tuple[PermGroup, dict]:
@@ -277,7 +554,7 @@ def _dims_report(spec: rhprym.CoverSpec, echo: dict) -> dict:
     genera = [
         {**cyclic[i], "genus": g} for i, g in enumerate(report.quotient_genera)
     ]
-    dims = report.dims if report.dims is not None else report.dims_closed_form
+    dims = report.dims_closed_form
     return {
         "input": echo,
         "group": _group_block(G),
@@ -553,9 +830,6 @@ def _verify_checks(G: PermGroup, args) -> list[tuple[str, bool, str]]:
 
 
 def _cmd_verify(args):
-    for flag, value in (("--specs", args.specs), ("--tuples", args.tuples)):
-        if value < 0:
-            raise ParseError(f"{flag} must be a nonnegative integer, got {value}")
     G, echo = _build_group(args.cap, args.weyl, args.generators)
     checks = _verify_checks(G, args)
     ok = all(c[1] for c in checks)
@@ -608,9 +882,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     """Parse, run the command, render its document in the chosen format."""
     try:
-        args = build_parser().parse_args(argv)
-        if "cap" in args and args.cap < 1:
-            raise ParseError(f"--cap must be a positive integer, got {args.cap}")
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         t0 = time.monotonic()
         doc, renderers, code = _COMMANDS[args.command](args)
         elapsed = time.monotonic() - t0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from prymdim import rhprym, weyl
 from prymdim.chartable import character_table
-from prymdim.cli import FORMATS, build_parser, main
+from prymdim.cli import FORMATS, main, parse_args
 from prymdim.permgroup import MAX_DEGREE, Permutation
 
 
@@ -545,7 +545,7 @@ def test_repeated_single_valued_option_is_refused(capsys, s3_file, command, rest
     single-valued option is refused the second time, defaults or not,
     and taken the first time."""
     rest = [s3_file if a == "SPEC" else a for a in rest]
-    once = build_parser().parse_args([*command.split(), *rest, flag, first])
+    once = parse_args([*command.split(), *rest, flag, first])
     dest = "deg_d" if flag == "--degD" else flag[2:].replace("-", "_")
     assert str(getattr(once, dest)) == first
     code, out, err = run(capsys, [*command.split(), *rest, flag, first, flag, second])

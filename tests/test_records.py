@@ -28,16 +28,17 @@ _SRC = str(Path(prymdim.__file__).resolve().parents[1])
 
 
 def test_cli_import_loads_no_reflection_or_fraction_modules():
-    """``import prymdim.cli`` adds none of dataclasses, inspect, fractions
-    or decimal to what a bare interpreter has loaded, so a cold CLI start
-    does not pay for them; a module the interpreter's start-up already
-    loaded does not count."""
+    """``import prymdim.cli`` adds none of dataclasses, inspect, fractions,
+    decimal, argparse, gettext or locale to what a bare interpreter has
+    loaded, so a cold CLI start does not pay for them; a module the
+    interpreter's start-up already loaded does not count."""
     snippet = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import prymdim.cli\n"
         "added = set(sys.modules) - bare\n"
-        "print(sorted(added & {'dataclasses', 'inspect', 'fractions', 'decimal'}))\n"
+        "print(sorted(added & {'dataclasses', 'inspect', 'fractions', 'decimal',\n"
+        "                      'argparse', 'gettext', 'locale'}))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", snippet],

@@ -14,7 +14,10 @@ git worktree that it removes, parses the process stages and refuses
 `--pass` or a chosen stage; its ratio is the median of the per-pair
 ratios, not the ratio of the two sides' medians; one process of that mode times two warm
 stages, and one, run in-process with W(A1) as its only group, the
-`cli_cold` process stage.
+`cli_cold` process stage. ``bench_pairs.py`` runs one short pair of
+spec-sweep, HEAD against HEAD, prints one JSON line in its schema, and
+removes its `git archive` copies, also when a workload or a revision is
+refused.
 """
 
 import json
@@ -318,3 +321,81 @@ def test_stage_times_refuses_stages_without_against(capsys):
         module["main"](["--stages", "table"])
     assert exit_info.value.code == 2
     assert "--stages applies only with --against" in capsys.readouterr().err
+
+
+def _is_git_repository():
+    if shutil.which("git") is None:
+        return False
+    done = subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "--verify", "HEAD"],
+                          capture_output=True)
+    return done.returncode == 0
+
+
+def _bench_pairs(tmp_path, *argv):
+    """One run of scripts/bench_pairs.py with its temporary copies under
+    ``tmp_path``/tmp, which must be empty again once it exits."""
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "bench_pairs.py"), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "TMPDIR": str(scratch)},
+        timeout=300,
+    )
+    assert list(scratch.iterdir()) == []
+    return proc
+
+
+@pytest.mark.skipif(not _is_git_repository(), reason="bench_pairs.py archives git commits")
+def test_bench_pairs_runs_one_pair_and_removes_its_copies(tmp_path):
+    """One short pair of spec-sweep, HEAD against HEAD: one JSON line with
+    every field, each side's end-to-end metrics, and no copy left."""
+    proc = _bench_pairs(tmp_path, "HEAD", "spec-sweep", "--pairs", "1", "--seconds", "0.2",
+                        "--seed", "3")
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    doc = json.loads(line)
+    head = subprocess.run(["git", "-C", str(_ROOT), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=True).stdout.strip()
+    assert sorted(doc) == sorted(["workload", "rev", "rev_commit", "head_commit", "seconds",
+                                  "seeds", "first", "pairs", "failed", "median", "q1", "q3",
+                                  "change", "moved"])
+    assert (doc["workload"], doc["rev"], doc["seconds"]) == ("spec-sweep", "HEAD", 0.2)
+    assert doc["rev_commit"] == doc["head_commit"] == head
+    assert (doc["seeds"], doc["first"], doc["failed"]) == ([3], ["rev"], {"rev": 0, "head": 0})
+    metrics = ["query_s.p50", "query_s.p90", "throughput_per_s", "setup_s", "peak_rss_mib"]
+    (pair,) = doc["pairs"]
+    assert (pair["seed"], pair["first"]) == (3, "rev")
+    for side in ("rev", "head"):
+        assert sorted(pair[side]) == sorted(metrics)
+        assert all(v > 0 for v in pair[side].values())
+        for key in ("median", "q1", "q3"):
+            assert doc[key][side] == pair[side]
+    assert sorted(doc["change"]) == sorted(doc["moved"]) == sorted(metrics)
+    assert all(sum(m.values()) == 1 for m in doc["moved"].values())
+
+
+@pytest.mark.skipif(not _is_git_repository(), reason="bench_pairs.py archives git commits")
+@pytest.mark.parametrize("argv, text", [
+    (["HEAD", "no-such-workload", "--pairs", "1", "--seconds", "0.2"],
+     "bench/run.py of rev on no-such-workload seed 1 exited 2: "),
+    (["no-such-revision", "spec-sweep"], "git rev-parse --verify no-such-revision"),
+], ids=["workload", "revision"])
+def test_bench_pairs_fails_with_one_line_and_removes_its_copies(tmp_path, argv, text):
+    proc = _bench_pairs(tmp_path, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"error: {text}") and proc.stderr.count("\n") == 1
+
+
+def test_bench_pairs_summary_counts_the_moves_of_each_pair():
+    """Medians and quartiles per side; a pair counts once, as lower,
+    higher or the same, by HEAD's figure against REV's."""
+    module = runpy.run_path(str(_ROOT / "scripts" / "bench_pairs.py"), run_name="bench_pairs")
+    pairs = [{"rev": {"m": r}, "head": {"m": h}}
+             for r, h in ((1.0, 0.5), (2.0, 1.0), (3.0, 3.0), (4.0, 5.0), (5.0, 2.0))]
+    out = module["summary"](pairs)
+    assert out["median"] == {"rev": {"m": 3.0}, "head": {"m": 2.0}}
+    assert out["q1"]["rev"]["m"] == 1.5 and out["q3"]["rev"]["m"] == 4.5
+    assert out["change"] == {"m": 2.0 / 3.0 - 1}
+    assert out["moved"] == {"m": {"lower": 3, "higher": 1, "same": 1}}
