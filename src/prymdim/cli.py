@@ -62,7 +62,7 @@ class _Arg(NamedTuple):
     metavar: str
     help: str
     flag: str | None = None
-    convert: object = None  # int, or None for the text as given
+    integer: bool = False  # read by int(), else kept as the text given
     choices: tuple | None = None
     default: object = None
     nargs: object = 1  # 1, "+" (one or more), 0 (-h/--help) or "..." (a subcommand)
@@ -85,8 +85,8 @@ _WEYL = _Arg("weyl", "LABEL", "Weyl group label like A3 or G2", "--weyl")
 _GENERATORS = _Arg("generators", "PERM", "cycle strings or image arrays", "--generators",
                    nargs="+")
 _CAP = _Arg("cap", "N", "largest group order accepted, for Weyl labels and generators",
-            "--cap", int, default=DEFAULT_CAP, least=1)
-_GENUS = _Arg("genus", "G", "base genus", "--genus", int, default=2)
+            "--cap", integer=True, default=DEFAULT_CAP, least=1)
+_GENUS = _Arg("genus", "G", "base genus", "--genus", integer=True, default=2)
 _SPLIT = _Arg("reflection_split", "long|short|even",
               "where non-simply-laced presets place reflection branch points",
               "--reflection-split", choices=("long", "short", "even"), default="long")
@@ -107,7 +107,7 @@ def _preset(help: str, *options: _Arg) -> _Command:
     return _Command(
         help,
         positionals=(_Arg("type", "TYPE", "Weyl type letter A/B/C/D/G/F"),
-                     _Arg("rank", "RANK", "Weyl rank", convert=int)),
+                     _Arg("rank", "RANK", "Weyl rank", integer=True)),
         options=(*options, _format(FORMATS), _SPLIT),
     )
 
@@ -124,11 +124,12 @@ _GRAMMAR = _Command(
         ),
         "verify": _group_command(
             "run the full invariant suite on a group",
-            _Arg("seed", "S", "seed of the sampled specs and tuples", "--seed", int, default=0),
-            _Arg("specs", "N", "sampled cover specs for the two-route check", "--specs", int,
-                 default=25, least=0),
-            _Arg("tuples", "N", "sampled branch tuples for the oracle check", "--tuples", int,
-                 default=50, least=0),
+            _Arg("seed", "S", "seed of the sampled specs and tuples", "--seed", integer=True,
+                 default=0),
+            _Arg("specs", "N", "sampled cover specs for the two-route check", "--specs",
+                 integer=True, default=25, least=0),
+            _Arg("tuples", "N", "sampled branch tuples for the oracle check", "--tuples",
+                 integer=True, default=50, least=0),
             formats=FORMATS[:2],
         ),
         "chartable": _group_command("print the character table of a group"),
@@ -141,7 +142,7 @@ _GRAMMAR = _Command(
                 "hitchin": _preset("Hitchin system: expects dim(g)(genus - 1)", _GENUS),
                 "markman": _preset(
                     "Markman system: the Hitchin count twisted by a divisor of degree D",
-                    _GENUS, _Arg("deg_d", "D", "twist degree", "--degD", int, default=1)),
+                    _GENUS, _Arg("deg_d", "D", "twist degree", "--degD", integer=True, default=1)),
             },
         ),
     },
@@ -231,11 +232,11 @@ def _parse(command: _Command, prog: str, argv: list[str]):
 
     def value_of(arg: _Arg, text: str):
         value = text
-        if arg.convert is not None:
+        if arg.integer:
             try:
-                value = arg.convert(text)
+                value = int(text)
             except ValueError:
-                raise refuse(arg, f"invalid {arg.convert.__name__} value: {text!r}") from None
+                raise refuse(arg, f"invalid int value: {text!r}") from None
         if arg.choices is not None and value not in arg.choices:
             choices = ", ".join(map(repr, arg.choices))
             raise refuse(arg, f"invalid choice: {value!r} (choose from {choices})")
@@ -289,34 +290,27 @@ def _parse(command: _Command, prog: str, argv: list[str]):
 
     def optional(i: int) -> int:
         arg, flag, explicit = found[i]
-        taken = []
-        while True:
-            if arg is None:
-                extras.append(argv[i])
-                return i + 1
-            if explicit is None:
-                stop = i + 1
-                if arg.nargs != 0:
-                    run = _run(pattern, stop, "A")
-                    if not run:
-                        raise refuse(arg, "expected one argument" if arg.nargs == 1
-                                     else "expected at least one argument")
-                    stop += 1 if arg.nargs == 1 else run
-                taken.append((arg, argv[i + 1:stop]))
-                break
+        if arg is None:
+            extras.append(argv[i])
+            return i + 1
+        if explicit is None:
+            stop = i + 1
             if arg.nargs != 0:
-                stop = i + 1
-                taken.append((arg, [explicit]))
-                break
-            if flag[1] == "-" or explicit == "" or "-" + explicit[0] not in flags:
-                raise refuse(arg, f"ignored explicit argument {explicit!r}")
-            # -hh: the letters after a flag that takes no value are flags too
-            taken.append((arg, []))
-            flag = "-" + explicit[0]
-            arg, explicit = flags[flag], explicit[1:] or None
-        for arg, texts in taken:
-            take(arg, texts)
-        return stop
+                run = _run(pattern, stop, "A")
+                if not run:
+                    raise refuse(arg, "expected one argument" if arg.nargs == 1
+                                 else "expected at least one argument")
+                stop += 1 if arg.nargs == 1 else run
+            take(arg, argv[i + 1:stop])
+            return stop
+        if arg.nargs != 0:
+            take(arg, [explicit])
+            return i + 1
+        # -h/--help takes no value, but -hh is -h twice
+        rest = explicit if flag[1] == "-" else explicit.lstrip("h")
+        if rest or not explicit:
+            raise refuse(arg, f"ignored explicit argument {rest!r}")
+        take(arg, [])
 
     start, last = 0, max(found, default=-1)
     while start <= last:

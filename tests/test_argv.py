@@ -483,11 +483,13 @@ def test_readme_command_block_is_the_usage_of_help():
 @pytest.mark.parametrize("command", ["dims", "verify", "chartable", "group-info",
                                      "preset toda", "preset hitchin", "preset markman"])
 def test_help_prints_the_commands_usage_and_options(command):
+    """A command's help opens with its own lines of the top-level usage
+    block and lists every flag those lines show."""
     usage = _help(["--help"]).split("\n\n")[0]
     text = _help([*command.split(), "--help"])
-    own = [line for line in text.split("\n\n")[0].splitlines()]
-    assert own[0].startswith(f"prymdim {command} ") and "\n".join(own) in usage
-    flags = re.findall(r"--[a-zA-Z-]+", "\n".join(own))
+    own = text.split("\n\n")[0]
+    assert own.startswith(f"prymdim {command} ") and own in usage
+    flags = re.findall(r"--[a-zA-Z-]+", own)
     assert flags and all(f"  {flag}" in text for flag in flags)
     assert "  -h, --help" in text
 
